@@ -11,10 +11,8 @@ route and an independent partial-trace route.
 """
 
 from .laurent import (
-    GaussRat,
     LaurentPoly,
     div_exact,
-    is_real,
     phase_mul,
     poly_from_json,
     poly_to_json,
@@ -70,7 +68,6 @@ from .report import Check, Report
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussRat",
     "LaurentPoly",
     "qint",
     "qfact",
@@ -78,7 +75,6 @@ __all__ = [
     "subst_v_power",
     "subst_x_iv",
     "phase_mul",
-    "is_real",
     "div_exact",
     "poly_to_json",
     "poly_from_json",

@@ -346,25 +346,57 @@ def braid_to_json(braid: ColoredBraid) -> dict:
     }
 
 
+def _json_field(data: dict, key: str, valid, expected: str):
+    if key not in data:
+        raise BraidError(f"braid JSON is missing field {key!r}")
+    value = data[key]
+    if not valid(value):
+        raise BraidError(f"braid JSON field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _word_from_json(data) -> BraidWord:
+    if not isinstance(data, dict):
+        raise BraidError(f"braid JSON must be an object, got {type(data).__name__}")
+    n = _json_field(data, "n", lambda v: type(v) is int, "an integer")
+    letters = _json_field(
+        data, "letters", lambda v: isinstance(v, list) and all(type(l) is int for l in v), "a list of integers"
+    )
+    return BraidWord(n, tuple(letters))
+
+
+def _colors_from_json(data: dict) -> tuple[Spin, ...]:
+    colors = _json_field(
+        data,
+        "colors",
+        lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+        'a list of spin strings such as "1/2"',
+    )
+    try:
+        return tuple(Spin.parse(c) for c in colors)
+    except ValueError as exc:
+        raise BraidError(f"braid JSON field 'colors': {exc}") from None
+
+
 def braid_from_json(data: dict) -> ColoredBraid:
-    word = BraidWord(int(data["n"]), tuple(int(l) for l in data["letters"]))
-    return ColoredBraid(word, tuple(Spin.parse(c) for c in data["colors"]))
+    return ColoredBraid(_word_from_json(data), _colors_from_json(data))
 
 
 def parse_any(text: str, colors: Optional[Sequence[Spin]] = None):
     """
     Parse either the text or the JSON braid format.  Returns a ColoredBraid
     when colors are available (inline, JSON, or passed in) and a bare
-    BraidWord otherwise.
+    BraidWord otherwise.  A JSON "colors" list that is empty counts as absent.
     """
     stripped = text.strip()
     if stripped.startswith("{"):
         data = json.loads(stripped)
-        if data.get("colors"):
+        word = _word_from_json(data)
+        inline = _colors_from_json(data) if "colors" in data else ()
+        if inline:
             if colors is not None:
                 raise BraidError("colors given both in JSON and separately")
-            return braid_from_json(data)
-        word = BraidWord(int(data["n"]), tuple(int(l) for l in data["letters"]))
+            return ColoredBraid(word, inline)
         return ColoredBraid(word, tuple(colors)) if colors is not None else word
     word, inline = _parse_sections(stripped)
     if inline is not None and colors is not None:

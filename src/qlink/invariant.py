@@ -26,6 +26,7 @@ from typing import Optional
 
 from . import rmatrix, tl
 from .braid import (
+    BraidError,
     BraidWord,
     ColoredBraid,
     cable_component,
@@ -36,7 +37,7 @@ from .braid import (
     recolor_component,
     writhe,
 )
-from .laurent import LaurentPoly, is_real, phase_mul, qint, subst_x_iv
+from .laurent import LaurentPoly, phase_mul, qint
 from .report import Report
 from .tensorop import (
     HALF,
@@ -124,12 +125,10 @@ def cs_invariant_fundamental(word: BraidWord) -> LaurentPoly:
     """
     The invariant value of the closure with every component in the fundamental
     color: the bracket at x = i v times the writhe phase (-i)^w.  The result
-    must come out real; a complex residue means the pipeline is broken.
+    must come out real; a complex residue means the pipeline is broken, and
+    `phase_mul` raises ArithmeticError for it.
     """
-    value = phase_mul(subst_x_iv(kauffman_bracket(word)), word.exponent_sum())
-    if not is_real(value):
-        raise RuntimeError(f"closure value has a complex residue: {value}")
-    return value
+    return phase_mul(kauffman_bracket(word), word.exponent_sum())
 
 
 def all_half(word: BraidWord) -> ColoredBraid:
@@ -198,6 +197,8 @@ def verify_recursion(braid: ColoredBraid, comp_index: int) -> Report:
     deleted outright.
     """
     comps = components(braid)
+    if not 0 <= comp_index < len(comps):
+        raise BraidError(f"no component {comp_index}; braid has {len(comps)}")
     color = component_color(braid, comps[comp_index])
     tj = color.twice_j
     if tj < 1:

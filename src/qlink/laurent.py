@@ -1,20 +1,23 @@
 """
-Exact Laurent-polynomial arithmetic in the variable v = q^(1/2), over the
-Gaussian rationals.
+Exact Laurent-polynomial arithmetic in the variable v = q^(1/2), with integer
+coefficients.
 
 Working in v rather than q keeps everything inside a genuine Laurent ring:
 half-integer powers of q (the q^(1/2) prefactor of the fundamental R-matrix,
 the framing factor q^(3/2) of a spin-1/2 kink, ...) are integer powers of v,
-so fractional exponents never arise.  The substitution x -> i*v used to turn
-bracket polynomials into invariant values passes through genuinely imaginary
-coefficients, which is why coefficients are Gaussian rationals rather than
-plain rationals; final values are gated back to real form with `is_real`.
+so fractional exponents never arise.  Every value the package computes --
+invariants, R-matrix entries, Casimirs, Askey-Wilson residuals -- lies in
+Z[v, v^-1], so coefficients are plain Python ints: exact division either
+divides or raises, and nothing rational or imaginary is ever stored.  The one
+place imaginary units could enter, the substitution x -> i*v of the bracket
+route, is merged with the writhe phase into `phase_mul`, which is integral
+term by term.
 
 A polynomial is a dict {exponent: coefficient} holding no zero coefficients,
-so equality is exact dict equality.  Exponents are arbitrary Python ints and
-coefficients have arbitrary-precision numerators/denominators (q-factorials
-overflow machine words almost immediately).  The canonical ascending-exponent
-ordering only matters for printing and serialization.
+so equality is exact dict equality.  Exponents and coefficients are
+arbitrary-precision ints (q-factorials overflow machine words almost
+immediately).  The canonical ascending-exponent ordering only matters for
+printing and serialization.
 
 All values are immutable; every operation returns a fresh polynomial, so
 sharing across threads is safe.
@@ -24,140 +27,27 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Union
 
-try:
-    from gmpy2 import mpq as _Q  # much faster exact rationals
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
-
-RationalLike = Union[int, str, "_Q"]
-
-
-def _rat(x: RationalLike) -> "_Q":
-    return _Q(x)
-
-
-class GaussRat:
-    """A Gaussian rational re + im*i with exact rational parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _rat(re))
-        object.__setattr__(self, "im", _rat(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, int):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other: GaussRat) -> GaussRat:
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussRat) -> GaussRat:
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> GaussRat:
-        return GaussRat(-self.re, -self.im)
-
-    def __mul__(self, other: GaussRat) -> GaussRat:
-        # Purely real values dominate in practice; skip the full product then.
-        if not self.im and not other.im:
-            return GaussRat(self.re * other.re)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other: GaussRat) -> GaussRat:
-        if not other:
-            raise ZeroDivisionError("division by zero GaussRat")
-        if not self.im and not other.im:
-            return GaussRat(self.re / other.re)
-        norm = other.re * other.re + other.im * other.im
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def conjugate(self) -> GaussRat:
-        return GaussRat(self.re, -self.im)
-
-    def __repr__(self) -> str:
-        return f"GaussRat({self.re!r}, {self.im!r})"
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        im_s = _imag_str(self.im)
-        if not self.re:
-            return im_s
-        sign = "+" if self.im > 0 else "-"
-        mag = _imag_str(abs(self.im))
-        return f"{self.re}{sign}{mag}"
-
-
-def _imag_str(im) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    n, d = im.numerator, im.denominator
-    return f"{n}i" if d == 1 else f"{n}i/{d}"
-
-
-GR_ZERO = GaussRat(0)
-GR_ONE = GaussRat(1)
-GR_I = GaussRat(0, 1)
-
-# (-i)^w and i^n repeat with period four.
-_I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
-
-CoefficientLike = Union[int, GaussRat]
-
-
-def _coeff(c: CoefficientLike) -> GaussRat:
-    return c if isinstance(c, GaussRat) else GaussRat(c)
-
 
 class LaurentPoly:
-    """Laurent polynomial in v with GaussRat coefficients, in canonical form."""
+    """Laurent polynomial in v with int coefficients, in canonical form."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Union[Mapping[int, CoefficientLike], Iterable[tuple[int, CoefficientLike]], None] = None):
-        canon: dict[int, GaussRat] = {}
+    def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
+        canon: dict[int, int] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for exp, c in items:
-                g = _coeff(c)
-                if g:
-                    prev = canon.get(exp)
-                    if prev is None:
-                        canon[exp] = g
-                    else:
-                        s = prev + g
-                        if s:
-                            canon[exp] = s
-                        else:
-                            del canon[exp]
-        object.__setattr__(self, "terms", canon)
+                if not isinstance(c, int):
+                    raise TypeError(f"Laurent coefficients are ints, got {type(c).__name__} {c!r}")
+                canon[exp] = canon.get(exp, 0) + c
+        object.__setattr__(self, "terms", {e: c for e, c in canon.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
-    def _raw(canon: dict[int, GaussRat]) -> LaurentPoly:
+    def _raw(canon: dict[int, int]) -> LaurentPoly:
         """Wrap an already-canonical dict without copying (internal)."""
         p = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(p, "terms", canon)
@@ -174,24 +64,22 @@ class LaurentPoly:
         return _P_ONE
 
     @classmethod
-    def const(cls, c: CoefficientLike) -> LaurentPoly:
-        g = _coeff(c)
-        return cls._raw({0: g}) if g else _P_ZERO
+    def const(cls, c: int) -> LaurentPoly:
+        return cls({0: c})
 
     @classmethod
-    def monomial(cls, exp: int, c: CoefficientLike = 1) -> LaurentPoly:
-        g = _coeff(c)
-        return cls._raw({exp: g}) if g else _P_ZERO
+    def monomial(cls, exp: int, c: int = 1) -> LaurentPoly:
+        return cls({exp: c})
 
     @classmethod
     def v_power(cls, k: int) -> LaurentPoly:
         """v^k."""
-        return cls._raw({k: GR_ONE})
+        return cls._raw({k: 1})
 
     @classmethod
     def q_power(cls, n: int) -> LaurentPoly:
         """q^n = v^(2n)."""
-        return cls._raw({2 * n: GR_ONE})
+        return cls._raw({2 * n: 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -205,14 +93,14 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
         if isinstance(other, int):
-            return self.terms == ({0: GaussRat(other)} if other else {})
+            return self.terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset((e, c.re, c.im) for e, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
-    def coefficient(self, exp: int) -> GaussRat:
-        return self.terms.get(exp, GR_ZERO)
+    def coefficient(self, exp: int) -> int:
+        return self.terms.get(exp, 0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -221,15 +109,11 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            prev = out.get(exp)
-            if prev is None:
-                out[exp] = c
+            s = out.get(exp, 0) + c
+            if s:
+                out[exp] = s
             else:
-                s = prev + c
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
+                del out[exp]
         return LaurentPoly._raw(out)
 
     __radd__ = __add__
@@ -245,13 +129,14 @@ class LaurentPoly:
     def __rsub__(self, other: int) -> LaurentPoly:
         return LaurentPoly.const(other) + (-self)
 
-    def __mul__(self, other: Union[LaurentPoly, int, GaussRat]) -> LaurentPoly:
-        if isinstance(other, (int, GaussRat)):
-            g = _coeff(other)
-            if not g:
+    def __mul__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
+        if isinstance(other, int):
+            if not other:
                 return _P_ZERO
-            return LaurentPoly._raw({e: c * g for e, c in self.terms.items()})
-        acc: dict[int, GaussRat] = {}
+            return LaurentPoly._raw({e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        acc: dict[int, int] = {}
         accumulate_product(acc, self, other)
         return LaurentPoly._raw({e: c for e, c in acc.items() if c})
 
@@ -259,11 +144,11 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial Laurent polynomial")
-            (exp, c), = self.terms.items()
-            inv = GR_ONE / c
-            return LaurentPoly.monomial(exp * n, _pow_coeff(inv, -n))
+            # Only the units +-v^k of Z[v, v^-1] have inverses in the ring.
+            if len(self.terms) != 1 or abs(next(iter(self.terms.values()))) != 1:
+                raise ValueError(f"negative power of {self}, which is not a unit +-v^k")
+            ((exp, c),) = self.terms.items()
+            return LaurentPoly._raw({exp * n: c**-n})
         result = _P_ONE
         base = self
         while n:
@@ -286,13 +171,9 @@ class LaurentPoly:
         """The bar involution v -> v^(-1)."""
         return self.subst_v(-1)
 
-    def evaluate(self, v: complex) -> complex:
-        """Numeric evaluation, for debugging only; never used to decide identities."""
-        return sum(complex(float(c.re), float(c.im)) * v**e for e, c in self.terms.items())
-
     # -- presentation --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[int, GaussRat]]:
+    def sorted_terms(self) -> list[tuple[int, int]]:
         return sorted(self.terms.items())
 
     def __str__(self) -> str:
@@ -307,53 +188,34 @@ class LaurentPoly:
         return f"LaurentPoly('{self}')"
 
 
-def _pow_coeff(c: GaussRat, n: int) -> GaussRat:
-    out = GR_ONE
-    for _ in range(n):
-        out = out * c
-    return out
-
-
-def _term_str(exp: int, c: GaussRat, first: bool) -> str:
-    # Render real negative leading coefficients through " - "; anything with an
-    # imaginary part is parenthesized as a block.
-    if c.im:
-        coeff_s, neg = f"({c})", False
-    else:
-        neg = c.re < 0
-        mag = abs(c.re)
-        if mag == 1:
-            coeff_s = ""
-        elif mag.denominator == 1:
-            coeff_s = str(mag)
-        else:
-            coeff_s = f"({mag})"
+def _term_str(exp: int, c: int, first: bool) -> str:
+    # Negative coefficients render through " - " (or a leading "-").
+    mag = abs(c)
+    coeff_s = "" if mag == 1 else str(mag)
     if exp == 0:
         body = coeff_s if coeff_s else "1"
     else:
         var = "v" if exp == 1 else f"v^{exp}"
         body = coeff_s + var
     if first:
-        return ("-" if neg else "") + body
-    return (" - " if neg else " + ") + body
+        return ("-" if c < 0 else "") + body
+    return (" - " if c < 0 else " + ") + body
 
 
 _P_ZERO = LaurentPoly._raw({})
-_P_ONE = LaurentPoly._raw({0: GR_ONE})
+_P_ONE = LaurentPoly._raw({0: 1})
 
 
-def accumulate_product(acc: dict[int, GaussRat], a: LaurentPoly, b: LaurentPoly) -> None:
+def accumulate_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:
     """acc += a*b, accumulating raw coefficients (zeros may remain in acc)."""
     bt = b.terms
     for e1, c1 in a.terms.items():
         for e2, c2 in bt.items():
             e = e1 + e2
-            prod = c1 * c2
-            prev = acc.get(e)
-            acc[e] = prod if prev is None else prev + prod
+            acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def finalize(acc: dict[int, GaussRat]) -> LaurentPoly:
+def finalize(acc: dict[int, int]) -> LaurentPoly:
     """Canonicalize an accumulator produced by `accumulate_product`."""
     return LaurentPoly._raw({e: c for e, c in acc.items() if c})
 
@@ -369,7 +231,7 @@ def qint(n: int) -> LaurentPoly:
         return _P_ZERO
     if n < 0:
         return -qint(-n)
-    return LaurentPoly._raw({2 * k: GR_ONE for k in range(-(n - 1), n, 2)})
+    return LaurentPoly._raw({2 * k: 1 for k in range(-(n - 1), n, 2)})
 
 
 def qfact(n: int) -> LaurentPoly:
@@ -402,25 +264,29 @@ def subst_v_power(p: LaurentPoly, k: int) -> LaurentPoly:
     return p.subst_v(k)
 
 
+def phase_mul(p: LaurentPoly, w: int) -> LaurentPoly:
+    """
+    Read p in the bracket variable x, substitute x -> i*v and multiply by the
+    writhe phase (-i)^w: x^e goes to i^(e-w) v^e, which is +-v^e when e - w is
+    even.  An odd e - w leaves an imaginary coefficient, which no invariant
+    value has, so it raises ArithmeticError as a pipeline fault.
+    """
+    out = {}
+    for e, c in p.terms.items():
+        k = e - w
+        if k & 1:
+            raise ArithmeticError(f"complex residue: x^{e} under the writhe phase (-i)^{w} in {p}")
+        out[e] = -c if k & 2 else c
+    return LaurentPoly._raw(out)
+
+
 def subst_x_iv(p: LaurentPoly) -> LaurentPoly:
     """Reinterpret p in the variable x and substitute x -> i*v, so x^n -> i^n v^n."""
-    return LaurentPoly._raw(
-        {e: g for e, g in ((e, c * _I_POWERS[e % 4]) for e, c in p.terms.items()) if g}
-    )
-
-
-def phase_mul(p: LaurentPoly, w: int) -> LaurentPoly:
-    """Multiply by the writhe phase (-i)^w."""
-    return p * _I_POWERS[(-w) % 4]
-
-
-def is_real(p: LaurentPoly) -> bool:
-    """True iff every coefficient has zero imaginary part."""
-    return all(not c.im for c in p.terms.values())
+    return phase_mul(p, 0)
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient a/b in the Laurent ring; raises if b does not divide a."""
+    """Exact quotient a/b in Z[v, v^-1]; raises ValueError if b does not divide a."""
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
@@ -430,40 +296,47 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     min_qexp = min(a.terms) - b_lo
     lead = b.terms[b_hi]
     rem = dict(a.terms)
-    quot: dict[int, GaussRat] = {}
+    quot: dict[int, int] = {}
     while rem:
         r_hi = max(rem)
         qexp = r_hi - b_hi
         if qexp < min_qexp:
             raise ValueError("polynomials do not divide exactly")
-        qc = rem[r_hi] / lead
+        qc, r = divmod(rem[r_hi], lead)
+        if r:
+            raise ValueError("polynomials do not divide exactly over the integers")
         quot[qexp] = qc
         for e, c in b.terms.items():
             tgt = e + qexp
-            s = rem.get(tgt, GR_ZERO) - qc * c
+            s = rem.get(tgt, 0) - qc * c
             if s:
                 rem[tgt] = s
             elif tgt in rem:
                 del rem[tgt]
-    return LaurentPoly._raw({e: c for e, c in quot.items() if c})
+    return LaurentPoly._raw(quot)
 
 
 # ---------------------------------------------------------------------------
-# Serialization: a polynomial is a JSON array of
-# [exponent, re_num, re_den, im_num, im_den] tuples sorted by exponent.
+# Serialization: a polynomial is a JSON array of [exponent, c, 1, 0, 1] rows
+# sorted by exponent.  A row has the layout [exponent, re_num, re_den, im_num,
+# im_den] of a Gaussian-rational coefficient, so files written in that wire
+# format stay valid; anything but an integer coefficient is rejected.
 # ---------------------------------------------------------------------------
 
 
 def poly_to_json(p: LaurentPoly) -> list[list[int]]:
-    return [
-        [e, int(c.re.numerator), int(c.re.denominator), int(c.im.numerator), int(c.im.denominator)]
-        for e, c in p.sorted_terms()
-    ]
+    return [[e, c, 1, 0, 1] for e, c in p.sorted_terms()]
 
 
 def poly_from_json(data: Iterable[Iterable[int]]) -> LaurentPoly:
     terms = {}
     for row in data:
-        e, rn, rd, imn, imd = row
-        terms[int(e)] = GaussRat(_Q(int(rn), int(rd)), _Q(int(imn), int(imd)))
+        if not (
+            isinstance(row, list)
+            and len(row) == 5
+            and all(isinstance(x, int) for x in row)
+            and row[2:] == [1, 0, 1]
+        ):
+            raise ValueError(f"polynomial row must be [exponent, c, 1, 0, 1] with integer c: {row!r}")
+        terms[row[0]] = row[1]
     return LaurentPoly(terms)

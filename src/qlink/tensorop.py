@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .laurent import (
-    GaussRat,
     LaurentPoly,
     accumulate_product,
     finalize,
@@ -235,11 +234,9 @@ class Operator:
     def __sub__(self, other: Operator) -> Operator:
         return self + (-other)
 
-    def __mul__(self, scalar: Union[LaurentPoly, GaussRat, int]) -> Operator:
+    def __mul__(self, scalar: Union[LaurentPoly, int]) -> Operator:
         if isinstance(scalar, int):
             scalar = LaurentPoly.const(scalar)
-        if isinstance(scalar, GaussRat):
-            scalar = LaurentPoly.monomial(0, scalar)
         if not isinstance(scalar, LaurentPoly):
             return NotImplemented
         if scalar.is_zero():
@@ -318,7 +315,7 @@ def compose(a: Operator, b: Operator) -> Operator:
     rows_b: dict[int, list[tuple[int, LaurentPoly]]] = {}
     for (r, c), p in b.entries.items():
         rows_b.setdefault(r, []).append((c, p))
-    acc: dict[tuple[int, int], dict[int, GaussRat]] = {}
+    acc: dict[tuple[int, int], dict[int, int]] = {}
     for (r, k), pa in a.entries.items():
         row = rows_b.get(k)
         if not row:

@@ -16,8 +16,8 @@ braid closures and loop-around-strands tangles are evaluated; closing every
 strand in turn computes the bracket of a braid closure.
 
 Coefficients are Laurent polynomials whose variable is *read as* x here; the
-`subst_x_iv` map in `laurent` converts finished bracket values onto the v
-axis.
+`subst_x_iv` and `phase_mul` maps in `laurent` convert finished bracket
+values onto the v axis.
 """
 
 from __future__ import annotations

@@ -82,6 +82,26 @@ class TestInvariantCommand:
         code, _, _ = run(["invariant", "--braid", "n=2; 5", "--method", "cs"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "braid,field",
+        [
+            ('{"n": 2}', "letters"),
+            ('{"n": 2, "letters": [1, 1], "colors": "1/2"}', "colors"),
+            ('{"n": 1, "letters": [], "colors": [1]}', "colors"),
+        ],
+    )
+    def test_malformed_json_braid_is_usage_error(self, braid, field):
+        code, _, err = run(["invariant", "--braid", braid, "--method", "rt"])
+        assert code == 1
+        assert f"field '{field}'" in err
+
+    def test_complex_residue_exits_three(self, monkeypatch):
+        # An odd power of x left in a bracket cannot be carried onto the v axis.
+        monkeypatch.setattr(invariant, "kauffman_bracket", lambda word: LaurentPoly.v_power(1))
+        code, _, err = run(["invariant", "--braid", "n=1;", "--method", "cs"])
+        assert code == 3
+        assert "complex residue" in err
+
 
 class TestRMatrixCommand:
     def test_json_round_trips_to_operator(self):
@@ -155,6 +175,13 @@ class TestVerifyCommand:
             ["verify", "framing", "--braid", "n=1;", "--colors", "1/2", "--strand", "7"]
         )
         assert code == 1
+
+    def test_bad_component_index_is_usage_error(self):
+        code, _, err = run(
+            ["verify", "recursion", "--braid", "n=1;", "--colors", "1", "--component", "5"]
+        )
+        assert code == 1
+        assert "no component 5" in err
 
     def test_bad_spin_is_usage_error(self):
         code, _, _ = run(["rmatrix", "--spins", "1/3,1/2"])

@@ -1,11 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlink.laurent import (
-    GaussRat,
     LaurentPoly,
     div_exact,
-    is_real,
     phase_mul,
     poly_from_json,
     poly_to_json,
@@ -20,28 +20,24 @@ V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
 
 
-def coeffs(re=0, im=0):
-    return GaussRat(re, im)
+class TestCoefficients:
+    def test_zero_test_and_int_equality(self):
+        assert not LaurentPoly({3: 0})
+        assert LaurentPoly.const(3) == 3
+        assert LaurentPoly({0: 2, 1: 0}) * 2 == 4
+        assert LaurentPoly.zero() == 0
 
-
-class TestGaussRat:
-    def test_imaginary_unit_squares_to_minus_one(self):
-        i = GaussRat(0, 1)
-        assert i * i == GaussRat(-1)
-
-    def test_division(self):
-        a = GaussRat(1, 1)
-        assert a / a == GaussRat(1)
-        assert GaussRat(2) / GaussRat(0, 1) == GaussRat(0, -2)
-
-    def test_zero_test_and_equality(self):
-        assert not GaussRat(0, 0)
-        assert GaussRat(3) == 3
-        assert GaussRat("1/2") * GaussRat(2) == 1
+    def test_non_int_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: Fraction(1, 2)})
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(2, Fraction(1))
+        with pytest.raises(TypeError):
+            V(1) * Fraction(1, 2)
 
     def test_immutability(self):
         with pytest.raises(AttributeError):
-            GaussRat(1).re = 2
+            V(1).terms = {}
 
 
 class TestArithmetic:
@@ -62,14 +58,18 @@ class TestArithmetic:
         assert qint(2) * qint(2) == qint(3) + qint(1)
 
     def test_multiplicative_identity_and_units(self):
-        p = qint(5) * GaussRat("3/7")
+        p = qint(5) * 3
         assert p * LaurentPoly.one() == p
         assert V(1) * V(-1) == LaurentPoly.one()
 
     def test_negative_power_of_monomial(self):
         assert V(3) ** -2 == V(-6)
+        assert (-V(3)) ** -1 == -V(-3)
+        assert (-V(3)) ** -2 == V(-6)
         with pytest.raises(ValueError):
             qint(2) ** -1
+        with pytest.raises(ValueError):
+            (2 * V(1)) ** -1
 
 
 class TestQCombinatorics:
@@ -122,18 +122,22 @@ class TestSubstitutions:
     def test_x_to_iv(self):
         assert subst_x_iv(V(2)) == -V(2)  # x^2 -> -v^2
         assert subst_x_iv(-V(2) - V(-2)) == qint(2)  # the loop value
-        assert subst_x_iv(-V(3)) == LaurentPoly.monomial(3, GaussRat(0, 1))  # -x^3 -> i v^3
+        assert subst_x_iv(V(-4) * 3) == V(-4) * 3  # x^-4 -> v^-4
 
     def test_phase(self):
         p = qint(3)
         assert phase_mul(p, 0) == p
         assert phase_mul(LaurentPoly.one(), 2) == LaurentPoly.const(-1)
-        # One positive kink: phase times x -> iv of -x^3 lands on v^3.
-        assert phase_mul(subst_x_iv(-V(3)), 1) == V(3)
+        # One positive kink: x -> iv of -x^3 times the phase -i lands on v^3.
+        assert phase_mul(-V(3), 1) == V(3)
+        assert phase_mul(-V(3), -1) == -V(3)
 
-    def test_is_real(self):
-        assert is_real(qint(2))
-        assert not is_real(LaurentPoly.monomial(1, GaussRat(0, 1)))
+    def test_complex_residue_rejected(self):
+        # -x^3 -> i v^3 has no integral value without a writhe phase.
+        with pytest.raises(ArithmeticError, match="complex residue"):
+            subst_x_iv(-V(3))
+        with pytest.raises(ArithmeticError, match="complex residue"):
+            phase_mul(qint(2), 1)
 
 
 class TestDivision:
@@ -144,6 +148,13 @@ class TestDivision:
     def test_inexact_rejected(self):
         with pytest.raises(ValueError):
             div_exact(qint(3), qint(2))
+
+    def test_integer_remainder_rejected(self):
+        assert div_exact(qint(2) * 6, qint(2) * -3) == LaurentPoly.const(-2)
+        with pytest.raises(ValueError):
+            div_exact(LaurentPoly.const(3), LaurentPoly.const(2))
+        with pytest.raises(ValueError):
+            div_exact(qint(2), qint(1) * 2)
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -170,17 +181,23 @@ class TestTruncatedSeries:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        p = qint(5) * GaussRat("2/3", "-1/7") + V(-9)
+        p = qint(5) * -7 + V(-9) + V(4) * (1 << 70)
         data = poly_to_json(p)
         assert data == sorted(data)
+        assert [0, -7, 1, 0, 1] in data
         assert poly_from_json(data) == p
+
+    def test_non_integer_row_rejected(self):
+        for row in ([0, 1, 2, 0, 1], [0, 1, 1, 1, 1], [0, 1], [0, "1", 1, 0, 1], "01101"):
+            with pytest.raises(ValueError, match="row"):
+                poly_from_json([row])
 
     def test_text_form(self):
         assert str(qint(2)) == "v^-2 + v^2"
         assert str(LaurentPoly.zero()) == "0"
         assert str(-V(9) + V(1)) == "v - v^9"
-        assert str(LaurentPoly.monomial(2, GaussRat(0, 1))) == "(i)v^2"
-        assert str(LaurentPoly.const(GaussRat("1/2"))) == "(1/2)"
+        assert str(LaurentPoly({-1: -3, 0: 1, 2: 12})) == "-3v^-1 + 1 + 12v^2"
+        assert str(LaurentPoly.const(-5)) == "-5"
 
 
 coeff_strategy = st.integers(min_value=-9, max_value=9)
