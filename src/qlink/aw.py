@@ -55,7 +55,7 @@ from .tensorop import (
     partial_trace_first,
 )
 from .tl import TLElement, close_first, tl_mul, word_element
-from .uqsu2 import E_SYM, F_SYM, GeneratorSymbol, chi, delta_rep, iterated_casimir
+from .uqsu2 import E_SYM, F_SYM, GeneratorSymbol, chi, delta_rep, iterated_casimir, twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -380,16 +380,12 @@ def verify_tl_iso() -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _pair_range(ta: int, tb: int) -> range:
-    return range(abs(ta - tb), ta + tb + 1, 2)
-
-
 def triple_twice_spins(shape: Shape) -> list[int]:
     """Twice-spins occurring in the full decomposition of a three-leg shape."""
     t1, t2, t3 = (s.twice_j for s in shape.factors)
     out = set()
-    for t12 in _pair_range(t1, t2):
-        out.update(_pair_range(t12, t3))
+    for t12 in twice_spin_range(t1, t2):
+        out.update(twice_spin_range(t12, t3))
     return sorted(out)
 
 
@@ -397,11 +393,11 @@ def spectrum_twice_spins(index, shape: Shape) -> list[int]:
     name = _norm_index(index)
     t1, t2, t3 = (s.twice_j for s in shape.factors)
     if name == "12":
-        return list(_pair_range(t1, t2))
+        return list(twice_spin_range(t1, t2))
     if name == "23":
-        return list(_pair_range(t2, t3))
+        return list(twice_spin_range(t2, t3))
     if name in ("13", "13~"):
-        return list(_pair_range(t1, t3))
+        return list(twice_spin_range(t1, t3))
     if name == "123":
         return triple_twice_spins(shape)
     raise ValueError(f"spectrum is only defined for block indices, not {index!r}")

@@ -319,7 +319,10 @@ def _parse_sections(text: str) -> tuple[BraidWord, Optional[tuple[Spin, ...]]]:
         if not section:
             continue
         if section.startswith("colors="):
-            colors = tuple(Spin.parse(c) for c in section[len("colors=") :].split(","))
+            try:
+                colors = tuple(Spin.parse(c) for c in section[len("colors=") :].split(","))
+            except ValueError as exc:
+                raise BraidError(f"bad colors section: {exc}") from None
         else:
             for token in section.replace(",", " ").split():
                 try:

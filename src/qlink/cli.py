@@ -44,14 +44,14 @@ def _dump_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _read_braid(args) -> object:
+def _read_braid(args, colors_flag: str = "--colors") -> object:
     text = args.braid
     if os.path.isfile(text):
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
     colors = None
     if getattr(args, "colors", None):
-        colors = tuple(Spin.parse(c) for c in args.colors.split(","))
+        colors = tuple(_parse_spins(args.colors, colors_flag))
     return parse_any(text, colors)
 
 
@@ -70,10 +70,13 @@ def _as_word(parsed) -> BraidWord:
     return word
 
 
-def _parse_spins(text: str, expected: Optional[int] = None) -> list[Spin]:
-    spins = [Spin.parse(p) for p in text.split(",")]
+def _parse_spins(text: str, flag: str, expected: Optional[int] = None) -> list[Spin]:
+    try:
+        spins = [Spin.parse(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
     if expected is not None and len(spins) != expected:
-        raise UsageError(f"expected {expected} comma-separated spins, got {len(spins)}")
+        raise UsageError(f"{flag}: expected {expected} comma-separated spins, got {len(spins)}")
     return spins
 
 
@@ -103,7 +106,7 @@ _VARIANTS = {
 
 
 def _cmd_rmatrix(args) -> int:
-    j1, j2 = _parse_spins(args.spins, expected=2)
+    j1, j2 = _parse_spins(args.spins, "--spins", expected=2)
     op = _VARIANTS[args.variant](j1, j2)
     if args.output == "text":
         lines = [f"shape: {op.shape_in} -> {op.shape_out}"]
@@ -118,7 +121,7 @@ def _cmd_rmatrix(args) -> int:
 def _aw_report(args) -> Report:
     shape = None
     if args.spins:
-        shape = Shape(tuple(_parse_spins(args.spins, expected=3)))
+        shape = Shape(tuple(_parse_spins(args.spins, "--spins", expected=3)))
     suite = args.suite_name
     if suite in ("relations", "routes", "expansion", "spectrum", "all") and shape is None:
         raise UsageError(f"--spins is required for suite {suite!r}")
@@ -159,7 +162,7 @@ def _cmd_verify(args) -> int:
             raise UsageError("factorization needs --braid2")
         first = _require_colored(_read_braid(args))
         second_args = argparse.Namespace(braid=args.braid2, colors=args.colors2)
-        second = _require_colored(_read_braid(second_args))
+        second = _require_colored(_read_braid(second_args, "--colors2"))
         report = invariant.verify_factorization(first, second)
     if args.output == "json":
         print(_dump_json(report.to_json()))

@@ -2,15 +2,15 @@
 The two invariant pipelines for closed braids, and the identity suites
 connecting them.
 
-Quantum-trace route: each braid letter acts on the tensor product of the
-current strand colors by the braided two-leg matrix at those spins (inverse
-matrices for negative letters); colors travel with the strands, so the shape
-bookkeeping is exact for mixed colorings.  The closure value is the trace
-weighted by q^(2H) on every factor.  This value is a regular-isotopy
-invariant: a kink changes it by exactly q^(+-2j(j+1)), which is checked by
-`verify_framing` rather than normalized away.  An ambient-isotopy variant
-that divides out each component's self-writhe is available behind the
-`normalize` flag; the raw framed value is the default.
+Quantum-trace route: each braid letter acts in place on the two legs it
+crosses, by the braided two-leg matrix at their spins (inverse matrices for
+negative letters); no ambient-size letter operator is built.  Colors travel
+with the strands, so the shape bookkeeping is exact for mixed colorings.  The
+closure value is the trace weighted by q^(2H) on every factor.  This value is
+a regular-isotopy invariant: a kink changes it by exactly q^(+-2j(j+1)),
+which is checked by `verify_framing` rather than normalized away.  An
+ambient-isotopy variant that divides out each component's self-writhe is
+available behind the `normalize` flag; the raw framed value is the default.
 
 Bracket route (fundamental color only): a braid word is expanded in the
 diagram monoid, closed, and evaluated at loop value -x^2 - x^(-2); composing
@@ -44,37 +44,18 @@ from .tensorop import (
     Operator,
     Shape,
     Spin,
-    compose,
-    embed,
+    act_adjacent,
     full_trace,
     identity,
 )
-from .uqsu2 import mu
+from .uqsu2 import mu, twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
 
-# Embedded braid letters, keyed by (twice spins at the crossing, sign,
-# position, ambient twice-spin tuple).  Entries are written once and only
-# read afterwards.
-_letter_cache: dict[tuple, Operator] = {}
-
-
-def clear_cache() -> None:
-    _letter_cache.clear()
-
-
-def _letter_operator(colors: list[Spin], i: int, positive: bool) -> Operator:
-    """The embedded crossing at 0-based position i for the current colors."""
-    a, b = colors[i], colors[i + 1]
-    key = (a.twice_j, b.twice_j, positive, i, tuple(s.twice_j for s in colors))
-    op = _letter_cache.get(key)
-    if op is None:
-        ambient = Shape(colors)
-        two_leg = rmatrix.braided_r(a, b) if positive else rmatrix.braided_r_inv(b, a)
-        op = embed(two_leg, (i, i + 1), ambient)
-        _letter_cache[key] = op
-    return op
+# Letters act in place and nothing is cached here; the only cache the
+# quantum-trace route reads is rmatrix's table of two-leg matrices.
+clear_cache = rmatrix.clear_cache
 
 
 def braid_operator(braid: ColoredBraid) -> Operator:
@@ -83,7 +64,9 @@ def braid_operator(braid: ColoredBraid) -> Operator:
     op = identity(Shape(colors))
     for letter in braid.word.letters:
         i = abs(letter) - 1
-        op = compose(_letter_operator(colors, i, letter > 0), op)
+        a, b = colors[i], colors[i + 1]
+        two_leg = rmatrix.braided_r(a, b) if letter > 0 else rmatrix.braided_r_inv(b, a)
+        op = act_adjacent(two_leg, i, op)
         colors[i], colors[i + 1] = colors[i + 1], colors[i]
     if tuple(colors) != braid.colors:  # pragma: no cover - ColoredBraid guarantees this
         raise AssertionError("colors failed to return to the bottom sequence")
@@ -275,6 +258,6 @@ def fusion_identity_residual(twice_a: int, twice_b: int) -> LaurentPoly:
     """
     lhs = qint(twice_a + 1) * qint(twice_b + 1)
     rhs = LaurentPoly.zero()
-    for tc in range(abs(twice_a - twice_b), twice_a + twice_b + 1, 2):
+    for tc in twice_spin_range(twice_a, twice_b):
         rhs = rhs + qint(tc + 1)
     return lhs - rhs

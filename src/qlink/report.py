@@ -54,9 +54,6 @@ class Report:
     def extend(self, other: Report) -> None:
         self.checks.extend(other.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def to_json(self) -> dict:
         return {
             "suite": self.suite,

@@ -47,7 +47,7 @@ from .tensorop import (
     kron,
     swap,
 )
-from .uqsu2 import mu as _mu, rep_e, rep_f, rep_qh
+from .uqsu2 import mu as _mu, rep_e, rep_f, rep_qh, twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -269,11 +269,6 @@ def verify_frt(general_twice_spins: tuple[int, ...] = (1, 2, 3)) -> Report:
     return report
 
 
-def _twice_spin_range(ta: int, tb: int) -> range:
-    """Twice-spins in the decomposition of a twice-ta by twice-tb product."""
-    return range(abs(ta - tb), ta + tb + 1, 2)
-
-
 def monodromy_annihilator(j1: Spin, j2: Spin) -> Report:
     """
     The squared braiding R21 R12 is annihilated by the product of
@@ -285,8 +280,8 @@ def monodromy_annihilator(j1: Spin, j2: Spin) -> Report:
     shape = b.shape_in
     ta, tb = j1.twice_j, j2.twice_j
     prod = identity(shape)
-    for tj in _twice_spin_range(ta, tb):
+    for tj in twice_spin_range(ta, tb):
         exponent = -ta * (ta + 2) - tb * (tb + 2) + tj * (tj + 2)  # v-exponent
         prod = compose(prod, b - identity(shape) * V(exponent))
-    report.add("annihilating product", prod, note=f"eigenvalue exponents over 2j in {list(_twice_spin_range(ta, tb))}")
+    report.add("annihilating product", prod, note=f"eigenvalue exponents over 2j in {list(twice_spin_range(ta, tb))}")
     return report

@@ -58,14 +58,17 @@ class Spin:
 
     @classmethod
     def parse(cls, text: str) -> Spin:
-        """Parse '0', '1', '1/2', '3/2', ... into a Spin."""
-        s = text.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            if den.strip() != "2":
-                raise ValueError(f"spin denominator must be 2: {text!r}")
-            return cls(int(num))
-        return cls(2 * int(s))
+        """Parse '0', '1', '1/2', '3/2', ... into a Spin; a bad text is quoted in the ValueError."""
+        num, slash, den = text.strip().partition("/")
+        if slash and den.strip() != "2":
+            raise ValueError(f"spin denominator must be 2: {text!r}")
+        try:
+            twice_j = int(num) if slash else 2 * int(num)
+        except ValueError:
+            raise ValueError(f"not a spin: {text!r}") from None
+        if twice_j < 0:
+            raise ValueError(f"spin must be non-negative: {text!r}")
+        return cls(twice_j)
 
     def __str__(self) -> str:
         return str(self.twice_j // 2) if self.twice_j % 2 == 0 else f"{self.twice_j}/2"
@@ -283,10 +286,6 @@ def identity(shape: Shape) -> Operator:
     return Operator._raw(shape, shape, {(i, i): one for i in range(shape.dim)})
 
 
-def scalar_op(shape: Shape, c: LaurentPoly) -> Operator:
-    return Operator._raw(shape, shape, {(i, i): c for i in range(shape.dim)} if c else {})
-
-
 def diagonal(shape: Shape, diag: Sequence[LaurentPoly]) -> Operator:
     if len(diag) != shape.dim:
         raise ShapeError(f"diagonal length {len(diag)} != dim {shape.dim}")
@@ -308,6 +307,16 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator._raw(shape_in, shape_out, out)
 
 
+def _finalize_cells(acc: dict[tuple[int, int], dict[int, int]]) -> dict[tuple[int, int], LaurentPoly]:
+    """Canonical nonzero entries from per-cell product accumulators."""
+    out = {}
+    for rc, cell in acc.items():
+        p = finalize(cell)
+        if p:
+            out[rc] = p
+    return out
+
+
 def compose(a: Operator, b: Operator) -> Operator:
     """Matrix product a @ b (b applied first to vectors)."""
     if a.shape_in != b.shape_out:
@@ -326,12 +335,7 @@ def compose(a: Operator, b: Operator) -> Operator:
                 cell = {}
                 acc[(r, c)] = cell
             accumulate_product(cell, pa, pb)
-    out = {}
-    for rc, cell in acc.items():
-        p = finalize(cell)
-        if p:
-            out[rc] = p
-    return Operator._raw(b.shape_in, a.shape_out, out)
+    return Operator._raw(b.shape_in, a.shape_out, _finalize_cells(acc))
 
 
 def permute(shape: Shape, perm: Sequence[int]) -> Operator:
@@ -405,6 +409,41 @@ def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
     return Operator._raw(ambient, ambient_out, entries)
 
 
+def act_adjacent(op: Operator, i: int, target: Operator) -> Operator:
+    """
+    compose(embed(op, (i, i + 1), target.shape_out), target) without building
+    the embedded operator.  `op` acts on legs i, i + 1 and must keep their
+    total dimension (a braiding maps (a, b) to (b, a)), so every other leg
+    keeps its stride s: an entry in row r meets local column
+    lc = (r // s) % d and each entry (lr, lc) of `op` moves it to row
+    r + (lr - lc) * s.
+    """
+    shape = target.shape_out
+    if not 0 <= i < len(shape) - 1:
+        raise ShapeError(f"no adjacent legs {i}, {i + 1} in a shape of {len(shape)} factors")
+    if op.shape_in != Shape(shape.factors[i : i + 2]):
+        raise ShapeError(f"operator expects {op.shape_in}, legs {i}, {i + 1} of {shape} differ")
+    d = op.shape_in.dim
+    if op.shape_out.dim != d:
+        raise ShapeError(f"operator changes the dimension of legs {i}, {i + 1}: {op.shape_in}->{op.shape_out}")
+    s = shape.strides()[i + 1]
+    by_col: dict[int, list[tuple[int, LaurentPoly]]] = {}
+    for (lr, lc), p in op.entries.items():
+        by_col.setdefault(lc, []).append((lr, p))
+    acc: dict[tuple[int, int], dict[int, int]] = {}
+    for (r, c), pt in target.entries.items():
+        lc = (r // s) % d
+        for lr, p in by_col.get(lc, ()):
+            key = (r + (lr - lc) * s, c)
+            cell = acc.get(key)
+            if cell is None:
+                cell = {}
+                acc[key] = cell
+            accumulate_product(cell, p, pt)
+    shape_out = shape.replace((i, i + 1), op.shape_out.factors)
+    return Operator._raw(target.shape_in, shape_out, _finalize_cells(acc))
+
+
 # ---------------------------------------------------------------------------
 # Traces.
 # ---------------------------------------------------------------------------
@@ -415,12 +454,51 @@ def _require_square(op: Operator, what: str):
         raise ShapeError(f"{what} requires a square operator, got {op.shape_in}->{op.shape_out}")
 
 
-def _weight_entries(weight: Optional[Operator], spin: Spin, what: str) -> Optional[dict]:
-    if weight is None:
-        return None
-    if weight.shape_in != Shape((spin,)) or not weight.is_square():
-        raise ShapeError(f"{what} weight must act on ({spin},), got {weight.shape_in}->{weight.shape_out}")
-    return weight.entries
+def _trace_leg(op: Operator, leg: int, weight: Optional[Operator]) -> Operator:
+    """
+    Tr_leg(op . (id (x) weight (x) id)): trace out factor `leg` against
+    `weight` (identity if None).  Each index splits into (high, leg digit,
+    low) by that leg's stride; the result acts on the remaining factors.
+    """
+    shape = op.shape_in
+    w = None
+    if weight is not None:
+        if weight.shape_in != Shape((shape[leg],)) or not weight.is_square():
+            got = f"{weight.shape_in}->{weight.shape_out}"
+            raise ShapeError(f"factor {leg} weight must act on ({shape[leg]},), got {got}")
+        w = weight.entries
+    d = shape.dims[leg]
+    s = shape.strides()[leg]
+    acc: dict[tuple[int, int], LaurentPoly] = {}
+    for (r, c), p in op.entries.items():
+        rh, rl = divmod(r, s)
+        rh, a = divmod(rh, d)
+        ch, cl = divmod(c, s)
+        ch, k = divmod(ch, d)
+        if w is None:
+            if a != k:
+                continue
+            contrib = p
+        else:
+            wp = w.get((k, a))
+            if wp is None:
+                continue
+            contrib = p * wp
+        key = (rh * s + rl, ch * s + cl)
+        prev = acc.get(key)
+        total = contrib if prev is None else prev + contrib
+        if total:
+            acc[key] = total
+        elif prev is not None:
+            del acc[key]
+    rest = Shape(shape.factors[:leg] + shape.factors[leg + 1 :])
+    return Operator._raw(rest, rest, acc)
+
+
+def _require_factor(op: Operator, what: str):
+    _require_square(op, what)
+    if len(op.shape_in) == 0:
+        raise ShapeError("cannot trace a factorless operator")
 
 
 def partial_trace_first(op: Operator, weight: Optional[Operator] = None) -> Operator:
@@ -428,64 +506,14 @@ def partial_trace_first(op: Operator, weight: Optional[Operator] = None) -> Oper
     Tr_1(op . (weight (x) id)): trace out the first factor against `weight`
     (identity if None); the result acts on the remaining factors.
     """
-    _require_square(op, "partial_trace_first")
-    shape = op.shape_in
-    if len(shape) == 0:
-        raise ShapeError("cannot trace a factorless operator")
-    w = _weight_entries(weight, shape[0], "first-factor")
-    rest = Shape(shape.factors[1:])
-    d_rest = rest.dim
-    acc: dict[tuple[int, int], LaurentPoly] = {}
-    for (r, c), p in op.entries.items():
-        a, rr = divmod(r, d_rest)
-        k, cc = divmod(c, d_rest)
-        if w is None:
-            if a != k:
-                continue
-            contrib = p
-        else:
-            wp = w.get((k, a))
-            if wp is None:
-                continue
-            contrib = p * wp
-        prev = acc.get((rr, cc))
-        s = contrib if prev is None else prev + contrib
-        if s:
-            acc[(rr, cc)] = s
-        elif prev is not None:
-            del acc[(rr, cc)]
-    return Operator._raw(rest, rest, acc)
+    _require_factor(op, "partial_trace_first")
+    return _trace_leg(op, 0, weight)
 
 
 def partial_trace_last(op: Operator, weight: Optional[Operator] = None) -> Operator:
     """Mirror of `partial_trace_first` on the last factor."""
-    _require_square(op, "partial_trace_last")
-    shape = op.shape_in
-    if len(shape) == 0:
-        raise ShapeError("cannot trace a factorless operator")
-    w = _weight_entries(weight, shape[-1], "last-factor")
-    rest = Shape(shape.factors[:-1])
-    d_last = shape.dims[-1]
-    acc: dict[tuple[int, int], LaurentPoly] = {}
-    for (r, c), p in op.entries.items():
-        rr, a = divmod(r, d_last)
-        cc, k = divmod(c, d_last)
-        if w is None:
-            if a != k:
-                continue
-            contrib = p
-        else:
-            wp = w.get((k, a))
-            if wp is None:
-                continue
-            contrib = p * wp
-        prev = acc.get((rr, cc))
-        s = contrib if prev is None else prev + contrib
-        if s:
-            acc[(rr, cc)] = s
-        elif prev is not None:
-            del acc[(rr, cc)]
-    return Operator._raw(rest, rest, acc)
+    _require_factor(op, "partial_trace_last")
+    return _trace_leg(op, len(op.shape_in) - 1, weight)
 
 
 def full_trace(op: Operator, weights: Sequence[Optional[Operator]]) -> LaurentPoly:
@@ -493,30 +521,11 @@ def full_trace(op: Operator, weights: Sequence[Optional[Operator]]) -> LaurentPo
     Tr(op . (w_0 (x) w_1 (x) ...)) with one weight per factor (None = identity).
     """
     _require_square(op, "full_trace")
-    shape = op.shape_in
-    if len(weights) != len(shape):
-        raise ShapeError(f"{len(weights)} weights for {len(shape)} factors")
-    w_entries = [_weight_entries(w, s, f"factor {t}") for t, (w, s) in enumerate(zip(weights, shape.factors))]
-    total = LaurentPoly.zero()
-    for (r, c), p in op.entries.items():
-        rm = shape.unravel(r)
-        cm = shape.unravel(c)
-        contrib = p
-        dead = False
-        for t, w in enumerate(w_entries):
-            if w is None:
-                if rm[t] != cm[t]:
-                    dead = True
-                    break
-            else:
-                wp = w.get((cm[t], rm[t]))
-                if wp is None:
-                    dead = True
-                    break
-                contrib = contrib * wp
-        if not dead:
-            total = total + contrib
-    return total
+    if len(weights) != len(op.shape_in):
+        raise ShapeError(f"{len(weights)} weights for {len(op.shape_in)} factors")
+    for leg in range(len(weights) - 1, -1, -1):
+        op = _trace_leg(op, leg, weights[leg])
+    return op.entry(0, 0)
 
 
 def as_scalar(op: Operator) -> Optional[LaurentPoly]:

@@ -110,6 +110,11 @@ def mu_inv(j: Spin) -> Operator:
     return rep_qh(j, -2)
 
 
+def twice_spin_range(ta: int, tb: int) -> range:
+    """Twice-spins in the decomposition of V_(ta/2) (x) V_(tb/2) (Clebsch-Gordan)."""
+    return range(abs(ta - tb), ta + tb + 1, 2)
+
+
 def chi(j: Spin) -> LaurentPoly:
     """The Casimir eigenvalue chi_j = q^(2j+1) + q^(-2j-1) on spin j."""
     return V(2 * j.twice_j + 2) + V(-2 * j.twice_j - 2)

@@ -4,8 +4,10 @@ Independent brute-force oracles used to pin expected values.
 These deliberately share no algorithmic machinery with the package internals
 they check: the bracket oracle enumerates all 2^c crossing smoothings and
 counts loops with a union-find over diagram segments (no diagram-monoid
-composition), and the two-strand torus oracle evaluates closure traces from
-the two braiding eigenvalues rather than from matrices.
+composition), the two-strand torus oracle evaluates closure traces from
+the two braiding eigenvalues rather than from matrices, and the weighted
+trace oracle visits every entry once with all its digits unraveled instead of
+tracing one leg at a time.
 """
 
 from __future__ import annotations
@@ -81,6 +83,32 @@ def two_strand_torus_value(crossings: int) -> LaurentPoly:
     sign = 1 if crossings % 2 == 0 else -1
     singlet = LaurentPoly.v_power(-3 * crossings) * sign
     return triplet + singlet
+
+
+def entrywise_full_trace(op, weights) -> LaurentPoly:
+    """
+    Tr(op . (w_0 (x) w_1 (x) ...)) entry by entry: an entry (r, c) contributes
+    its value times w_t[c_t, r_t] on every factor t (None = identity).
+    """
+    shape = op.shape_in
+    assert op.shape_out == shape and len(weights) == len(shape)
+    total = LaurentPoly.zero()
+    for (r, c), p in op.entries.items():
+        rm = shape.unravel(r)
+        cm = shape.unravel(c)
+        contrib = p
+        for t, w in enumerate(weights):
+            if w is None:
+                if rm[t] != cm[t]:
+                    break
+            else:
+                wp = w.entries.get((cm[t], rm[t]))
+                if wp is None:
+                    break
+                contrib = contrib * wp
+        else:
+            total = total + contrib
+    return total
 
 
 def random_word(rng, n_strands: int, length: int) -> BraidWord:

@@ -95,6 +95,21 @@ class TestInvariantCommand:
         assert code == 1
         assert f"field '{field}'" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag,item",
+        [
+            (["invariant", "--braid", "n=2; 1 1", "--colors", "1/2,", "--method", "rt"], "--colors", "''"),
+            (["invariant", "--braid", "n=2; 1 1; colors=1/2,x", "--method", "rt"], "colors", "'x'"),
+            (["verify", "aw", "--spins", "1/2,1/2,a"], "--spins", "'a'"),
+        ],
+    )
+    def test_bad_spin_is_named(self, argv, flag, item):
+        code, _, err = run(argv)
+        assert code == 1
+        assert flag in err
+        assert item in err
+        assert "invalid literal" not in err
+
     def test_complex_residue_exits_three(self, monkeypatch):
         # An odd power of x left in a bracket cannot be carried onto the v axis.
         monkeypatch.setattr(invariant, "kauffman_bracket", lambda word: LaurentPoly.v_power(1))

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import entrywise_full_trace
 from qlink.laurent import LaurentPoly, qint
+from qlink.rmatrix import braided_r, braided_r_inv
 from qlink.tensorop import (
     EMPTY_SHAPE,
     HALF,
@@ -11,6 +13,7 @@ from qlink.tensorop import (
     Shape,
     ShapeError,
     Spin,
+    act_adjacent,
     as_scalar,
     compose,
     diagonal,
@@ -160,6 +163,42 @@ class TestEmbed:
             embed(op, (0, 0), Shape.of(1, 1))
 
 
+class TestActAdjacent:
+    SHAPES = (Shape.of(1, 2, 3), Shape.of(2, 1, 1), Shape.of(1, 3, 0, 2), Shape.of(2, 2, 1, 1))
+
+    def test_matches_embed_then_compose_on_random_operators(self):
+        rng = random.Random(11)
+        for ambient in self.SHAPES:
+            for i in range(len(ambient) - 1):
+                legs = Shape(ambient.factors[i : i + 2])
+                for legs_out in (legs, legs.permuted((1, 0))):
+                    op = random_operator(rng, legs, legs_out, fill=6)
+                    target = random_operator(rng, Shape.of(2, 1), ambient, fill=12)
+                    want = compose(embed(op, (i, i + 1), ambient), target)
+                    assert act_adjacent(op, i, target) == want
+
+    def test_matches_embed_then_compose_on_braidings(self):
+        rng = random.Random(12)
+        for ambient in self.SHAPES:
+            for i in range(len(ambient) - 1):
+                a, b = ambient[i], ambient[i + 1]
+                target = random_operator(rng, ambient, ambient, fill=12)
+                for op in (braided_r(a, b), braided_r_inv(b, a)):
+                    want = compose(embed(op, (i, i + 1), ambient), target)
+                    assert act_adjacent(op, i, target) == want
+
+    def test_leg_mismatch_rejected(self):
+        target = identity(Shape.of(1, 2, 3))
+        with pytest.raises(ShapeError):
+            act_adjacent(braided_r(HALF, HALF), 0, target)
+        with pytest.raises(ShapeError):
+            act_adjacent(braided_r(Spin(2), Spin(3)), 2, target)
+        with pytest.raises(ShapeError):
+            act_adjacent(permute(Shape.of(1, 2), (1, 0)), -1, target)
+        with pytest.raises(ShapeError):
+            act_adjacent(Operator(Shape.of(1, 2), Shape.of(1, 1), {}), 0, target)
+
+
 class TestTraces:
     def test_unweighted_partial_traces_of_identity(self):
         shape = Shape.of(1, 3)
@@ -180,10 +219,40 @@ class TestTraces:
         assert full_trace(identity(Shape((Spin(2),))), [mu(Spin(2))]) == qint(3)
         assert full_trace(identity(Shape((HALF,))), [None]) == LaurentPoly.const(2)
 
+    def test_traces_match_entrywise_oracle(self):
+        # Non-diagonal weights: a trace that ignores the weight's off-diagonal
+        # entries, or reads them transposed, fails here.
+        rng = random.Random(13)
+        for twice in ((1, 2), (2, 0), (1, 2, 1), (2, 1, 3)):
+            shape = Shape.of(*twice)
+            for _ in range(8):
+                op = random_operator(rng, shape, shape, fill=3 * shape.dim)
+                weights = [
+                    None if rng.random() < 0.2 else random_operator(rng, Shape((s,)), Shape((s,)), fill=2 * s.dim)
+                    for s in shape
+                ]
+                want = entrywise_full_trace(op, weights)
+                assert full_trace(op, weights) == want
+                assert entrywise_full_trace(partial_trace_first(op, weights[0]), weights[1:]) == want
+                assert entrywise_full_trace(partial_trace_last(op, weights[-1]), weights[:-1]) == want
+
     def test_trace_requires_square(self):
         op = permute(Shape.of(1, 2), (1, 0))
         with pytest.raises(ShapeError):
             full_trace(op, [None, None])
+
+    def test_trace_shape_errors(self):
+        op = identity(Shape.of(1, 2))
+        with pytest.raises(ShapeError):
+            partial_trace_first(op, mu(Spin(2)))
+        with pytest.raises(ShapeError):
+            partial_trace_last(op, mu(HALF))
+        with pytest.raises(ShapeError):
+            full_trace(op, [None])
+        with pytest.raises(ShapeError):
+            partial_trace_first(identity(EMPTY_SHAPE))
+        with pytest.raises(ShapeError):
+            partial_trace_last(identity(EMPTY_SHAPE))
 
 
 class TestAsScalar:
