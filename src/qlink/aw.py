@@ -427,7 +427,7 @@ def spectrum_report(index, shape: Shape) -> Report:
 def verify_centrality(shape: Shape, indices: Optional[Iterable] = None) -> Report:
     """Every intermediate Casimir commutes with the diagonal generator action."""
     report = Report(f"centrality {shape}")
-    gens = [E_SYM, F_SYM, GeneratorSymbol("QH", 2)]
+    gens = [E_SYM, F_SYM, GeneratorSymbol("QH", 1)]
     images = [(g.kind, delta_rep(g, shape)) for g in gens]
     for index in indices if indices is not None else AW_INDICES:
         op = q_elem(index, shape)

@@ -319,6 +319,8 @@ def _parse_sections(text: str) -> tuple[BraidWord, Optional[tuple[Spin, ...]]]:
         if not section:
             continue
         if section.startswith("colors="):
+            if colors is not None:
+                raise BraidError(f"more than one colors= section in {text!r}")
             try:
                 colors = tuple(Spin.parse(c) for c in section[len("colors=") :].split(","))
             except ValueError as exc:
@@ -393,7 +395,10 @@ def parse_any(text: str, colors: Optional[Sequence[Spin]] = None):
     """
     stripped = text.strip()
     if stripped.startswith("{"):
-        data = json.loads(stripped)
+        try:
+            data = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise BraidError(f"braid JSON: {exc}") from None
         word = _word_from_json(data)
         inline = _colors_from_json(data) if "colors" in data else ()
         if inline:

@@ -44,7 +44,7 @@ def _dump_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _read_braid(args, colors_flag: str = "--colors") -> object:
+def _read_braid(args, braid_flag: str = "--braid", colors_flag: str = "--colors") -> object:
     text = args.braid
     if os.path.isfile(text):
         with open(text, "r", encoding="utf-8") as fh:
@@ -52,7 +52,10 @@ def _read_braid(args, colors_flag: str = "--colors") -> object:
     colors = None
     if getattr(args, "colors", None):
         colors = tuple(_parse_spins(args.colors, colors_flag))
-    return parse_any(text, colors)
+    try:
+        return parse_any(text, colors)
+    except BraidError as exc:
+        raise BraidError(f"{braid_flag}: {exc}") from None
 
 
 def _require_colored(parsed) -> ColoredBraid:
@@ -162,7 +165,7 @@ def _cmd_verify(args) -> int:
             raise UsageError("factorization needs --braid2")
         first = _require_colored(_read_braid(args))
         second_args = argparse.Namespace(braid=args.braid2, colors=args.colors2)
-        second = _require_colored(_read_braid(second_args, "--colors2"))
+        second = _require_colored(_read_braid(second_args, "--braid2", "--colors2"))
         report = invariant.verify_factorization(first, second)
     if args.output == "json":
         print(_dump_json(report.to_json()))

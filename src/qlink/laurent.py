@@ -40,6 +40,8 @@ class LaurentPoly:
             for exp, c in items:
                 if not isinstance(c, int):
                     raise TypeError(f"Laurent coefficients are ints, got {type(c).__name__} {c!r}")
+                if not isinstance(exp, int):
+                    raise TypeError(f"Laurent exponents are ints, got {type(exp).__name__} {exp!r}")
                 canon[exp] = canon.get(exp, 0) + c
         object.__setattr__(self, "terms", {e: c for e, c in canon.items() if c})
 

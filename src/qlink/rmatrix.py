@@ -2,18 +2,25 @@
 R-matrices on pairs of spin representations, and the boundary-matrix layer
 built from them.
 
-The two-leg braiding element is evaluated through its finite expansion
+The two-leg braiding element is the expansion
 
     R = sum_k  (q - q^-1)^k / [k]!  q^(-k(k+1)/2)  (F^k (x) E^k)
-              (q^(kH) (x) q^(-kH))  q^(2 H (x) H),
+              (q^(kH) (x) q^(-kH))  q^(2 H (x) H),   0 <= k <= min(2 j_1, 2 j_2),
 
-which truncates at k = min(2 j_1, 2 j_2) because E and F are nilpotent on
-finite-dimensional spaces; q^(2 H (x) H) is diagonal with entry q^(2 m1 m2),
-an integer power of v.  The inverse is *not* obtained by matrix inversion but
-by the bar substitution v -> v^-1 applied entrywise (the representation
-matrices of E and F are bar-invariant, so this is the same as barring the
-expansion coefficients); the construction asserts R R^-1 = id and raises if
-that ever fails, which makes any upstream corruption loud.
+and `r_matrix` writes its entries from their closed form (Kirby-Melvin,
+Invent. Math. 105, 1991).  Index leg 1 by a (twice-weight tm1 = 2j_1 - 2a)
+and leg 2 by b (tm2 = 2j_2 - 2b); term k sends (a, b) to (a + k, b - k) with
+
+    (q - q^-1)^k [2j_1 - a] [2j_1 - a - 1] ... [2j_1 - a - k + 1] [b choose k]
+        v^(tm1 tm2 + k (tm1 - tm2) - k (k + 1)),
+
+for k <= min(2j_1 - a, b).  The q-binomials, the entries of E^k/[k]!, come
+from the q-Pascal rule, so nothing is divided.  The inverse is *not* obtained
+by matrix inversion but by the bar substitution v -> v^-1 applied entrywise
+(the representation matrices of E and F are bar-invariant, so this is the
+same as barring the expansion coefficients); the construction asserts
+R R^-1 = id and raises if that ever fails, which makes any upstream
+corruption loud.
 
 Derived operators:
 
@@ -26,28 +33,21 @@ Derived operators:
 - the 4x4 projector-like P with middle block [[q^-1, -1], [-1, q]], satisfying
   Rhat = q^(1/2) - q^(-1/2) P on two spin-1/2 legs.
 
-Results are memoized in a module-level table keyed by (variant, spins); the
-cache is only ever written once per key and read elsewhere, so concurrent
-readers are safe under the GIL.  `clear_cache` exists for tests that inject
-corrupted matrices as negative controls.
+`_memo` keeps each builder's result in one module-level table under its tag
+and the twice-spins of its arguments: ("R", 2j_1, 2j_2), likewise "Rinv",
+"Rop", "bR" and "bRinv"; ("Lp", 2j), ("Lpi", 2j) and ("P",).  Each key is
+written once, so concurrent readers are safe under the GIL.  `clear_cache`
+exists for tests that inject corrupted matrices under these keys.
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, div_exact, qfact
+from functools import wraps
+
+from .laurent import LaurentPoly, qint
 from .report import Report
-from .tensorop import (
-    HALF,
-    Operator,
-    Shape,
-    Spin,
-    compose,
-    embed,
-    identity,
-    kron,
-    swap,
-)
-from .uqsu2 import mu as _mu, rep_e, rep_f, rep_qh, twice_spin_range
+from .tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, swap
+from .uqsu2 import mu as _mu, twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -59,102 +59,80 @@ def clear_cache() -> None:
     _cache.clear()
 
 
-def _cached(key: tuple, build) -> Operator:
-    op = _cache.get(key)
-    if op is None:
-        op = build()
-        _cache[key] = op
-    return op
+def _memo(tag: str):
+    """Memoize a builder of up to two spins in `_cache` under (tag, twice_j of each spin)."""
+
+    def wrap(build):
+        @wraps(build)
+        def memoized(j1=None, j2=None):
+            # Spelled out per arity: a cache hit is on the letter path.
+            key = (tag,) if j1 is None else (tag, j1.twice_j) if j2 is None else (tag, j1.twice_j, j2.twice_j)
+            op = _cache.get(key)
+            if op is None:
+                op = _cache[key] = build(*[j for j in (j1, j2) if j is not None])
+            return op
+
+        return memoized
+
+    return wrap
 
 
-def _weight_diagonal(j1: Spin, j2: Spin) -> Operator:
-    """q^(2 H (x) H): diagonal with entry q^(2 m1 m2) = v^((2m1)(2m2))."""
-    shape = Shape((j1, j2))
-    entries = {}
-    i = 0
-    for tm1 in j1.twice_weights():
-        for tm2 in j2.twice_weights():
-            entries[(i, i)] = V(tm1 * tm2)
-            i += 1
-    return Operator(shape, shape, entries)
-
-
+@_memo("R")
 def r_matrix(j1: Spin, j2: Spin) -> Operator:
     """The braiding element represented on V_j1 (x) V_j2 (shape-preserving)."""
-
-    def build() -> Operator:
-        shape = Shape((j1, j2))
-        coeff = Q(1) - Q(-1)
-        total = Operator(shape, shape, {})
-        f_pow = identity(Shape((j1,)))
-        e_pow = identity(Shape((j2,)))
-        f_op, e_op = rep_f(j1), rep_e(j2)
-        weight = _weight_diagonal(j1, j2)
-        for k in range(min(j1.twice_j, j2.twice_j) + 1):
-            if k:
-                f_pow = compose(f_op, f_pow)
-                e_pow = compose(e_op, e_pow)
-            # Every entry of E^k is [k]! times a q-binomial, so dividing the
-            # E^k leg entrywise keeps all arithmetic inside the Laurent ring.
-            if k > 1:
-                fk = qfact(k)
-                e_leg = Operator._raw(
-                    e_pow.shape_in,
-                    e_pow.shape_out,
-                    {rc: div_exact(p, fk) for rc, p in e_pow.entries.items()},
-                )
-            else:
-                e_leg = e_pow
-            term = kron(f_pow, e_leg)
-            term = compose(term, kron(rep_qh(j1, k), rep_qh(j2, -k)))
-            term = compose(term, weight)
-            total = total + term * (coeff**k * V(-k * (k + 1)))
-        return total
-
-    return _cached(("R", j1.twice_j, j2.twice_j), build)
+    t1, t2 = j1.twice_j, j2.twice_j
+    one = LaurentPoly.one()
+    binom = [[one]]  # binom[b][k] = [b choose k]
+    for b in range(1, t2 + 1):
+        prev = binom[-1]
+        binom.append([one] + [Q(k) * prev[k] + Q(k - b) * prev[k - 1] for k in range(1, b)] + [one])
+    step = [(Q(1) - Q(-1)) * qint(i) for i in range(t1 + 1)]  # (q - q^-1) [i]
+    entries = {}
+    for a in range(t1 + 1):
+        n, tm1 = t1 - a, t1 - 2 * a
+        lead = [one]  # lead[k] = (q - q^-1)^k [n] [n - 1] ... [n - k + 1]
+        for k in range(1, min(n, t2) + 1):
+            lead.append(lead[-1] * step[n - k + 1])
+        for b in range(t2 + 1):
+            tm2 = t2 - 2 * b
+            col = a * (t2 + 1) + b
+            entries[(col, col)] = V(tm1 * tm2)
+            for k in range(1, min(n, b) + 1):
+                weight = V(tm1 * tm2 + k * (tm1 - tm2) - k * (k + 1))
+                entries[(col + k * t2, col)] = weight * lead[k] * binom[b][k]
+    shape = Shape((j1, j2))
+    return Operator._raw(shape, shape, entries)
 
 
+@_memo("Rinv")
 def r_inverse(j1: Spin, j2: Spin) -> Operator:
     """Inverse of `r_matrix`, built by the bar substitution and then verified."""
-
-    def build() -> Operator:
-        base = r_matrix(j1, j2)
-        inv = Operator._raw(base.shape_in, base.shape_out, {rc: p.bar() for rc, p in base.entries.items()})
-        if compose(base, inv) != identity(base.shape_in):
-            raise RuntimeError(
-                f"bar-substituted inverse failed the R R^-1 = id cross-check on {base.shape_in}; "
-                "the braiding matrix construction is corrupted"
-            )
-        return inv
-
-    return _cached(("Rinv", j1.twice_j, j2.twice_j), build)
+    base = r_matrix(j1, j2)
+    inv = Operator._raw(base.shape_in, base.shape_out, {rc: p.bar() for rc, p in base.entries.items()})
+    if compose(base, inv) != identity(base.shape_in):
+        raise RuntimeError(
+            f"bar-substituted inverse failed the R R^-1 = id cross-check on {base.shape_in}; "
+            "the braiding matrix construction is corrupted"
+        )
+    return inv
 
 
+@_memo("Rop")
 def r_opposite(j1: Spin, j2: Spin) -> Operator:
     """R21 (the flipped braiding element) represented on V_j1 (x) V_j2."""
-
-    def build() -> Operator:
-        return compose(swap(j2, j1), compose(r_matrix(j2, j1), swap(j1, j2)))
-
-    return _cached(("Rop", j1.twice_j, j2.twice_j), build)
+    return compose(swap(j2, j1), compose(r_matrix(j2, j1), swap(j1, j2)))
 
 
+@_memo("bR")
 def braided_r(j1: Spin, j2: Spin) -> Operator:
     """Rhat = swap . R, mapping (j1, j2) to (j2, j1)."""
-
-    def build() -> Operator:
-        return compose(swap(j1, j2), r_matrix(j1, j2))
-
-    return _cached(("bR", j1.twice_j, j2.twice_j), build)
+    return compose(swap(j1, j2), r_matrix(j1, j2))
 
 
+@_memo("bRinv")
 def braided_r_inv(j1: Spin, j2: Spin) -> Operator:
     """Inverse of braided_r(j1, j2), mapping (j2, j1) back to (j1, j2)."""
-
-    def build() -> Operator:
-        return compose(r_inverse(j1, j2), swap(j2, j1))
-
-    return _cached(("bRinv", j1.twice_j, j2.twice_j), build)
+    return compose(r_inverse(j1, j2), swap(j2, j1))
 
 
 def monodromy(j1: Spin, j2: Spin) -> Operator:
@@ -172,20 +150,19 @@ def l_minus(j: Spin) -> Operator:
     return r_matrix(HALF, j)
 
 
+@_memo("Lp")
 def l_plus(j: Spin) -> Operator:
     """R21 with the first leg in the fundamental: acts on (1/2, j)."""
-    return _cached(("Lp", j.twice_j), lambda: r_opposite(HALF, j))
+    return r_opposite(HALF, j)
 
 
 def l_minus_inv(j: Spin) -> Operator:
     return r_inverse(HALF, j)
 
 
+@_memo("Lpi")
 def l_plus_inv(j: Spin) -> Operator:
-    def build() -> Operator:
-        return compose(swap(j, HALF), compose(r_inverse(j, HALF), swap(HALF, j)))
-
-    return _cached(("Lpi", j.twice_j), build)
+    return compose(swap(j, HALF), compose(r_inverse(j, HALF), swap(HALF, j)))
 
 
 def m_matrix() -> Operator:
@@ -193,21 +170,18 @@ def m_matrix() -> Operator:
     return _mu(HALF)
 
 
+@_memo("P")
 def p_matrix() -> Operator:
     """The 4x4 matrix with middle block [[q^-1, -1], [-1, q]] on (1/2, 1/2)."""
-
-    def build() -> Operator:
-        shape = Shape((HALF, HALF))
-        one = LaurentPoly.one()
-        entries = {
-            (1, 1): Q(-1),
-            (1, 2): -one,
-            (2, 1): -one,
-            (2, 2): Q(1),
-        }
-        return Operator(shape, shape, entries)
-
-    return _cached(("P",), build)
+    shape = Shape((HALF, HALF))
+    one = LaurentPoly.one()
+    entries = {
+        (1, 1): Q(-1),
+        (1, 2): -one,
+        (2, 1): -one,
+        (2, 2): Q(1),
+    }
+    return Operator(shape, shape, entries)
 
 
 # ---------------------------------------------------------------------------

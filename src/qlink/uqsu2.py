@@ -8,7 +8,7 @@ On the spin-j space:
 
     E |j, m> = [j - m] |j, m + 1>
     F |j, m> = [j + m] |j, m - 1>
-    q^(kH) |j, m> = q^(k m) |j, m>
+    q^(kH) |j, m> = q^(k m) |j, m>     (k an integer)
 
 with [n] the q-integer.  The Casimir element
 
@@ -25,8 +25,7 @@ iterated coproducts are built by folding D from the left; coassociativity
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .laurent import LaurentPoly, qint
 from .tensorop import Operator, Shape, ShapeError, Spin, embed, kron
@@ -35,17 +34,23 @@ Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
 
 
+def _check_power(k) -> None:
+    if not isinstance(k, int):
+        raise ValueError(f"power of q^H must be an integer, got {k!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """One of E, F, or q^(kH) with half-integer k (powers of q^H compose additively)."""
+    """One of E, F, or q^(kH) with integer k (powers of q^H compose additively)."""
 
     kind: str  # "E", "F", or "QH"
-    twice_power: int = 0  # 2k when kind == "QH"
+    power: int = 0  # k when kind == "QH"
 
     def __post_init__(self):
         if self.kind not in ("E", "F", "QH"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind != "QH" and self.twice_power:
+        _check_power(self.power)
+        if self.kind != "QH" and self.power:
             raise ValueError("only QH carries a power")
 
 
@@ -53,11 +58,8 @@ E_SYM = GeneratorSymbol("E")
 F_SYM = GeneratorSymbol("F")
 
 
-def qh_symbol(k: Union[int, Fraction]) -> GeneratorSymbol:
-    twice = Fraction(k) * 2
-    if twice.denominator != 1:
-        raise ValueError(f"power of q^H must be a half-integer, got {k}")
-    return GeneratorSymbol("QH", int(twice))
+def qh_symbol(k: int) -> GeneratorSymbol:
+    return GeneratorSymbol("QH", k)
 
 
 def rep_e(j: Spin) -> Operator:
@@ -78,18 +80,11 @@ def rep_f(j: Spin) -> Operator:
     return Operator(shape, shape, entries)
 
 
-def rep_qh(j: Spin, k: Union[int, Fraction]) -> Operator:
-    """q^(kH) on the spin-j space, diagonal with entries q^(k m)."""
-    twice_k = Fraction(k) * 2
-    if twice_k.denominator != 1:
-        raise ValueError(f"power of q^H must be a half-integer, got {k}")
-    tk = int(twice_k)
+def rep_qh(j: Spin, k: int) -> Operator:
+    """q^(kH) on the spin-j space, diagonal with entries q^(k m) = v^(k 2m)."""
+    _check_power(k)
     shape = Shape((j,))
-    entries = {}
-    for i, tm in enumerate(j.twice_weights()):
-        if (tk * tm) % 2:
-            raise ValueError(f"q^({k}H) has no integral v-exponent on twice-weight {tm}")
-        entries[(i, i)] = V((tk * tm) // 2)  # q^(km) = v^(2km)
+    entries = {(i, i): V(k * tm) for i, tm in enumerate(j.twice_weights())}
     return Operator(shape, shape, entries)
 
 
@@ -98,7 +93,7 @@ def rep(sym: GeneratorSymbol, j: Spin) -> Operator:
         return rep_e(j)
     if sym.kind == "F":
         return rep_f(j)
-    return rep_qh(j, Fraction(sym.twice_power, 2))
+    return rep_qh(j, sym.power)
 
 
 def mu(j: Spin) -> Operator:
@@ -150,19 +145,18 @@ def delta_rep(sym: GeneratorSymbol, shape: Shape) -> Operator:
     head = Shape(shape.factors[:-1])
     last = shape[-1]
     if sym.kind == "QH":
-        k = Fraction(sym.twice_power, 2)
-        return kron(delta_rep(sym, head), rep_qh(last, k))
+        return kron(delta_rep(sym, head), rep_qh(last, sym.power))
     partner = rep_e(last) if sym.kind == "E" else rep_f(last)
     return kron(delta_rep(sym, head), rep_qh(last, -1)) + kron(
-        delta_rep(GeneratorSymbol("QH", 2), head), partner
+        delta_rep(GeneratorSymbol("QH", 1), head), partner
     )
 
 
 def casimir_rep(shape: Shape) -> Operator:
     """The iterated-coproduct image of the Casimir element on all of `shape`."""
     coeff = (Q(1) - Q(-1)) ** 2
-    mu_all = delta_rep(GeneratorSymbol("QH", 4), shape)  # q^(2H) on every leg
-    mu_all_inv = delta_rep(GeneratorSymbol("QH", -4), shape)
+    mu_all = delta_rep(GeneratorSymbol("QH", 2), shape)  # q^(2H) on every leg
+    mu_all_inv = delta_rep(GeneratorSymbol("QH", -2), shape)
     fe = delta_rep(F_SYM, shape) @ delta_rep(E_SYM, shape)
     return fe * coeff + mu_all * Q(1) + mu_all_inv * Q(-1)
 

@@ -5,9 +5,10 @@ These deliberately share no algorithmic machinery with the package internals
 they check: the bracket oracle enumerates all 2^c crossing smoothings and
 counts loops with a union-find over diagram segments (no diagram-monoid
 composition), the two-strand torus oracle evaluates closure traces from
-the two braiding eigenvalues rather than from matrices, and the weighted
+the two braiding eigenvalues rather than from matrices, the weighted
 trace oracle visits every entry once with all its digits unraveled instead of
-tracing one leg at a time.
+tracing one leg at a time, and the R-matrix oracle sums the operator
+expansion of R term by term instead of writing its closed-form entries.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 from itertools import product
 
 from qlink.braid import BraidWord
-from qlink.laurent import LaurentPoly, qint
+from qlink.laurent import LaurentPoly, div_exact, qfact, qint
+from qlink.tensorop import Operator, Shape, compose, identity, kron
+from qlink.uqsu2 import rep_e, rep_f, rep_qh
 
 
 class _UnionFind:
@@ -108,6 +111,31 @@ def entrywise_full_trace(op, weights) -> LaurentPoly:
                 contrib = contrib * wp
         else:
             total = total + contrib
+    return total
+
+
+def r_matrix_expansion(j1, j2) -> Operator:
+    """
+    R on V_j1 (x) V_j2 as the operator sum over k of
+    (q - q^-1)^k / [k]! q^(-k(k+1)/2) (F^k (x) E^k) (q^(kH) (x) q^(-kH)) q^(2 H (x) H),
+    built from the represented generators with compose and kron.
+    """
+    shape = Shape((j1, j2))
+    v = LaurentPoly.v_power
+    coeff = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
+    weights = [tm1 * tm2 for tm1 in j1.twice_weights() for tm2 in j2.twice_weights()]
+    weight = Operator(shape, shape, {(i, i): v(w) for i, w in enumerate(weights)})  # q^(2 H (x) H)
+    total = Operator(shape, shape, {})
+    f_pow, e_pow = identity(Shape((j1,))), identity(Shape((j2,)))
+    for k in range(min(j1.twice_j, j2.twice_j) + 1):
+        if k:
+            f_pow = compose(rep_f(j1), f_pow)
+            e_pow = compose(rep_e(j2), e_pow)
+        # Every entry of E^k is [k]! times a q-binomial.
+        fk, leg2 = qfact(k), e_pow.shape_in
+        e_leg = Operator(leg2, leg2, {rc: div_exact(p, fk) for rc, p in e_pow.entries.items()})
+        term = compose(kron(f_pow, e_leg), kron(rep_qh(j1, k), rep_qh(j2, -k)))
+        total = total + compose(term, weight) * (coeff**k * v(-k * (k + 1)))
     return total
 
 

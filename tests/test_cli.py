@@ -96,6 +96,27 @@ class TestInvariantCommand:
         assert f"field '{field}'" in err
 
     @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (
+                ["invariant", "--braid", "n=2; 1 1; colors=1/2,1/2; colors=1,1", "--method", "rt"],
+                "--braid: more than one colors= section",
+            ),
+            (["invariant", "--braid", '{"n": 2, "letters": [1, 1]', "--method", "cs"], "--braid: braid JSON"),
+            (
+                ["verify", "factorization", "--braid", "n=1;", "--colors", "1"]
+                + ["--braid2", '{"n": 2, "letters": [1]', "--colors2", "1/2,1/2"],
+                "--braid2: braid JSON:",
+            ),
+        ],
+    )
+    def test_bad_braid_input_is_named(self, argv, name):
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        assert name in err
+
+    @pytest.mark.parametrize(
         "argv,flag,item",
         [
             (["invariant", "--braid", "n=2; 1 1", "--colors", "1/2,", "--method", "rt"], "--colors", "''"),

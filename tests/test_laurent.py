@@ -35,6 +35,16 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             V(1) * Fraction(1, 2)
 
+    def test_non_int_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({0.5: 1})
+        with pytest.raises(TypeError):
+            LaurentPoly([(Fraction(1, 2), 1)])
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(1.0)
+        with pytest.raises(TypeError):
+            LaurentPoly.const(1) + LaurentPoly({"1": 1})
+
     def test_immutability(self):
         with pytest.raises(AttributeError):
             V(1).terms = {}

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import r_matrix_expansion
 from qlink import rmatrix as rm
 from qlink.laurent import LaurentPoly
 from qlink.tensorop import (
@@ -77,6 +78,37 @@ class TestRMatrix:
         shape = Shape((j1, j2))
         assert compose(rm.r_matrix(j1, j2), rm.r_inverse(j1, j2)) == identity(shape)
         assert compose(rm.r_inverse(j1, j2), rm.r_matrix(j1, j2)) == identity(shape)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("t1", range(7))
+    def test_entries_match_the_operator_expansion(self, t1):
+        for t2 in range(7):
+            j1, j2 = Spin(t1), Spin(t2)
+            assert rm.r_matrix(j1, j2).entries == r_matrix_expansion(j1, j2).entries, (t1, t2)
+
+    @pytest.mark.parametrize(
+        "build,spins,key",
+        [
+            (rm.r_matrix, (HALF, Spin(2)), ("R", 1, 2)),
+            (rm.r_inverse, (HALF, Spin(2)), ("Rinv", 1, 2)),
+            (rm.r_opposite, (Spin(2), HALF), ("Rop", 2, 1)),
+            (rm.braided_r, (Spin(3), Spin(0)), ("bR", 3, 0)),
+            (rm.braided_r_inv, (Spin(0), Spin(3)), ("bRinv", 0, 3)),
+            (rm.l_plus, (Spin(2),), ("Lp", 2)),
+            (rm.l_plus_inv, (Spin(3),), ("Lpi", 3)),
+            (rm.p_matrix, (), ("P",)),
+        ],
+    )
+    def test_memo_keys(self, build, spins, key):
+        rm.clear_cache()
+        first = build(*spins)
+        assert rm._cache[key] is first
+        assert build(*spins) is first
+        rm.clear_cache()
+        rm._cache[key] = first
+        assert build(*spins) is first
+        assert list(rm._cache) == [key]
 
 
 class TestBraided:

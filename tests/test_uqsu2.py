@@ -54,7 +54,6 @@ class TestGeneratorMatrices:
     def test_weight_matrix(self):
         assert rep_qh(HALF, 2) == diagonal(Shape((HALF,)), [Q(1), Q(-1)])
         assert rep_qh(Spin(4), 0) == identity(Shape((Spin(4),)))
-        assert rep_qh(Spin(2), Fraction(1, 2)).entries[(0, 0)] == V(1)
 
     def test_half_power_on_half_integer_spin_rejected(self):
         with pytest.raises(ValueError):
