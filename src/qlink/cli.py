@@ -47,10 +47,13 @@ def _dump_json(data) -> str:
 def _read_braid(args, braid_flag: str = "--braid", colors_flag: str = "--colors") -> object:
     text = args.braid
     if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"{braid_flag}: cannot read {text!r}: {exc}") from None
     colors = None
-    if getattr(args, "colors", None):
+    if args.colors is not None:
         colors = tuple(_parse_spins(args.colors, colors_flag))
     try:
         return parse_any(text, colors)
@@ -58,10 +61,10 @@ def _read_braid(args, braid_flag: str = "--braid", colors_flag: str = "--colors"
         raise BraidError(f"{braid_flag}: {exc}") from None
 
 
-def _require_colored(parsed) -> ColoredBraid:
+def _require_colored(parsed, colors_flag: str = "--colors") -> ColoredBraid:
     if isinstance(parsed, ColoredBraid):
         return parsed
-    raise UsageError("this operation needs strand colors (inline or via --colors)")
+    raise UsageError(f"this operation needs strand colors (inline or via {colors_flag})")
 
 
 def _as_word(parsed) -> BraidWord:
@@ -165,7 +168,7 @@ def _cmd_verify(args) -> int:
             raise UsageError("factorization needs --braid2")
         first = _require_colored(_read_braid(args))
         second_args = argparse.Namespace(braid=args.braid2, colors=args.colors2)
-        second = _require_colored(_read_braid(second_args, "--braid2", "--colors2"))
+        second = _require_colored(_read_braid(second_args, "--braid2", "--colors2"), "--colors2")
         report = invariant.verify_factorization(first, second)
     if args.output == "json":
         print(_dump_json(report.to_json()))

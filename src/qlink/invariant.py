@@ -212,6 +212,12 @@ def verify_factorization(a: ColoredBraid, b: ColoredBraid) -> Report:
     return report
 
 
+def _require_generator(suite: str, braid: ColoredBraid) -> None:
+    # With one strand there is no generator, and a report of no checks would read as a pass.
+    if braid.n_strands < 2:
+        raise ValueError(f"{suite} needs at least 2 strands, got {braid.n_strands}")
+
+
 def verify_skein(braid: ColoredBraid, position: Optional[int] = None) -> Report:
     """
     The two-term crossing exchange for fundamental colors:
@@ -219,6 +225,7 @@ def verify_skein(braid: ColoredBraid, position: Optional[int] = None) -> Report:
     """
     if any(c != HALF for c in braid.colors):
         raise ValueError("the two-term exchange needs every strand in color 1/2")
+    _require_generator("skein", braid)
     report = Report("skein")
     base = rt_invariant(braid)
     coeff = Q(1) - Q(-1)
@@ -233,6 +240,7 @@ def verify_skein(braid: ColoredBraid, position: Optional[int] = None) -> Report:
 
 def verify_markov(braid: ColoredBraid, generator: Optional[int] = None) -> Report:
     """Conjugating the word by any generator leaves the closure value fixed."""
+    _require_generator("markov", braid)
     report = Report("markov")
     base = rt_invariant(braid)
     gens = [generator] if generator is not None else list(range(1, braid.n_strands))

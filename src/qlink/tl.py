@@ -10,10 +10,12 @@ balanced bracket sequence.
 
 The product stacks the left operand on top of the right one; closed loops
 formed in the middle are erased and counted, each contributing one factor of
-the loop value delta = -x^2 - x^{-2} to the coefficient.  `close_first`
-closes the leftmost strand around the left side of the diagram, which is how
-braid closures and loop-around-strands tangles are evaluated; closing every
-strand in turn computes the bracket of a braid closure.
+the loop value delta = -x^2 - x^{-2} to the coefficient.  A product with the
+identity diagram returns the other diagram without a walk, and `tl_mul` sums
+each result coefficient in integer accumulators.  `close_first` closes the
+leftmost strand around the left side of the diagram, which is how
+loop-around-strands tangles are evaluated; `close_all` gives the bracket of a
+braid closure from one loop-counting walk per diagram.
 
 Coefficients are Laurent polynomials whose variable is *read as* x here; the
 `subst_x_iv` and `phase_mul` maps in `laurent` convert finished bracket
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, accumulate_product, finalize
 from .braid import BraidWord
 
 # Loop value of one erased circle.
@@ -49,6 +51,11 @@ class PlanarMatching:
                 raise ValueError(f"pairing is not a fixed-point-free involution: {self.pairing}")
         if not self._is_noncrossing():
             raise ValueError(f"pairing is not planar: {self.pairing}")
+        # Diagrams key every product's accumulator: hash once.
+        object.__setattr__(self, "_hash", hash(self.pairing))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _is_noncrossing(self) -> bool:
         # Circular positions: bottom i -> i, top i -> 3n - 1 - i.
@@ -65,28 +72,39 @@ class PlanarMatching:
 
     @classmethod
     def identity(cls, n: int) -> PlanarMatching:
-        return cls(n, tuple(list(range(n, 2 * n)) + list(range(n))))
+        return cls(n, _identity_pairing(n))
 
     @classmethod
     def hook(cls, n: int, i: int) -> PlanarMatching:
         """Cup joining bottom i, i+1 and cap joining top i, i+1 (1-based i < n)."""
         if not 1 <= i <= n - 1:
             raise ValueError(f"hook index {i} out of range for {n} strands")
-        pairing = list(range(n, 2 * n)) + list(range(n))
+        pairing = list(_identity_pairing(n))
         a, b = i - 1, i
         pairing[a], pairing[b] = b, a
         pairing[n + a], pairing[n + b] = n + b, n + a
         return cls(n, tuple(pairing))
 
 
+def _identity_pairing(n: int) -> tuple[int, ...]:
+    """Bottom i joined straight up to top n+i."""
+    return tuple(range(n, 2 * n)) + tuple(range(n))
+
+
 def compose_matchings(top: PlanarMatching, bottom: PlanarMatching) -> tuple[PlanarMatching, int]:
     """
     Stack `top` above `bottom` (gluing bottom's top row to top's bottom row);
     return the resulting matching and the number of erased middle loops.
+    The identity on either side returns the other operand itself.
     """
     if top.n != bottom.n:
         raise ValueError(f"cannot stack diagrams on {top.n} and {bottom.n} strands")
     n = top.n
+    ident = _identity_pairing(n)
+    if top.pairing == ident:
+        return bottom, 0
+    if bottom.pairing == ident:
+        return top, 0
     visited = [False] * n  # middle interface points, indexed 0..n-1
     result = [-1] * (2 * n)
 
@@ -208,20 +226,27 @@ class TLElement:
         return f"<TLElement n={self.n}, {len(self.terms)} diagrams>"
 
 
+def _delta_multiple(multiples: list[LaurentPoly], loops: int) -> LaurentPoly:
+    """multiples[loops], where multiples[k] = multiples[0] * delta^k, grown on demand."""
+    while len(multiples) <= loops:
+        multiples.append(multiples[-1] * DELTA_X)
+    return multiples[loops]
+
+
 def tl_mul(a: TLElement, b: TLElement) -> TLElement:
     """Product with `a` stacked on top of `b`; erased loops contribute delta each."""
     if a.n != b.n:
         raise ValueError(f"cannot stack elements on {a.n} and {b.n} strands")
-    acc: dict[PlanarMatching, LaurentPoly] = {}
+    acc: dict[PlanarMatching, dict[int, int]] = {}
     for da, ca in a.terms.items():
+        multiples = [ca]
         for db, cb in b.terms.items():
             diag, loops = compose_matchings(da, db)
-            coeff = ca * cb
-            if loops:
-                coeff = coeff * DELTA_X**loops
-            prev = acc.get(diag)
-            acc[diag] = coeff if prev is None else prev + coeff
-    return TLElement(a.n, acc)
+            cell = acc.get(diag)
+            if cell is None:
+                cell = acc[diag] = {}
+            accumulate_product(cell, _delta_multiple(multiples, loops), cb)
+    return TLElement(a.n, {diag: finalize(cell) for diag, cell in acc.items()})
 
 
 def braid_letter(n: int, letter: int) -> TLElement:
@@ -245,9 +270,11 @@ def braid_letter(n: int, letter: int) -> TLElement:
 
 def word_element(word: BraidWord) -> TLElement:
     """The image of a braid word in the diagram monoid (letters read bottom-up)."""
-    elem = TLElement.identity(word.n_strands)
+    n = word.n_strands
+    letters = {letter: braid_letter(n, letter) for letter in dict.fromkeys(word.letters)}
+    elem = TLElement.identity(n)
     for letter in word.letters:
-        elem = tl_mul(braid_letter(word.n_strands, letter), elem)
+        elem = tl_mul(letters[letter], elem)
     return elem
 
 
@@ -286,11 +313,30 @@ def close_first(elem: TLElement) -> TLElement:
     return TLElement(n - 1, acc)
 
 
+def _closure_loops(diag: PlanarMatching) -> int:
+    """
+    Loops formed by the arcs of `diag` and the closure arcs top n+i -> bottom i.
+    A walk leaves position `start` by its bottom point, leaves each position it
+    arrives at by that position's other point, and ends at the start's top.
+    """
+    n, pairing = diag.n, diag.pairing
+    seen = [False] * n
+    loops = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        loops += 1
+        point = start
+        while (end := pairing[point]) != start + n:
+            seen[end % n] = True
+            point = (end + n) % (2 * n)
+    return loops
+
+
 def close_all(elem: TLElement) -> LaurentPoly:
-    """Close every strand; the result is the scalar on the empty diagram."""
-    while elem.n:
-        elem = close_first(elem)
-    if not elem.terms:
-        return LaurentPoly.zero()
-    ((_, coeff),) = elem.terms.items()
-    return coeff
+    """Close every strand: the sum of coeff * delta^loops over the diagrams."""
+    acc: dict[int, int] = {}
+    powers = [LaurentPoly.one()]
+    for diag, coeff in elem.terms.items():
+        accumulate_product(acc, coeff, _delta_multiple(powers, _closure_loops(diag)))
+    return finalize(acc)

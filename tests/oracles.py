@@ -7,8 +7,10 @@ counts loops with a union-find over diagram segments (no diagram-monoid
 composition), the two-strand torus oracle evaluates closure traces from
 the two braiding eigenvalues rather than from matrices, the weighted
 trace oracle visits every entry once with all its digits unraveled instead of
-tracing one leg at a time, and the R-matrix oracle sums the operator
-expansion of R term by term instead of writing its closed-form entries.
+tracing one leg at a time, the R-matrix oracle sums the operator
+expansion of R term by term instead of writing its closed-form entries, and
+the closure oracle closes one strand at a time with `close_first` instead of
+counting closure loops in one walk.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import product
 from qlink.braid import BraidWord
 from qlink.laurent import LaurentPoly, div_exact, qfact, qint
 from qlink.tensorop import Operator, Shape, compose, identity, kron
+from qlink.tl import TLElement, close_first
 from qlink.uqsu2 import rep_e, rep_f, rep_qh
 
 
@@ -86,6 +89,16 @@ def two_strand_torus_value(crossings: int) -> LaurentPoly:
     sign = 1 if crossings % 2 == 0 else -1
     singlet = LaurentPoly.v_power(-3 * crossings) * sign
     return triplet + singlet
+
+
+def close_all_by_strands(elem: TLElement) -> LaurentPoly:
+    """Close the leftmost strand until none is left; the scalar on the empty diagram."""
+    while elem.n:
+        elem = close_first(elem)
+    if not elem.terms:
+        return LaurentPoly.zero()
+    ((_, coeff),) = elem.terms.items()
+    return coeff
 
 
 def entrywise_full_trace(op, weights) -> LaurentPoly:

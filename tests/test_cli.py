@@ -131,6 +131,35 @@ class TestInvariantCommand:
         assert item in err
         assert "invalid literal" not in err
 
+    def test_undecodable_braid_file_is_named(self, tmp_path):
+        path = tmp_path / "braid.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(["invariant", "--braid", str(path), "--method", "cs"])
+        assert code == 1
+        assert out == ""
+        assert f"--braid: cannot read {str(path)!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["invariant", "--braid", "n=2; 1 1", "--colors", "", "--method", "rt"], "--colors: not a spin: ''"),
+            (
+                ["verify", "factorization", "--braid", "n=1;", "--colors", "1/2"]
+                + ["--braid2", "n=1;", "--colors2", ""],
+                "--colors2: not a spin: ''",
+            ),
+            (
+                ["verify", "factorization", "--braid", "n=1;", "--colors", "1/2", "--braid2", "n=1;"],
+                "via --colors2",
+            ),
+        ],
+    )
+    def test_bad_colors_flag_is_named(self, argv, message):
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_complex_residue_exits_three(self, monkeypatch):
         # An odd power of x left in a bracket cannot be carried onto the v axis.
         monkeypatch.setattr(invariant, "kauffman_bracket", lambda word: LaurentPoly.v_power(1))
@@ -201,6 +230,13 @@ class TestVerifyCommand:
         assert code == 0
         code, _, _ = run(["verify", "markov", "--braid", "n=3; 1 2 1; colors=1/2,1/2,1/2"])
         assert code == 0
+
+    @pytest.mark.parametrize("suite", ["skein", "markov"])
+    def test_one_strand_runs_no_check_and_is_usage_error(self, suite):
+        code, out, err = run(["verify", suite, "--braid", "n=1;", "--colors", "1/2"])
+        assert code == 1
+        assert "PASS" not in out
+        assert f"{suite} needs at least 2 strands, got 1" in err
 
     def test_missing_braid_is_usage_error(self):
         code, _, _ = run(["verify", "skein"])

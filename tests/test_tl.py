@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import close_all_by_strands, random_word
 from qlink.braid import BraidWord
 from qlink.laurent import LaurentPoly
 from qlink.tl import (
@@ -15,6 +18,37 @@ from qlink.tl import (
 )
 
 V = LaurentPoly.v_power
+CATALAN = (1, 1, 2, 5, 14, 42)
+
+
+def _perfect_matchings(points):
+    if not points:
+        yield {}
+        return
+    first, rest = points[0], points[1:]
+    for k, other in enumerate(rest):
+        for m in _perfect_matchings(rest[:k] + rest[k + 1 :]):
+            yield {**m, first: other, other: first}
+
+
+def all_diagrams(n: int) -> list[PlanarMatching]:
+    """Every planar matching on n strands, by filtering all perfect matchings."""
+    out = []
+    for m in _perfect_matchings(tuple(range(2 * n))):
+        try:
+            out.append(PlanarMatching(n, tuple(m[i] for i in range(2 * n))))
+        except ValueError:
+            pass
+    assert len(out) == CATALAN[n]
+    return out
+
+
+def random_element(rng, n: int) -> TLElement:
+    diagrams = all_diagrams(n)
+    terms = {}
+    for diag in rng.sample(diagrams, rng.randint(1, len(diagrams))):
+        terms[diag] = LaurentPoly({rng.randint(-6, 6): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+    return TLElement(n, terms)
 
 
 class TestPlanarMatching:
@@ -34,6 +68,15 @@ class TestPlanarMatching:
     def test_nested_cups_allowed(self):
         PlanarMatching(2, (1, 0, 3, 2))  # cup-cup / cap-cap
 
+    def test_equal_diagrams_hash_equal_and_share_a_key(self):
+        for n in range(5):
+            keys = {diag: diag.pairing for diag in all_diagrams(n)}
+            for twin in all_diagrams(n):
+                match = next(d for d in keys if d == twin)
+                assert match is not twin
+                assert hash(match) == hash(twin)
+                assert keys[twin] == twin.pairing
+
 
 class TestComposition:
     def test_hook_squared_makes_one_loop(self):
@@ -48,6 +91,14 @@ class TestComposition:
         assert tl_mul(tl_mul(e1, e2), e1) == e1
         assert tl_mul(tl_mul(e2, e1), e2) == e2
 
+    def test_loops_weight_each_term(self):
+        # e1 e3 stacked on itself erases two loops; stacked on e2, none.
+        e1e3 = tl_mul(TLElement.hook(4, 1), TLElement.hook(4, 3))
+        e2 = TLElement.hook(4, 2)
+        assert tl_mul(e1e3, e1e3) == e1e3 * DELTA_X**2
+        lhs = tl_mul(e1e3 * V(1), e2 + e1e3 * V(-3))
+        assert lhs == tl_mul(e1e3, e2) * V(1) + e1e3 * (V(-2) * DELTA_X**2)
+
     def test_identity_element_is_neutral(self):
         e1 = TLElement.hook(4, 1)
         ident = TLElement.identity(4)
@@ -57,6 +108,16 @@ class TestComposition:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             tl_mul(TLElement.identity(2), TLElement.identity(3))
+
+    def test_identity_diagram_returns_the_other_operand(self):
+        for n in range(5):
+            diagrams = all_diagrams(n)
+            (ident,) = [d for d in diagrams if d == PlanarMatching.identity(n)]
+            for diag in diagrams:
+                for top, bottom in ((ident, diag), (diag, ident)):
+                    result, loops = compose_matchings(top, bottom)
+                    assert result is diag
+                    assert loops == 0
 
 
 class TestBraidLetters:
@@ -94,3 +155,14 @@ class TestClosure:
 
     def test_empty_word_bracket(self):
         assert close_all(word_element(BraidWord(1, ()))) == DELTA_X
+
+    def test_close_all_matches_strand_by_strand_closure(self):
+        rng = random.Random(7)
+        for n in range(6):
+            for _ in range(12):
+                elem = random_element(rng, n)
+                assert close_all(elem) == close_all_by_strands(elem), elem.terms
+        for n in range(1, 6):
+            for _ in range(8):
+                elem = word_element(random_word(rng, n, rng.randint(0, 7)))
+                assert close_all(elem) == close_all_by_strands(elem), elem.terms
