@@ -19,7 +19,6 @@ from .laurent import (
     qfact,
     qint,
     qpoch,
-    subst_v_power,
     subst_x_iv,
 )
 from .tensorop import (
@@ -72,7 +71,6 @@ __all__ = [
     "qint",
     "qfact",
     "qpoch",
-    "subst_v_power",
     "subst_x_iv",
     "phase_mul",
     "div_exact",

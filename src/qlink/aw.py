@@ -4,14 +4,16 @@ independent routes, and exact verification of the Askey-Wilson relations.
 
 Coproduct route (`q_elem`): the one-, two-, and three-leg Casimirs come from
 iterated coproducts; the recoupled elements conjugate the (1,2)-block Casimir
-by the braiding of the last two legs,
+by a braiding W of the last two legs,
 
-    Q_13  = Rhat_23^-1 . Q_12' . Rhat_23,
-    Q~_13 = Rhat_23    . Q_12' . Rhat_23^-1,
+    Q_13  = W^-1 . Q_12' . W   with W = sigma_2,
+    Q~_13 = W^-1 . Q_12' . W   with W = sigma_2^-1,
 
 where Q_12' is built on the *swapped* shape (j1, j3, j2) - the braiding
 genuinely permutes factors, and constructing the middle operator on the
-permuted shape is exactly what the shape-typed operators enforce.
+permuted shape is exactly what the shape-typed operators enforce.  Every
+braiding here is a word of braid letters applied by `rmatrix.act_letters`,
+the same rule the quantum-trace invariant uses.
 
 Partial-trace route (`q_elem_trace`): every element with a trace realization
 is produced as a weighted first-leg trace of a product of two-leg mixed
@@ -33,6 +35,7 @@ from .braid import BraidWord
 from .laurent import LaurentPoly, subst_x_iv
 from .report import Report
 from .rmatrix import (
+    act_letters,
     braided_r,
     braided_r_inv,
     l_minus,
@@ -87,7 +90,6 @@ def q_elem(index, shape: Shape) -> Operator:
     op = _q_cache.get(key)
     if op is not None:
         return op
-    j1, j2, j3 = shape.factors
     if name in ("1", "2", "3"):
         op = iterated_casimir(shape, (int(name) - 1,))
     elif name == "12":
@@ -97,18 +99,19 @@ def q_elem(index, shape: Shape) -> Operator:
     elif name == "123":
         op = iterated_casimir(shape, (0, 1, 2))
     else:
-        swapped = Shape((j1, j3, j2))
-        middle = iterated_casimir(swapped, (0, 1))
-        if name == "13":
-            up = embed(braided_r(j2, j3), (1, 2), shape)        # (j1,j2,j3) -> (j1,j3,j2)
-            down = embed(braided_r_inv(j2, j3), (1, 2), swapped)  # back again
-            op = compose(down, compose(middle, up))
-        else:  # "13~"
-            up = embed(braided_r_inv(j3, j2), (1, 2), shape)    # (j1,j2,j3) -> (j1,j3,j2)
-            down = embed(braided_r(j3, j2), (1, 2), swapped)
-            op = compose(down, compose(middle, up))
+        op = _conjugated((2,) if name == "13" else (-2,), (0, 1), shape)
     _q_cache[key] = op
     return op
+
+
+def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -> Operator:
+    """
+    W^-1 . iterated_casimir(W's output shape, span) . W with W the braid word
+    `letters` on `shape`; W^-1 is applied in place as the inverted word.
+    """
+    w = act_letters(letters, identity(shape))
+    inverse = tuple(-letter for letter in reversed(letters))
+    return act_letters(inverse, compose(iterated_casimir(w.shape_out, span), w))
 
 
 # ---------------------------------------------------------------------------
@@ -178,34 +181,28 @@ def q_elem_trace(index, shape: Shape) -> Operator:
         return q_elem(name, shape)
     key = ("trace", name, shape)
     op = _q_cache.get(key)
-    if op is not None:
-        return op
+    if op is None:
+        op = _q_cache[key] = _traced(_TRACE_FORMULAS[name], shape)
+    return op
+
+
+def _traced(formula: tuple[tuple[str, int, bool], ...], shape: Shape) -> Operator:
+    """Weighted trace of the auxiliary spin-1/2 leg 0 out of the formula's product on (1/2,) + shape."""
     aux = Shape((HALF,) + shape.factors)
     prod = identity(aux)
-    for sign, leg, inverted in _TRACE_FORMULAS[name]:
-        factor = embed(_mixed(sign, shape[leg - 1], inverted), (0, leg), aux)
-        prod = compose(prod, factor)
-    op = partial_trace_first(prod, m_matrix())
-    _q_cache[key] = op
-    return op
+    for sign, leg, inverted in formula:
+        prod = compose(prod, embed(_mixed(sign, shape[leg - 1], inverted), (0, leg), aux))
+    return partial_trace_first(prod, m_matrix())
 
 
 def casimir_trace(j: Spin) -> Operator:
     """One-leg version: the weighted trace of L+ L- reproduces the Casimir."""
-    return partial_trace_first(compose(l_plus(j), l_minus(j)), m_matrix())
+    return _traced(_TRACE_FORMULAS["1"], Shape((j,)))
 
 
 def delta_casimir_trace(j1: Spin, j2: Spin) -> Operator:
     """Two-leg version: the weighted trace reproduces the coproduct Casimir."""
-    aux = Shape((HALF, j1, j2))
-    prod = compose(
-        embed(l_plus(j1), (0, 1), aux),
-        compose(
-            embed(l_plus(j2), (0, 2), aux),
-            compose(embed(l_minus(j2), (0, 2), aux), embed(l_minus(j1), (0, 1), aux)),
-        ),
-    )
-    return partial_trace_first(prod, m_matrix())
+    return _traced(_TRACE_FORMULAS["12"], Shape((j1, j2)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,35 +441,12 @@ def conjugation_dictionary(shape: Shape) -> Report:
     the middle element built on the appropriately permuted shape.
     """
     report = Report(f"conjugation dictionary {shape}")
-    j1, j2, j3 = shape.factors
-    swapped12 = Shape((j2, j1, j3))
-    q23_on_swapped = iterated_casimir(swapped12, (1, 2))
-
-    # Q13 = Rhat12 Q23 Rhat12^-1: down . middle . up reading right to left.
-    up = embed(braided_r_inv(j2, j1), (0, 1), shape)       # (j1,j2,j3) -> (j2,j1,j3)
-    down = embed(braided_r(j2, j1), (0, 1), swapped12)     # back again
+    report.add("Q13 = Rhat12 Q23 Rhat12^-1 (shape-aware)", q_elem("13", shape) - _conjugated((-1,), (1, 2), shape))
+    report.add("Q~13 = Rhat12^-1 Q23 Rhat12 (shape-aware)", q_elem("13~", shape) - _conjugated((1,), (1, 2), shape))
     report.add(
-        "Q13 = Rhat12 Q23 Rhat12^-1 (shape-aware)",
-        q_elem("13", shape) - compose(down, compose(q23_on_swapped, up)),
+        "Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12 (shape-aware)",
+        q_elem("23", shape) - _conjugated((1, 2), (0, 1), shape),
     )
-
-    # Q~13 = Rhat12^-1 Q23 Rhat12.
-    up2 = embed(braided_r(j1, j2), (0, 1), shape)          # (j1,j2,j3) -> (j2,j1,j3)
-    down2 = embed(braided_r_inv(j1, j2), (0, 1), swapped12)
-    report.add(
-        "Q~13 = Rhat12^-1 Q23 Rhat12 (shape-aware)",
-        q_elem("13~", shape) - compose(down2, compose(q23_on_swapped, up2)),
-    )
-
-    # Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12, crossing two permuted shapes.
-    mid_shape = Shape((j2, j3, j1))
-    q12_on_mid = iterated_casimir(mid_shape, (0, 1))
-    r12_up = embed(braided_r(j1, j2), (0, 1), shape)           # (j1,j2,j3) -> (j2,j1,j3)
-    r23_up = embed(braided_r(j1, j3), (1, 2), swapped12)       # (j2,j1,j3) -> (j2,j3,j1)
-    r23_down = embed(braided_r_inv(j1, j3), (1, 2), mid_shape)
-    r12_down = embed(braided_r_inv(j1, j2), (0, 1), swapped12)
-    conj = compose(r12_down, compose(r23_down, compose(q12_on_mid, compose(r23_up, r12_up))))
-    report.add("Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12 (shape-aware)", q_elem("23", shape) - conj)
     return report
 
 

@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import aw, invariant, rmatrix
-from .braid import BraidError, BraidWord, ColoredBraid, parse_any
+from .braid import BraidError, BraidWord, ColoredBraid, components, parse_any
 from .laurent import poly_to_json
 from .report import Report
 from .tensorop import Shape, ShapeError, Spin
@@ -65,6 +65,11 @@ def _require_colored(parsed, colors_flag: str = "--colors") -> ColoredBraid:
     if isinstance(parsed, ColoredBraid):
         return parsed
     raise UsageError(f"this operation needs strand colors (inline or via {colors_flag})")
+
+
+def _require_index(flag: str, index: int, count: int) -> None:
+    if not 0 <= index < count:
+        raise UsageError(f"{flag}: no {flag[2:]} {index}; braid has {count}")
 
 
 def _as_word(parsed) -> BraidWord:
@@ -158,9 +163,13 @@ def _cmd_verify(args) -> int:
     elif args.suite == "skein":
         report = invariant.verify_skein(_require_colored(_read_braid(args)))
     elif args.suite == "framing":
-        report = invariant.verify_framing(_require_colored(_read_braid(args)), strand=args.strand)
+        braid = _require_colored(_read_braid(args))
+        _require_index("--strand", args.strand, braid.n_strands)
+        report = invariant.verify_framing(braid, strand=args.strand)
     elif args.suite == "recursion":
-        report = invariant.verify_recursion(_require_colored(_read_braid(args)), args.component)
+        braid = _require_colored(_read_braid(args))
+        _require_index("--component", args.component, len(components(braid)))
+        report = invariant.verify_recursion(braid, args.component)
     elif args.suite == "markov":
         report = invariant.verify_markov(_require_colored(_read_braid(args)))
     else:  # factorization

@@ -261,11 +261,6 @@ def qpoch(a: LaurentPoly, base_exp: int, n: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def subst_v_power(p: LaurentPoly, k: int) -> LaurentPoly:
-    """Apply v -> v^k termwise; k = -1 is the bar involution q -> q^-1."""
-    return p.subst_v(k)
-
-
 def phase_mul(p: LaurentPoly, w: int) -> LaurentPoly:
     """
     Read p in the bracket variable x, substitute x -> i*v and multiply by the

@@ -33,6 +33,11 @@ Derived operators:
 - the 4x4 projector-like P with middle block [[q^-1, -1], [-1, q]], satisfying
   Rhat = q^(1/2) - q^(-1/2) P on two spin-1/2 legs.
 
+`act_letters` is the one place a braid letter becomes a matrix: letter +i
+acts on legs i - 1, i by Rhat at their current spins, letter -i by Rhat^-1,
+and the spins travel with the strands.  Closed braids and the Askey-Wilson
+conjugations both apply their braidings through it.
+
 `_memo` keeps each builder's result in one module-level table under its tag
 and the twice-spins of its arguments: ("R", 2j_1, 2j_2), likewise "Rinv",
 "Rop", "bR" and "bRinv"; ("Lp", 2j), ("Lpi", 2j) and ("P",).  Each key is
@@ -43,10 +48,11 @@ exists for tests that inject corrupted matrices under these keys.
 from __future__ import annotations
 
 from functools import wraps
+from typing import Iterable
 
 from .laurent import LaurentPoly, qint
 from .report import Report
-from .tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, swap
+from .tensorop import HALF, Operator, Shape, ShapeError, Spin, act_adjacent, compose, embed, identity, swap
 from .uqsu2 import mu as _mu, twice_spin_range
 
 Q = LaurentPoly.q_power
@@ -133,6 +139,23 @@ def braided_r(j1: Spin, j2: Spin) -> Operator:
 def braided_r_inv(j1: Spin, j2: Spin) -> Operator:
     """Inverse of braided_r(j1, j2), mapping (j2, j1) back to (j1, j2)."""
     return compose(r_inverse(j1, j2), swap(j2, j1))
+
+
+def act_letters(letters: Iterable[int], target: Operator) -> Operator:
+    """
+    Apply signed braid letters bottom-up to the output legs of `target`:
+    letter +i acts on legs i - 1, i by braided_r(a, b) and letter -i by
+    braided_r_inv(b, a), with (a, b) the spins on those legs at that moment.
+    """
+    op = target
+    for letter in letters:
+        i = abs(letter) - 1
+        factors = op.shape_out.factors
+        if not 0 <= i < len(factors) - 1:
+            raise ShapeError(f"letter {letter} needs legs {i}, {i + 1} of a {len(factors)}-leg shape")
+        a, b = factors[i], factors[i + 1]
+        op = act_adjacent(braided_r(a, b) if letter > 0 else braided_r_inv(b, a), i, op)
+    return op
 
 
 def monodromy(j1: Spin, j2: Spin) -> Operator:

@@ -58,12 +58,10 @@ class PlanarMatching:
         return self._hash
 
     def _is_noncrossing(self) -> bool:
-        # Circular positions: bottom i -> i, top i -> 3n - 1 - i.
+        # Walk the boundary circle: bottom left to right, then top right to left.
         n = self.n
-        circ = lambda i: i if i < n else 3 * n - 1 - i
-        order = sorted(range(2 * n), key=circ)
         stack: list[int] = []
-        for i in order:
+        for i in (*range(n), *range(2 * n - 1, n - 1, -1)):
             if stack and stack[-1] == i:
                 stack.pop()
             else:

@@ -165,6 +165,34 @@ class TestStructure:
         middle = aw.iterated_casimir(swapped, (0, 1))
         assert aw.q_elem("13", shape) == compose(down, compose(middle, up))
 
+    def test_inverse_recoupling_is_braiding_conjugate_of_block(self):
+        shape = Shape.of(1, 2, 3)
+        j1, j2, j3 = shape.factors
+        swapped = Shape((j1, j3, j2))
+        up = embed(braided_r_inv(j3, j2), (1, 2), shape)
+        down = embed(braided_r(j3, j2), (1, 2), swapped)
+        middle = aw.iterated_casimir(swapped, (0, 1))
+        assert aw.q_elem("13~", shape) == compose(down, compose(middle, up))
+
+    def test_conjugation_readings_match_explicit_sandwiches(self):
+        shape = Shape.of(1, 2, 3)
+        j1, j2, j3 = shape.factors
+        swapped12, mid = Shape((j2, j1, j3)), Shape((j2, j3, j1))
+        q23 = aw.iterated_casimir(swapped12, (1, 2))
+        # Q13 = Rhat12 Q23 Rhat12^-1.
+        up, down = embed(braided_r_inv(j2, j1), (0, 1), shape), embed(braided_r(j2, j1), (0, 1), swapped12)
+        sandwich = compose(down, compose(q23, up))
+        assert aw._conjugated((-1,), (1, 2), shape) == sandwich == aw.q_elem("13", shape)
+        # Q~13 = Rhat12^-1 Q23 Rhat12.
+        up, down = embed(braided_r(j1, j2), (0, 1), shape), embed(braided_r_inv(j1, j2), (0, 1), swapped12)
+        sandwich = compose(down, compose(q23, up))
+        assert aw._conjugated((1,), (1, 2), shape) == sandwich == aw.q_elem("13~", shape)
+        # Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12.
+        up = compose(embed(braided_r(j1, j3), (1, 2), swapped12), embed(braided_r(j1, j2), (0, 1), shape))
+        down = compose(embed(braided_r_inv(j1, j2), (0, 1), swapped12), embed(braided_r_inv(j1, j3), (1, 2), mid))
+        sandwich = compose(down, compose(aw.iterated_casimir(mid, (0, 1)), up))
+        assert aw._conjugated((1, 2), (0, 1), shape) == sandwich == aw.q_elem("23", shape)
+
 
 class TestSweeps:
     def test_relations_hold_on_every_small_shape(self):

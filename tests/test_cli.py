@@ -242,11 +242,19 @@ class TestVerifyCommand:
         code, _, _ = run(["verify", "skein"])
         assert code == 1
 
+    def test_recursion_at_color_half(self):
+        code, out, _ = run(
+            ["verify", "recursion", "--braid", "n=2; 1 1", "--colors", "1,1/2", "--component", "1"]
+        )
+        assert code == 0
+        assert "value(j=1/2) = value(cable(1/2,0))" in out
+
     def test_bad_strand_index_is_usage_error(self):
-        code, _, _ = run(
+        code, _, err = run(
             ["verify", "framing", "--braid", "n=1;", "--colors", "1/2", "--strand", "7"]
         )
         assert code == 1
+        assert "--strand" in err
 
     def test_bad_component_index_is_usage_error(self):
         code, _, err = run(
@@ -254,6 +262,7 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "no component 5" in err
+        assert "--component" in err
 
     def test_bad_spin_is_usage_error(self):
         code, _, _ = run(["rmatrix", "--spins", "1/3,1/2"])

@@ -178,6 +178,21 @@ class TestRecursion:
         report = verify_recursion(ColoredBraid(braid.word, (Spin(2), HALF, HALF)), 0)
         assert report.passed, report.summary()
 
+    @pytest.mark.parametrize(
+        "braid, comp",
+        [
+            (unknot(HALF), 0),
+            (hopf_link(HALF, Spin(2)), 0),
+            (hopf_link(Spin(3), HALF), 1),
+            (all_half(BraidWord(3, (1, -2, 1, -2))), 0),
+        ],
+    )
+    def test_color_half_lowers_to_zero(self, braid, comp):
+        # The lowered term would be color -1/2, whose value is 0.
+        report = verify_recursion(braid, comp)
+        assert report.passed, report.summary()
+        assert report.checks[0].name == "value(j=1/2) = value(cable(1/2,0))"
+
     def test_spin_zero_rejected(self):
         with pytest.raises(ValueError):
             verify_recursion(unknot(Spin(0)), 0)

@@ -12,7 +12,6 @@ from qlink.laurent import (
     qfact,
     qint,
     qpoch,
-    subst_v_power,
     subst_x_iv,
 )
 
@@ -117,17 +116,17 @@ class TestQCombinatorics:
 
 class TestSubstitutions:
     def test_bar_fixes_palindromes(self):
-        assert subst_v_power(qint(2), -1) == qint(2)
-        assert subst_v_power(V(3), -1) == V(-3)
-        assert subst_v_power(qint(3), -1) == qint(3)
+        assert qint(2).subst_v(-1) == qint(2)
+        assert V(3).subst_v(-1) == V(-3)
+        assert qint(3).subst_v(-1) == qint(3)
 
     def test_bar_of_product(self):
         a, b = qint(3) + V(1), V(5) - qint(2)
-        assert subst_v_power(a * b, -1) == subst_v_power(a, -1) * subst_v_power(b, -1)
+        assert (a * b).subst_v(-1) == a.subst_v(-1) * b.subst_v(-1)
 
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
-            subst_v_power(V(1), 0)
+            V(1).subst_v(0)
 
     def test_x_to_iv(self):
         assert subst_x_iv(V(2)) == -V(2)  # x^2 -> -v^2
@@ -235,4 +234,4 @@ class TestRingAxioms:
     def test_qint_products_symmetric_and_bar_invariant(self, m, n):
         p = qint(m) * qint(n)
         assert p == qint(n) * qint(m)
-        assert subst_v_power(p, -1) == p
+        assert p.subst_v(-1) == p

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracles import r_matrix_expansion
@@ -6,6 +8,7 @@ from qlink.laurent import LaurentPoly
 from qlink.tensorop import (
     HALF,
     Shape,
+    ShapeError,
     Spin,
     as_scalar,
     compose,
@@ -165,6 +168,37 @@ class TestBraided:
         j1, j2 = Spin(pair[0]), Spin(pair[1])
         braid = rm.braided_r(j1, j2)
         assert compose(braid, kron(mu(j1), mu(j2))) == compose(kron(mu(j2), mu(j1)), braid)
+
+
+class TestActLetters:
+    def test_matches_product_of_embedded_braidings(self):
+        # Mixed spins and words whose colors do not return, so letters meet permuted shapes.
+        rng = random.Random(7)
+        cases = 0
+        while cases < 12:
+            n = 3 + cases % 2
+            shape = Shape.of(*(rng.choice((1, 2)) for _ in range(n)))
+            letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 5)))
+            expected = identity(shape)
+            for letter in letters:
+                i, legs = abs(letter) - 1, expected.shape_out
+                a, b = legs[i], legs[i + 1]
+                two_leg = rm.braided_r(a, b) if letter > 0 else rm.braided_r_inv(b, a)
+                expected = compose(embed(two_leg, (i, i + 1), legs), expected)
+            if expected.shape_out == shape:
+                continue
+            assert rm.act_letters(letters, identity(shape)) == expected, (shape, letters)
+            cases += 1
+
+    def test_inverted_word_undoes_the_word(self):
+        shape = Shape.of(1, 2, 3)
+        word = rm.act_letters((1, -2, 1), identity(shape))
+        assert rm.act_letters((-1, 2, -1), word) == identity(shape)
+
+    @pytest.mark.parametrize("letter", (0, 3, -3))
+    def test_letter_outside_the_shape_is_rejected(self, letter):
+        with pytest.raises(ShapeError):
+            rm.act_letters((letter,), identity(Shape.of(1, 1, 1)))
 
 
 class TestWeightedTraces:
