@@ -2,9 +2,12 @@
 Intermediate Casimir operators on threefold tensor products, built by two
 independent routes, and exact verification of the Askey-Wilson relations.
 
-Coproduct route (`q_elem`): the one-, two-, and three-leg Casimirs come from
-iterated coproducts; the recoupled elements conjugate the (1,2)-block Casimir
-by a braiding W of the last two legs,
+An index names its legs, counted from 1 ("13" and "13~" both name legs 1
+and 3); every construction and every spectrum reads the legs from the name.
+
+Coproduct route (`q_elem`, the only cached one): the one-, two-, and
+three-leg Casimirs come from iterated coproducts; the recoupled elements
+conjugate the (1,2)-block Casimir by a braiding W of the last two legs,
 
     Q_13  = W^-1 . Q_12' . W   with W = sigma_2,
     Q~_13 = W^-1 . Q_12' . W   with W = sigma_2^-1,
@@ -15,12 +18,13 @@ permuted shape is exactly what the shape-typed operators enforce.  Every
 braiding here is a word of braid letters applied by `rmatrix.act_letters`,
 the same rule the quantum-trace invariant uses.
 
-Partial-trace route (`q_elem_trace`): every element with a trace realization
-is produced as a weighted first-leg trace of a product of two-leg mixed
+Partial-trace route (`q_elem_trace`, uncached): every element with a trace
+realization is a weighted first-leg trace of a product of two-leg mixed
 matrices on the auxiliary shape (1/2, j1, j2, j3), with the traced spin-1/2
-leg always at position 0.  The index-3 element has no such realization here
-and falls back to the coproduct route; `verify_routes` compares the two
-constructions on every index that has both.
+leg always at position 0; each formula names its L+- builder per leg.  The
+index-3 element has no such realization here and falls back to the coproduct
+route; `verify_routes` compares the two constructions on every index that
+has both.
 
 The central elements in the quartic relation are instantiated as their full
 matrices, not scalar eigenvalues: the three-leg Casimir is generically not
@@ -29,7 +33,8 @@ scalar, and the relations hold at operator level.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from functools import reduce
+from typing import Callable, Iterable, Optional
 
 from .braid import BraidWord
 from .laurent import LaurentPoly, subst_x_iv
@@ -64,6 +69,7 @@ Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
 
 AW_INDICES = ("1", "2", "3", "12", "23", "13", "123", "13~")
+_BLOCK_INDICES = ("12", "23", "13", "13~", "123")  # the indices with a spectrum, in report order
 
 _q_cache: dict[tuple, Operator] = {}
 
@@ -74,11 +80,14 @@ def clear_cache() -> None:
 
 def _norm_index(index) -> str:
     name = str(index)
-    if name == "13t":
-        name = "13~"
     if name not in AW_INDICES:
         raise ValueError(f"unknown intermediate-Casimir index {index!r}")
     return name
+
+
+def _legs(name: str) -> tuple[int, ...]:
+    """The legs an index names, counted from 0: "13~" -> (0, 2)."""
+    return tuple(int(digit) - 1 for digit in name.rstrip("~"))
 
 
 def q_elem(index, shape: Shape) -> Operator:
@@ -86,22 +95,13 @@ def q_elem(index, shape: Shape) -> Operator:
     name = _norm_index(index)
     if len(shape) != 3:
         raise ValueError(f"intermediate Casimirs need a 3-leg shape, got {shape}")
-    key = ("coprod", name, shape)
-    op = _q_cache.get(key)
-    if op is not None:
-        return op
-    if name in ("1", "2", "3"):
-        op = iterated_casimir(shape, (int(name) - 1,))
-    elif name == "12":
-        op = iterated_casimir(shape, (0, 1))
-    elif name == "23":
-        op = iterated_casimir(shape, (1, 2))
-    elif name == "123":
-        op = iterated_casimir(shape, (0, 1, 2))
-    else:
-        op = _conjugated((2,) if name == "13" else (-2,), (0, 1), shape)
-    _q_cache[key] = op
-    return op
+    key = (name, shape)
+    if key not in _q_cache:
+        if name in ("13", "13~"):
+            _q_cache[key] = _conjugated((2,) if name == "13" else (-2,), (0, 1), shape)
+        else:
+            _q_cache[key] = iterated_casimir(shape, _legs(name))
+    return _q_cache[key]
 
 
 def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -> Operator:
@@ -119,53 +119,47 @@ def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -
 # ---------------------------------------------------------------------------
 
 # Product inside the traced expression, left to right.  Entries are
-# (sign, leg, inverted): sign "+" for the flipped matrix, "-" for the plain
-# one; leg is the target factor 1..3 of the triple.
-_TRACE_FORMULAS: dict[str, tuple[tuple[str, int, bool], ...]] = {
-    "1": (("+", 1, False), ("-", 1, False)),
-    "12": (("+", 1, False), ("+", 2, False), ("-", 2, False), ("-", 1, False)),
+# (builder, leg): the mixed-matrix builder applied to the spin of target
+# factor `leg` (1..3 of the triple), acting on the auxiliary leg and that one.
+_TRACE_FORMULAS: dict[str, tuple[tuple[Callable[[Spin], Operator], int], ...]] = {
+    "1": ((l_plus, 1), (l_minus, 1)),
+    "12": ((l_plus, 1), (l_plus, 2), (l_minus, 2), (l_minus, 1)),
     "123": (
-        ("+", 1, False),
-        ("+", 2, False),
-        ("+", 3, False),
-        ("-", 3, False),
-        ("-", 2, False),
-        ("-", 1, False),
+        (l_plus, 1),
+        (l_plus, 2),
+        (l_plus, 3),
+        (l_minus, 3),
+        (l_minus, 2),
+        (l_minus, 1),
     ),
-    "2": (("+", 1, False), ("+", 2, False), ("-", 2, False), ("+", 1, True)),
+    "2": ((l_plus, 1), (l_plus, 2), (l_minus, 2), (l_plus_inv, 1)),
     "23": (
-        ("+", 1, False),
-        ("+", 2, False),
-        ("+", 3, False),
-        ("-", 3, False),
-        ("-", 2, False),
-        ("+", 1, True),
+        (l_plus, 1),
+        (l_plus, 2),
+        (l_plus, 3),
+        (l_minus, 3),
+        (l_minus, 2),
+        (l_plus_inv, 1),
     ),
     "13": (
-        ("+", 1, False),
-        ("+", 2, False),
-        ("+", 3, False),
-        ("-", 3, False),
-        ("+", 2, True),
-        ("-", 1, False),
+        (l_plus, 1),
+        (l_plus, 2),
+        (l_plus, 3),
+        (l_minus, 3),
+        (l_plus_inv, 2),
+        (l_minus, 1),
     ),
     "13~": (
-        ("+", 1, False),
-        ("-", 2, True),
-        ("+", 3, False),
-        ("-", 3, False),
-        ("-", 2, False),
-        ("-", 1, False),
+        (l_plus, 1),
+        (l_minus_inv, 2),
+        (l_plus, 3),
+        (l_minus, 3),
+        (l_minus, 2),
+        (l_minus, 1),
     ),
 }
 
 TRACE_ROUTE_INDICES = tuple(_TRACE_FORMULAS)
-
-
-def _mixed(sign: str, j: Spin, inverted: bool) -> Operator:
-    if sign == "+":
-        return l_plus_inv(j) if inverted else l_plus(j)
-    return l_minus_inv(j) if inverted else l_minus(j)
 
 
 def q_elem_trace(index, shape: Shape) -> Operator:
@@ -179,19 +173,13 @@ def q_elem_trace(index, shape: Shape) -> Operator:
         raise ValueError(f"intermediate Casimirs need a 3-leg shape, got {shape}")
     if name == "3":
         return q_elem(name, shape)
-    key = ("trace", name, shape)
-    op = _q_cache.get(key)
-    if op is None:
-        op = _q_cache[key] = _traced(_TRACE_FORMULAS[name], shape)
-    return op
+    return _traced(_TRACE_FORMULAS[name], shape)
 
 
-def _traced(formula: tuple[tuple[str, int, bool], ...], shape: Shape) -> Operator:
+def _traced(formula: tuple[tuple[Callable[[Spin], Operator], int], ...], shape: Shape) -> Operator:
     """Weighted trace of the auxiliary spin-1/2 leg 0 out of the formula's product on (1/2,) + shape."""
     aux = Shape((HALF,) + shape.factors)
-    prod = identity(aux)
-    for sign, leg, inverted in formula:
-        prod = compose(prod, embed(_mixed(sign, shape[leg - 1], inverted), (0, leg), aux))
+    prod = reduce(compose, (embed(build(shape[leg - 1]), (0, leg), aux) for build, leg in formula))
     return partial_trace_first(prod, m_matrix())
 
 
@@ -377,27 +365,16 @@ def verify_tl_iso() -> Report:
 # ---------------------------------------------------------------------------
 
 
-def triple_twice_spins(shape: Shape) -> list[int]:
-    """Twice-spins occurring in the full decomposition of a three-leg shape."""
-    t1, t2, t3 = (s.twice_j for s in shape.factors)
-    out = set()
-    for t12 in twice_spin_range(t1, t2):
-        out.update(twice_spin_range(t12, t3))
-    return sorted(out)
-
-
 def spectrum_twice_spins(index, shape: Shape) -> list[int]:
+    """Twice-spins in the decomposition of the legs a block index names."""
     name = _norm_index(index)
-    t1, t2, t3 = (s.twice_j for s in shape.factors)
-    if name == "12":
-        return list(twice_spin_range(t1, t2))
-    if name == "23":
-        return list(twice_spin_range(t2, t3))
-    if name in ("13", "13~"):
-        return list(twice_spin_range(t1, t3))
-    if name == "123":
-        return triple_twice_spins(shape)
-    raise ValueError(f"spectrum is only defined for block indices, not {index!r}")
+    first, *rest = _legs(name)
+    if not rest:
+        raise ValueError(f"spectrum is only defined for block indices, not {index!r}")
+    spins = {shape[first].twice_j}
+    for leg in rest:
+        spins = {t for s in spins for t in twice_spin_range(s, shape[leg].twice_j)}
+    return sorted(spins)
 
 
 def spectrum_report(index, shape: Shape) -> Report:
@@ -409,15 +386,21 @@ def spectrum_report(index, shape: Shape) -> Report:
     name = _norm_index(index)
     report = Report(f"spectrum Q_{name} {shape}")
     op = q_elem(name, shape)
-    prod = identity(shape)
     spins = spectrum_twice_spins(name, shape)
-    for tj in spins:
-        prod = compose(prod, op - identity(shape) * chi(Spin(tj)))
+    prod = reduce(compose, (op - identity(shape) * chi(Spin(tj)) for tj in spins))
     report.add(
         "annihilating product over the decomposition range",
         prod,
         note=f"2j in {spins}",
     )
+    return report
+
+
+def verify_spectra(shape: Shape) -> Report:
+    """The spectrum check of every block index on one shape; the CLI's `--suite spectrum`."""
+    report = Report(f"aw spectrum {shape}")
+    for index in _BLOCK_INDICES:
+        report.extend(spectrum_report(index, shape))
     return report
 
 
@@ -456,7 +439,6 @@ def verify_all(shape: Shape) -> Report:
     report.extend(verify_aw(shape))
     report.extend(verify_routes(shape))
     report.extend(verify_expansion(shape))
-    for index in ("12", "23", "13", "13~", "123"):
-        report.extend(spectrum_report(index, shape))
+    report.extend(verify_spectra(shape))
     report.extend(verify_centrality(shape))
     return report

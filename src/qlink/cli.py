@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import aw, invariant, rmatrix
-from .braid import BraidError, BraidWord, ColoredBraid, components, parse_any
+from .braid import BraidError, BraidWord, ColoredBraid, component_color, components, parse_any
 from .laurent import poly_to_json
 from .report import Report
 from .tensorop import Shape, ShapeError, Spin
@@ -72,13 +72,22 @@ def _require_index(flag: str, index: int, count: int) -> None:
         raise UsageError(f"{flag}: no {flag[2:]} {index}; braid has {count}")
 
 
-def _as_word(parsed) -> BraidWord:
+def _require_half_colors(args, braid: ColoredBraid, message: str) -> None:
+    """Reject a non-fundamental strand, naming the flag its colors came from."""
+    if any(c.twice_j != 1 for c in braid.colors):
+        raise UsageError(f"{'--braid' if args.colors is None else '--colors'}: {message}")
+
+
+def _require_strands(suite: str, braid: ColoredBraid) -> None:
+    if braid.n_strands < 2:
+        raise UsageError(f"--braid: {suite} needs at least 2 strands, got {braid.n_strands}")
+
+
+def _as_word(args, parsed) -> BraidWord:
     if isinstance(parsed, BraidWord):
         return parsed
-    word = parsed.word
-    if any(c.twice_j != 1 for c in parsed.colors):
-        raise UsageError("the bracket routes only accept color 1/2 on every strand")
-    return word
+    _require_half_colors(args, parsed, "the bracket routes only accept color 1/2 on every strand")
+    return parsed.word
 
 
 def _parse_spins(text: str, flag: str, expected: Optional[int] = None) -> list[Spin]:
@@ -97,9 +106,9 @@ def _cmd_invariant(args) -> int:
         braid = _require_colored(parsed)
         value = invariant.rt_invariant(braid, normalize=args.normalize == "ambient")
     elif args.method == "bracket":
-        value = invariant.kauffman_bracket(_as_word(parsed))
+        value = invariant.kauffman_bracket(_as_word(args, parsed))
     else:  # cs
-        value = invariant.cs_invariant_fundamental(_as_word(parsed))
+        value = invariant.cs_invariant_fundamental(_as_word(args, parsed))
     if args.output == "json":
         print(_dump_json({"method": args.method, "text": str(value), "value": poly_to_json(value)}))
     else:
@@ -147,38 +156,41 @@ def _aw_report(args) -> Report:
     if suite == "tl-iso":
         return aw.verify_tl_iso()
     if suite == "spectrum":
-        report = Report(f"aw spectrum {shape}")
-        for index in ("12", "23", "13", "13~", "123"):
-            report.extend(aw.spectrum_report(index, shape))
-        return report
+        return aw.verify_spectra(shape)
     report = aw.verify_all(shape)
     report.extend(aw.verify_p_propositions())
     report.extend(aw.verify_tl_iso())
     return report
 
 
-def _cmd_verify(args) -> int:
-    if args.suite == "aw":
-        report = _aw_report(args)
-    elif args.suite == "skein":
-        report = invariant.verify_skein(_require_colored(_read_braid(args)))
-    elif args.suite == "framing":
-        braid = _require_colored(_read_braid(args))
+def _braid_report(args) -> Report:
+    braid = _require_colored(_read_braid(args))
+    if args.suite == "skein":
+        _require_half_colors(args, braid, "the two-term exchange needs every strand in color 1/2")
+        _require_strands("skein", braid)
+        return invariant.verify_skein(braid)
+    if args.suite == "framing":
         _require_index("--strand", args.strand, braid.n_strands)
-        report = invariant.verify_framing(braid, strand=args.strand)
-    elif args.suite == "recursion":
-        braid = _require_colored(_read_braid(args))
-        _require_index("--component", args.component, len(components(braid)))
-        report = invariant.verify_recursion(braid, args.component)
-    elif args.suite == "markov":
-        report = invariant.verify_markov(_require_colored(_read_braid(args)))
-    else:  # factorization
-        if not args.braid2:
-            raise UsageError("factorization needs --braid2")
-        first = _require_colored(_read_braid(args))
-        second_args = argparse.Namespace(braid=args.braid2, colors=args.colors2)
-        second = _require_colored(_read_braid(second_args, "--braid2", "--colors2"), "--colors2")
-        report = invariant.verify_factorization(first, second)
+        return invariant.verify_framing(braid, strand=args.strand)
+    if args.suite == "recursion":
+        comps = components(braid)
+        _require_index("--component", args.component, len(comps))
+        color = component_color(braid, comps[args.component])
+        if color.twice_j < 1:
+            raise UsageError(f"--component: component {args.component} has color {color}; recursion needs at least 1/2")
+        return invariant.verify_recursion(braid, args.component)
+    if args.suite == "markov":
+        _require_strands("markov", braid)
+        return invariant.verify_markov(braid)
+    if not args.braid2:  # factorization
+        raise UsageError("factorization needs --braid2")
+    second_args = argparse.Namespace(braid=args.braid2, colors=args.colors2)
+    second = _require_colored(_read_braid(second_args, "--braid2", "--colors2"), "--colors2")
+    return invariant.verify_factorization(braid, second)
+
+
+def _cmd_verify(args) -> int:
+    report = _aw_report(args) if args.suite == "aw" else _braid_report(args)
     if args.output == "json":
         print(_dump_json(report.to_json()))
     else:

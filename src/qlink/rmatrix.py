@@ -47,7 +47,7 @@ exists for tests that inject corrupted matrices under these keys.
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import reduce, wraps
 from typing import Iterable
 
 from .laurent import LaurentPoly, qint
@@ -276,9 +276,8 @@ def monodromy_annihilator(j1: Spin, j2: Spin) -> Report:
     b = monodromy(j1, j2)
     shape = b.shape_in
     ta, tb = j1.twice_j, j2.twice_j
-    prod = identity(shape)
-    for tj in twice_spin_range(ta, tb):
-        exponent = -ta * (ta + 2) - tb * (tb + 2) + tj * (tj + 2)  # v-exponent
-        prod = compose(prod, b - identity(shape) * V(exponent))
-    report.add("annihilating product", prod, note=f"eigenvalue exponents over 2j in {list(twice_spin_range(ta, tb))}")
+    spins = twice_spin_range(ta, tb)
+    exponents = (-ta * (ta + 2) - tb * (tb + 2) + tj * (tj + 2) for tj in spins)  # of v
+    prod = reduce(compose, (b - identity(shape) * V(e) for e in exponents))
+    report.add("annihilating product", prod, note=f"eigenvalue exponents over 2j in {list(spins)}")
     return report

@@ -1,3 +1,6 @@
+import itertools
+from functools import reduce
+
 import pytest
 
 from qlink import aw
@@ -55,7 +58,8 @@ class TestElements:
 
     def test_index_normalization(self):
         shape = Shape.of(1, 1, 1)
-        assert aw.q_elem("13t", shape) == aw.q_elem("13~", shape)
+        with pytest.raises(ValueError):
+            aw.q_elem("13t", shape)
         with pytest.raises(ValueError):
             aw.q_elem("14", shape)
 
@@ -138,6 +142,18 @@ class TestSpectra:
         shape = Shape.of(1, 1, 1)
         assert aw.spectrum_twice_spins("123", shape) == [1, 3]
         assert aw.spectrum_report("123", shape).passed
+
+    @pytest.mark.parametrize("index", ["12", "23", "13", "13~", "123"])
+    def test_spectrum_is_exact(self, index):
+        # The product over the listed spins annihilates the block, and no
+        # shorter product does: each listed eigenvalue really occurs.
+        for tjs in itertools.product(range(3), repeat=3):
+            shape = Shape.of(*tjs)
+            op, one = aw.q_elem(index, shape), identity(shape)
+            factors = [op - one * chi(Spin(tj)) for tj in aw.spectrum_twice_spins(index, shape)]
+            assert reduce(compose, factors).is_zero(), shape
+            for k in range(len(factors)):
+                assert not reduce(compose, factors[:k] + factors[k + 1 :], one).is_zero(), (shape, k)
 
     def test_scalar_indices_rejected(self):
         with pytest.raises(ValueError):

@@ -236,7 +236,23 @@ class TestVerifyCommand:
         code, out, err = run(["verify", suite, "--braid", "n=1;", "--colors", "1/2"])
         assert code == 1
         assert "PASS" not in out
-        assert f"{suite} needs at least 2 strands, got 1" in err
+        assert f"--braid: {suite} needs at least 2 strands, got 1" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "recursion", "--braid", "n=1;", "--colors", "0"], "--component"),
+            (["verify", "skein", "--braid", "n=2; 1 1", "--colors", "1,1"], "--colors"),
+            (["invariant", "--braid", "n=2; 1", "--colors", "1,1", "--method", "cs"], "--colors"),
+            (["invariant", "--braid", "n=2; 1", "--colors", "1,1", "--method", "bracket"], "--colors"),
+            (["invariant", "--braid", "n=2; 1; colors=1,1", "--method", "cs"], "--braid"),
+        ],
+    )
+    def test_unusable_input_names_its_flag(self, argv, flag):
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: {flag}: " in err
 
     def test_missing_braid_is_usage_error(self):
         code, _, _ = run(["verify", "skein"])
@@ -331,6 +347,14 @@ class TestGoldenOutputs:
                     "--output",
                     "json",
                 ],
+            ),
+            (
+                "verify_aw_all.json",
+                ["verify", "aw", "--spins", "1/2,1,3/2", "--suite", "all", "--output", "json"],
+            ),
+            (
+                "verify_aw_spectrum.json",
+                ["verify", "aw", "--spins", "1/2,1,3/2", "--suite", "spectrum", "--output", "json"],
             ),
         ],
     )
