@@ -23,6 +23,7 @@ from .laurent import (
 )
 from .tensorop import (
     HALF,
+    InputError,
     Operator,
     Shape,
     ShapeError,
@@ -80,6 +81,7 @@ __all__ = [
     "Shape",
     "Operator",
     "ShapeError",
+    "InputError",
     "HALF",
     "identity",
     "kron",

@@ -26,11 +26,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .tensorop import Spin
+from .tensorop import InputError, Spin
 
 
-class BraidError(ValueError):
-    """Raised for malformed braid words or inconsistent colorings."""
+class BraidError(InputError):
+    """Raised for malformed braid words or inconsistent colorings; the field is "braid" unless named."""
+
+    def __init__(self, message: str, field: str = "braid"):
+        super().__init__(message, field)
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,6 @@ class BraidWord:
         """Total writhe of the closed diagram: the sum of letter signs."""
         return sum(1 if letter > 0 else -1 for letter in self.letters)
 
-    def inverse(self) -> BraidWord:
-        return BraidWord(self.n_strands, tuple(-l for l in reversed(self.letters)))
-
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        if self.n_strands != other.n_strands:
-            raise BraidError("cannot concatenate words on different strand counts")
-        return BraidWord(self.n_strands, self.letters + other.letters)
-
 
 def underlying_permutation(word: BraidWord) -> tuple[int, ...]:
     """perm[s] = top position reached by the strand starting at bottom position s."""
@@ -90,15 +85,14 @@ class ColoredBraid:
     def __post_init__(self):
         object.__setattr__(self, "colors", tuple(self.colors))
         if len(self.colors) != self.word.n_strands:
-            raise BraidError(
-                f"{len(self.colors)} colors for {self.word.n_strands} strands"
-            )
+            raise BraidError(f"{len(self.colors)} colors for {self.word.n_strands} strands", "colors")
         perm = underlying_permutation(self.word)
         for s, target in enumerate(perm):
             if self.colors[target] != self.colors[s]:
                 raise BraidError(
                     f"colors are not constant along the closure: strand {s} "
-                    f"({self.colors[s]}) closes onto position {target} ({self.colors[target]})"
+                    f"({self.colors[s]}) closes onto position {target} ({self.colors[target]})",
+                    "colors",
                 )
 
     @property
@@ -129,8 +123,12 @@ def components(braid: ColoredBraid) -> list[tuple[int, ...]]:
     return cycles
 
 
-def component_color(braid: ColoredBraid, comp: tuple[int, ...]) -> Spin:
-    return braid.colors[comp[0]]
+def component(braid: ColoredBraid, index: int) -> tuple[int, ...]:
+    """The strands of component `index`, numbered as in `components`."""
+    comps = components(braid)
+    if not 0 <= index < len(comps):
+        raise BraidError(f"no component {index}; braid has {len(comps)}", "component")
+    return comps[index]
 
 
 @dataclass(frozen=True)
@@ -208,10 +206,7 @@ def cable_component(
     block word for the swapped widths, so cabling is compatible with the group
     structure (cabling sigma sigma^-1 cancels letter by letter).
     """
-    comps = components(braid)
-    if not 0 <= comp_index < len(comps):
-        raise BraidError(f"no component {comp_index}; braid has {len(comps)}")
-    doubled = set(comps[comp_index])
+    doubled = set(component(braid, comp_index))
     width = [2 if s in doubled else 1 for s in range(braid.n_strands)]
 
     new_colors = (new_colors[0], new_colors[1])
@@ -244,10 +239,7 @@ def delete_component(braid: ColoredBraid, comp_index: int) -> ColoredBraid:
     are dropped and the remaining letters are re-indexed; this is exact at the
     invariant level precisely when the removed component carries spin 0.
     """
-    comps = components(braid)
-    if not 0 <= comp_index < len(comps):
-        raise BraidError(f"no component {comp_index}; braid has {len(comps)}")
-    dead = set(comps[comp_index])
+    dead = set(component(braid, comp_index))
     occ = list(range(braid.n_strands))
     letters_out: list[int] = []
     for letter in braid.word.letters:
@@ -267,10 +259,7 @@ def recolor_component(
     braid: ColoredBraid, comp_index: int, color: Spin
 ) -> ColoredBraid:
     """The same braid with one component's color replaced."""
-    comps = components(braid)
-    if not 0 <= comp_index < len(comps):
-        raise BraidError(f"no component {comp_index}; braid has {len(comps)}")
-    target = set(comps[comp_index])
+    target = set(component(braid, comp_index))
     colors = tuple(
         color if s in target else braid.colors[s] for s in range(braid.n_strands)
     )
@@ -296,13 +285,22 @@ def parse(text: str) -> BraidWord:
 
 def parse_colored(text: str, colors: Optional[Sequence[Spin]] = None) -> ColoredBraid:
     """Parse the full text format; colors may instead be supplied separately."""
-    word, inline = _parse_sections(text)
-    if inline is not None and colors is not None:
+    braid = _with_colors(*_parse_sections(text), colors)
+    if not isinstance(braid, ColoredBraid):
+        raise BraidError("no colors given for a colored braid", "colors")
+    return braid
+
+
+def _with_colors(word: BraidWord, inline: Optional[Sequence[Spin]], colors: Optional[Sequence[Spin]]):
+    """
+    The word colored by whichever of its inline colors and the separate
+    `colors` is given, or the bare word if neither is.  Inline colors that are
+    None or empty count as absent.
+    """
+    if inline and colors is not None:
         raise BraidError("colors given both inline and separately")
-    chosen = inline if inline is not None else colors
-    if chosen is None:
-        raise BraidError("no colors given for a colored braid")
-    return ColoredBraid(word, tuple(chosen))
+    chosen = inline or colors
+    return word if chosen is None else ColoredBraid(word, tuple(chosen))
 
 
 def _parse_sections(text: str) -> tuple[BraidWord, Optional[tuple[Spin, ...]]]:
@@ -394,22 +392,11 @@ def parse_any(text: str, colors: Optional[Sequence[Spin]] = None):
     BraidWord otherwise.  A JSON "colors" list that is empty counts as absent.
     """
     stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise BraidError(f"braid JSON: {exc}") from None
-        word = _word_from_json(data)
-        inline = _colors_from_json(data) if "colors" in data else ()
-        if inline:
-            if colors is not None:
-                raise BraidError("colors given both in JSON and separately")
-            return ColoredBraid(word, inline)
-        return ColoredBraid(word, tuple(colors)) if colors is not None else word
-    word, inline = _parse_sections(stripped)
-    if inline is not None and colors is not None:
-        raise BraidError("colors given both inline and separately")
-    chosen = inline if inline is not None else (tuple(colors) if colors is not None else None)
-    if chosen is None:
-        return word
-    return ColoredBraid(word, tuple(chosen))
+    if not stripped.startswith("{"):
+        return _with_colors(*_parse_sections(stripped), colors)
+    try:
+        data = json.loads(stripped)
+    except (ValueError, RecursionError) as exc:  # ValueError also covers over-long integers
+        raise BraidError(f"braid JSON: {exc}") from None
+    word = _word_from_json(data)
+    return _with_colors(word, _colors_from_json(data) if "colors" in data else None, colors)

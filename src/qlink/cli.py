@@ -7,8 +7,9 @@ evaluates a closed braid (quantum-trace, bracket, or combined route),
 runs the identity suites.  Output is deterministic and byte-identical for
 identical inputs; JSON objects are emitted with sorted keys.
 
-Exit codes: 0 all requested checks passed (or value computed), 1 usage error,
-2 at least one check failed, 3 internal error.
+Exit codes: 0 all requested checks passed (or value computed), 1 bad input
+(the message names the flag that carried it), 2 at least one check failed,
+3 any other failure.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import sys
 from typing import Optional
 
 from . import aw, invariant, rmatrix
-from .braid import BraidError, BraidWord, ColoredBraid, component_color, components, parse_any
+from .braid import BraidWord, ColoredBraid, parse_any
 from .laurent import poly_to_json
 from .report import Report
-from .tensorop import Shape, ShapeError, Spin
+from .tensorop import InputError, Shape, Spin
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,84 +32,73 @@ EXIT_CHECK_FAILED = 2
 EXIT_INTERNAL = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def _dump_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _read_braid(args, braid_flag: str = "--braid", colors_flag: str = "--colors") -> object:
-    text = args.braid
+def _named(exc: InputError, args, braid_flag: str = "--braid", colors_flag: str = "--colors") -> InputError:
+    """
+    `exc` led by the flag that carried its field.  Colors name `colors_flag`
+    when they were given there and `braid_flag` when they came inline; an
+    error without a field already names its flag and passes through.
+    """
+    if exc.field is None:
+        return exc
+    if exc.field == "colors" and getattr(args, colors_flag[2:], None) is not None:
+        flag = colors_flag
+    elif exc.field in ("braid", "colors"):
+        flag = braid_flag
+    else:
+        flag = f"--{exc.field}"
+    return InputError(f"{flag}: {exc}")
+
+
+def _read_braid(text: str, colors: Optional[str]) -> object:
     if os.path.isfile(text):
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"{braid_flag}: cannot read {text!r}: {exc}") from None
-    colors = None
-    if args.colors is not None:
-        colors = tuple(_parse_spins(args.colors, colors_flag))
-    try:
-        return parse_any(text, colors)
-    except BraidError as exc:
-        raise BraidError(f"{braid_flag}: {exc}") from None
+            raise InputError(f"cannot read {text!r}: {exc}", "braid") from None
+    return parse_any(text, None if colors is None else tuple(_parse_spins(colors, "colors")))
 
 
 def _require_colored(parsed, colors_flag: str = "--colors") -> ColoredBraid:
     if isinstance(parsed, ColoredBraid):
         return parsed
-    raise UsageError(f"this operation needs strand colors (inline or via {colors_flag})")
+    raise InputError(f"this operation needs strand colors (inline or via {colors_flag})")
 
 
-def _require_index(flag: str, index: int, count: int) -> None:
-    if not 0 <= index < count:
-        raise UsageError(f"{flag}: no {flag[2:]} {index}; braid has {count}")
-
-
-def _require_half_colors(args, braid: ColoredBraid, message: str) -> None:
-    """Reject a non-fundamental strand, naming the flag its colors came from."""
-    if any(c.twice_j != 1 for c in braid.colors):
-        raise UsageError(f"{'--braid' if args.colors is None else '--colors'}: {message}")
-
-
-def _require_strands(suite: str, braid: ColoredBraid) -> None:
-    if braid.n_strands < 2:
-        raise UsageError(f"--braid: {suite} needs at least 2 strands, got {braid.n_strands}")
-
-
-def _as_word(args, parsed) -> BraidWord:
+def _as_word(parsed) -> BraidWord:
     if isinstance(parsed, BraidWord):
         return parsed
-    _require_half_colors(args, parsed, "the bracket routes only accept color 1/2 on every strand")
-    return parsed.word
+    return invariant.fundamental_word(parsed, "the bracket route")
 
 
-def _parse_spins(text: str, flag: str, expected: Optional[int] = None) -> list[Spin]:
+def _parse_spins(text: str, field: str, expected: Optional[int] = None) -> list[Spin]:
     try:
         spins = [Spin.parse(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+    except InputError as exc:
+        raise InputError(str(exc), field) from None
     if expected is not None and len(spins) != expected:
-        raise UsageError(f"{flag}: expected {expected} comma-separated spins, got {len(spins)}")
+        raise InputError(f"expected {expected} comma-separated spins, got {len(spins)}", field)
     return spins
 
 
 def _cmd_invariant(args) -> int:
-    parsed = _read_braid(args)
+    parsed = _read_braid(args.braid, args.colors)
     if args.method == "rt":
         braid = _require_colored(parsed)
         value = invariant.rt_invariant(braid, normalize=args.normalize == "ambient")
     elif args.method == "bracket":
-        value = invariant.kauffman_bracket(_as_word(args, parsed))
+        value = invariant.kauffman_bracket(_as_word(parsed))
     else:  # cs
-        value = invariant.cs_invariant_fundamental(_as_word(args, parsed))
+        value = invariant.cs_invariant_fundamental(_as_word(parsed))
     if args.output == "json":
         print(_dump_json({"method": args.method, "text": str(value), "value": poly_to_json(value)}))
     else:
@@ -126,7 +116,7 @@ _VARIANTS = {
 
 
 def _cmd_rmatrix(args) -> int:
-    j1, j2 = _parse_spins(args.spins, "--spins", expected=2)
+    j1, j2 = _parse_spins(args.spins, "spins", expected=2)
     op = _VARIANTS[args.variant](j1, j2)
     if args.output == "text":
         lines = [f"shape: {op.shape_in} -> {op.shape_out}"]
@@ -141,10 +131,10 @@ def _cmd_rmatrix(args) -> int:
 def _aw_report(args) -> Report:
     shape = None
     if args.spins:
-        shape = Shape(tuple(_parse_spins(args.spins, "--spins", expected=3)))
+        shape = Shape(tuple(_parse_spins(args.spins, "spins", expected=3)))
     suite = args.suite_name
     if suite in ("relations", "routes", "expansion", "spectrum", "all") and shape is None:
-        raise UsageError(f"--spins is required for suite {suite!r}")
+        raise InputError(f"--spins is required for suite {suite!r}")
     if suite == "relations":
         return aw.verify_aw(shape)
     if suite == "routes":
@@ -164,28 +154,21 @@ def _aw_report(args) -> Report:
 
 
 def _braid_report(args) -> Report:
-    braid = _require_colored(_read_braid(args))
+    braid = _require_colored(_read_braid(args.braid, args.colors))
     if args.suite == "skein":
-        _require_half_colors(args, braid, "the two-term exchange needs every strand in color 1/2")
-        _require_strands("skein", braid)
         return invariant.verify_skein(braid)
     if args.suite == "framing":
-        _require_index("--strand", args.strand, braid.n_strands)
         return invariant.verify_framing(braid, strand=args.strand)
     if args.suite == "recursion":
-        comps = components(braid)
-        _require_index("--component", args.component, len(comps))
-        color = component_color(braid, comps[args.component])
-        if color.twice_j < 1:
-            raise UsageError(f"--component: component {args.component} has color {color}; recursion needs at least 1/2")
         return invariant.verify_recursion(braid, args.component)
     if args.suite == "markov":
-        _require_strands("markov", braid)
         return invariant.verify_markov(braid)
     if not args.braid2:  # factorization
-        raise UsageError("factorization needs --braid2")
-    second_args = argparse.Namespace(braid=args.braid2, colors=args.colors2)
-    second = _require_colored(_read_braid(second_args, "--braid2", "--colors2"), "--colors2")
+        raise InputError("factorization needs --braid2")
+    try:
+        second = _require_colored(_read_braid(args.braid2, args.colors2), "--colors2")
+    except InputError as exc:
+        raise _named(exc, args, "--braid2", "--colors2") from None
     return invariant.verify_factorization(braid, second)
 
 
@@ -242,17 +225,14 @@ def build_parser() -> _Parser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if args.func is _cmd_verify and args.suite != "aw" and args.braid is None:
-            raise UsageError(f"--braid is required for suite {args.suite!r}")
+            raise InputError(f"--braid is required for suite {args.suite!r}")
         return args.func(args)
-    except ShapeError as exc:
-        # Shape mismatches mean a library-level inconsistency, not bad flags.
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (UsageError, BraidError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except InputError as exc:
+        print(f"usage error: {_named(exc, args)}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the exit-code contract wants a catch-all
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -27,11 +27,10 @@ from typing import Optional
 
 from . import rmatrix, tl
 from .braid import (
-    BraidError,
     BraidWord,
     ColoredBraid,
     cable_component,
-    component_color,
+    component,
     components,
     delete_component,
     disjoint_union,
@@ -42,6 +41,7 @@ from .laurent import LaurentPoly, phase_mul, qint
 from .report import Report
 from .tensorop import (
     HALF,
+    InputError,
     Operator,
     Shape,
     Spin,
@@ -112,6 +112,13 @@ def all_half(word: BraidWord) -> ColoredBraid:
     return ColoredBraid(word, tuple(HALF for _ in range(word.n_strands)))
 
 
+def fundamental_word(braid: ColoredBraid, use: str) -> BraidWord:
+    """The braid's word, for a `use` that needs every strand in color 1/2."""
+    if any(c != HALF for c in braid.colors):
+        raise InputError(f"{use} needs every strand in color 1/2", "colors")
+    return braid.word
+
+
 # ---------------------------------------------------------------------------
 # Identity suites.
 # ---------------------------------------------------------------------------
@@ -146,7 +153,7 @@ def verify_framing(braid: ColoredBraid, strand: int = 0) -> Report:
     (a closure-preserving move) to bring it there.
     """
     if not 0 <= strand < braid.n_strands:
-        raise ValueError(f"no strand {strand} in a {braid.n_strands}-strand braid")
+        raise InputError(f"no strand {strand}; braid has {braid.n_strands}", "strand")
     report = Report(f"framing strand={strand}")
     work = braid
     # Walk the strand to the leftmost bottom position, one conjugation at a time.
@@ -173,13 +180,10 @@ def verify_recursion(braid: ColoredBraid, comp_index: int) -> Report:
     deleted outright.  At j = 1/2 the lowered term is the value at color -1/2,
     which is 0 (its loop dimension is [0] = 0), so the cable alone must match.
     """
-    comps = components(braid)
-    if not 0 <= comp_index < len(comps):
-        raise BraidError(f"no component {comp_index}; braid has {len(comps)}")
-    color = component_color(braid, comps[comp_index])
+    color = braid.colors[component(braid, comp_index)[0]]
     tj = color.twice_j
     if tj < 1:
-        raise ValueError("recursion needs a component of color at least 1/2")
+        raise InputError(f"component {comp_index} has color {color}; recursion needs at least 1/2", "component")
     report = Report(f"recursion component={comp_index} color={color}")
     residual = rt_invariant(braid) - rt_invariant(cable_component(braid, comp_index, (HALF, Spin(tj - 1))))
     name = f"value(j={color}) = value(cable(1/2,{Spin(tj - 1)}))"
@@ -208,7 +212,7 @@ def verify_factorization(a: ColoredBraid, b: ColoredBraid) -> Report:
 def _require_generator(suite: str, braid: ColoredBraid) -> None:
     # With one strand there is no generator, and a report of no checks would read as a pass.
     if braid.n_strands < 2:
-        raise ValueError(f"{suite} needs at least 2 strands, got {braid.n_strands}")
+        raise InputError(f"{suite} needs at least 2 strands, got {braid.n_strands}", "braid")
 
 
 def verify_skein(braid: ColoredBraid, position: Optional[int] = None) -> Report:
@@ -216,8 +220,7 @@ def verify_skein(braid: ColoredBraid, position: Optional[int] = None) -> Report:
     The two-term crossing exchange for fundamental colors:
     q^(1/2) value(w sigma_i) - q^(-1/2) value(w sigma_i^-1) = (q - q^-1) value(w).
     """
-    if any(c != HALF for c in braid.colors):
-        raise ValueError("the two-term exchange needs every strand in color 1/2")
+    fundamental_word(braid, "the two-term exchange")
     _require_generator("skein", braid)
     report = Report("skein")
     base = rt_invariant(braid)

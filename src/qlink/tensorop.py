@@ -38,6 +38,14 @@ class ShapeError(ValueError):
     """Raised when operator shapes do not line up."""
 
 
+class InputError(ValueError):
+    """Raised for bad input; `field` names the input that carried it, such as "colors" or "strand"."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True, order=True)
 class Spin:
     """A spin j stored as twice_j; dimension of the carrier space is twice_j + 1."""
@@ -58,16 +66,16 @@ class Spin:
 
     @classmethod
     def parse(cls, text: str) -> Spin:
-        """Parse '0', '1', '1/2', '3/2', ... into a Spin; a bad text is quoted in the ValueError."""
+        """Parse '0', '1', '1/2', '3/2', ... into a Spin; a bad text is quoted in the InputError."""
         num, slash, den = text.strip().partition("/")
         if slash and den.strip() != "2":
-            raise ValueError(f"spin denominator must be 2: {text!r}")
+            raise InputError(f"spin denominator must be 2: {text!r}")
         try:
             twice_j = int(num) if slash else 2 * int(num)
         except ValueError:
-            raise ValueError(f"not a spin: {text!r}") from None
+            raise InputError(f"not a spin: {text!r}") from None
         if twice_j < 0:
-            raise ValueError(f"spin must be non-negative: {text!r}")
+            raise InputError(f"spin must be non-negative: {text!r}")
         return cls(twice_j)
 
     def __str__(self) -> str:

@@ -4,10 +4,10 @@ Independent brute-force oracles used to pin expected values.
 These deliberately share no algorithmic machinery with the package internals
 they check: the bracket oracle enumerates all 2^c crossing smoothings and
 counts loops with a union-find over diagram segments (no diagram-monoid
-composition), the two-strand torus oracle evaluates closure traces from
-the two braiding eigenvalues rather than from matrices, the weighted
-trace oracle visits every entry once with all its digits unraveled instead of
-tracing one leg at a time, the R-matrix oracle sums the operator
+composition), the two-strand torus oracle sums the Rosso-Jones closed form
+over the fusion channels of the two colors rather than tracing matrices, the
+weighted trace oracle visits every entry once with all its digits unraveled
+instead of tracing one leg at a time, the R-matrix oracle sums the operator
 expansion of R term by term instead of writing its closed-form entries, and
 the closure oracle closes one strand at a time with `close_first` instead of
 counting closure loops in one walk.
@@ -19,7 +19,7 @@ from itertools import product
 
 from qlink.braid import BraidWord
 from qlink.laurent import LaurentPoly, div_exact, qfact, qint
-from qlink.tensorop import Operator, Shape, compose, identity, kron
+from qlink.tensorop import Operator, Shape, Spin, compose, identity, kron
 from qlink.tl import TLElement, close_first
 from qlink.uqsu2 import rep_e, rep_f, rep_qh
 
@@ -78,17 +78,21 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
     return total
 
 
-def two_strand_torus_value(crossings: int) -> LaurentPoly:
+def two_strand_torus_value(a: Spin, b: Spin, crossings: int) -> LaurentPoly:
     """
-    Closure value of the two-strand braid with `crossings` positive crossings,
-    both strands fundamental: the braiding acts by q^(1/2) on the triplet part
-    and -q^(-3/2) on the singlet part, and the weighted trace of the projector
-    onto a spin-j part is [2j+1].
+    Closure value of sigma_1^crossings on two strands colored (a, b), by the
+    Rosso-Jones closed form: the sum over J in a (x) b of
+    [2J+1] (eps_J q^(c(J) - c(a) - c(b)))^crossings, with eps_J = (-1)^(a+b-J)
+    and c(j) = j(j+1).  `crossings` must be even unless a == b.
     """
-    triplet = LaurentPoly.v_power(crossings) * qint(3)
-    sign = 1 if crossings % 2 == 0 else -1
-    singlet = LaurentPoly.v_power(-3 * crossings) * sign
-    return triplet + singlet
+    ta, tb = a.twice_j, b.twice_j
+    total = LaurentPoly.zero()
+    for tc in range(abs(ta - tb), ta + tb + 1, 2):
+        # 2(c(J) - c(a) - c(b)) is the exponent of v = q^(1/2); it is an integer.
+        exponent = (tc * (tc + 2) - ta * (ta + 2) - tb * (tb + 2)) // 2
+        sign = -1 if (ta + tb - tc) // 2 * crossings % 2 else 1
+        total = total + qint(tc + 1) * LaurentPoly.v_power(exponent * crossings) * sign
+    return total
 
 
 def close_all_by_strands(elem: TLElement) -> LaurentPoly:

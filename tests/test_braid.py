@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from qlink.braid import (
     underlying_permutation,
     writhe,
 )
-from qlink.tensorop import HALF, Spin
+from qlink.tensorop import HALF, InputError, Spin
 
 H = HALF
 ONE = Spin(2)
@@ -242,3 +243,49 @@ class TestRoundTripProperty:
         n, letters = data
         word = BraidWord(n, tuple(letters))
         assert parse(format_word(word)) == word
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+spin_texts = st.sampled_from(["1/2", "1", "-1", "1/3", "x", ""])
+# Near-valid braids: the letter n is one past the range, and a color list may miss the strand count.
+braid_parts = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from([letter for i in range(1, n) for letter in (i, -i)] + [n]), max_size=4),
+        st.none() | st.lists(spin_texts, min_size=n, max_size=n) | st.lists(spin_texts, max_size=n + 1),
+    )
+)
+
+
+def as_text(parts) -> str:
+    n, letters, colors = parts
+    return f"n={n}; " + " ".join(map(str, letters)) + ("" if colors is None else "; colors=" + ",".join(colors))
+
+
+def as_json(parts) -> str:
+    n, letters, colors = parts
+    return json.dumps({"n": n, "letters": letters} | ({} if colors is None else {"colors": colors}))
+
+
+braid_inputs = st.one_of(
+    st.text(),
+    json_values.map(json.dumps),
+    st.dictionaries(st.sampled_from(["n", "letters", "colors"]), json_values).map(json.dumps),
+    braid_parts.map(as_text),
+    braid_parts.map(as_json),
+)
+
+
+class TestParseAnyContract:
+    @settings(max_examples=300, deadline=None)
+    @given(braid_inputs, st.none() | st.lists(st.sampled_from([HALF, ONE]), max_size=4))
+    def test_returns_a_braid_or_raises_input_error(self, text, colors):
+        try:
+            parsed = parse_any(text, colors)
+        except InputError:
+            return
+        assert isinstance(parsed, (BraidWord, ColoredBraid))

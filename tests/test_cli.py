@@ -108,13 +108,17 @@ class TestInvariantCommand:
                 + ["--braid2", '{"n": 2, "letters": [1]', "--colors2", "1/2,1/2"],
                 "--braid2: braid JSON:",
             ),
+            (
+                ["invariant", "--braid", '{"n":' + "[" * 100000 + "]" * 100000 + "}", "--method", "cs"],
+                "--braid: braid JSON",
+            ),
         ],
     )
     def test_bad_braid_input_is_named(self, argv, name):
         code, out, err = run(argv)
         assert code == 1
         assert out == ""
-        assert name in err
+        assert err.startswith(f"usage error: {name}")
 
     @pytest.mark.parametrize(
         "argv,flag,item",
@@ -166,6 +170,17 @@ class TestInvariantCommand:
         code, _, err = run(["invariant", "--braid", "n=1;", "--method", "cs"])
         assert code == 3
         assert "complex residue" in err
+
+    def test_library_value_error_exits_three(self, monkeypatch):
+        # Only bad input exits 1; a ValueError from inside the library is a fault.
+        def broken(word):
+            raise ValueError("pairing is not planar")
+
+        monkeypatch.setattr(invariant, "kauffman_bracket", broken)
+        code, out, err = run(["invariant", "--braid", "n=1;", "--method", "bracket"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ValueError: pairing is not planar")
 
 
 class TestRMatrixCommand:
@@ -252,7 +267,9 @@ class TestVerifyCommand:
         code, out, err = run(argv)
         assert code == 1
         assert out == ""
-        assert f"usage error: {flag}: " in err
+        prefix = f"usage error: {flag}: "
+        assert err.startswith(prefix)
+        assert not err[len(prefix) :].startswith("-")  # the flag is named once
 
     def test_missing_braid_is_usage_error(self):
         code, _, _ = run(["verify", "skein"])

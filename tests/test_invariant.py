@@ -21,7 +21,7 @@ from qlink.invariant import (
     verify_skein,
 )
 from qlink.laurent import LaurentPoly, qint
-from qlink.tensorop import HALF, Spin
+from qlink.tensorop import HALF, InputError, Spin
 from qlink.tl import DELTA_X
 
 V = LaurentPoly.v_power
@@ -44,7 +44,17 @@ class TestClosedValues:
     @pytest.mark.parametrize("k", range(0, 7))
     def test_two_strand_torus_words_match_eigenvalue_oracle(self, k):
         value = rt_invariant(all_half(BraidWord(2, (1,) * k)))
-        assert value == two_strand_torus_value(k)
+        assert value == two_strand_torus_value(HALF, HALF, k)
+
+    @pytest.mark.parametrize(
+        "ta, tb, k",
+        [(ta, tb, k) for ta in range(6) for tb in range(6) for k in range(-4, 5) if k % 2 == 0 or ta == tb]
+        + [(t, t, k) for t in (6, 8, 10) for k in (-2, -1, 1, 2)],
+    )
+    def test_colored_torus_links_match_closed_form(self, ta, tb, k):
+        a, b = Spin(ta), Spin(tb)
+        braid = ColoredBraid(BraidWord(2, (1 if k > 0 else -1,) * abs(k)), (a, b))
+        assert rt_invariant(braid) == two_strand_torus_value(a, b, k)
 
     def test_empty_braid_value_is_one(self):
         assert rt_invariant(ColoredBraid(BraidWord(0, ()), ())) == LaurentPoly.one()
@@ -149,8 +159,9 @@ class TestFraming:
         assert report.passed, report.summary()
 
     def test_bad_strand_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError) as caught:
             verify_framing(unknot(HALF), strand=5)
+        assert caught.value.field == "strand"
 
 
 class TestRecursion:
@@ -194,8 +205,9 @@ class TestRecursion:
         assert report.checks[0].name == "value(j=1/2) = value(cable(1/2,0))"
 
     def test_spin_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError) as caught:
             verify_recursion(unknot(Spin(0)), 0)
+        assert caught.value.field == "component"
 
 
 class TestFactorization:
@@ -236,8 +248,9 @@ class TestSkein:
             assert report.passed, report.summary()
 
     def test_requires_fundamental_colors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError) as caught:
             verify_skein(hopf_link(Spin(2), Spin(2)))
+        assert caught.value.field == "colors"
 
 
 class TestNormalization:
