@@ -295,11 +295,13 @@ def _with_colors(word: BraidWord, inline: Optional[Sequence[Spin]], colors: Opti
     """
     The word colored by whichever of its inline colors and the separate
     `colors` is given, or the bare word if neither is.  Inline colors that are
-    None or empty count as absent.
+    None count as absent, and so do empty ones unless the word has no strands.
     """
+    if not inline and word.n_strands:
+        inline = None
     if inline and colors is not None:
         raise BraidError("colors given both inline and separately")
-    chosen = inline or colors
+    chosen = inline if colors is None else colors
     return word if chosen is None else ColoredBraid(word, tuple(chosen))
 
 

@@ -7,9 +7,14 @@ each in place on the two legs it crosses, by the braided two-leg matrix at
 their spins (inverse matrices for negative letters); no ambient-size letter
 operator is built.  Colors travel with the strands, so the shape bookkeeping
 is exact for mixed colorings.  The closure value is the trace weighted by
-q^(2H) on every factor.  This value is a regular-isotopy invariant: a kink
-changes it by exactly q^(+-2j(j+1)), which is checked by `verify_framing`
-rather than normalized away.  An ambient-isotopy variant that divides out
+q^(2H) on every factor.  When every braided matrix between the braid's colors
+intertwines the U_q action (`rmatrix.intertwines`), so does the braid, and
+its trace on the weight sector of twice-weight t equals its trace on -t: the
+letters then act only on the identity's columns of twice-weight t >= 0 and
+the closure reads those sectors alone.  Otherwise (a corrupted R) every
+column is traced.  This value is a regular-isotopy invariant: a kink changes
+it by exactly q^(+-2j(j+1)), which is checked by `verify_framing` rather than
+normalized away.  An ambient-isotopy variant that divides out
 each component's self-writhe is available behind the `normalize` flag; the
 raw framed value is the default.
 
@@ -66,14 +71,42 @@ def braid_operator(braid: ColoredBraid) -> Operator:
     return op
 
 
+def _closure_trace(braid: ColoredBraid) -> LaurentPoly:
+    """
+    Tr(braid . q^(2H) on every factor), read from the weight sectors of
+    twice-weight t >= 0 alone: an intertwiner has the same trace on sector t
+    as on -t, so sector 0 is weighted by 1 and each t > 0 by v^(2t) + v^(-2t).
+    """
+    shape = Shape(braid.colors)
+    sector = shape.twice_weights()
+    one = LaurentPoly.one()
+    start = Operator(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0})
+    op = rmatrix.act_letters(braid.word.letters, start)
+    traces: dict[int, LaurentPoly] = {}
+    for (r, c), p in op.entries.items():
+        if r == c:
+            t = sector[r]
+            traces[t] = traces[t] + p if t in traces else p
+    value = LaurentPoly.zero()
+    for t, tr in traces.items():
+        value = value + (tr if t == 0 else tr * (V(2 * t) + V(-2 * t)))
+    return value
+
+
 def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:
     """
     The weighted closure trace of the braid.  With normalize=True the value is
     multiplied by q^(-2j(j+1) * self-writhe) per component, trading the framed
     (regular-isotopy) value for an ambient-isotopy one.
     """
-    op = braid_operator(braid)
-    value = full_trace(op, [mu(j) for j in braid.colors])
+    spins = set(braid.colors)
+    # A letter that fails to intertwine (a corrupted R) breaks the t <-> -t
+    # symmetry and could hide in the unread sectors; such a braid is traced
+    # over every column.
+    if all(rmatrix.intertwines(a, b) for a in spins for b in spins):
+        value = _closure_trace(braid)
+    else:
+        value = full_trace(braid_operator(braid), [mu(j) for j in braid.colors])
     if normalize:
         breakdown = writhe(braid)
         exponent = 0

@@ -38,27 +38,32 @@ acts on legs i - 1, i by Rhat at their current spins, letter -i by Rhat^-1,
 and the spins travel with the strands.  Closed braids and the Askey-Wilson
 conjugations both apply their braidings through it.
 
+`intertwines(j1, j2)` reports whether Rhat carries the coproducts of E, F
+and q^H on (j1, j2) to those on (j2, j1); the closure trace reads only the
+nonnegative weight sectors of a braid whose color pairs all pass it.
+
 `_memo` keeps each builder's result in one module-level table under its tag
 and the twice-spins of its arguments: ("R", 2j_1, 2j_2), likewise "Rinv",
-"Rop", "bR" and "bRinv"; ("Lp", 2j), ("Lpi", 2j) and ("P",).  Each key is
-written once, so concurrent readers are safe under the GIL.  `clear_cache`
-exists for tests that inject corrupted matrices under these keys.
+"Rop", "bR", "bRinv" and "intertwines" (a bool); ("Lp", 2j), ("Lpi", 2j)
+and ("P",).  Each key is written once, so concurrent readers are safe under
+the GIL.  `clear_cache` exists for tests that inject corrupted matrices under
+these keys; it clears the intertwining verdicts drawn from them too.
 """
 
 from __future__ import annotations
 
 from functools import reduce, wraps
-from typing import Iterable
+from typing import Iterable, Union
 
 from .laurent import LaurentPoly, qint
 from .report import Report
 from .tensorop import HALF, Operator, Shape, ShapeError, Spin, act_adjacent, compose, embed, identity, swap
-from .uqsu2 import mu as _mu, twice_spin_range
+from .uqsu2 import E_SYM, F_SYM, delta_rep, mu as _mu, qh_symbol, twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
 
-_cache: dict[tuple, Operator] = {}
+_cache: dict[tuple, Union[Operator, bool]] = {}
 
 
 def clear_cache() -> None:
@@ -73,10 +78,10 @@ def _memo(tag: str):
         def memoized(j1=None, j2=None):
             # Spelled out per arity: a cache hit is on the letter path.
             key = (tag,) if j1 is None else (tag, j1.twice_j) if j2 is None else (tag, j1.twice_j, j2.twice_j)
-            op = _cache.get(key)
-            if op is None:
-                op = _cache[key] = build(*[j for j in (j1, j2) if j is not None])
-            return op
+            value = _cache.get(key)
+            if value is None:
+                value = _cache[key] = build(*[j for j in (j1, j2) if j is not None])
+            return value
 
         return memoized
 
@@ -139,6 +144,16 @@ def braided_r(j1: Spin, j2: Spin) -> Operator:
 def braided_r_inv(j1: Spin, j2: Spin) -> Operator:
     """Inverse of braided_r(j1, j2), mapping (j2, j1) back to (j1, j2)."""
     return compose(r_inverse(j1, j2), swap(j2, j1))
+
+
+@_memo("intertwines")
+def intertwines(j1: Spin, j2: Spin) -> bool:
+    """Whether braided_r(j1, j2) carries D(E), D(F) and D(q^H) on (j1, j2) to those on (j2, j1)."""
+    rhat = braided_r(j1, j2)
+    return all(
+        compose(rhat, delta_rep(sym, rhat.shape_in)) == compose(delta_rep(sym, rhat.shape_out), rhat)
+        for sym in (E_SYM, F_SYM, qh_symbol(1))
+    )
 
 
 def act_letters(letters: Iterable[int], target: Operator) -> Operator:

@@ -132,6 +132,13 @@ class Shape:
     def twice_list(self) -> list[int]:
         return [s.twice_j for s in self.factors]
 
+    def twice_weights(self) -> list[int]:
+        """Twice the total weight of every basis index, in index order: the index's weight sector."""
+        out = [0]
+        for s in self.factors:
+            out = [t + tm for t in out for tm in s.twice_weights()]
+        return out
+
     def strides(self) -> tuple[int, ...]:
         return self._strides
 

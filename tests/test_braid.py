@@ -64,6 +64,10 @@ class TestParsing:
         with pytest.raises(BraidError):
             parse_any('{"n": 2, "letters": [1], "colors": ["1/2", "1/2"]}', colors=(H, H))
 
+    def test_empty_inline_colors_color_a_zero_strand_word(self):
+        assert parse_any('{"n": 0, "letters": [], "colors": []}') == ColoredBraid(BraidWord(0, ()), ())
+        assert parse_any('{"n": 0, "letters": []}') == BraidWord(0, ())
+
     def test_round_trips(self):
         braid = colored(3, (1, -2, 1), 1, 1, 1)
         assert parse_colored(format_colored(braid)) == braid

@@ -38,6 +38,11 @@ class TestInvariantCommand:
         assert code == 0
         assert out.strip() == "v^-6 + v^-2 + v^2 + v^6"
 
+    def test_zero_strand_json_braid(self):
+        code, out, _ = run(["invariant", "--braid", '{"n": 0, "letters": [], "colors": []}', "--method", "rt"])
+        assert code == 0
+        assert out == "1\n"
+
     def test_bracket_method(self):
         code, out, _ = run(["invariant", "--braid", "n=1;", "--method", "bracket"])
         assert code == 0
