@@ -270,7 +270,8 @@ def recolor_component(
 # Text and JSON formats.
 #
 # Text:  "n=<strands>; <letters>[; colors=<c1,c2,...>]" with letters separated
-# by spaces or commas and colors written as "1/2", "1", "3/2", ...
+# by spaces or commas and colors written as "1/2", "1", "3/2", ...; an empty
+# "colors=" lists no colors, as "colors": [] does in JSON.
 # JSON:   {"n": 2, "letters": [1, 1], "colors": ["1/2", "1/2"]}
 # ---------------------------------------------------------------------------
 
@@ -321,8 +322,9 @@ def _parse_sections(text: str) -> tuple[BraidWord, Optional[tuple[Spin, ...]]]:
         if section.startswith("colors="):
             if colors is not None:
                 raise BraidError(f"more than one colors= section in {text!r}")
+            listed = section[len("colors=") :]
             try:
-                colors = tuple(Spin.parse(c) for c in section[len("colors=") :].split(","))
+                colors = tuple(Spin.parse(c) for c in listed.split(",")) if listed else ()
             except ValueError as exc:
                 raise BraidError(f"bad colors section: {exc}") from None
         else:

@@ -58,7 +58,7 @@ from typing import Iterable, Union
 from .laurent import LaurentPoly, qint
 from .report import Report
 from .tensorop import HALF, Operator, Shape, ShapeError, Spin, act_adjacent, compose, embed, identity, swap
-from .uqsu2 import E_SYM, F_SYM, delta_rep, mu as _mu, qh_symbol, twice_spin_range
+from .uqsu2 import commutation_defects, mu as _mu, twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -149,11 +149,7 @@ def braided_r_inv(j1: Spin, j2: Spin) -> Operator:
 @_memo("intertwines")
 def intertwines(j1: Spin, j2: Spin) -> bool:
     """Whether braided_r(j1, j2) carries D(E), D(F) and D(q^H) on (j1, j2) to those on (j2, j1)."""
-    rhat = braided_r(j1, j2)
-    return all(
-        compose(rhat, delta_rep(sym, rhat.shape_in)) == compose(delta_rep(sym, rhat.shape_out), rhat)
-        for sym in (E_SYM, F_SYM, qh_symbol(1))
-    )
+    return all(defect.is_zero() for _, defect in commutation_defects(braided_r(j1, j2)))
 
 
 def act_letters(letters: Iterable[int], target: Operator) -> Operator:

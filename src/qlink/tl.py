@@ -189,18 +189,7 @@ class TLElement:
     def __add__(self, other: TLElement) -> TLElement:
         if self.n != other.n:
             raise ValueError("cannot add elements on different strand counts")
-        out = dict(self.terms)
-        for diag, coeff in other.terms.items():
-            prev = out.get(diag)
-            if prev is None:
-                out[diag] = coeff
-            else:
-                s = prev + coeff
-                if s:
-                    out[diag] = s
-                else:
-                    del out[diag]
-        return TLElement(self.n, out)
+        return TLElement(self.n, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> TLElement:
         return TLElement(self.n, {d: -c for d, c in self.terms.items()})

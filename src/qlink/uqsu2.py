@@ -152,6 +152,18 @@ def delta_rep(sym: GeneratorSymbol, shape: Shape) -> Operator:
     )
 
 
+def commutation_defects(op: Operator) -> list[tuple[str, Operator]]:
+    """
+    (kind, op . D(g) - D(g) . op) for g = E, F and q^H, with D(g) represented
+    on the shape `op` reads on the right and on the shape it writes on the
+    left; every defect is zero exactly when `op` intertwines the diagonal action.
+    """
+    return [
+        (sym.kind, op @ delta_rep(sym, op.shape_in) - delta_rep(sym, op.shape_out) @ op)
+        for sym in (E_SYM, F_SYM, qh_symbol(1))
+    ]
+
+
 def casimir_rep(shape: Shape) -> Operator:
     """The iterated-coproduct image of the Casimir element on all of `shape`."""
     coeff = (Q(1) - Q(-1)) ** 2

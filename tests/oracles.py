@@ -10,7 +10,8 @@ weighted trace oracle visits every entry once with all its digits unraveled
 instead of tracing one leg at a time, the R-matrix oracle sums the operator
 expansion of R term by term instead of writing its closed-form entries, and
 the closure oracle closes one strand at a time with `close_first` instead of
-counting closure loops in one walk.
+counting closure loops in one walk, and the trace-route products are the
+paper's written products listed by hand instead of read from the index.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import product
 
 from qlink.braid import BraidWord
 from qlink.laurent import LaurentPoly, div_exact, qfact, qint
+from qlink.rmatrix import l_minus, l_minus_inv, l_plus, l_plus_inv
 from qlink.tensorop import Operator, Shape, Spin, compose, identity, kron
 from qlink.tl import TLElement, close_first
 from qlink.uqsu2 import rep_e, rep_f, rep_qh
@@ -154,6 +156,20 @@ def r_matrix_expansion(j1, j2) -> Operator:
         term = compose(kron(f_pow, e_leg), kron(rep_qh(j1, k), rep_qh(j2, -k)))
         total = total + compose(term, weight) * (coeff**k * v(-k * (k + 1)))
     return total
+
+
+# The product inside each traced Askey-Wilson expression, left to right, as
+# (builder, leg): the mixed-matrix builder applied to the spin of target leg
+# `leg` (1..3 of the triple), acting on the auxiliary leg and that one.
+TRACE_PRODUCTS = {
+    "1": ((l_plus, 1), (l_minus, 1)),
+    "12": ((l_plus, 1), (l_plus, 2), (l_minus, 2), (l_minus, 1)),
+    "123": ((l_plus, 1), (l_plus, 2), (l_plus, 3), (l_minus, 3), (l_minus, 2), (l_minus, 1)),
+    "2": ((l_plus, 1), (l_plus, 2), (l_minus, 2), (l_plus_inv, 1)),
+    "23": ((l_plus, 1), (l_plus, 2), (l_plus, 3), (l_minus, 3), (l_minus, 2), (l_plus_inv, 1)),
+    "13": ((l_plus, 1), (l_plus, 2), (l_plus, 3), (l_minus, 3), (l_plus_inv, 2), (l_minus, 1)),
+    "13~": ((l_plus, 1), (l_minus_inv, 2), (l_plus, 3), (l_minus, 3), (l_minus, 2), (l_minus, 1)),
+}
 
 
 def random_word(rng, n_strands: int, length: int) -> BraidWord:

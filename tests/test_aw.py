@@ -17,6 +17,8 @@ from qlink.tensorop import (
 )
 from qlink.uqsu2 import casimir, chi
 
+from oracles import TRACE_PRODUCTS
+
 Q = LaurentPoly.q_power
 
 SMALL_SHAPES = [Shape.of(1, 1, 1), Shape.of(1, 2, 1), Shape.of(2, 1, 2)]
@@ -87,8 +89,14 @@ class TestTraceRoute:
         assert report.passed, report.summary()
         assert len(report.checks) == 7
 
-    def test_index_three_falls_back(self):
-        shape = Shape.of(1, 1, 1)
+    @pytest.mark.parametrize("index", sorted(TRACE_PRODUCTS))
+    def test_formula_is_the_written_product(self, index):
+        assert aw._trace_formula(index) == TRACE_PRODUCTS[index]
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+    def test_index_three_by_trace_route(self, shape):
+        # The one index verify_routes leaves out: the auxiliary strand passes
+        # over legs 1 and 2 on its way to leg 3 and back.
         assert aw.q_elem_trace("3", shape) == aw.q_elem("3", shape)
 
 

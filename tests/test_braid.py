@@ -65,8 +65,16 @@ class TestParsing:
             parse_any('{"n": 2, "letters": [1], "colors": ["1/2", "1/2"]}', colors=(H, H))
 
     def test_empty_inline_colors_color_a_zero_strand_word(self):
-        assert parse_any('{"n": 0, "letters": [], "colors": []}') == ColoredBraid(BraidWord(0, ()), ())
-        assert parse_any('{"n": 0, "letters": []}') == BraidWord(0, ())
+        empty = ColoredBraid(BraidWord(0, ()), ())
+        assert parse_any('{"n": 0, "letters": [], "colors": []}') == empty
+        assert parse_any("n=0; colors=") == parse_colored("n=0; colors=") == empty
+        assert parse_any('{"n": 0, "letters": []}') == parse_any("n=0;") == BraidWord(0, ())
+
+    def test_empty_text_colors_section_lists_no_colors(self):
+        assert parse_any("n=2; 1 1; colors=") == parse_any('{"n": 2, "letters": [1, 1], "colors": []}')
+        assert parse_any("n=2; 1 1; colors=", colors=(H, H)) == colored(2, (1, 1), 1, 1)
+        with pytest.raises(BraidError, match="bad colors section"):
+            parse_any("n=2; 1 1; colors=1/2,")
 
     def test_round_trips(self):
         braid = colored(3, (1, -2, 1), 1, 1, 1)
@@ -293,3 +301,18 @@ class TestParseAnyContract:
         except InputError:
             return
         assert isinstance(parsed, (BraidWord, ColoredBraid))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # An empty spin text vanishes from a one-item text list, so it has no text twin.
+        braid_parts.filter(lambda parts: parts[2] is None or "" not in parts[2]),
+        st.none() | st.lists(st.sampled_from([HALF, ONE]), max_size=4),
+    )
+    def test_text_and_json_twins_agree(self, parts, colors):
+        def outcome(text):
+            try:
+                return parse_any(text, colors)
+            except InputError:
+                return InputError
+
+        assert outcome(as_text(parts)) == outcome(as_json(parts))

@@ -43,6 +43,19 @@ class TestInvariantCommand:
         assert code == 0
         assert out == "1\n"
 
+    def test_zero_strand_text_braid(self):
+        code, out, _ = run(["invariant", "--braid", "n=0; colors=", "--method", "rt"])
+        assert code == 0
+        assert out == "1\n"
+
+    def test_empty_text_colors_act_like_empty_json_colors(self):
+        text, js = "n=2; 1 1; colors=", '{"n": 2, "letters": [1, 1], "colors": []}'
+        for flags in (["--method", "rt"], ["--colors", "1/2,1/2", "--method", "rt"]):
+            assert run(["invariant", "--braid", text, *flags]) == run(["invariant", "--braid", js, *flags])
+        code, _, err = run(["invariant", "--braid", "n=2; 1 1; colors=1/2,", "--method", "rt"])
+        assert code == 1
+        assert "bad colors section" in err
+
     def test_bracket_method(self):
         code, out, _ = run(["invariant", "--braid", "n=1;", "--method", "bracket"])
         assert code == 0
