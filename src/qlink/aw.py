@@ -18,14 +18,15 @@ permuted shape is exactly what the shape-typed operators enforce.  Every
 braiding here is a word of braid letters applied by `rmatrix.act_letters`,
 the same rule the quantum-trace invariant uses.
 
-Partial-trace route (`q_elem_trace`, uncached): every element is a weighted
-first-leg trace of a product of two-leg mixed matrices on the auxiliary
-shape (1/2, j1, j2, j3), with the traced spin-1/2 leg always at position 0.
-The product is read from the index: the auxiliary strand winds up through
-the legs with L+ and back down with L-, passing over each leg outside the
-block, or under it for a "~" index.  `verify_routes` compares the two
-constructions on every index but the one-leg "3", whose agreement the tests
-check.
+Partial-trace route (`q_elem_trace`, uncached): every element is the weighted
+trace of an auxiliary spin-1/2 leg out of a product of two-leg mixed matrices,
+each acting on that leg and one of j1, j2, j3.  The product is read from the
+index: the auxiliary strand winds up through the legs with L+ and back down
+with L-, passing over each leg outside the block, or under it for a "~" index.
+Each leg meets the strand once each way, so the trace is contracted leg by
+leg on 2x2 auxiliary blocks; no operator on (1/2, j1, j2, j3) is formed.
+`verify_routes` compares the two constructions on every index but the
+one-leg "3", whose agreement the tests check.
 
 The central elements in the quartic relation are instantiated as their full
 matrices, not scalar eigenvalues: the three-leg Casimir is generically not
@@ -53,6 +54,7 @@ from .rmatrix import (
     r_matrix,
 )
 from .tensorop import (
+    EMPTY_SHAPE,
     HALF,
     Operator,
     Shape,
@@ -150,11 +152,47 @@ def q_elem_trace(index, shape: Shape) -> Operator:
     return _traced(name, shape)
 
 
+def _aux_blocks(op: Operator) -> dict[tuple[int, int], Operator]:
+    """The 2x2 auxiliary blocks of an operator on (1/2, j): block (b, b') acts on (j,)."""
+    leg = Shape(op.shape_in.factors[1:])
+    d = leg.dim
+    cells: dict[tuple[int, int], dict] = {}
+    for (r, c), p in op.entries.items():
+        (b, i), (b2, i2) = divmod(r, d), divmod(c, d)
+        cells.setdefault((b, b2), {})[(i, i2)] = p
+    return {bb: Operator(leg, leg, entries) for bb, entries in cells.items()}
+
+
+def _add_into(acc: dict, key, op: Operator) -> None:
+    """acc[key] += op, the sum starting at op."""
+    acc[key] = acc[key] + op if key in acc else op
+
+
 def _traced(name: str, shape: Shape) -> Operator:
-    """Weighted trace of the auxiliary spin-1/2 leg 0 out of the index's product on (1/2,) + shape."""
-    aux = Shape((HALF,) + shape.factors)
-    prod = reduce(compose, (embed(build(shape[leg - 1]), (0, leg), aux) for build, leg in _trace_formula(name)))
-    return partial_trace_first(prod, m_matrix())
+    """
+    Weighted trace of the auxiliary spin-1/2 leg out of the index's product,
+    contracted leg by leg.  With w[b, c] the operator on legs 1..k-1 between
+    auxiliary indices b (going up) and c (coming down), leg k's pair turns it
+    into w'[b', c'] = sum kron(w[b, c], up[b, b'] . down[c', c]).  The weight
+    m = diag(q, q^-1) starts the strand, b' = c' at the top closes it, and the
+    closed operator on legs 1..top is embedded in `shape`.
+    """
+    formula = _trace_formula(name)
+    top = len(formula) // 2
+    w = {(c, b): Operator(EMPTY_SHAPE, EMPTY_SHAPE, {(0, 0): p}) for (b, c), p in m_matrix().entries.items()}
+    for k, ((build_up, leg), (build_down, _)) in enumerate(zip(formula[:top], reversed(formula[top:])), 1):
+        up, down = _aux_blocks(build_up(shape[leg - 1])), _aux_blocks(build_down(shape[leg - 1]))
+        steps: dict = {}  # (b, c, the cell of w' it feeds) -> sum of up[b, b'] . down[c', c]
+        for (b, b2), u in up.items():
+            for (c2, c), dn in down.items():
+                if k < top or b2 == c2:  # at the top, b' = c' closes the strand into one cell
+                    _add_into(steps, (b, c, (b2, c2) if k < top else "closed"), compose(u, dn))
+        nxt: dict = {}
+        for (b, c, cell), x in steps.items():
+            if (b, c) in w:
+                _add_into(nxt, cell, kron(w[(b, c)], x))
+        w = nxt
+    return embed(w["closed"], range(top), shape)
 
 
 def casimir_trace(j: Spin) -> Operator:

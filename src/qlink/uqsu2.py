@@ -18,16 +18,20 @@ acts on spin j as the scalar chi_j = q^(2j+1) + q^(-2j-1).  The coproduct is
 
     D(E) = E (x) q^-H + q^H (x) E,   D(F) likewise,   D(q^H) = q^H (x) q^H,
 
-iterated coproducts are built by folding D from the left; coassociativity
-(making the folding direction irrelevant) is checked in the test suite.
+iterated coproducts of generators are built by folding D from the left;
+coassociativity (making the folding direction irrelevant) is checked in the
+test suite.  The iterated-coproduct Casimir is written entry by entry from the
+closed form of D(F) D(E), never multiplied out.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from .laurent import LaurentPoly, qint
+from .laurent import LaurentPoly, finalize, qint
 from .tensorop import Operator, Shape, ShapeError, Spin, embed, kron
 
 Q = LaurentPoly.q_power
@@ -156,29 +160,65 @@ def commutation_defects(op: Operator) -> list[tuple[str, Operator]]:
     """
     (kind, op . D(g) - D(g) . op) for g = E, F and q^H, with D(g) represented
     on the shape `op` reads on the right and on the shape it writes on the
-    left; every defect is zero exactly when `op` intertwines the diagonal action.
+    left (one build when the two coincide); every defect is zero exactly when
+    `op` intertwines the diagonal action.
     """
-    return [
-        (sym.kind, op @ delta_rep(sym, op.shape_in) - delta_rep(sym, op.shape_out) @ op)
-        for sym in (E_SYM, F_SYM, qh_symbol(1))
-    ]
+    defects = []
+    for sym in (E_SYM, F_SYM, qh_symbol(1)):
+        right = delta_rep(sym, op.shape_in)
+        left = right if op.shape_out == op.shape_in else delta_rep(sym, op.shape_out)
+        defects.append((sym.kind, op @ right - left @ op))
+    return defects
 
 
 def casimir_rep(shape: Shape) -> Operator:
     """The iterated-coproduct image of the Casimir element on all of `shape`."""
-    coeff = (Q(1) - Q(-1)) ** 2
-    mu_all = delta_rep(GeneratorSymbol("QH", 2), shape)  # q^(2H) on every leg
-    mu_all_inv = delta_rep(GeneratorSymbol("QH", -2), shape)
-    fe = delta_rep(F_SYM, shape) @ delta_rep(E_SYM, shape)
-    return fe * coeff + mu_all * Q(1) + mu_all_inv * Q(-1)
+    return iterated_casimir(shape, range(len(shape)))
+
+
+def _add_casimir_term(cell: Counter, a: int, b: int, power: int) -> None:
+    """cell += (q - q^-1)^2 [a][b] v^power, expanded as (q^a - q^-a)(q^b - q^-b) v^power."""
+    for sa in (1, -1):
+        for sb in (1, -1):
+            cell[power + 2 * (sa * a + sb * b)] += sa * sb
+
+
+def _casimir_entries(shape: Shape) -> Operator:
+    """
+    casimir_rep(shape) entry by entry.  A basis column has digit x_l and
+    twice-weight t_l = 2j_l - 2x_l on leg l, and T = sum t_l.  With K = q^H,
+    D(E) = sum_i K..K E_i K^-1..K^-1 and likewise D(F), so F_i E_j moves one
+    weight step from leg j to leg i with coefficient (q - q^-1)^2 [x_j][2j_i - x_i]:
+    - i = j, on the diagonal: [x_i][2j_i - x_i + 1] v^(2 sum_{l<i} t_l - 2 sum_{l>i} t_l),
+      plus q K^2 + q^-1 K^-2 = v^(2T+2) + v^(-2T-2);
+    - i != j: v^(2 sum_{l<min} t_l - 2 sum_{l>max} t_l) from the outer K^2 and K^-2,
+      times v^(t_i - t_j - 2) from K^(+-1) on legs i and j, inverted when i > j.
+    """
+    tjs, strides = shape.twice_list(), shape.strides()
+    cells: defaultdict[tuple[int, int], Counter] = defaultdict(Counter)
+    for col in range(shape.dim):
+        x = shape.unravel(col)
+        t = [tj - 2 * xl for tj, xl in zip(tjs, x)]
+        below = [0, *accumulate(t)]  # below[k] = sum of t_l over l < k
+        total = below[-1]
+        cells[(col, col)].update((2 * total + 2, -2 * total - 2))  # q K^2 + q^-1 K^-2
+        for i, tj in enumerate(tjs):
+            _add_casimir_term(cells[(col, col)], x[i], tj - x[i] + 1, 2 * below[i] - 2 * (total - below[i + 1]))
+            for j, xj in enumerate(x):
+                if j != i and xj and x[i] < tj:
+                    lo, hi = min(i, j), max(i, j)
+                    power = 2 * below[lo] - 2 * (total - below[hi + 1]) + (1 if i < j else -1) * (t[i] - t[j] - 2)
+                    _add_casimir_term(cells[(col + strides[i] - strides[j], col)], xj, tj - x[i], power)
+    return Operator(shape, shape, {rc: finalize(cell) for rc, cell in cells.items()})
 
 
 def iterated_casimir(shape: Shape, span: Sequence[int]) -> Operator:
     """
     The intermediate Casimir supported on a contiguous block `span` of factor
-    positions (0-based), acting as the identity elsewhere.  Non-contiguous
-    spans are rejected; recoupled blocks are built by braiding conjugation in
-    the Askey-Wilson layer instead.
+    positions (0-based), acting as the identity elsewhere: written entry by
+    entry on the block's legs, then embedded.  Non-contiguous spans are
+    rejected; recoupled blocks are built by braiding conjugation in the
+    Askey-Wilson layer instead.
     """
     span = tuple(sorted(span))
     if not span:
@@ -188,4 +228,4 @@ def iterated_casimir(shape: Shape, span: Sequence[int]) -> Operator:
     if any(b - a != 1 for a, b in zip(span, span[1:])):
         raise ShapeError(f"span {span} is not contiguous")
     sub = Shape(shape.factors[span[0] : span[-1] + 1])
-    return embed(casimir_rep(sub), span, shape)
+    return embed(_casimir_entries(sub), span, shape)

@@ -10,20 +10,24 @@ weighted trace oracle visits every entry once with all its digits unraveled
 instead of tracing one leg at a time, the R-matrix oracle sums the operator
 expansion of R term by term instead of writing its closed-form entries, and
 the closure oracle closes one strand at a time with `close_first` instead of
-counting closure loops in one walk, and the trace-route products are the
-paper's written products listed by hand instead of read from the index.
+counting closure loops in one walk, the trace-route products are the
+paper's written products listed by hand instead of read from the index, the
+coproduct Casimir is folded out of the represented coproducts of E, F and
+q^(2H) instead of written entry by entry, and the traced product is formed on
+the whole auxiliary shape and traced there instead of contracted leg by leg.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 from qlink.braid import BraidWord
 from qlink.laurent import LaurentPoly, div_exact, qfact, qint
-from qlink.rmatrix import l_minus, l_minus_inv, l_plus, l_plus_inv
-from qlink.tensorop import Operator, Shape, Spin, compose, identity, kron
+from qlink.rmatrix import l_minus, l_minus_inv, l_plus, l_plus_inv, m_matrix
+from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, kron, partial_trace_first
 from qlink.tl import TLElement, close_first
-from qlink.uqsu2 import rep_e, rep_f, rep_qh
+from qlink.uqsu2 import E_SYM, F_SYM, delta_rep, qh_symbol, rep_e, rep_f, rep_qh
 
 
 class _UnionFind:
@@ -170,6 +174,31 @@ TRACE_PRODUCTS = {
     "13": ((l_plus, 1), (l_plus, 2), (l_plus, 3), (l_minus, 3), (l_plus_inv, 2), (l_minus, 1)),
     "13~": ((l_plus, 1), (l_minus_inv, 2), (l_plus, 3), (l_minus, 3), (l_minus, 2), (l_minus, 1)),
 }
+
+
+def casimir_fold(shape: Shape, span) -> Operator:
+    """
+    The Casimir of the contiguous legs `span`, as
+    (q - q^-1)^2 D(F) D(E) + q D(q^(2H)) + q^-1 D(q^(-2H)) with each D folded
+    out of krons on the block's legs, then embedded in `shape`.
+    """
+    span = tuple(span)
+    sub = Shape(shape.factors[span[0] : span[-1] + 1])
+    q = LaurentPoly.q_power
+    fe = compose(delta_rep(F_SYM, sub), delta_rep(E_SYM, sub))
+    block = fe * (q(1) - q(-1)) ** 2 + delta_rep(qh_symbol(2), sub) * q(1) + delta_rep(qh_symbol(-2), sub) * q(-1)
+    return embed(block, span, shape)
+
+
+def aux_shape_trace(formula, shape: Shape) -> Operator:
+    """
+    The weighted first-leg trace of a trace-route product, given as (builder,
+    leg) pairs: every factor embedded on the auxiliary shape (1/2,) + shape,
+    multiplied out there, and the spin-1/2 leg traced against diag(q, q^-1).
+    """
+    aux = Shape((HALF,) + shape.factors)
+    prod = reduce(compose, (embed(build(shape[leg - 1]), (0, leg), aux) for build, leg in formula))
+    return partial_trace_first(prod, m_matrix())
 
 
 def random_word(rng, n_strands: int, length: int) -> BraidWord:

@@ -17,7 +17,7 @@ from qlink.tensorop import (
 )
 from qlink.uqsu2 import casimir, chi
 
-from oracles import TRACE_PRODUCTS
+from oracles import TRACE_PRODUCTS, aux_shape_trace
 
 Q = LaurentPoly.q_power
 
@@ -92,6 +92,15 @@ class TestTraceRoute:
     @pytest.mark.parametrize("index", sorted(TRACE_PRODUCTS))
     def test_formula_is_the_written_product(self, index):
         assert aw._trace_formula(index) == TRACE_PRODUCTS[index]
+
+    @pytest.mark.parametrize("index", aw.AW_INDICES)
+    def test_contraction_equals_the_aux_shape_product(self, index):
+        # Every triple with 2j <= 2 on each leg, and three larger or mixed ones.
+        shapes = [Shape.of(*tjs) for tjs in itertools.product(range(3), repeat=3)]
+        shapes += [Shape.of(3, 3, 3), Shape.of(1, 2, 3), Shape.of(4, 3, 2)]
+        formula = aw._trace_formula(index)
+        for shape in shapes:
+            assert aw.q_elem_trace(index, shape) == aux_shape_trace(formula, shape), shape
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
     def test_index_three_by_trace_route(self, shape):

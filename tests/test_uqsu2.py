@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,8 @@ from qlink.uqsu2 import (
     rep_qh,
     qh_symbol,
 )
+
+from oracles import casimir_fold
 
 V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
@@ -160,6 +163,18 @@ class TestIteratedCasimir:
     def test_non_contiguous_span_rejected(self):
         with pytest.raises(ShapeError):
             iterated_casimir(Shape.of(1, 1, 1), (0, 2))
+
+    @pytest.mark.parametrize("legs", [1, 2, 3])
+    def test_equals_the_coproduct_fold(self, legs):
+        # Every contiguous span of every shape with 2j <= 3 on each leg.
+        shapes = [Shape.of(*tjs) for tjs in itertools.product(range(4), repeat=legs)]
+        if legs == 3:
+            shapes.append(Shape.of(4, 3, 2))
+        for shape in shapes:
+            for first in range(legs):
+                for last in range(first, legs):
+                    span = tuple(range(first, last + 1))
+                    assert iterated_casimir(shape, span) == casimir_fold(shape, span), (shape, span)
 
     def test_central_on_pair(self):
         shape = Shape.of(1, 2)
