@@ -36,7 +36,7 @@ scalar, and the relations hold at operator level.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from .braid import BraidWord
 from .laurent import LaurentPoly, subst_x_iv
@@ -419,10 +419,10 @@ def verify_spectra(shape: Shape) -> Report:
     return report
 
 
-def verify_centrality(shape: Shape, indices: Optional[Iterable] = None) -> Report:
+def verify_centrality(shape: Shape) -> Report:
     """Every intermediate Casimir commutes with the diagonal generator action."""
     report = Report(f"centrality {shape}")
-    for index in indices if indices is not None else AW_INDICES:
+    for index in AW_INDICES:
         for kind, defect in commutation_defects(q_elem(index, shape)):
             report.add(f"Q_{_norm_index(index)} commutes with diagonal {kind}", defect)
     return report

@@ -128,29 +128,33 @@ def _cmd_rmatrix(args) -> int:
     return EXIT_OK
 
 
-def _aw_report(args) -> Report:
-    shape = None
-    if args.spins:
-        shape = Shape(tuple(_parse_spins(args.spins, "spins", expected=3)))
-    suite = args.suite_name
-    if suite in ("relations", "routes", "expansion", "spectrum", "all") and shape is None:
-        raise InputError(f"--spins is required for suite {suite!r}")
-    if suite == "relations":
-        return aw.verify_aw(shape)
-    if suite == "routes":
-        return aw.verify_routes(shape)
-    if suite == "expansion":
-        return aw.verify_expansion(shape)
-    if suite == "p-props":
-        return aw.verify_p_propositions()
-    if suite == "tl-iso":
-        return aw.verify_tl_iso()
-    if suite == "spectrum":
-        return aw.verify_spectra(shape)
+def _aw_all(shape: Shape) -> Report:
     report = aw.verify_all(shape)
     report.extend(aw.verify_p_propositions())
     report.extend(aw.verify_tl_iso())
     return report
+
+
+# Each `verify aw --suite`: whether it needs --spins, and its report on their shape (None without them).
+_AW_SUITES = {
+    "relations": (True, aw.verify_aw),
+    "routes": (True, aw.verify_routes),
+    "expansion": (True, aw.verify_expansion),
+    "p-props": (False, lambda shape: aw.verify_p_propositions()),
+    "tl-iso": (False, lambda shape: aw.verify_tl_iso()),
+    "spectrum": (True, aw.verify_spectra),
+    "all": (True, _aw_all),
+}
+
+
+def _aw_report(args) -> Report:
+    shape = None
+    if args.spins:
+        shape = Shape(tuple(_parse_spins(args.spins, "spins", expected=3)))
+    needs_spins, run = _AW_SUITES[args.suite_name]
+    if needs_spins and shape is None:
+        raise InputError(f"--spins is required for suite {args.suite_name!r}")
+    return run(shape)
 
 
 def _braid_report(args) -> Report:
@@ -214,7 +218,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument(
         "--suite",
         dest="suite_name",
-        choices=("relations", "routes", "expansion", "p-props", "tl-iso", "spectrum", "all"),
+        choices=tuple(_AW_SUITES),
         default="all",
         help="which aw suite to run",
     )

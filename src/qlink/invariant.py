@@ -7,16 +7,18 @@ each in place on the two legs it crosses, by the braided two-leg matrix at
 their spins (inverse matrices for negative letters); no ambient-size letter
 operator is built.  Colors travel with the strands, so the shape bookkeeping
 is exact for mixed colorings.  The closure value is the trace weighted by
-q^(2H) on every factor.  When every braided matrix between the braid's colors
-intertwines the U_q action (`rmatrix.intertwines`), so does the braid, and
-its trace on the weight sector of twice-weight t equals its trace on -t: the
-letters then act only on the identity's columns of twice-weight t >= 0 and
-the closure reads those sectors alone.  Otherwise (a corrupted R) every
-column is traced.  This value is a regular-isotopy invariant: a kink changes
-it by exactly q^(+-2j(j+1)), which is checked by `verify_framing` rather than
-normalized away.  An ambient-isotopy variant that divides out
-each component's self-writhe is available behind the `normalize` flag; the
-raw framed value is the default.
+q^(2H) on every factor, Tr(B . q^(2H) (x) ... (x) q^(2H)) = sum_i B_ii v^(2 t_i)
+with t_i the twice-weight of column i, and one path computes it: the letters
+act on the identity's columns and the diagonal is read sector by sector.
+When every braided matrix between the braid's colors intertwines the U_q
+action (`rmatrix.intertwines`), so does the braid, and its trace on sector t
+equals its trace on -t, so only the columns with t >= 0 are acted on.
+Otherwise (a corrupted R) every column is.  `braid_operator` with
+`tensorop.full_trace` is the test oracle for this path.  The value is a
+regular-isotopy invariant: a kink changes it by exactly q^(+-2j(j+1)), which
+is checked by `verify_framing` rather than normalized away.  An
+ambient-isotopy variant that divides out each component's self-writhe is
+available behind the `normalize` flag; the raw framed value is the default.
 
 Bracket route (fundamental color only): a braid word is expanded in the
 diagram monoid, closed, and evaluated at loop value -x^2 - x^(-2); composing
@@ -27,8 +29,6 @@ the diagram-monoid implementation here.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from . import rmatrix, tl
 from .braid import (
@@ -50,10 +50,9 @@ from .tensorop import (
     Operator,
     Shape,
     Spin,
-    full_trace,
     identity,
 )
-from .uqsu2 import mu, twice_spin_range
+from .uqsu2 import twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -71,16 +70,18 @@ def braid_operator(braid: ColoredBraid) -> Operator:
     return op
 
 
-def _closure_trace(braid: ColoredBraid) -> LaurentPoly:
+def _closure_trace(braid: ColoredBraid, symmetric: bool) -> LaurentPoly:
     """
-    Tr(braid . q^(2H) on every factor), read from the weight sectors of
-    twice-weight t >= 0 alone: an intertwiner has the same trace on sector t
-    as on -t, so sector 0 is weighted by 1 and each t > 0 by v^(2t) + v^(-2t).
+    Tr(braid . q^(2H) on every factor) = sum_i B_ii v^(2 t_i), with t_i the
+    twice-weight of column i.  When `symmetric` (every letter intertwines),
+    sector t has the same trace as -t, so the letters act only on the columns
+    with t >= 0: sector 0 is weighted by 1 and each t > 0 by v^(2t) + v^(-2t).
+    Otherwise every column is acted on and weighted by v^(2t).
     """
     shape = Shape(braid.colors)
     sector = shape.twice_weights()
     one = LaurentPoly.one()
-    start = Operator(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0})
+    start = Operator(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
     op = rmatrix.act_letters(braid.word.letters, start)
     traces: dict[int, LaurentPoly] = {}
     for (r, c), p in op.entries.items():
@@ -89,7 +90,11 @@ def _closure_trace(braid: ColoredBraid) -> LaurentPoly:
             traces[t] = traces[t] + p if t in traces else p
     value = LaurentPoly.zero()
     for t, tr in traces.items():
-        value = value + (tr if t == 0 else tr * (V(2 * t) + V(-2 * t)))
+        if not symmetric:
+            tr = tr * V(2 * t)
+        elif t:
+            tr = tr * (V(2 * t) + V(-2 * t))
+        value = value + tr
     return value
 
 
@@ -103,10 +108,7 @@ def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:
     # A letter that fails to intertwine (a corrupted R) breaks the t <-> -t
     # symmetry and could hide in the unread sectors; such a braid is traced
     # over every column.
-    if all(rmatrix.intertwines(a, b) for a in spins for b in spins):
-        value = _closure_trace(braid)
-    else:
-        value = full_trace(braid_operator(braid), [mu(j) for j in braid.colors])
+    value = _closure_trace(braid, all(rmatrix.intertwines(a, b) for a in spins for b in spins))
     if normalize:
         breakdown = writhe(braid)
         exponent = 0
@@ -248,7 +250,7 @@ def _require_generator(suite: str, braid: ColoredBraid) -> None:
         raise InputError(f"{suite} needs at least 2 strands, got {braid.n_strands}", "braid")
 
 
-def verify_skein(braid: ColoredBraid, position: Optional[int] = None) -> Report:
+def verify_skein(braid: ColoredBraid) -> Report:
     """
     The two-term crossing exchange for fundamental colors:
     q^(1/2) value(w sigma_i) - q^(-1/2) value(w sigma_i^-1) = (q - q^-1) value(w).
@@ -258,8 +260,7 @@ def verify_skein(braid: ColoredBraid, position: Optional[int] = None) -> Report:
     report = Report("skein")
     base = rt_invariant(braid)
     coeff = Q(1) - Q(-1)
-    positions = [position] if position is not None else list(range(1, braid.n_strands))
-    for i in positions:
+    for i in range(1, braid.n_strands):
         word_plus = BraidWord(braid.n_strands, braid.word.letters + (i,))
         word_minus = BraidWord(braid.n_strands, braid.word.letters + (-i,))
         lhs = V(1) * rt_invariant(all_half(word_plus)) - V(-1) * rt_invariant(all_half(word_minus))
@@ -267,13 +268,12 @@ def verify_skein(braid: ColoredBraid, position: Optional[int] = None) -> Report:
     return report
 
 
-def verify_markov(braid: ColoredBraid, generator: Optional[int] = None) -> Report:
+def verify_markov(braid: ColoredBraid) -> Report:
     """Conjugating the word by any generator leaves the closure value fixed."""
     _require_generator("markov", braid)
     report = Report("markov")
     base = rt_invariant(braid)
-    gens = [generator] if generator is not None else list(range(1, braid.n_strands))
-    for g in gens:
+    for g in range(1, braid.n_strands):
         report.add(f"conjugation by generator {g}", rt_invariant(_conjugate(braid, g)) - base)
     return report
 

@@ -70,10 +70,6 @@ class LaurentPoly:
         return cls({0: c})
 
     @classmethod
-    def monomial(cls, exp: int, c: int = 1) -> LaurentPoly:
-        return cls({exp: c})
-
-    @classmethod
     def v_power(cls, k: int) -> LaurentPoly:
         """v^k."""
         return cls._raw({k: 1})
@@ -163,15 +159,9 @@ class LaurentPoly:
 
     # -- substitutions -----------------------------------------------------
 
-    def subst_v(self, k: int) -> LaurentPoly:
-        """Apply v -> v^k termwise (k nonzero)."""
-        if k == 0:
-            raise ValueError("substitution v -> v^0 collapses the ring")
-        return LaurentPoly._raw({e * k: c for e, c in self.terms.items()})
-
     def bar(self) -> LaurentPoly:
         """The bar involution v -> v^(-1)."""
-        return self.subst_v(-1)
+        return LaurentPoly._raw({-e: c for e, c in self.terms.items()})
 
     # -- presentation --------------------------------------------------------
 

@@ -44,10 +44,11 @@ nonnegative weight sectors of a braid whose color pairs all pass it.
 
 `_memo` keeps each builder's result in one module-level table under its tag
 and the twice-spins of its arguments: ("R", 2j_1, 2j_2), likewise "Rinv",
-"Rop", "bR", "bRinv" and "intertwines" (a bool); ("Lp", 2j), ("Lpi", 2j)
-and ("P",).  Each key is written once, so concurrent readers are safe under
-the GIL.  `clear_cache` exists for tests that inject corrupted matrices under
-these keys; it clears the intertwining verdicts drawn from them too.
+"Rop", "bR", "bRinv" and "intertwines" (a bool); ("Lpi", 2j) and ("P",).
+`l_minus` and `l_plus` read ("R", 1, 2j) and ("Rop", 1, 2j).  Each key is
+written once, so concurrent readers are safe under the GIL.  `clear_cache`
+exists for tests that inject corrupted matrices under these keys; it clears
+the intertwining verdicts drawn from them too.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ def l_minus(j: Spin) -> Operator:
     return r_matrix(HALF, j)
 
 
-@_memo("Lp")
 def l_plus(j: Spin) -> Operator:
     """R21 with the first leg in the fundamental: acts on (1/2, j)."""
     return r_opposite(HALF, j)

@@ -83,7 +83,6 @@ class Spin:
 
 
 HALF = Spin(1)
-ONE = Spin(2)
 
 
 class Shape:
@@ -141,9 +140,6 @@ class Shape:
 
     def strides(self) -> tuple[int, ...]:
         return self._strides
-
-    def ravel(self, multi: Sequence[int]) -> int:
-        return sum(i * s for i, s in zip(multi, self._strides))
 
     def unravel(self, index: int) -> tuple[int, ...]:
         out = []
@@ -399,6 +395,8 @@ def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
             raise ShapeError(
                 f"operator factor {t} has spin {op.shape_in[t]} but ambient slot {pos} has {ambient[pos]}"
             )
+    if positions == tuple(range(n)):  # op already acts on all of `ambient`, in order
+        return op
     ambient_out = ambient.replace(positions, op.shape_out.factors)
     in_strides = ambient.strides()
     out_strides = ambient_out.strides()

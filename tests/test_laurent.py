@@ -30,7 +30,7 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             LaurentPoly({0: Fraction(1, 2)})
         with pytest.raises(TypeError):
-            LaurentPoly.monomial(2, Fraction(1))
+            LaurentPoly({2: Fraction(1)})
         with pytest.raises(TypeError):
             V(1) * Fraction(1, 2)
 
@@ -40,7 +40,7 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             LaurentPoly([(Fraction(1, 2), 1)])
         with pytest.raises(TypeError):
-            LaurentPoly.monomial(1.0)
+            LaurentPoly({1.0: 1})
         with pytest.raises(TypeError):
             LaurentPoly.const(1) + LaurentPoly({"1": 1})
 
@@ -116,17 +116,13 @@ class TestQCombinatorics:
 
 class TestSubstitutions:
     def test_bar_fixes_palindromes(self):
-        assert qint(2).subst_v(-1) == qint(2)
-        assert V(3).subst_v(-1) == V(-3)
-        assert qint(3).subst_v(-1) == qint(3)
+        assert qint(2).bar() == qint(2)
+        assert V(3).bar() == V(-3)
+        assert qint(3).bar() == qint(3)
 
     def test_bar_of_product(self):
         a, b = qint(3) + V(1), V(5) - qint(2)
-        assert (a * b).subst_v(-1) == a.subst_v(-1) * b.subst_v(-1)
-
-    def test_zero_power_rejected(self):
-        with pytest.raises(ValueError):
-            V(1).subst_v(0)
+        assert (a * b).bar() == a.bar() * b.bar()
 
     def test_x_to_iv(self):
         assert subst_x_iv(V(2)) == -V(2)  # x^2 -> -v^2
@@ -234,4 +230,4 @@ class TestRingAxioms:
     def test_qint_products_symmetric_and_bar_invariant(self, m, n):
         p = qint(m) * qint(n)
         assert p == qint(n) * qint(m)
-        assert p.subst_v(-1) == p
+        assert p.bar() == p

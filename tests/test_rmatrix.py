@@ -24,7 +24,6 @@ from qlink.uqsu2 import (
     F_SYM,
     delta_rep,
     mu,
-    mu_inv,
     qh_symbol,
     rep_e,
     rep_f,
@@ -98,7 +97,7 @@ class TestClosedForm:
             (rm.r_opposite, (Spin(2), HALF), ("Rop", 2, 1)),
             (rm.braided_r, (Spin(3), Spin(0)), ("bR", 3, 0)),
             (rm.braided_r_inv, (Spin(0), Spin(3)), ("bRinv", 0, 3)),
-            (rm.l_plus, (Spin(2),), ("Lp", 2)),
+            (rm.l_plus, (Spin(2),), ("Rop", 1, 2)),
             (rm.l_plus_inv, (Spin(3),), ("Lpi", 3)),
             (rm.p_matrix, (), ("P",)),
         ],
@@ -208,8 +207,8 @@ class TestWeightedTraces:
         factor = V(tj * (tj + 2))  # q^(2j(j+1))
         assert as_scalar(partial_trace_first(rm.braided_r(j, j), mu(j))) == factor
         assert as_scalar(partial_trace_first(rm.braided_r_inv(j, j), mu(j))) == factor.bar()
-        assert as_scalar(partial_trace_last(rm.braided_r(j, j), mu_inv(j))) == factor
-        assert as_scalar(partial_trace_last(rm.braided_r_inv(j, j), mu_inv(j))) == factor.bar()
+        assert as_scalar(partial_trace_last(rm.braided_r(j, j), rep_qh(j, -2))) == factor
+        assert as_scalar(partial_trace_last(rm.braided_r_inv(j, j), rep_qh(j, -2))) == factor.bar()
 
 
 class TestMixedMatrices:
@@ -278,7 +277,7 @@ class TestSuites:
         bad_entries = dict(good.entries)
         (key, value), *_ = sorted(bad_entries.items())
         bad_entries[key] = value * V(2)
-        rm._cache[("Lp", 2)] = rm.Operator(good.shape_in, good.shape_out, bad_entries)
+        rm._cache[("Rop", 1, 2)] = rm.Operator(good.shape_in, good.shape_out, bad_entries)
         report = rm.verify_frt((2,))
         assert not report.passed
         assert any(not c.passed and c.residual for c in report.checks)

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import random_colored_braid
 from qlink import rmatrix
-from qlink.braid import BraidWord
+from qlink.braid import BraidWord, parse_colored
 from qlink.invariant import all_half, braid_operator, rt_invariant
 from qlink.laurent import LaurentPoly
 from qlink.tensorop import HALF, Operator, Shape, Spin, full_trace
@@ -68,3 +68,19 @@ def test_corrupted_r_fails_the_check_and_keeps_the_full_column_value(cell, mode)
     for word in (BraidWord(1, ()), BraidWord(2, (1, 1, 1)), BraidWord(3, (1, 2, 1, 1))):
         braid = all_half(word)
         assert rt_invariant(braid) == full_column_value(braid), word
+
+
+def test_corrupted_mixed_color_r_keeps_the_full_column_value():
+    # Positive letters only: a corrupted R(1/2, 1) would fail the R R^-1 = id check of its inverse.
+    braid = parse_colored("n=2; 1 1", colors=(HALF, Spin(2)))
+    clean_value = rt_invariant(braid)
+    clean = rmatrix.r_matrix(HALF, Spin(2))
+    entries = dict(clean.entries)
+    cell = min(entries)
+    entries[cell] = entries[cell] * V(2)
+    rmatrix.clear_cache()
+    rmatrix._cache[("R", 1, 2)] = Operator(clean.shape_in, clean.shape_out, entries)
+    assert rmatrix.intertwines(HALF, Spin(2)) is False
+    value = rt_invariant(braid)
+    assert value == full_column_value(braid)
+    assert value != clean_value

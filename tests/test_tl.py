@@ -151,7 +151,7 @@ class TestClosure:
 
     def test_positive_kink_value(self):
         closed = close_all(word_element(BraidWord(2, (1,))))
-        assert closed == LaurentPoly.monomial(3, -1) * DELTA_X
+        assert closed == LaurentPoly({3: -1}) * DELTA_X
 
     def test_empty_word_bracket(self):
         assert close_all(word_element(BraidWord(1, ()))) == DELTA_X

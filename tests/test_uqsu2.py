@@ -23,7 +23,6 @@ from qlink.uqsu2 import (
     casimir,
     casimir_rep,
     chi,
-    coproduct_rep,
     delta_rep,
     iterated_casimir,
     mu,
@@ -90,16 +89,16 @@ class TestDefiningRelations:
 
 class TestCoproduct:
     def test_weight_coproduct_is_grouplike(self):
-        op = coproduct_rep(qh_symbol(1), HALF, HALF)
+        op = delta_rep(qh_symbol(1), Shape((HALF, HALF)))
         assert op == diagonal(Shape((HALF, HALF)), [Q(1), Q(0), Q(0), Q(-1)])
 
     def test_trivial_leg_factors_through(self):
         j = Spin(3)
-        op = coproduct_rep(E_SYM, Spin(0), j)
+        op = delta_rep(E_SYM, Shape((Spin(0), j)))
         assert op == kron(identity(Shape((Spin(0),))), rep_e(j))
 
     def test_raising_coproduct_entries_on_two_halves(self):
-        op = coproduct_rep(E_SYM, HALF, HALF)
+        op = delta_rep(E_SYM, Shape((HALF, HALF)))
         # The doubly-lowered vector maps up with weights q^(1/2), q^(-1/2).
         assert op.entries == {(1, 3): V(1), (2, 3): V(-1), (0, 1): V(1), (0, 2): V(-1)}
 
