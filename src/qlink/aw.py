@@ -15,8 +15,8 @@ conjugate the (1,2)-block Casimir by a braiding W of the last two legs,
 where Q_12' is built on the *swapped* shape (j1, j3, j2) - the braiding
 genuinely permutes factors, and constructing the middle operator on the
 permuted shape is exactly what the shape-typed operators enforce.  Every
-braiding here is a word of braid letters applied by `rmatrix.act_letters`,
-the same rule the quantum-trace invariant uses.
+braiding here is a word of braid letters made into matrices by
+`rmatrix.letter_matrix`, the same rule the quantum-trace invariant uses.
 
 Partial-trace route (`q_elem_trace`, uncached): every element is the weighted
 trace of an auxiliary spin-1/2 leg out of a product of two-leg mixed matrices,
@@ -49,6 +49,7 @@ from .rmatrix import (
     l_minus_inv,
     l_plus,
     l_plus_inv,
+    letter_matrix,
     m_matrix,
     p_matrix,
     r_matrix,
@@ -110,9 +111,11 @@ def q_elem(index, shape: Shape) -> Operator:
 def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -> Operator:
     """
     W^-1 . iterated_casimir(W's output shape, span) . W with W the braid word
-    `letters` on `shape`; W^-1 is applied in place as the inverted word.
+    `letters` on `shape`, started from its first letter's embedded matrix;
+    W^-1 is applied in place as the inverted word.
     """
-    w = act_letters(letters, identity(shape))
+    i, first = letter_matrix(letters[0], shape.factors)
+    w = act_letters(letters[1:], embed(first, (i, i + 1), shape))
     inverse = tuple(-letter for letter in reversed(letters))
     return act_letters(inverse, compose(iterated_casimir(w.shape_out, span), w))
 

@@ -195,28 +195,15 @@ def _block_crossing_word(width_left: int, width_right: int, base: int) -> list[i
     return word
 
 
-def cable_component(
-    braid: ColoredBraid, comp_index: int, new_colors: tuple[Spin, Spin]
-) -> ColoredBraid:
+def _rewired_letters(braid: ColoredBraid, width: list[int]) -> tuple[int, ...]:
     """
-    Replace every strand of the chosen component with two adjacent parallel
-    strands colored (new_colors[0], new_colors[1]) left to right.  Each letter
-    crossing blocks of widths (a, b) becomes the block crossing word above;
-    for a negative letter the emitted word is the inverse of the positive
-    block word for the swapped widths, so cabling is compatible with the group
-    structure (cabling sigma sigma^-1 cancels letter by letter).
+    The letters of `braid` with strand s replaced by `width[s]` adjacent
+    parallel strands: each letter crossing blocks of widths (a, b) becomes the
+    block crossing word above; for a negative letter the emitted word is the
+    inverse of the positive block word for the swapped widths, so rewiring is
+    compatible with the group structure (sigma sigma^-1 cancels letter by
+    letter).  A crossing with a width-0 block emits nothing.
     """
-    doubled = set(component(braid, comp_index))
-    width = [2 if s in doubled else 1 for s in range(braid.n_strands)]
-
-    new_colors = (new_colors[0], new_colors[1])
-    colors_out: list[Spin] = []
-    for s in range(braid.n_strands):
-        if s in doubled:
-            colors_out.extend(new_colors)
-        else:
-            colors_out.append(braid.colors[s])
-
     occ = list(range(braid.n_strands))
     letters_out: list[int] = []
     for letter in braid.word.letters:
@@ -228,31 +215,35 @@ def cable_component(
         else:
             letters_out.extend(-x for x in reversed(_block_crossing_word(wr, wl, base)))
         occ[i], occ[i + 1] = occ[i + 1], occ[i]
+    return tuple(letters_out)
 
-    n_out = braid.n_strands + len(doubled)
-    return ColoredBraid(BraidWord(n_out, tuple(letters_out)), tuple(colors_out))
+
+def cable_component(
+    braid: ColoredBraid, comp_index: int, new_colors: tuple[Spin, Spin]
+) -> ColoredBraid:
+    """
+    Replace every strand of the chosen component with two adjacent parallel
+    strands colored (new_colors[0], new_colors[1]) left to right.
+    """
+    doubled = set(component(braid, comp_index))
+    width = [2 if s in doubled else 1 for s in range(braid.n_strands)]
+    colors_out: list[Spin] = []
+    for s in range(braid.n_strands):
+        colors_out.extend(new_colors[:2] if s in doubled else (braid.colors[s],))
+    return ColoredBraid(BraidWord(sum(width), _rewired_letters(braid, width)), tuple(colors_out))
 
 
 def delete_component(braid: ColoredBraid, comp_index: int) -> ColoredBraid:
     """
-    Remove all strands of one component.  Crossings involving a removed strand
-    are dropped and the remaining letters are re-indexed; this is exact at the
-    invariant level precisely when the removed component carries spin 0.
+    Remove all strands of one component: rewire it to width 0, so crossings
+    involving a removed strand are dropped and the remaining letters are
+    re-indexed.  This is exact at the invariant level precisely when the
+    removed component carries spin 0.
     """
     dead = set(component(braid, comp_index))
-    occ = list(range(braid.n_strands))
-    letters_out: list[int] = []
-    for letter in braid.word.letters:
-        i = abs(letter) - 1
-        s1, s2 = occ[i], occ[i + 1]
-        if s1 not in dead and s2 not in dead:
-            shift = sum(1 for t in range(i) if occ[t] in dead)
-            letters_out.append((abs(letter) - shift) * (1 if letter > 0 else -1))
-        occ[i], occ[i + 1] = s2, s1
+    width = [0 if s in dead else 1 for s in range(braid.n_strands)]
     colors_out = tuple(braid.colors[s] for s in range(braid.n_strands) if s not in dead)
-    return ColoredBraid(
-        BraidWord(braid.n_strands - len(dead), tuple(letters_out)), colors_out
-    )
+    return ColoredBraid(BraidWord(sum(width), _rewired_letters(braid, width)), colors_out)
 
 
 def recolor_component(

@@ -95,6 +95,8 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        if not self.terms.keys() - {0}:  # a constant equals its int, so hashes like it
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def coefficient(self, exp: int) -> int:
@@ -217,13 +219,13 @@ def finalize(acc: dict[int, int]) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def qint(n: int) -> LaurentPoly:
-    """The q-integer [n] = (q^n - q^-n)/(q - q^-1); [-n] = -[n]."""
+def qint(n: int, shift: int = 0) -> LaurentPoly:
+    """The q-integer [n] = (q^n - q^-n)/(q - q^-1), times v^shift; [-n] = -[n]."""
     if n == 0:
         return _P_ZERO
     if n < 0:
-        return -qint(-n)
-    return LaurentPoly._raw({2 * k: 1 for k in range(-(n - 1), n, 2)})
+        return -qint(-n, shift)
+    return LaurentPoly._raw({shift + 2 * k: 1 for k in range(-(n - 1), n, 2)})
 
 
 def qfact(n: int) -> LaurentPoly:
@@ -233,16 +235,6 @@ def qfact(n: int) -> LaurentPoly:
     out = _P_ONE
     for k in range(2, n + 1):
         out = out * qint(k)
-    return out
-
-
-def qpoch(a: LaurentPoly, base_exp: int, n: int) -> LaurentPoly:
-    """The q-Pochhammer (a; q^base_exp)_n = prod_{k=0}^{n-1} (1 - a*q^(k*base_exp))."""
-    if n < 0:
-        raise ValueError(f"q-Pochhammer undefined for negative n = {n}")
-    out = _P_ONE
-    for k in range(n):
-        out = out * (_P_ONE - a * LaurentPoly.q_power(k * base_exp))
     return out
 
 

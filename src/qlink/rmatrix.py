@@ -33,10 +33,11 @@ Derived operators:
 - the 4x4 projector-like P with middle block [[q^-1, -1], [-1, q]], satisfying
   Rhat = q^(1/2) - q^(-1/2) P on two spin-1/2 legs.
 
-`act_letters` is the one place a braid letter becomes a matrix: letter +i
+`letter_matrix` is the one place a braid letter becomes a matrix: letter +i
 acts on legs i - 1, i by Rhat at their current spins, letter -i by Rhat^-1,
-and the spins travel with the strands.  Closed braids and the Askey-Wilson
-conjugations both apply their braidings through it.
+and the spins travel with the strands.  `act_letters` applies a word through
+it; closed braids and the Askey-Wilson conjugations both take their braidings
+from it.
 
 `intertwines(j1, j2)` reports whether Rhat carries the coproducts of E, F
 and q^H on (j1, j2) to those on (j2, j1); the closure trace reads only the
@@ -153,20 +154,25 @@ def intertwines(j1: Spin, j2: Spin) -> bool:
     return all(defect.is_zero() for _, defect in commutation_defects(braided_r(j1, j2)))
 
 
+def letter_matrix(letter: int, factors: tuple[Spin, ...]) -> tuple[int, Operator]:
+    """
+    (i - 1, the matrix) for the signed braid letter +-i on legs with spins
+    `factors`: braided_r(a, b) for +i and braided_r_inv(b, a) for -i, with
+    (a, b) the spins on legs i - 1, i.
+    """
+    i = abs(letter) - 1
+    if not 0 <= i < len(factors) - 1:
+        raise ShapeError(f"letter {letter} needs legs {i}, {i + 1} of a {len(factors)}-leg shape")
+    a, b = factors[i], factors[i + 1]
+    return i, braided_r(a, b) if letter > 0 else braided_r_inv(b, a)
+
+
 def act_letters(letters: Iterable[int], target: Operator) -> Operator:
-    """
-    Apply signed braid letters bottom-up to the output legs of `target`:
-    letter +i acts on legs i - 1, i by braided_r(a, b) and letter -i by
-    braided_r_inv(b, a), with (a, b) the spins on those legs at that moment.
-    """
+    """Apply signed braid letters bottom-up to the output legs of `target`, each by `letter_matrix`."""
     op = target
     for letter in letters:
-        i = abs(letter) - 1
-        factors = op.shape_out.factors
-        if not 0 <= i < len(factors) - 1:
-            raise ShapeError(f"letter {letter} needs legs {i}, {i + 1} of a {len(factors)}-leg shape")
-        a, b = factors[i], factors[i + 1]
-        op = act_adjacent(braided_r(a, b) if letter > 0 else braided_r_inv(b, a), i, op)
+        i, matrix = letter_matrix(letter, op.shape_out.factors)
+        op = act_adjacent(matrix, i, op)
     return op
 
 

@@ -18,21 +18,20 @@ acts on spin j as the scalar chi_j = q^(2j+1) + q^(-2j-1).  The coproduct is
 
     D(E) = E (x) q^-H + q^H (x) E,   D(F) likewise,   D(q^H) = q^H (x) q^H,
 
-iterated coproducts of generators are built by folding D from the left;
-coassociativity (making the folding direction irrelevant) is checked in the
-test suite.  The iterated-coproduct Casimir is written entry by entry from the
-closed form of D(F) D(E), never multiplied out.
+so on n legs D(E) = sum_i q^H..q^H E_i q^-H..q^-H.  One walk over the basis
+columns (`_moves`) writes D(E), D(F), D(q^(kH)) and the iterated-coproduct
+Casimir entry by entry; nothing is multiplied out.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import product
 from typing import Sequence
 
 from .laurent import LaurentPoly, finalize, qint
-from .tensorop import Operator, Shape, ShapeError, Spin, embed, kron
+from .tensorop import Operator, Shape, ShapeError, Spin, embed
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -92,14 +91,6 @@ def rep_qh(j: Spin, k: int) -> Operator:
     return Operator(shape, shape, entries)
 
 
-def rep(sym: GeneratorSymbol, j: Spin) -> Operator:
-    if sym.kind == "E":
-        return rep_e(j)
-    if sym.kind == "F":
-        return rep_f(j)
-    return rep_qh(j, sym.power)
-
-
 def mu(j: Spin) -> Operator:
     """The weight element q^(2H) on the spin-j space."""
     return rep_qh(j, 2)
@@ -126,25 +117,43 @@ def casimir(j: Spin) -> Operator:
 # ---------------------------------------------------------------------------
 
 
+def _moves(shape: Shape) -> list[tuple[int, list, list]]:
+    """
+    (T, raises, lowers) for every basis column, in index order: T its total
+    twice-weight, and a move (row, n, power) per leg i that E_i (in raises) or
+    F_i (in lowers) does not kill, sending the column to `row` times [n] v^power.
+    With digit x_l and twice-weight t_l = 2j_l - 2x_l on leg l, E_i has
+    n = x_i, F_i has n = 2j_i - x_i, and the K^(+-1) on the other legs give
+    power = sum_{l<i} t_l - sum_{l>i} t_l.
+    """
+    tjs, strides = shape.twice_list(), shape.strides()
+    walk = []
+    for col, digits in enumerate(product(*(range(tj + 1) for tj in tjs))):
+        t = [tj - 2 * x for tj, x in zip(tjs, digits)]
+        total, below = sum(t), 0
+        raises, lowers = [], []
+        for i, (tj, x, ti) in enumerate(zip(tjs, digits, t)):
+            power = below - (total - below - ti)
+            if x:
+                raises.append((col - strides[i], x, power))
+            if x < tj:
+                lowers.append((col + strides[i], tj - x, power))
+            below += ti
+        walk.append((total, raises, lowers))
+    return walk
+
+
 def delta_rep(sym: GeneratorSymbol, shape: Shape) -> Operator:
-    """
-    The (len(shape) - 1)-fold iterated coproduct of one generator, represented
-    on the whole of `shape`.  Folded from the left: the head of the shape is
-    treated as one leg and the last factor as the other.
-    """
-    n = len(shape)
-    if n == 0:
+    """The (len(shape) - 1)-fold iterated coproduct of one generator, represented on the whole of `shape`."""
+    if not len(shape):
         raise ShapeError("cannot represent a generator on an empty shape")
-    if n == 1:
-        return rep(sym, shape[0])
-    head = Shape(shape.factors[:-1])
-    last = shape[-1]
+    walk = _moves(shape)
     if sym.kind == "QH":
-        return kron(delta_rep(sym, head), rep_qh(last, sym.power))
-    partner = rep_e(last) if sym.kind == "E" else rep_f(last)
-    return kron(delta_rep(sym, head), rep_qh(last, -1)) + kron(
-        delta_rep(GeneratorSymbol("QH", 1), head), partner
-    )
+        entries = {(col, col): V(sym.power * total) for col, (total, _, _) in enumerate(walk)}
+    else:
+        side = 1 if sym.kind == "E" else 2
+        entries = {(row, col): qint(n, power) for col, moves in enumerate(walk) for row, n, power in moves[side]}
+    return Operator(shape, shape, entries)
 
 
 def commutation_defects(op: Operator) -> list[tuple[str, Operator]]:
@@ -176,30 +185,17 @@ def _add_casimir_term(cell: Counter, a: int, b: int, power: int) -> None:
 
 def _casimir_entries(shape: Shape) -> Operator:
     """
-    casimir_rep(shape) entry by entry.  A basis column has digit x_l and
-    twice-weight t_l = 2j_l - 2x_l on leg l, and T = sum t_l.  With K = q^H,
-    D(E) = sum_i K..K E_i K^-1..K^-1 and likewise D(F), so F_i E_j moves one
-    weight step from leg j to leg i with coefficient (q - q^-1)^2 [x_j][2j_i - x_i]:
-    - i = j, on the diagonal: [x_i][2j_i - x_i + 1] v^(2 sum_{l<i} t_l - 2 sum_{l>i} t_l),
-      plus q K^2 + q^-1 K^-2 = v^(2T+2) + v^(-2T-2);
-    - i != j: v^(2 sum_{l<min} t_l - 2 sum_{l>max} t_l) from the outer K^2 and K^-2,
-      times v^(t_i - t_j - 2) from K^(+-1) on legs i and j, inverted when i > j.
+    casimir_rep(shape) entry by entry: (q - q^-1)^2 D(F) D(E) as each E-move
+    out of a column, then each F-move out of the column it reaches, plus
+    q K^2 + q^-1 K^-2 = v^(2T+2) + v^(-2T-2) on the diagonal.
     """
-    tjs, strides = shape.twice_list(), shape.strides()
+    walk = _moves(shape)
     cells: defaultdict[tuple[int, int], Counter] = defaultdict(Counter)
-    for col in range(shape.dim):
-        x = shape.unravel(col)
-        t = [tj - 2 * xl for tj, xl in zip(tjs, x)]
-        below = [0, *accumulate(t)]  # below[k] = sum of t_l over l < k
-        total = below[-1]
-        cells[(col, col)].update((2 * total + 2, -2 * total - 2))  # q K^2 + q^-1 K^-2
-        for i, tj in enumerate(tjs):
-            _add_casimir_term(cells[(col, col)], x[i], tj - x[i] + 1, 2 * below[i] - 2 * (total - below[i + 1]))
-            for j, xj in enumerate(x):
-                if j != i and xj and x[i] < tj:
-                    lo, hi = min(i, j), max(i, j)
-                    power = 2 * below[lo] - 2 * (total - below[hi + 1]) + (1 if i < j else -1) * (t[i] - t[j] - 2)
-                    _add_casimir_term(cells[(col + strides[i] - strides[j], col)], xj, tj - x[i], power)
+    for col, (total, raises, _) in enumerate(walk):
+        cells[(col, col)].update((2 * total + 2, -2 * total - 2))
+        for mid, n_e, p_e in raises:
+            for row, n_f, p_f in walk[mid][2]:
+                _add_casimir_term(cells[(row, col)], n_e, n_f, p_e + p_f)
     return Operator(shape, shape, {rc: finalize(cell) for rc, cell in cells.items()})
 
 

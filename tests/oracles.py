@@ -12,9 +12,11 @@ expansion of R term by term instead of writing its closed-form entries, and
 the closure oracle closes one strand at a time with `close_first` instead of
 counting closure loops in one walk, the trace-route products are the
 paper's written products listed by hand instead of read from the index, the
-coproduct Casimir is folded out of the represented coproducts of E, F and
-q^(2H) instead of written entry by entry, and the traced product is formed on
-the whole auxiliary shape and traced there instead of contracted leg by leg.
+iterated coproducts of E, F and q^(kH) are folded out of tensor products of
+the one-leg generators instead of read from the per-column walk, the
+coproduct Casimir is multiplied out of those folds instead of written entry
+by entry, and the traced product is formed on the whole auxiliary shape and
+traced there instead of contracted leg by leg.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from qlink.laurent import LaurentPoly, div_exact, qfact, qint
 from qlink.rmatrix import l_minus, l_minus_inv, l_plus, l_plus_inv, m_matrix
 from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, kron, partial_trace_first
 from qlink.tl import TLElement, close_first
-from qlink.uqsu2 import E_SYM, F_SYM, delta_rep, qh_symbol, rep_e, rep_f, rep_qh
+from qlink.uqsu2 import E_SYM, F_SYM, GeneratorSymbol, qh_symbol, rep_e, rep_f, rep_qh
 
 
 class _UnionFind:
@@ -176,6 +178,29 @@ TRACE_PRODUCTS = {
 }
 
 
+def _one_leg(sym: GeneratorSymbol, j: Spin) -> Operator:
+    if sym.kind == "E":
+        return rep_e(j)
+    if sym.kind == "F":
+        return rep_f(j)
+    return rep_qh(j, sym.power)
+
+
+def coproduct_fold(sym: GeneratorSymbol, shape: Shape) -> Operator:
+    """
+    The iterated coproduct of one generator on `shape`, folded from the left
+    out of krons: D(g) on head + (last,) is D(g)|head (x) q^-H + D(q^H)|head (x) g
+    for g = E, F, and D(q^(kH))|head (x) q^(kH).
+    """
+    if len(shape) == 1:
+        return _one_leg(sym, shape[0])
+    head, last = Shape(shape.factors[:-1]), shape[-1]
+    if sym.kind == "QH":
+        return kron(coproduct_fold(sym, head), rep_qh(last, sym.power))
+    tail = kron(coproduct_fold(qh_symbol(1), head), _one_leg(sym, last))
+    return kron(coproduct_fold(sym, head), rep_qh(last, -1)) + tail
+
+
 def casimir_fold(shape: Shape, span) -> Operator:
     """
     The Casimir of the contiguous legs `span`, as
@@ -185,8 +210,9 @@ def casimir_fold(shape: Shape, span) -> Operator:
     span = tuple(span)
     sub = Shape(shape.factors[span[0] : span[-1] + 1])
     q = LaurentPoly.q_power
-    fe = compose(delta_rep(F_SYM, sub), delta_rep(E_SYM, sub))
-    block = fe * (q(1) - q(-1)) ** 2 + delta_rep(qh_symbol(2), sub) * q(1) + delta_rep(qh_symbol(-2), sub) * q(-1)
+    fe = compose(coproduct_fold(F_SYM, sub), coproduct_fold(E_SYM, sub))
+    weights = coproduct_fold(qh_symbol(2), sub) * q(1) + coproduct_fold(qh_symbol(-2), sub) * q(-1)
+    block = fe * (q(1) - q(-1)) ** 2 + weights
     return embed(block, span, shape)
 
 

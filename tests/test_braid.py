@@ -230,6 +230,35 @@ class TestDeletion:
         reduced = delete_component(braid, 0)
         assert reduced == colored(2, (1, 1), 1, 1)
 
+    def test_survivors_keep_colors_permutation_and_writhe(self):
+        rng = random.Random(14)
+        from oracles import random_colored_braid
+
+        for _ in range(300):
+            braid = random_colored_braid(rng, rng.randint(1, 6), rng.randint(0, 12), 4)
+            comps = components(braid)
+            ci = rng.randrange(len(comps))
+            reduced = delete_component(braid, ci)
+            survivors = [s for s in range(braid.n_strands) if s not in comps[ci]]
+            new = {s: k for k, s in enumerate(survivors)}
+            assert reduced.colors == tuple(braid.colors[s] for s in survivors)
+            perm, perm_new = underlying_permutation(braid.word), underlying_permutation(reduced.word)
+            assert [perm_new[new[s]] for s in survivors] == [new[perm[s]] for s in survivors]
+            # Old component index -> new one, through the component's first strand.
+            comps_new = components(reduced)
+            renumber = {
+                c: next(k for k, cn in enumerate(comps_new) if new[comp[0]] in cn)
+                for c, comp in enumerate(comps)
+                if c != ci
+            }
+            before, after = writhe(braid), writhe(reduced)
+            for c, cn in renumber.items():
+                assert after.per_component_self[cn] == before.per_component_self[c]
+                for d, dn in renumber.items():
+                    if c < d:
+                        key = (min(cn, dn), max(cn, dn))
+                        assert after.linking.get(key, 0) == before.linking.get((c, d), 0)
+
     def test_recolor(self):
         braid = colored(2, (1, 1), 2, 1)
         assert recolor_component(braid, 0, Spin(4)).colors == (Spin(4), H)

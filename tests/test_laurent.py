@@ -11,7 +11,6 @@ from qlink.laurent import (
     poly_to_json,
     qfact,
     qint,
-    qpoch,
     subst_x_iv,
 )
 
@@ -25,6 +24,13 @@ class TestCoefficients:
         assert LaurentPoly.const(3) == 3
         assert LaurentPoly({0: 2, 1: 0}) * 2 == 4
         assert LaurentPoly.zero() == 0
+
+    def test_hash_agrees_with_int_equality(self):
+        for c in (0, 1, -7, 5, 1 << 70):
+            assert hash(LaurentPoly.const(c)) == hash(c)
+        assert len({LaurentPoly.zero(), 0}) == 1
+        assert len({LaurentPoly.const(5), 5, V(0) * 5}) == 1
+        assert len({V(1), V(-1), V(0), 1}) == 3
 
     def test_non_int_coefficient_rejected(self):
         with pytest.raises(TypeError):
@@ -86,10 +92,13 @@ class TestQCombinatorics:
         assert qint(1) == LaurentPoly.one()
         assert qint(2) == V(2) + V(-2)
         assert qint(4) == V(6) + V(2) + V(-2) + V(-6)
+        assert qint(3, -5) == qint(3) * V(-5)
 
     def test_qint_negative_and_zero(self):
         assert qint(0).is_zero()
         assert qint(-3) == -qint(3)
+        assert qint(-2, 1) == -qint(2) * V(1)
+        assert qint(0, 4).is_zero()
 
     def test_qfact(self):
         assert qfact(0) == LaurentPoly.one()
@@ -98,12 +107,6 @@ class TestQCombinatorics:
         assert qfact(3) == LaurentPoly({6: 1, 2: 2, -2: 2, -6: 1})
         with pytest.raises(ValueError):
             qfact(-1)
-
-    def test_qpoch(self):
-        assert qpoch(Q(1), 2, 0) == LaurentPoly.one()
-        assert qpoch(Q(2), 2, 1) == LaurentPoly.one() - V(4)
-        # Second factor is 1 - q^-2 q^2 = 0.
-        assert qpoch(Q(-2), 2, 2).is_zero()
 
     def test_fusion_rule_for_loop_dimensions(self):
         for ta in range(11):
@@ -166,6 +169,14 @@ class TestDivision:
             div_exact(qint(2), LaurentPoly.zero())
 
 
+def _qpoch(a: LaurentPoly, k: int) -> LaurentPoly:
+    """The q-Pochhammer (a; q^2)_k = prod_{i<k} (1 - a q^(2i))."""
+    out = LaurentPoly.one()
+    for i in range(k):
+        out = out * (LaurentPoly.one() - a * Q(2 * i))
+    return out
+
+
 class TestTruncatedSeries:
     def test_terminating_series_sums_to_weight_power(self):
         # The diagonal entries of the weighted first-leg trace of a braiding
@@ -178,8 +189,8 @@ class TestTruncatedSeries:
                 b = Q(tj + tm + 2)  # q^(2(j+m+1))
                 total = LaurentPoly.zero()
                 for k in range(n + 1):
-                    numer = qpoch(Q(-2 * n), 2, k) * qpoch(b, 2, k) * Q(2 * k)
-                    total = total + div_exact(numer, qpoch(Q(2), 2, k))
+                    numer = _qpoch(Q(-2 * n), k) * _qpoch(b, k) * Q(2 * k)
+                    total = total + div_exact(numer, _qpoch(Q(2), k))
                 expected = V(tj * (tj + 2) - tm * (tm + 2))
                 assert total == expected, (tj, tm)
 

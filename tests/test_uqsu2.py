@@ -26,14 +26,13 @@ from qlink.uqsu2 import (
     delta_rep,
     iterated_casimir,
     mu,
-    rep,
     rep_e,
     rep_f,
     rep_qh,
     qh_symbol,
 )
 
-from oracles import casimir_fold
+from oracles import casimir_fold, coproduct_fold
 
 V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
@@ -123,16 +122,28 @@ class TestCoproduct:
     @pytest.mark.parametrize("triple", [(1, 1, 1), (1, 2, 1), (2, 1, 2)])
     def test_coassociativity(self, sym, triple):
         shape = Shape.of(*triple)
-        left_fold = delta_rep(sym, shape)
-        head, tail = shape[0], Shape(shape.factors[1:])
+        whole = delta_rep(sym, shape)
+        head, tail = Shape(shape.factors[:1]), Shape(shape.factors[1:])
         if sym.kind == "QH":
-            right_fold = kron(rep(sym, head), delta_rep(sym, tail))
+            right_fold = kron(delta_rep(sym, head), delta_rep(sym, tail))
         else:
-            partner = rep_e(head) if sym.kind == "E" else rep_f(head)
-            right_fold = kron(rep(sym, head), delta_rep(qh_symbol(-1), tail)) + kron(
-                rep_qh(head, 1), delta_rep(sym, tail)
+            right_fold = kron(delta_rep(sym, head), delta_rep(qh_symbol(-1), tail)) + kron(
+                delta_rep(qh_symbol(1), head), delta_rep(sym, tail)
             )
-        assert left_fold == right_fold
+        assert whole == right_fold
+
+    def test_equals_the_kron_fold(self):
+        # Every shape with 1-3 legs and 2j <= 3 on each leg, and two 4-leg shapes.
+        shapes = [Shape.of(*tjs) for legs in (1, 2, 3) for tjs in itertools.product(range(4), repeat=legs)]
+        shapes += [Shape.of(1, 2, 1, 3), Shape.of(2, 0, 3, 1)]
+        for shape in shapes:
+            for sym in (E_SYM, F_SYM, *(qh_symbol(k) for k in (-2, -1, 1, 2))):
+                assert delta_rep(sym, shape) == coproduct_fold(sym, shape), (sym, shape)
+
+    def test_empty_shape_rejected(self):
+        for sym in (E_SYM, F_SYM, qh_symbol(1)):
+            with pytest.raises(ShapeError):
+                delta_rep(sym, Shape(()))
 
 
 class TestIteratedCasimir:
