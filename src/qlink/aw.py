@@ -30,7 +30,11 @@ one-leg "3", whose agreement the tests check.
 
 The central elements in the quartic relation are instantiated as their full
 matrices, not scalar eigenvalues: the three-leg Casimir is generically not
-scalar, and the relations hold at operator level.
+scalar, and the relations hold at operator level.  Each relation residual,
+each expansion check and each leg's sum of auxiliary products is one
+`tensorop.combine` over scaled products: every entry of the sum is
+accumulated in place and finalized once, with no intermediate operator per
+product, scaling or difference.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .tensorop import (
     Operator,
     Shape,
     Spin,
+    combine,
     compose,
     embed,
     identity,
@@ -166,11 +171,6 @@ def _aux_blocks(op: Operator) -> dict[tuple[int, int], Operator]:
     return {bb: Operator(leg, leg, entries) for bb, entries in cells.items()}
 
 
-def _add_into(acc: dict, key, op: Operator) -> None:
-    """acc[key] += op, the sum starting at op."""
-    acc[key] = acc[key] + op if key in acc else op
-
-
 def _traced(name: str, shape: Shape) -> Operator:
     """
     Weighted trace of the auxiliary spin-1/2 leg out of the index's product,
@@ -185,16 +185,16 @@ def _traced(name: str, shape: Shape) -> Operator:
     w = {(c, b): Operator(EMPTY_SHAPE, EMPTY_SHAPE, {(0, 0): p}) for (b, c), p in m_matrix().entries.items()}
     for k, ((build_up, leg), (build_down, _)) in enumerate(zip(formula[:top], reversed(formula[top:])), 1):
         up, down = _aux_blocks(build_up(shape[leg - 1])), _aux_blocks(build_down(shape[leg - 1]))
-        steps: dict = {}  # (b, c, the cell of w' it feeds) -> sum of up[b, b'] . down[c', c]
+        steps: dict = {}  # (b, c, the cell of w' it feeds) -> the products up[b, b'] . down[c', c]
         for (b, b2), u in up.items():
             for (c2, c), dn in down.items():
-                if k < top or b2 == c2:  # at the top, b' = c' closes the strand into one cell
-                    _add_into(steps, (b, c, (b2, c2) if k < top else "closed"), compose(u, dn))
-        nxt: dict = {}
-        for (b, c, cell), x in steps.items():
-            if (b, c) in w:
-                _add_into(nxt, cell, kron(w[(b, c)], x))
-        w = nxt
+                if (b, c) in w and (k < top or b2 == c2):  # at the top, b' = c' closes the strand into one cell
+                    steps.setdefault((b, c, (b2, c2) if k < top else "closed"), []).append((1, u, dn))
+        leg_shape = Shape((shape[leg - 1],))
+        cells: dict = {}  # the cell of w' -> its kron terms
+        for (b, c, cell), products in steps.items():
+            cells.setdefault(cell, []).append(kron(w[(b, c)], combine(leg_shape, leg_shape, products)))
+        w = {cell: sum(krons[1:], krons[0]) for cell, krons in cells.items()}
     return embed(w["closed"], range(top), shape)
 
 
@@ -228,42 +228,50 @@ def aw_residuals(q: dict[str, Operator], dim_identity: Operator) -> dict[str, Op
     """
     Residual operators of the four defining relations for a given assignment
     of generators (exposed so corrupted assignments can serve as negative
-    controls).  The q-commutator is [X, Y]_q = q X Y - q^-1 Y X.
+    controls).  With the q-commutator [X, Y]_q = q X Y - q^-1 Y X they are
+
+        AW1 = [Q12, Q23]_q + (q^2 - q^-2) Q13 - (q - q^-1) s1,
+        s1 = Q1 Q3 + Q2 Q123, and cyclically AW2 (Q23, Q13, Q12; s2 =
+        Q1 Q2 + Q3 Q123) and AW3 (Q13, Q12, Q23; s3 = Q2 Q3 + Q1 Q123);
+
+        AW4 = q Q12 Q23 Q13 + q^2 Q12^2 + q^-2 Q23^2 + q^2 Q13^2
+              - q Q12 s2 - q^-1 Q23 s3 - q Q13 s1
+              - (q + q^-1)^2 + Q123^2 + Q1^2 + Q2^2 + Q3^2 + Q1 Q2 Q3 Q123,
+
+    each summed in one pass by `combine`.
     """
     qq, qi = Q(1), Q(-1)
-    q2, qi2 = Q(2), Q(-2)
-    one = dim_identity
+    shape = dim_identity.shape_in
+    q1, q2, q3, q12, q23, q13, q123 = (q[name] for name in ("1", "2", "3", "12", "23", "13", "123"))
 
-    def qcomm(x: Operator, y: Operator) -> Operator:
-        return compose(x, y) * qq - compose(y, x) * qi
+    def total(*terms) -> Operator:
+        return combine(shape, shape, terms)
 
-    s1 = compose(q["1"], q["3"]) + compose(q["2"], q["123"])
-    s2 = compose(q["1"], q["2"]) + compose(q["3"], q["123"])
-    s3 = compose(q["2"], q["3"]) + compose(q["1"], q["123"])
-    coeff = qq - qi
+    q12_q23, q1_q2, q3_q123 = compose(q12, q23), compose(q1, q2), compose(q3, q123)
+    s1 = total((1, q1, q3), (1, q2, q123))
+    s2 = total((1, q1_q2), (1, q3_q123))
+    s3 = total((1, q2, q3), (1, q1, q123))
+    two, coeff = Q(2) - Q(-2), qi - qq  # q^2 - q^-2 and -(q - q^-1)
     res = {
-        "AW1": qcomm(q["12"], q["23"]) + q["13"] * (q2 - qi2) - s1 * coeff,
-        "AW2": qcomm(q["23"], q["13"]) + q["12"] * (q2 - qi2) - s2 * coeff,
-        "AW3": qcomm(q["13"], q["12"]) + q["23"] * (q2 - qi2) - s3 * coeff,
+        "AW1": total((qq, q12_q23), (-qi, q23, q12), (two, q13), (coeff, s1)),
+        "AW2": total((qq, q23, q13), (-qi, q13, q23), (two, q12), (coeff, s2)),
+        "AW3": total((qq, q13, q12), (-qi, q12, q13), (two, q23), (coeff, s3)),
     }
-    lhs4 = (
-        compose(compose(q["12"], q["23"]), q["13"]) * qq
-        + compose(q["12"], q["12"]) * q2
-        + compose(q["23"], q["23"]) * qi2
-        + compose(q["13"], q["13"]) * q2
-        - compose(q["12"], s2) * qq
-        - compose(q["23"], s3) * qi
-        - compose(q["13"], s1) * qq
+    res["AW4"] = total(
+        (qq, q12_q23, q13),
+        (Q(2), q12, q12),
+        (Q(-2), q23, q23),
+        (Q(2), q13, q13),
+        (-qq, q12, s2),
+        (-qi, q23, s3),
+        (-qq, q13, s1),
+        (-((qq + qi) * (qq + qi)), dim_identity),
+        (1, q123, q123),
+        (1, q1, q1),
+        (1, q2, q2),
+        (1, q3, q3),
+        (1, q1_q2, q3_q123),
     )
-    rhs4 = (
-        one * ((qq + qi) * (qq + qi))
-        - compose(q["123"], q["123"])
-        - compose(q["1"], q["1"])
-        - compose(q["2"], q["2"])
-        - compose(q["3"], q["3"])
-        - compose(compose(q["1"], q["2"]), compose(q["3"], q["123"]))
-    )
-    res["AW4"] = lhs4 - rhs4
     return res
 
 
@@ -284,15 +292,14 @@ def verify_expansion(shape: Shape) -> Report:
     """
     report = Report(f"expansion {shape}")
     q = {name: q_elem(name, shape) for name in AW_INDICES}
-    common = compose(q["2"], q["123"]) + compose(q["1"], q["3"])
-    report.add(
-        "Q12 Q23 = Q2 Q123 - q Q13 - q^-1 Q~13 + Q1 Q3",
-        compose(q["12"], q["23"]) - (common - q["13"] * Q(1) - q["13~"] * Q(-1)),
-    )
-    report.add(
-        "Q23 Q12 = Q2 Q123 - q^-1 Q13 - q Q~13 + Q1 Q3",
-        compose(q["23"], q["12"]) - (common - q["13"] * Q(-1) - q["13~"] * Q(1)),
-    )
+
+    def residual(x: str, y: str, k: int) -> Operator:
+        """Q_x Q_y - (Q2 Q123 - q^k Q13 - q^-k Q~13 + Q1 Q3)."""
+        terms = ((1, q[x], q[y]), (-1, q["2"], q["123"]), (-1, q["1"], q["3"]), (Q(k), q["13"]), (Q(-k), q["13~"]))
+        return combine(shape, shape, terms)
+
+    report.add("Q12 Q23 = Q2 Q123 - q Q13 - q^-1 Q~13 + Q1 Q3", residual("12", "23", 1))
+    report.add("Q23 Q12 = Q2 Q123 - q^-1 Q13 - q Q~13 + Q1 Q3", residual("23", "12", -1))
     return report
 
 

@@ -124,10 +124,17 @@ class LaurentPoly:
     def __sub__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.const(other)
-        return self + (-other)
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = out.get(exp, 0) - c
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+        return LaurentPoly._raw(out)
 
     def __rsub__(self, other: int) -> LaurentPoly:
-        return LaurentPoly.const(other) + (-self)
+        return LaurentPoly.const(other) - self
 
     def __mul__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
         if isinstance(other, int):

@@ -242,11 +242,18 @@ class Operator:
                     del out[rc]
         return Operator._raw(self.shape_in, self.shape_out, out)
 
-    def __neg__(self) -> Operator:
-        return Operator._raw(self.shape_in, self.shape_out, {rc: -p for rc, p in self.entries.items()})
-
     def __sub__(self, other: Operator) -> Operator:
-        return self + (-other)
+        self._check_same_shapes(other)
+        out = dict(self.entries)
+        for rc, p in other.entries.items():
+            prev = out.get(rc)
+            if prev is None:
+                out[rc] = -p
+            elif prev.terms == p.terms:
+                del out[rc]
+            else:
+                out[rc] = prev - p
+        return Operator._raw(self.shape_in, self.shape_out, out)
 
     def __mul__(self, scalar: Union[LaurentPoly, int]) -> Operator:
         if isinstance(scalar, int):
@@ -329,24 +336,52 @@ def _finalize_cells(acc: dict[tuple[int, int], dict[int, int]]) -> dict[tuple[in
 
 
 def compose(a: Operator, b: Operator) -> Operator:
-    """Matrix product a @ b (b applied first to vectors)."""
-    if a.shape_in != b.shape_out:
-        raise ShapeError(f"cannot compose: left expects {a.shape_in}, right produces {b.shape_out}")
-    rows_b: dict[int, list[tuple[int, LaurentPoly]]] = {}
-    for (r, c), p in b.entries.items():
-        rows_b.setdefault(r, []).append((c, p))
+    """Matrix product a @ b (b applied first to vectors): the one-term `combine`."""
+    return combine(b.shape_in, a.shape_out, ((1, a, b),))
+
+
+def combine(shape_in: Shape, shape_out: Shape, terms: Iterable[tuple]) -> Operator:
+    """
+    The sum over `terms` of scalar * a or scalar * (a @ b), each term being
+    (scalar, a) or (scalar, a, b) with an int or LaurentPoly scalar and every
+    term mapping shape_in to shape_out.  Each output cell keeps one
+    {exponent: coefficient} accumulator, finalized once at the end, and each
+    scalar is folded into a's entries once per term.
+    """
     acc: dict[tuple[int, int], dict[int, int]] = {}
-    for (r, k), pa in a.entries.items():
-        row = rows_b.get(k)
-        if not row:
+    for scalar, a, *rest in terms:
+        b = rest[0] if rest else None
+        if b is None:
+            term_in = a.shape_in
+        else:
+            if a.shape_in != b.shape_out:
+                raise ShapeError(f"cannot compose: left expects {a.shape_in}, right produces {b.shape_out}")
+            term_in = b.shape_in
+        if term_in != shape_in or a.shape_out != shape_out:
+            raise ShapeError(f"term maps {term_in}->{a.shape_out}, the sum {shape_in}->{shape_out}")
+        if not scalar:
             continue
-        for c, pb in row:
-            cell = acc.get((r, c))
-            if cell is None:
-                cell = {}
-                acc[(r, c)] = cell
-            accumulate_product(cell, pa, pb)
-    return Operator._raw(b.shape_in, a.shape_out, _finalize_cells(acc))
+        entries = a.entries.items() if scalar == 1 else [(rc, p * scalar) for rc, p in a.entries.items()]
+        if b is None:
+            for rc, p in entries:
+                cell = acc.get(rc)
+                if cell is None:
+                    acc[rc] = dict(p.terms)
+                else:
+                    for e, c in p.terms.items():
+                        cell[e] = cell.get(e, 0) + c
+            continue
+        rows_b: dict[int, list[tuple[int, LaurentPoly]]] = {}
+        for (r, c), p in b.entries.items():
+            rows_b.setdefault(r, []).append((c, p))
+        for (r, k), pa in entries:
+            for c, pb in rows_b.get(k, ()):
+                cell = acc.get((r, c))
+                if cell is None:
+                    cell = {}
+                    acc[(r, c)] = cell
+                accumulate_product(cell, pa, pb)
+    return Operator._raw(shape_in, shape_out, _finalize_cells(acc))
 
 
 def permute(shape: Shape, perm: Sequence[int]) -> Operator:

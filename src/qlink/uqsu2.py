@@ -31,7 +31,7 @@ from itertools import product
 from typing import Sequence
 
 from .laurent import LaurentPoly, finalize, qint
-from .tensorop import Operator, Shape, ShapeError, Spin, embed
+from .tensorop import Operator, Shape, ShapeError, Spin, combine, embed
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -167,7 +167,7 @@ def commutation_defects(op: Operator) -> list[tuple[str, Operator]]:
     for sym in (E_SYM, F_SYM, qh_symbol(1)):
         right = delta_rep(sym, op.shape_in)
         left = right if op.shape_out == op.shape_in else delta_rep(sym, op.shape_out)
-        defects.append((sym.kind, op @ right - left @ op))
+        defects.append((sym.kind, combine(op.shape_in, op.shape_out, ((1, op, right), (-1, left, op)))))
     return defects
 
 

@@ -15,8 +15,11 @@ paper's written products listed by hand instead of read from the index, the
 iterated coproducts of E, F and q^(kH) are folded out of tensor products of
 the one-leg generators instead of read from the per-column walk, the
 coproduct Casimir is multiplied out of those folds instead of written entry
-by entry, and the traced product is formed on the whole auxiliary shape and
-traced there instead of contracted leg by leg.
+by entry, the traced product is formed on the whole auxiliary shape and
+traced there instead of contracted leg by leg, the Askey-Wilson residuals
+are summed one operator at a time with +, - and scalar * instead of in one
+fused pass, and an operator product is summed over the shared index row by
+column instead of accumulated per output cell.
 """
 
 from __future__ import annotations
@@ -137,6 +140,61 @@ def entrywise_full_trace(op, weights) -> LaurentPoly:
         else:
             total = total + contrib
     return total
+
+
+def entrywise_product(a: Operator, b: Operator) -> Operator:
+    """a @ b with every entry summed as sum over k of a[r, k] * b[k, c]."""
+    assert a.shape_in == b.shape_out
+    entries = {}
+    for r in range(a.shape_out.dim):
+        for c in range(b.shape_in.dim):
+            total = LaurentPoly.zero()
+            for k in range(a.shape_in.dim):
+                total = total + a.entry(r, k) * b.entry(k, c)
+            entries[(r, c)] = total
+    return Operator(b.shape_in, a.shape_out, entries)
+
+
+def aw_residuals_by_products(q, one) -> dict:
+    """
+    The four Askey-Wilson residuals for an assignment of generators, built
+    one operator at a time; the q-commutator is [X, Y]_q = q X Y - q^-1 Y X.
+    """
+    Q = LaurentPoly.q_power
+    qq, qi = Q(1), Q(-1)
+    q2, qi2 = Q(2), Q(-2)
+
+    def qcomm(x: Operator, y: Operator) -> Operator:
+        return compose(x, y) * qq - compose(y, x) * qi
+
+    s1 = compose(q["1"], q["3"]) + compose(q["2"], q["123"])
+    s2 = compose(q["1"], q["2"]) + compose(q["3"], q["123"])
+    s3 = compose(q["2"], q["3"]) + compose(q["1"], q["123"])
+    coeff = qq - qi
+    res = {
+        "AW1": qcomm(q["12"], q["23"]) + q["13"] * (q2 - qi2) - s1 * coeff,
+        "AW2": qcomm(q["23"], q["13"]) + q["12"] * (q2 - qi2) - s2 * coeff,
+        "AW3": qcomm(q["13"], q["12"]) + q["23"] * (q2 - qi2) - s3 * coeff,
+    }
+    lhs4 = (
+        compose(compose(q["12"], q["23"]), q["13"]) * qq
+        + compose(q["12"], q["12"]) * q2
+        + compose(q["23"], q["23"]) * qi2
+        + compose(q["13"], q["13"]) * q2
+        - compose(q["12"], s2) * qq
+        - compose(q["23"], s3) * qi
+        - compose(q["13"], s1) * qq
+    )
+    rhs4 = (
+        one * ((qq + qi) * (qq + qi))
+        - compose(q["123"], q["123"])
+        - compose(q["1"], q["1"])
+        - compose(q["2"], q["2"])
+        - compose(q["3"], q["3"])
+        - compose(compose(q["1"], q["2"]), compose(q["3"], q["123"]))
+    )
+    res["AW4"] = lhs4 - rhs4
+    return res
 
 
 def r_matrix_expansion(j1, j2) -> Operator:

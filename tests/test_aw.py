@@ -8,6 +8,7 @@ from qlink.laurent import LaurentPoly
 from qlink.rmatrix import braided_r, braided_r_inv
 from qlink.tensorop import (
     HALF,
+    Operator,
     Shape,
     Spin,
     as_scalar,
@@ -17,7 +18,7 @@ from qlink.tensorop import (
 )
 from qlink.uqsu2 import casimir, chi
 
-from oracles import TRACE_PRODUCTS, aux_shape_trace
+from oracles import TRACE_PRODUCTS, aux_shape_trace, aw_residuals_by_products
 
 Q = LaurentPoly.q_power
 
@@ -122,6 +123,25 @@ class TestRelations:
         residuals = aw.aw_residuals(q, identity(shape))
         assert not residuals["AW1"].is_zero()
         assert residuals["AW1"].nnz() > 0
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES + [Shape.of(3, 3, 3)], ids=str)
+    def test_residuals_match_operator_arithmetic(self, shape):
+        # The one-pass sums against the operator-by-operator oracle, on the
+        # true generators and on three corruptions of them.
+        q = {name: aw.q_elem(name, shape) for name in ("1", "2", "3", "12", "23", "13", "123")}
+        (r, c), p = min(q["123"].entries.items())
+        perturbed = Operator(shape, shape, {**q["123"].entries, (r, c): p + 1})
+        assignments = {
+            "clean": q,
+            "Q13 scaled by q": {**q, "13": q["13"] * Q(1)},
+            "Q12 and Q23 swapped": {**q, "12": q["23"], "23": q["12"]},
+            "one entry of Q123 perturbed": {**q, "123": perturbed},
+        }
+        one = identity(shape)
+        for label, assignment in assignments.items():
+            residuals = aw.aw_residuals(assignment, one)
+            assert residuals == aw_residuals_by_products(assignment, one), label
+            assert (label == "clean") == all(res.is_zero() for res in residuals.values()), label
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
     def test_expansion(self, shape):

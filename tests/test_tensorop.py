@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import entrywise_full_trace
+from oracles import entrywise_full_trace, entrywise_product
 from qlink.laurent import LaurentPoly, qint
 from qlink.rmatrix import braided_r, braided_r_inv
 from qlink.tensorop import (
@@ -15,6 +15,7 @@ from qlink.tensorop import (
     Spin,
     act_adjacent,
     as_scalar,
+    combine,
     compose,
     diagonal,
     embed,
@@ -94,6 +95,62 @@ class TestBasics:
         assert compose(identity(Shape((HALF, HALF))), a) == a
         with pytest.raises(ShapeError):
             compose(a, identity(Shape((HALF,))))
+
+
+class TestCombine:
+    # A braiding-shaped sum: every term maps (1/2, 1) to (1, 1/2).
+    SRC, DST = Shape.of(1, 2), Shape.of(2, 1)
+
+    def terms(self, scalars):
+        rng = random.Random(7)
+        braid = braided_r(HALF, Spin(2))
+        mid = random_operator(rng, self.SRC, Shape.of(3), fill=5)
+        back = random_operator(rng, Shape.of(3), self.DST, fill=5)
+        square = random_operator(rng, self.DST, self.DST, fill=6)
+        direct = random_operator(rng, self.SRC, self.DST, fill=4)
+        return [(scalars[0], braid), (scalars[1], back, mid), (scalars[2], square, braid), (scalars[3], direct)]
+
+    @pytest.mark.parametrize(
+        "scalars",
+        [(1, -1, 3, 2), (Q(1), Q(1) + Q(-1), V(-3) * 2, -V(1)), (2, Q(-1), 1, V(5))],
+        ids=("int", "poly", "mixed"),
+    )
+    def test_matches_products_and_sums(self, scalars):
+        terms = self.terms(scalars)
+        expected = Operator(self.SRC, self.DST, {})
+        for scalar, a, *b in terms:
+            expected = expected + (entrywise_product(a, b[0]) if b else a) * scalar
+        assert combine(self.SRC, self.DST, terms) == expected
+        by_compose = [compose(a, b[0]) * scalar if b else a * scalar for scalar, a, *b in terms]
+        assert expected == sum(by_compose[1:], by_compose[0])
+
+    def test_one_product_is_compose(self):
+        _, (_, back, mid), _, _ = self.terms((1, 1, 1, 1))
+        assert combine(self.SRC, self.DST, [(1, back, mid)]) == entrywise_product(back, mid)
+        assert compose(back, mid) == entrywise_product(back, mid)
+        assert combine(self.SRC, self.DST, []) == Operator(self.SRC, self.DST, {})
+
+    def test_cancelling_terms_leave_no_zero_entry(self):
+        (_, braid), (_, back, mid), (_, square, _), _ = self.terms((1, 1, 1, 1))
+        assert combine(self.SRC, self.DST, [(Q(1), back, mid), (-Q(1), back, mid)]).nnz() == 0
+        partial = combine(self.SRC, self.DST, [(1, braid), (-1, square, braid), (1, square, braid), (0, square, braid)])
+        assert partial == braid
+        cut = Operator(self.SRC, self.DST, dict(list(braid.entries.items())[:3]))
+        rest = combine(self.SRC, self.DST, [(V(1), braid), (-V(1), cut)])
+        assert rest.nnz() == braid.nnz() - 3 and all(rest.entries.values())
+
+    def test_shape_mismatch_names_both_shapes(self):
+        braid = braided_r(HALF, Spin(2))
+        with pytest.raises(ShapeError) as err:
+            combine(self.DST, self.SRC, [(1, braid)])
+        assert "(1/2, 1)" in str(err.value) and "(1, 1/2)" in str(err.value)
+        with pytest.raises(ShapeError) as err:
+            combine(self.SRC, self.SRC, [(1, braid, identity(self.SRC))])
+        assert "term maps (1/2, 1)->(1, 1/2)" in str(err.value) and "(1/2, 1)->(1/2, 1)" in str(err.value)
+        with pytest.raises(ShapeError):  # a zero scalar does not skip the check
+            combine(self.SRC, self.SRC, [(0, braid)])
+        with pytest.raises(ShapeError, match=r"left expects \(1/2, 1\), right produces \(1, 1/2\)"):
+            combine(self.SRC, self.DST, [(1, braid, braid)])
 
 
 class TestPermute:
