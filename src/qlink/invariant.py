@@ -2,11 +2,12 @@
 The two invariant pipelines for closed braids, and the identity suites
 connecting them.
 
-Quantum-trace route: the braid's letters are applied by `rmatrix.act_letters`,
-each in place on the two legs it crosses, by the braided two-leg matrix at
-their spins (inverse matrices for negative letters); no ambient-size letter
-operator is built.  Colors travel with the strands, so the shape bookkeeping
-is exact for mixed colorings.  The closure value is the trace weighted by
+Quantum-trace route: the braid's letters are applied by `rmatrix.act_letters`
+in one `tensorop.act_adjacent` pass over the word, each on the two legs it
+crosses by the braided two-leg matrix at their spins (inverse matrices for
+negative letters); neither an ambient-size letter operator nor an operator
+per letter is built.  Colors travel with the strands, so the shape
+bookkeeping is exact for mixed colorings.  The closure value is the trace weighted by
 q^(2H) on every factor, Tr(B . q^(2H) (x) ... (x) q^(2H)) = sum_i B_ii v^(2 t_i)
 with t_i the twice-weight of column i, and one path computes it: the letters
 act on the identity's columns and the diagonal is read sector by sector.

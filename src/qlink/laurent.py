@@ -207,13 +207,17 @@ _P_ZERO = LaurentPoly._raw({})
 _P_ONE = LaurentPoly._raw({0: 1})
 
 
-def accumulate_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:
-    """acc += a*b, accumulating raw coefficients (zeros may remain in acc)."""
-    bt = b.terms
-    for e1, c1 in a.terms.items():
-        for e2, c2 in bt.items():
+def accumulate_terms(acc: dict[int, int], a_terms: Mapping[int, int], b_terms: Mapping[int, int]) -> None:
+    """acc += a*b on raw {exponent: coefficient} dicts (zeros may remain in acc)."""
+    for e1, c1 in a_terms.items():
+        for e2, c2 in b_terms.items():
             e = e1 + e2
             acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def accumulate_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:
+    """acc += a*b, accumulating raw coefficients (zeros may remain in acc)."""
+    accumulate_terms(acc, a.terms, b.terms)
 
 
 def finalize(acc: dict[int, int]) -> LaurentPoly:

@@ -55,7 +55,7 @@ the intertwining verdicts drawn from them too.
 from __future__ import annotations
 
 from functools import reduce, wraps
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .laurent import LaurentPoly, qint
 from .report import Report
@@ -154,7 +154,7 @@ def intertwines(j1: Spin, j2: Spin) -> bool:
     return all(defect.is_zero() for _, defect in commutation_defects(braided_r(j1, j2)))
 
 
-def letter_matrix(letter: int, factors: tuple[Spin, ...]) -> tuple[int, Operator]:
+def letter_matrix(letter: int, factors: Sequence[Spin]) -> tuple[int, Operator]:
     """
     (i - 1, the matrix) for the signed braid letter +-i on legs with spins
     `factors`: braided_r(a, b) for +i and braided_r_inv(b, a) for -i, with
@@ -168,12 +168,18 @@ def letter_matrix(letter: int, factors: tuple[Spin, ...]) -> tuple[int, Operator
 
 
 def act_letters(letters: Iterable[int], target: Operator) -> Operator:
-    """Apply signed braid letters bottom-up to the output legs of `target`, each by `letter_matrix`."""
-    op = target
+    """
+    Apply signed braid letters bottom-up to the output legs of `target`, each
+    by `letter_matrix` at the spins its legs carry by then, in one
+    `act_adjacent` pass over the whole word.
+    """
+    factors = list(target.shape_out.factors)
+    steps = []
     for letter in letters:
-        i, matrix = letter_matrix(letter, op.shape_out.factors)
-        op = act_adjacent(matrix, i, op)
-    return op
+        i, matrix = letter_matrix(letter, factors)
+        steps.append((i, matrix))
+        factors[i : i + 2] = matrix.shape_out.factors
+    return act_adjacent(steps, target)
 
 
 def monodromy(j1: Spin, j2: Spin) -> Operator:

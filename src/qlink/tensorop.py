@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .laurent import (
     LaurentPoly,
     accumulate_product,
+    accumulate_terms,
     finalize,
     poly_from_json,
     poly_to_json,
@@ -457,39 +458,62 @@ def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
     return Operator._raw(ambient, ambient_out, entries)
 
 
-def act_adjacent(op: Operator, i: int, target: Operator) -> Operator:
+def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Operator:
     """
-    compose(embed(op, (i, i + 1), target.shape_out), target) without building
-    the embedded operator.  `op` acts on legs i, i + 1 and must keep their
-    total dimension (a braiding maps (a, b) to (b, a)), so every other leg
-    keeps its stride s: an entry in row r meets local column
+    Apply the two-leg operators of `steps` = [(i, op), ...] in order to the
+    output legs of `target`: the same as composing embed(op, (i, i + 1), ...)
+    onto it step by step, without building any embedded operator.  Each `op`
+    acts on legs i, i + 1 of the shape left by the steps before it and must
+    keep their total dimension (a braiding maps (a, b) to (b, a)), so every
+    other leg keeps its stride s: an entry in row r meets local column
     lc = (r // s) % d and each entry (lr, lc) of `op` moves it to row
-    r + (lr - lc) * s.
+    r + (lr - lc) * s.  The entries travel between steps as
+    {(row, col): {exponent: coefficient}} cells with zeros dropped, and are
+    wrapped as polynomials once, in one Operator, at the end.
     """
-    shape = target.shape_out
-    if not 0 <= i < len(shape) - 1:
-        raise ShapeError(f"no adjacent legs {i}, {i + 1} in a shape of {len(shape)} factors")
-    if op.shape_in != Shape(shape.factors[i : i + 2]):
-        raise ShapeError(f"operator expects {op.shape_in}, legs {i}, {i + 1} of {shape} differ")
-    d = op.shape_in.dim
-    if op.shape_out.dim != d:
-        raise ShapeError(f"operator changes the dimension of legs {i}, {i + 1}: {op.shape_in}->{op.shape_out}")
-    s = shape.strides()[i + 1]
-    by_col: dict[int, list[tuple[int, LaurentPoly]]] = {}
-    for (lr, lc), p in op.entries.items():
-        by_col.setdefault(lc, []).append((lr, p))
-    acc: dict[tuple[int, int], dict[int, int]] = {}
-    for (r, c), pt in target.entries.items():
-        lc = (r // s) % d
-        for lr, p in by_col.get(lc, ()):
-            key = (r + (lr - lc) * s, c)
-            cell = acc.get(key)
-            if cell is None:
-                cell = {}
-                acc[key] = cell
-            accumulate_product(cell, p, pt)
-    shape_out = shape.replace((i, i + 1), op.shape_out.factors)
-    return Operator._raw(target.shape_in, shape_out, _finalize_cells(acc))
+    if not steps:
+        return target
+    factors = list(target.shape_out.factors)
+    dims = [f.dim for f in factors]
+    cells = {rc: p.terms for rc, p in target.entries.items()}
+    by_op: dict[int, dict[int, list[tuple[int, dict[int, int]]]]] = {}
+    for i, op in steps:
+        if not 0 <= i < len(factors) - 1:
+            raise ShapeError(f"no adjacent legs {i}, {i + 1} in a shape of {len(factors)} factors")
+        if op.shape_in.factors != (factors[i], factors[i + 1]):
+            raise ShapeError(f"operator expects {op.shape_in}, legs {i}, {i + 1} of {Shape(factors)} differ")
+        d = op.shape_in.dim
+        if op.shape_out.dim != d:
+            raise ShapeError(f"operator changes the dimension of legs {i}, {i + 1}: {op.shape_in}->{op.shape_out}")
+        by_col = by_op.get(id(op))
+        if by_col is None:
+            by_col = by_op[id(op)] = {}
+            for (lr, lc), p in op.entries.items():
+                by_col.setdefault(lc, []).append((lr, p.terms))
+        s = 1
+        for dim in dims[i + 2 :]:
+            s *= dim
+        acc: dict[tuple[int, int], dict[int, int]] = {}
+        for (r, c), terms in cells.items():
+            lc = (r // s) % d
+            for lr, op_terms in by_col.get(lc, ()):
+                key = (r + (lr - lc) * s, c)
+                cell = acc.get(key)
+                if cell is None:
+                    cell = acc[key] = {}
+                accumulate_terms(cell, op_terms, terms)
+        for key, cell in list(acc.items()):
+            if 0 in cell.values():  # drop zero coefficients, and the cells that they empty
+                cell = {e: c for e, c in cell.items() if c}
+                if cell:
+                    acc[key] = cell
+                else:
+                    del acc[key]
+        cells = acc
+        factors[i : i + 2] = op.shape_out.factors
+        dims[i : i + 2] = op.shape_out.dims
+    entries = {rc: LaurentPoly._raw(cell) for rc, cell in cells.items()}
+    return Operator._raw(target.shape_in, Shape(factors), entries)
 
 
 # ---------------------------------------------------------------------------

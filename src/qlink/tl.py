@@ -17,6 +17,11 @@ leftmost strand around the left side of the diagram, which is how
 loop-around-strands tangles are evaluated; `close_all` gives the bracket of a
 braid closure from one loop-counting walk per diagram.
 
+`PlanarMatching(...)` and `TLElement(...)` check every caller's input.  What
+this module builds itself is valid by construction and skips those checks
+through the internal `_raw` constructors: diagram products, the identity and
+the hooks, and the results of `tl_mul` and `braid_letter`.
+
 Coefficients are Laurent polynomials whose variable is *read as* x here; the
 `subst_x_iv` and `phase_mul` maps in `laurent` convert finished bracket
 values onto the v axis.
@@ -57,6 +62,15 @@ class PlanarMatching:
     def __hash__(self) -> int:
         return self._hash
 
+    @staticmethod
+    def _raw(n: int, pairing: tuple[int, ...]) -> PlanarMatching:
+        """Wrap a pairing already known to be a planar matching, unchecked (internal)."""
+        diag = PlanarMatching.__new__(PlanarMatching)
+        object.__setattr__(diag, "n", n)
+        object.__setattr__(diag, "pairing", pairing)
+        object.__setattr__(diag, "_hash", hash(pairing))
+        return diag
+
     def _is_noncrossing(self) -> bool:
         # Walk the boundary circle: bottom left to right, then top right to left.
         n = self.n
@@ -70,7 +84,7 @@ class PlanarMatching:
 
     @classmethod
     def identity(cls, n: int) -> PlanarMatching:
-        return cls(n, _identity_pairing(n))
+        return cls._raw(n, _identity_pairing(n))
 
     @classmethod
     def hook(cls, n: int, i: int) -> PlanarMatching:
@@ -81,7 +95,7 @@ class PlanarMatching:
         a, b = i - 1, i
         pairing[a], pairing[b] = b, a
         pairing[n + a], pairing[n + b] = n + b, n + a
-        return cls(n, tuple(pairing))
+        return cls._raw(n, tuple(pairing))
 
 
 def _identity_pairing(n: int) -> tuple[int, ...]:
@@ -142,7 +156,7 @@ def compose_matchings(top: PlanarMatching, bottom: PlanarMatching) -> tuple[Plan
             visited[step] = True
             nxt = bottom.pairing[n + step]  # back to the middle: nxt >= n
             cur = nxt - n
-    return PlanarMatching(n, tuple(result)), loops
+    return PlanarMatching._raw(n, tuple(result)), loops
 
 
 class TLElement:
@@ -171,6 +185,14 @@ class TLElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("TLElement is immutable")
+
+    @staticmethod
+    def _raw(n: int, canon: dict[PlanarMatching, LaurentPoly]) -> TLElement:
+        """Wrap canonical terms (n-strand diagrams, nonzero coefficients) without copying (internal)."""
+        elem = TLElement.__new__(TLElement)
+        object.__setattr__(elem, "n", n)
+        object.__setattr__(elem, "terms", canon)
+        return elem
 
     @classmethod
     def identity(cls, n: int) -> TLElement:
@@ -233,7 +255,12 @@ def tl_mul(a: TLElement, b: TLElement) -> TLElement:
             if cell is None:
                 cell = acc[diag] = {}
             accumulate_product(cell, _delta_multiple(multiples, loops), cb)
-    return TLElement(a.n, {diag: finalize(cell) for diag, cell in acc.items()})
+    terms = {}
+    for diag, cell in acc.items():
+        coeff = finalize(cell)
+        if coeff:
+            terms[diag] = coeff
+    return TLElement._raw(a.n, terms)
 
 
 def braid_letter(n: int, letter: int) -> TLElement:
@@ -246,13 +273,7 @@ def braid_letter(n: int, letter: int) -> TLElement:
         raise ValueError(f"letter {letter} out of range for {n} strands")
     x = LaurentPoly.v_power(1) if letter > 0 else LaurentPoly.v_power(-1)
     x_inv = LaurentPoly.v_power(-1) if letter > 0 else LaurentPoly.v_power(1)
-    return TLElement(
-        n,
-        {
-            PlanarMatching.identity(n): x,
-            PlanarMatching.hook(n, abs(letter)): x_inv,
-        },
-    )
+    return TLElement._raw(n, {PlanarMatching.identity(n): x, PlanarMatching.hook(n, abs(letter)): x_inv})
 
 
 def word_element(word: BraidWord) -> TLElement:

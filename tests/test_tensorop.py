@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import entrywise_full_trace, entrywise_product
 from qlink.laurent import LaurentPoly, qint
-from qlink.rmatrix import braided_r, braided_r_inv
+from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
 from qlink.tensorop import (
     EMPTY_SHAPE,
     HALF,
@@ -27,7 +27,7 @@ from qlink.tensorop import (
     permute,
     swap,
 )
-from qlink.uqsu2 import casimir, chi, mu
+from qlink.uqsu2 import casimir, chi, commutation_defects, mu
 
 V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
@@ -220,6 +220,24 @@ class TestEmbed:
             embed(op, (0, 0), Shape.of(1, 1))
 
 
+def embedded_steps(steps, target: Operator) -> Operator:
+    """The oracle for `act_adjacent`: each step embedded on the whole shape and composed on."""
+    for i, op in steps:
+        target = compose(embed(op, (i, i + 1), target.shape_out), target)
+    return target
+
+
+def braid_step(rng, factors) -> tuple[int, Operator]:
+    """A random signed letter on `factors` as (i, braided R at the legs' spins)."""
+    i = rng.randrange(len(factors) - 1)
+    a, b = factors[i], factors[i + 1]
+    return i, braided_r(a, b) if rng.random() < 0.5 else braided_r_inv(b, a)
+
+
+def assert_canonical(op: Operator):
+    assert all(p.terms and all(p.terms.values()) for p in op.entries.values())
+
+
 class TestActAdjacent:
     SHAPES = (Shape.of(1, 2, 3), Shape.of(2, 1, 1), Shape.of(1, 3, 0, 2), Shape.of(2, 2, 1, 1))
 
@@ -232,7 +250,7 @@ class TestActAdjacent:
                     op = random_operator(rng, legs, legs_out, fill=6)
                     target = random_operator(rng, Shape.of(2, 1), ambient, fill=12)
                     want = compose(embed(op, (i, i + 1), ambient), target)
-                    assert act_adjacent(op, i, target) == want
+                    assert act_adjacent([(i, op)], target) == want
 
     def test_matches_embed_then_compose_on_braidings(self):
         rng = random.Random(12)
@@ -242,18 +260,103 @@ class TestActAdjacent:
                 target = random_operator(rng, ambient, ambient, fill=12)
                 for op in (braided_r(a, b), braided_r_inv(b, a)):
                     want = compose(embed(op, (i, i + 1), ambient), target)
-                    assert act_adjacent(op, i, target) == want
+                    assert act_adjacent([(i, op)], target) == want
 
     def test_leg_mismatch_rejected(self):
         target = identity(Shape.of(1, 2, 3))
         with pytest.raises(ShapeError):
-            act_adjacent(braided_r(HALF, HALF), 0, target)
+            act_adjacent([(0, braided_r(HALF, HALF))], target)
         with pytest.raises(ShapeError):
-            act_adjacent(braided_r(Spin(2), Spin(3)), 2, target)
+            act_adjacent([(2, braided_r(Spin(2), Spin(3)))], target)
         with pytest.raises(ShapeError):
-            act_adjacent(permute(Shape.of(1, 2), (1, 0)), -1, target)
+            act_adjacent([(-1, permute(Shape.of(1, 2), (1, 0)))], target)
         with pytest.raises(ShapeError):
-            act_adjacent(Operator(Shape.of(1, 2), Shape.of(1, 1), {}), 0, target)
+            act_adjacent([(0, Operator(Shape.of(1, 2), Shape.of(1, 1), {}))], target)
+
+    def test_no_steps_return_the_target(self):
+        target = random_operator(random.Random(13), Shape.of(1, 2), Shape.of(2, 1), fill=5)
+        assert act_adjacent([], target) is target
+
+    def test_random_words_match_embed_then_compose(self):
+        # Words of braidings and of random two-leg operators (shape-keeping or
+        # leg-swapping) on 2-4 legs with 2j <= 3, one leg of color 0 in some.
+        rng = random.Random(14)
+        for case in range(60):
+            n = 2 + case % 3
+            ambient = Shape.of(*(rng.randint(0, 3) for _ in range(n - 1)), 0 if case % 2 else rng.randint(1, 3))
+            target = random_operator(rng, Shape.of(1, 2), ambient, fill=10)
+            factors = list(ambient.factors)
+            steps = []
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.7:
+                    i, op = braid_step(rng, factors)
+                else:
+                    i = rng.randrange(n - 1)
+                    legs = Shape(factors[i : i + 2])
+                    op = random_operator(rng, legs, legs.permuted((1, 0)) if rng.random() < 0.5 else legs, fill=5)
+                steps.append((i, op))
+                factors[i : i + 2] = op.shape_out.factors
+            got = act_adjacent(steps, target)
+            assert got == embedded_steps(steps, target), (ambient, [i for i, _ in steps])
+            assert got.shape_out == Shape(factors)
+            assert_canonical(got)
+
+    def test_cancelling_words_leave_no_zero_cells(self):
+        for ambient in self.SHAPES:
+            target = identity(ambient)
+            for i in range(len(ambient) - 1):
+                a, b = ambient[i], ambient[i + 1]
+                for steps in (
+                    [(i, braided_r(a, b)), (i, braided_r_inv(a, b))],
+                    [(i, braided_r_inv(b, a)), (i, braided_r(b, a))],
+                    [(i, braided_r(a, b)), (i, braided_r(b, a)), (i, braided_r_inv(b, a)), (i, braided_r_inv(a, b))],
+                ):
+                    got = act_adjacent(steps, target)
+                    assert got == target
+                    assert_canonical(got)
+
+    def test_sector_restricted_start(self):
+        # As the closure trace starts: the identity's columns of twice-weight t >= 0 only.
+        rng = random.Random(15)
+        one = LaurentPoly.one()
+        for ambient in self.SHAPES:
+            start = Operator(ambient, ambient, {(i, i): one for i, t in enumerate(ambient.twice_weights()) if t >= 0})
+            factors = list(ambient.factors)
+            steps = []
+            for _ in range(8):
+                i, op = braid_step(rng, factors)
+                steps.append((i, op))
+                factors[i : i + 2] = op.shape_out.factors
+            assert act_adjacent(steps, start) == embedded_steps(steps, start), ambient
+
+    def test_corrupted_braiding_matches_embed_then_compose(self):
+        # The single-entry corruptions of R(1/2, 1/2): every entry scaled by v^2,
+        # and a 1 written into the empty cell (0, 1).  None of them intertwines.
+        clean = r_matrix(HALF, HALF)
+        cells = [(cell, V(2) * p) for cell, p in sorted(clean.entries.items())] + [((0, 1), LaurentPoly.one())]
+        ambient = Shape.of(1, 1, 1)
+        rng = random.Random(16)
+        target = random_operator(rng, ambient, ambient, fill=12)
+        for cell, value in cells:
+            bad = compose(swap(HALF, HALF), Operator(clean.shape_in, clean.shape_out, {**clean.entries, cell: value}))
+            assert not all(defect.is_zero() for _, defect in commutation_defects(bad))
+            steps = [(0, bad), (1, bad), (0, braided_r(HALF, HALF)), (1, bad), (0, bad)]
+            assert act_adjacent(steps, target) == embedded_steps(steps, target), cell
+
+    def test_bad_later_step_raises_the_single_step_message(self):
+        target = identity(Shape.of(1, 2, 3))
+        first = (0, braided_r(HALF, Spin(2)))  # the legs become (1, 1/2, 3/2)
+        after = act_adjacent([first], target)
+        for bad in (
+            (2, braided_r(HALF, HALF)),
+            (0, braided_r(HALF, Spin(2))),
+            (1, Operator(Shape.of(1, 3), Shape.of(1, 1), {})),
+        ):
+            with pytest.raises(ShapeError) as single:
+                act_adjacent([bad], after)
+            with pytest.raises(ShapeError) as word:
+                act_adjacent([first, bad, first], target)
+            assert str(word.value) == str(single.value)
 
 
 class TestTraces:
@@ -375,7 +478,7 @@ class TestAlgebraProperties:
     def test_trace_cyclic_under_weight_commuting_conjugation(self, x):
         # Conjugating by the braiding preserves the doubly weighted trace,
         # because the braiding commutes with the product of weight matrices.
-        from qlink.rmatrix import braided_r, braided_r_inv
+        from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
 
         weights = [mu(HALF), mu(HALF)]
         conj = compose(braided_r(HALF, HALF), compose(x, braided_r_inv(HALF, HALF)))

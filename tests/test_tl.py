@@ -78,6 +78,52 @@ class TestPlanarMatching:
                 assert keys[twin] == twin.pairing
 
 
+class TestUncheckedConstructors:
+    """The module builds its own diagrams and elements unchecked; each must pass the public checks."""
+
+    def test_every_composition_is_a_valid_matching(self):
+        for n in range(6):
+            diagrams = all_diagrams(n)
+            for top in diagrams:
+                for bottom in diagrams:
+                    diag, _ = compose_matchings(top, bottom)
+                    checked = PlanarMatching(n, diag.pairing)
+                    assert checked == diag and hash(checked) == hash(diag)
+
+    def test_identity_and_hooks_are_valid_matchings(self):
+        for n in range(6):
+            built = [PlanarMatching.identity(n)] + [PlanarMatching.hook(n, i) for i in range(1, n)]
+            for diag in built:
+                checked = PlanarMatching(n, diag.pairing)
+                assert checked == diag and hash(checked) == hash(diag)
+
+    def test_products_and_letters_are_canonical(self):
+        rng = random.Random(21)
+        for n in range(1, 6):
+            for _ in range(8):
+                r = tl_mul(random_element(rng, n), random_element(rng, n))
+                assert r == TLElement(n, dict(r.terms))
+            for letter in (*range(1, n), *range(-n + 1, 0)):
+                r = braid_letter(n, letter)
+                assert r == TLElement(n, dict(r.terms))
+            # A letter times its inverse cancels to the identity: every zero coefficient is dropped.
+            for letter in range(1, n):
+                r = tl_mul(braid_letter(n, -letter), braid_letter(n, letter))
+                assert r == TLElement(n, dict(r.terms)) == TLElement.identity(n)
+
+    @pytest.mark.parametrize(
+        "n, pairing",
+        [(2, (3, 2, 1, 0)), (1, (0, 1)), (2, (1, 0, 3)), (2, (1, 0, 3, 4)), (2, (2, 3, 1, 0))],
+    )
+    def test_public_constructor_still_rejects_invalid_pairings(self, n, pairing):
+        with pytest.raises(ValueError):
+            PlanarMatching(n, pairing)
+
+    def test_public_element_constructor_still_rejects_a_wrong_strand_count(self):
+        with pytest.raises(ValueError):
+            TLElement(3, {PlanarMatching.identity(2): LaurentPoly.one()})
+
+
 class TestComposition:
     def test_hook_squared_makes_one_loop(self):
         hook = PlanarMatching.hook(2, 1)
