@@ -71,8 +71,7 @@ from .tensorop import (
     kron,
     partial_trace_first,
 )
-from .tl import TLElement, close_first, tl_mul, word_element
-from .uqsu2 import chi, commutation_defects, iterated_casimir, twice_spin_range
+from .uqsu2 import chi, commutation_defects, diagonal_generators, iterated_casimir, twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -367,9 +366,9 @@ def verify_tl_iso() -> Report:
     report.add("Q23 = (q^3 + q^-3) - (q - q^-1)^2 P23", q_elem("23", shape) - (identity(shape) * shift - p23 * coeff))
 
     # Diagram-monoid side.
-    e1, e2 = TLElement.hook(3, 1), TLElement.hook(3, 2)
-    from .tl import DELTA_X
+    from .tl import DELTA_X, TLElement, close_first, tl_mul, word_element
 
+    e1, e2 = TLElement.hook(3, 1), TLElement.hook(3, 2)
     report.add_bool("E1 E1 = delta E1", tl_mul(e1, e1) == e1 * DELTA_X)
     report.add_bool("E2 E2 = delta E2", tl_mul(e2, e2) == e2 * DELTA_X)
     report.add_bool("loop value at x = i v is q + q^-1", subst_x_iv(DELTA_X) == loop)
@@ -432,8 +431,9 @@ def verify_spectra(shape: Shape) -> Report:
 def verify_centrality(shape: Shape) -> Report:
     """Every intermediate Casimir commutes with the diagonal generator action."""
     report = Report(f"centrality {shape}")
+    generators = diagonal_generators(shape)
     for index in AW_INDICES:
-        for kind, defect in commutation_defects(q_elem(index, shape)):
+        for kind, defect in commutation_defects(q_elem(index, shape), generators):
             report.add(f"Q_{_norm_index(index)} commutes with diagonal {kind}", defect)
     return report
 

@@ -22,11 +22,9 @@ trusted from the construction.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .tensorop import InputError, Spin
+from .tensorop import Immutable, InputError, Spin
 
 
 class BraidError(InputError):
@@ -36,24 +34,33 @@ class BraidError(InputError):
         super().__init__(message, field)
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Immutable):
     """A word in the braid group on n_strands strands (n_strands >= 0)."""
 
-    n_strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("n_strands", "letters")
 
-    def __post_init__(self):
-        if self.n_strands < 0:
-            raise BraidError(f"strand count must be non-negative, got {self.n_strands}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
+    def __init__(self, n_strands: int, letters: Sequence[int] = ()):
+        if n_strands < 0:
+            raise BraidError(f"strand count must be non-negative, got {n_strands}")
+        letters = tuple(letters)
+        for letter in letters:
             if letter == 0:
                 raise BraidError("letter 0 is not a braid generator")
-            if not 1 <= abs(letter) <= self.n_strands - 1:
-                raise BraidError(
-                    f"letter {letter} out of range for {self.n_strands} strands"
-                )
+            if not 1 <= abs(letter) <= n_strands - 1:
+                raise BraidError(f"letter {letter} out of range for {n_strands} strands")
+        object.__setattr__(self, "n_strands", n_strands)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not BraidWord:
+            return NotImplemented
+        return self.n_strands == other.n_strands and self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.n_strands, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(n_strands={self.n_strands!r}, letters={self.letters!r})"
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -75,25 +82,35 @@ def underlying_permutation(word: BraidWord) -> tuple[int, ...]:
     return tuple(pos)
 
 
-@dataclass(frozen=True)
-class ColoredBraid:
+class ColoredBraid(Immutable):
     """A braid word with a spin color per bottom endpoint, closure-consistent."""
 
-    word: BraidWord
-    colors: tuple[Spin, ...]
+    __slots__ = ("word", "colors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        if len(self.colors) != self.word.n_strands:
-            raise BraidError(f"{len(self.colors)} colors for {self.word.n_strands} strands", "colors")
-        perm = underlying_permutation(self.word)
-        for s, target in enumerate(perm):
-            if self.colors[target] != self.colors[s]:
+    def __init__(self, word: BraidWord, colors: Sequence[Spin]):
+        colors = tuple(colors)
+        if len(colors) != word.n_strands:
+            raise BraidError(f"{len(colors)} colors for {word.n_strands} strands", "colors")
+        for s, target in enumerate(underlying_permutation(word)):
+            if colors[target] != colors[s]:
                 raise BraidError(
                     f"colors are not constant along the closure: strand {s} "
-                    f"({self.colors[s]}) closes onto position {target} ({self.colors[target]})",
+                    f"({colors[s]}) closes onto position {target} ({colors[target]})",
                     "colors",
                 )
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "colors", colors)
+
+    def __eq__(self, other):
+        if other.__class__ is not ColoredBraid:
+            return NotImplemented
+        return self.word == other.word and self.colors == other.colors
+
+    def __hash__(self):
+        return hash((self.word, self.colors))
+
+    def __repr__(self) -> str:
+        return f"ColoredBraid(word={self.word!r}, colors={self.colors!r})"
 
     @property
     def n_strands(self) -> int:
@@ -131,13 +148,12 @@ def component(braid: ColoredBraid, index: int) -> tuple[int, ...]:
     return comps[index]
 
 
-@dataclass(frozen=True)
-class WritheBreakdown:
+class WritheBreakdown(NamedTuple):
     """Signed crossing counts, split into self-writhe and pairwise linking."""
 
     total: int
-    per_component_self: dict[int, int] = field(default_factory=dict)
-    linking: dict[tuple[int, int], int] = field(default_factory=dict)
+    per_component_self: dict[int, int]
+    linking: dict[tuple[int, int], int]
 
 
 def writhe(braid: ColoredBraid) -> WritheBreakdown:
@@ -389,6 +405,8 @@ def parse_any(text: str, colors: Optional[Sequence[Spin]] = None):
     stripped = text.strip()
     if not stripped.startswith("{"):
         return _with_colors(*_parse_sections(stripped), colors)
+    import json
+
     try:
         data = json.loads(stripped)
     except (ValueError, RecursionError) as exc:  # ValueError also covers over-long integers

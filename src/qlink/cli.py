@@ -5,7 +5,10 @@ Three subcommands, designed for consumption by test harnesses: `invariant`
 evaluates a closed braid (quantum-trace, bracket, or combined route),
 `rmatrix` dumps a represented two-leg braiding matrix as JSON, and `verify`
 runs the identity suites.  Output is deterministic and byte-identical for
-identical inputs; JSON objects are emitted with sorted keys.
+identical inputs; JSON objects are emitted with sorted keys.  Each handler
+imports the modules its subcommand runs, so a process loads no other: the
+quantum-trace route loads neither `tl` nor `aw`, and only `verify aw` loads
+`aw`.
 
 Exit codes: 0 all requested checks passed (or value computed), 1 bad input
 (the message names the flag that carried it), 2 at least one check failed,
@@ -15,12 +18,10 @@ Exit codes: 0 all requested checks passed (or value computed), 1 bad input
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
 
-from . import aw, invariant, rmatrix
 from .braid import BraidWord, ColoredBraid, parse_any
 from .laurent import poly_to_json
 from .report import Report
@@ -38,6 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump_json(data) -> str:
+    import json
+
     return json.dumps(data, indent=2, sort_keys=True)
 
 
@@ -77,7 +80,9 @@ def _require_colored(parsed, colors_flag: str = "--colors") -> ColoredBraid:
 def _as_word(parsed) -> BraidWord:
     if isinstance(parsed, BraidWord):
         return parsed
-    return invariant.fundamental_word(parsed, "the bracket route")
+    from .invariant import fundamental_word
+
+    return fundamental_word(parsed, "the bracket route")
 
 
 def _parse_spins(text: str, field: str, expected: Optional[int] = None) -> list[Spin]:
@@ -91,6 +96,10 @@ def _parse_spins(text: str, field: str, expected: Optional[int] = None) -> list[
 
 
 def _cmd_invariant(args) -> int:
+    from . import invariant
+
+    if args.normalize is not None and args.method != "rt":
+        raise InputError(f"--normalize applies only to --method rt, not {args.method!r}")
     parsed = _read_braid(args.braid, args.colors)
     if args.method == "rt":
         braid = _require_colored(parsed)
@@ -106,18 +115,21 @@ def _cmd_invariant(args) -> int:
     return EXIT_OK
 
 
+# Each `rmatrix --variant`: the rmatrix function that builds it.
 _VARIANTS = {
-    "plain": rmatrix.r_matrix,
-    "inverse": rmatrix.r_inverse,
-    "braided": rmatrix.braided_r,
-    "braided-inverse": rmatrix.braided_r_inv,
-    "opposite": rmatrix.r_opposite,
+    "plain": "r_matrix",
+    "inverse": "r_inverse",
+    "braided": "braided_r",
+    "braided-inverse": "braided_r_inv",
+    "opposite": "r_opposite",
 }
 
 
 def _cmd_rmatrix(args) -> int:
+    from . import rmatrix
+
     j1, j2 = _parse_spins(args.spins, "spins", expected=2)
-    op = _VARIANTS[args.variant](j1, j2)
+    op = getattr(rmatrix, _VARIANTS[args.variant])(j1, j2)
     if args.output == "text":
         lines = [f"shape: {op.shape_in} -> {op.shape_out}"]
         for (r, c), p in sorted(op.entries.items()):
@@ -128,36 +140,38 @@ def _cmd_rmatrix(args) -> int:
     return EXIT_OK
 
 
-def _aw_all(shape: Shape) -> Report:
-    report = aw.verify_all(shape)
-    report.extend(aw.verify_p_propositions())
-    report.extend(aw.verify_tl_iso())
-    return report
-
-
-# Each `verify aw --suite`: whether it needs --spins, and its report on their shape (None without them).
+# Each `verify aw --suite`: the aw functions whose reports it joins, in order.
+# Those in _AW_SHAPELESS take no argument; the others take the --spins shape.
 _AW_SUITES = {
-    "relations": (True, aw.verify_aw),
-    "routes": (True, aw.verify_routes),
-    "expansion": (True, aw.verify_expansion),
-    "p-props": (False, lambda shape: aw.verify_p_propositions()),
-    "tl-iso": (False, lambda shape: aw.verify_tl_iso()),
-    "spectrum": (True, aw.verify_spectra),
-    "all": (True, _aw_all),
+    "relations": ("verify_aw",),
+    "routes": ("verify_routes",),
+    "expansion": ("verify_expansion",),
+    "p-props": ("verify_p_propositions",),
+    "tl-iso": ("verify_tl_iso",),
+    "spectrum": ("verify_spectra",),
+    "all": ("verify_all", "verify_p_propositions", "verify_tl_iso"),
 }
+_AW_SHAPELESS = ("verify_p_propositions", "verify_tl_iso")
 
 
 def _aw_report(args) -> Report:
+    from . import aw
+
+    names = _AW_SUITES[args.suite_name]
     shape = None
     if args.spins:
         shape = Shape(tuple(_parse_spins(args.spins, "spins", expected=3)))
-    needs_spins, run = _AW_SUITES[args.suite_name]
-    if needs_spins and shape is None:
+    elif any(name not in _AW_SHAPELESS for name in names):
         raise InputError(f"--spins is required for suite {args.suite_name!r}")
-    return run(shape)
+    reports = [getattr(aw, name)() if name in _AW_SHAPELESS else getattr(aw, name)(shape) for name in names]
+    for other in reports[1:]:
+        reports[0].extend(other)
+    return reports[0]
 
 
 def _braid_report(args) -> Report:
+    from . import invariant
+
     braid = _require_colored(_read_braid(args.braid, args.colors))
     if args.suite == "skein":
         return invariant.verify_skein(braid)

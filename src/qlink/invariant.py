@@ -31,7 +31,7 @@ the diagram-monoid implementation here.
 
 from __future__ import annotations
 
-from . import rmatrix, tl
+from . import rmatrix
 from .braid import (
     BraidWord,
     ColoredBraid,
@@ -130,7 +130,9 @@ def kauffman_bracket(word: BraidWord) -> LaurentPoly:
     The bracket of the braid closure, as a polynomial in x, normalized so a
     single closed strand is worth the loop value -x^2 - x^(-2) itself.
     """
-    return tl.close_all(tl.word_element(word))
+    from .tl import close_all, word_element
+
+    return close_all(word_element(word))
 
 
 def cs_invariant_fundamental(word: BraidWord) -> LaurentPoly:

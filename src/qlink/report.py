@@ -9,15 +9,13 @@ signal and the quantity promised by the CLI's JSON output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .laurent import LaurentPoly
 from .tensorop import Operator
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     residual: Optional[int] = None  # nonzero entries of the defect, when it failed
@@ -27,10 +25,22 @@ class Check:
         return {"name": self.name, "passed": self.passed, "residual": self.residual, "note": self.note}
 
 
-@dataclass
 class Report:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: Optional[list[Check]] = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not Report:
+            return NotImplemented
+        return self.suite == other.suite and self.checks == other.checks
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Report(suite={self.suite!r}, checks={self.checks!r})"
 
     @property
     def passed(self) -> bool:

@@ -22,7 +22,7 @@ so operator equality is exact.  Everything is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Optional, Sequence, Union
 
 from .laurent import (
@@ -47,15 +47,41 @@ class InputError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True, order=True)
-class Spin:
-    """A spin j stored as twice_j; dimension of the carrier space is twice_j + 1."""
+class Immutable:
+    """
+    Base of the package's value classes: each subclass lists its fields in
+    `__slots__` and sets them once, through object.__setattr__, in its
+    constructor; any later assignment raises AttributeError.
+    """
 
-    twice_j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.twice_j < 0:
-            raise ValueError(f"twice_j must be non-negative, got {self.twice_j}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+@total_ordering
+class Spin(Immutable):
+    """A spin j stored as twice_j; dimension of the carrier space is twice_j + 1.  Spins order by twice_j."""
+
+    __slots__ = ("twice_j",)
+
+    def __init__(self, twice_j: int):
+        if twice_j < 0:
+            raise ValueError(f"twice_j must be non-negative, got {twice_j}")
+        object.__setattr__(self, "twice_j", twice_j)
+
+    def __eq__(self, other):
+        return self.twice_j == other.twice_j if other.__class__ is Spin else NotImplemented
+
+    def __hash__(self):
+        return hash((self.twice_j,))
+
+    def __lt__(self, other):
+        return self.twice_j < other.twice_j if other.__class__ is Spin else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Spin(twice_j={self.twice_j!r})"
 
     @property
     def dim(self) -> int:
@@ -86,7 +112,7 @@ class Spin:
 HALF = Spin(1)
 
 
-class Shape:
+class Shape(Immutable):
     """An ordered list of tensor factors with index (un)raveling helpers."""
 
     __slots__ = ("factors", "dims", "dim", "_strides")
@@ -103,9 +129,6 @@ class Shape:
             total *= dims[i]
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "dim", total)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Shape is immutable")
 
     @classmethod
     def of(cls, *twice_js: int) -> Shape:
@@ -168,7 +191,7 @@ class Shape:
 EMPTY_SHAPE = Shape(())
 
 
-class Operator:
+class Operator(Immutable):
     """A sparse matrix of LaurentPoly entries from shape_in to shape_out."""
 
     __slots__ = ("shape_in", "shape_out", "entries")
@@ -182,9 +205,6 @@ class Operator:
         object.__setattr__(self, "shape_in", shape_in)
         object.__setattr__(self, "shape_out", shape_out)
         object.__setattr__(self, "entries", canon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Operator is immutable")
 
     @staticmethod
     def _raw(shape_in: Shape, shape_out: Shape, canon: dict[tuple[int, int], LaurentPoly]) -> Operator:

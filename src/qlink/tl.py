@@ -29,38 +29,45 @@ values onto the v axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .laurent import LaurentPoly, accumulate_product, finalize
 from .braid import BraidWord
+from .tensorop import Immutable
 
 # Loop value of one erased circle.
 DELTA_X = LaurentPoly({2: -1, -2: -1})
 
 
-@dataclass(frozen=True)
-class PlanarMatching:
+class PlanarMatching(Immutable):
     """A noncrossing perfect matching of n bottom and n top points."""
 
-    n: int
-    pairing: tuple[int, ...]
+    __slots__ = ("n", "pairing", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairing", tuple(self.pairing))
-        pts = 2 * self.n
-        if len(self.pairing) != pts:
-            raise ValueError(f"pairing on {len(self.pairing)} points, expected {pts}")
-        for i, p in enumerate(self.pairing):
-            if not 0 <= p < pts or p == i or self.pairing[p] != i:
-                raise ValueError(f"pairing is not a fixed-point-free involution: {self.pairing}")
-        if not self._is_noncrossing():
-            raise ValueError(f"pairing is not planar: {self.pairing}")
+    def __init__(self, n: int, pairing: Sequence[int]):
+        pairing = tuple(pairing)
+        pts = 2 * n
+        if len(pairing) != pts:
+            raise ValueError(f"pairing on {len(pairing)} points, expected {pts}")
+        for i, p in enumerate(pairing):
+            if not 0 <= p < pts or p == i or pairing[p] != i:
+                raise ValueError(f"pairing is not a fixed-point-free involution: {pairing}")
+        if not _is_noncrossing(n, pairing):
+            raise ValueError(f"pairing is not planar: {pairing}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairing", pairing)
         # Diagrams key every product's accumulator: hash once.
-        object.__setattr__(self, "_hash", hash(self.pairing))
+        object.__setattr__(self, "_hash", hash(pairing))
+
+    def __eq__(self, other):
+        # The pairing has 2n entries, so it alone decides n.
+        return self.pairing == other.pairing if other.__class__ is PlanarMatching else NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"PlanarMatching(n={self.n!r}, pairing={self.pairing!r})"
 
     @staticmethod
     def _raw(n: int, pairing: tuple[int, ...]) -> PlanarMatching:
@@ -70,17 +77,6 @@ class PlanarMatching:
         object.__setattr__(diag, "pairing", pairing)
         object.__setattr__(diag, "_hash", hash(pairing))
         return diag
-
-    def _is_noncrossing(self) -> bool:
-        # Walk the boundary circle: bottom left to right, then top right to left.
-        n = self.n
-        stack: list[int] = []
-        for i in (*range(n), *range(2 * n - 1, n - 1, -1)):
-            if stack and stack[-1] == i:
-                stack.pop()
-            else:
-                stack.append(self.pairing[i])
-        return not stack
 
     @classmethod
     def identity(cls, n: int) -> PlanarMatching:
@@ -96,6 +92,17 @@ class PlanarMatching:
         pairing[a], pairing[b] = b, a
         pairing[n + a], pairing[n + b] = n + b, n + a
         return cls._raw(n, tuple(pairing))
+
+
+def _is_noncrossing(n: int, pairing: tuple[int, ...]) -> bool:
+    # Walk the boundary circle: bottom left to right, then top right to left.
+    stack: list[int] = []
+    for i in (*range(n), *range(2 * n - 1, n - 1, -1)):
+        if stack and stack[-1] == i:
+            stack.pop()
+        else:
+            stack.append(pairing[i])
+    return not stack
 
 
 def _identity_pairing(n: int) -> tuple[int, ...]:
@@ -159,7 +166,7 @@ def compose_matchings(top: PlanarMatching, bottom: PlanarMatching) -> tuple[Plan
     return PlanarMatching._raw(n, tuple(result)), loops
 
 
-class TLElement:
+class TLElement(Immutable):
     """A linear combination of planar matchings with LaurentPoly coefficients."""
 
     __slots__ = ("n", "terms")
@@ -182,9 +189,6 @@ class TLElement:
                         del canon[diag]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", canon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TLElement is immutable")
 
     @staticmethod
     def _raw(n: int, canon: dict[PlanarMatching, LaurentPoly]) -> TLElement:

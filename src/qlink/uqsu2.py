@@ -26,12 +26,11 @@ Casimir entry by entry; nothing is multiplied out.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 from .laurent import LaurentPoly, finalize, qint
-from .tensorop import Operator, Shape, ShapeError, Spin, combine, embed
+from .tensorop import Immutable, Operator, Shape, ShapeError, Spin, combine, embed
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -42,19 +41,31 @@ def _check_power(k) -> None:
         raise ValueError(f"power of q^H must be an integer, got {k!r}")
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class GeneratorSymbol(Immutable):
     """One of E, F, or q^(kH) with integer k (powers of q^H compose additively)."""
 
-    kind: str  # "E", "F", or "QH"
-    power: int = 0  # k when kind == "QH"
+    __slots__ = ("kind", "power")
 
-    def __post_init__(self):
-        if self.kind not in ("E", "F", "QH"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        _check_power(self.power)
-        if self.kind != "QH" and self.power:
+    def __init__(self, kind: str, power: int = 0):
+        # kind is "E", "F", or "QH"; power is k when kind == "QH".
+        if kind not in ("E", "F", "QH"):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        _check_power(power)
+        if kind != "QH" and power:
             raise ValueError("only QH carries a power")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "power", power)
+
+    def __eq__(self, other):
+        if other.__class__ is not GeneratorSymbol:
+            return NotImplemented
+        return self.kind == other.kind and self.power == other.power
+
+    def __hash__(self):
+        return hash((self.kind, self.power))
+
+    def __repr__(self) -> str:
+        return f"GeneratorSymbol(kind={self.kind!r}, power={self.power!r})"
 
 
 E_SYM = GeneratorSymbol("E")
@@ -156,19 +167,26 @@ def delta_rep(sym: GeneratorSymbol, shape: Shape) -> Operator:
     return Operator(shape, shape, entries)
 
 
-def commutation_defects(op: Operator) -> list[tuple[str, Operator]]:
+def diagonal_generators(shape: Shape) -> list[tuple[str, Operator]]:
+    """(kind, D(g)) for g = E, F and q^H, represented on `shape`."""
+    return [(sym.kind, delta_rep(sym, shape)) for sym in (E_SYM, F_SYM, qh_symbol(1))]
+
+
+def commutation_defects(op: Operator, generators: Sequence[tuple[str, Operator]] = ()) -> list[tuple[str, Operator]]:
     """
     (kind, op . D(g) - D(g) . op) for g = E, F and q^H, with D(g) represented
     on the shape `op` reads on the right and on the shape it writes on the
     left (one build when the two coincide); every defect is zero exactly when
-    `op` intertwines the diagonal action.
+    `op` intertwines the diagonal action.  `generators`, the
+    `diagonal_generators` of op.shape_in, spares the builds when many
+    operators on one shape are checked.
     """
-    defects = []
-    for sym in (E_SYM, F_SYM, qh_symbol(1)):
-        right = delta_rep(sym, op.shape_in)
-        left = right if op.shape_out == op.shape_in else delta_rep(sym, op.shape_out)
-        defects.append((sym.kind, combine(op.shape_in, op.shape_out, ((1, op, right), (-1, left, op)))))
-    return defects
+    right = generators or diagonal_generators(op.shape_in)
+    left = right if op.shape_out == op.shape_in else diagonal_generators(op.shape_out)
+    return [
+        (kind, combine(op.shape_in, op.shape_out, ((1, op, r), (-1, l, op))))
+        for (kind, r), (_, l) in zip(right, left)
+    ]
 
 
 def casimir_rep(shape: Shape) -> Operator:

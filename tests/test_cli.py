@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -83,6 +86,14 @@ class TestInvariantCommand:
             ]
         )
         assert out.strip() == "v^-2 + v^2"
+
+    @pytest.mark.parametrize("method", ["cs", "bracket"])
+    def test_normalize_outside_rt_is_usage_error(self, method):
+        # Only the quantum-trace route can normalize; the other routes would ignore the flag.
+        code, out, err = run(["invariant", "--braid", "n=2; 1", "--method", method, "--normalize", "ambient"])
+        assert code == 1
+        assert out == ""
+        assert "--normalize" in err
 
     def test_braid_file_input(self, tmp_path):
         path = tmp_path / "braid.txt"
@@ -349,6 +360,42 @@ class TestVerifyCommand:
             assert "internal error" in err
         finally:
             clear_all_caches()
+
+
+# Runs cli.main in a fresh interpreter and prints the modules it left loaded.
+_IMPORT_PROBE = """
+import sys
+from qlink import cli
+code = cli.main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("qlink."))))
+sys.exit(code)
+"""
+
+
+class TestStartupImports:
+    @pytest.mark.parametrize(
+        "argv,absent",
+        [
+            (["invariant", "--braid", "n=2; 1 1 1", "--method", "rt", "--colors", "1/2,1/2"], ["qlink.aw", "qlink.tl"]),
+            (["invariant", "--braid", "n=2; 1 1 1", "--method", "cs"], ["qlink.aw"]),
+            (["rmatrix", "--spins", "1/2,1"], ["qlink.aw", "qlink.tl"]),
+            (["verify", "aw", "--spins", "1/2,1/2,1/2", "--suite", "relations"], ["qlink.tl"]),
+        ],
+        ids=["rt", "cs", "rmatrix", "aw-relations"],
+    )
+    def test_subcommand_loads_only_its_modules(self, argv, absent):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", _IMPORT_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "qlink.cli" in loaded
+        assert loaded.isdisjoint(["dataclasses", *absent]), sorted(loaded)
 
 
 class TestGoldenOutputs:

@@ -478,7 +478,7 @@ class TestAlgebraProperties:
     def test_trace_cyclic_under_weight_commuting_conjugation(self, x):
         # Conjugating by the braiding preserves the doubly weighted trace,
         # because the braiding commutes with the product of weight matrices.
-        from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
+        from qlink.rmatrix import braided_r, braided_r_inv
 
         weights = [mu(HALF), mu(HALF)]
         conj = compose(braided_r(HALF, HALF), compose(x, braided_r_inv(HALF, HALF)))
