@@ -7,8 +7,8 @@ evaluates a closed braid (quantum-trace, bracket, or combined route),
 runs the identity suites.  Output is deterministic and byte-identical for
 identical inputs; JSON objects are emitted with sorted keys.  Each handler
 imports the modules its subcommand runs, so a process loads no other: the
-quantum-trace route loads neither `tl` nor `aw`, and only `verify aw` loads
-`aw`.
+quantum-trace route loads neither `tl` nor `aw`, only `verify aw` loads `aw`,
+and only a subcommand that reads a braid loads `braid`.
 
 Exit codes: 0 all requested checks passed (or value computed), 1 bad input
 (the message names the flag that carried it), 2 at least one check failed,
@@ -20,12 +20,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .braid import BraidWord, ColoredBraid, parse_any
 from .laurent import poly_to_json
 from .report import Report
 from .tensorop import InputError, Shape, Spin
+
+if TYPE_CHECKING:  # annotations only: the braid-reading helpers import braid
+    from .braid import BraidWord, ColoredBraid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,6 +64,8 @@ def _named(exc: InputError, args, braid_flag: str = "--braid", colors_flag: str 
 
 
 def _read_braid(text: str, colors: Optional[str]) -> object:
+    from .braid import parse_any
+
     if os.path.isfile(text):
         try:
             with open(text, "r", encoding="utf-8") as fh:
@@ -72,12 +76,16 @@ def _read_braid(text: str, colors: Optional[str]) -> object:
 
 
 def _require_colored(parsed, colors_flag: str = "--colors") -> ColoredBraid:
+    from .braid import ColoredBraid
+
     if isinstance(parsed, ColoredBraid):
         return parsed
     raise InputError(f"this operation needs strand colors (inline or via {colors_flag})")
 
 
 def _as_word(parsed) -> BraidWord:
+    from .braid import BraidWord
+
     if isinstance(parsed, BraidWord):
         return parsed
     from .invariant import fundamental_word

@@ -31,7 +31,8 @@ the diagram-monoid implementation here.
 
 from __future__ import annotations
 
-from . import rmatrix
+import sys
+
 from .braid import (
     BraidWord,
     ColoredBraid,
@@ -53,19 +54,40 @@ from .tensorop import (
     Spin,
     identity,
 )
-from .uqsu2 import twice_spin_range
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
 
-# Letters act in place and nothing is cached here; the only cache the
-# quantum-trace route reads is rmatrix's table of two-leg matrices.
-clear_cache = rmatrix.clear_cache
+# The package this module was imported with; see `_rmatrix`.
+_PACKAGE = sys.modules[__package__]
+
+
+def _rmatrix():
+    """
+    The rmatrix module, imported on first use so that the cs and bracket
+    routes never load it (nor uqsu2).  It is looked up on this module's own
+    package, not in sys.modules, so that a process which imports qlink afresh
+    (perfbench's cold-cache replicas) keeps every module with the rmatrix of
+    its own import and never mixes two imports' polynomial classes.
+    """
+    rmatrix = getattr(_PACKAGE, "rmatrix", None)
+    if rmatrix is None:
+        from . import rmatrix
+    return rmatrix
+
+
+def clear_cache() -> None:
+    """
+    Clear rmatrix's table of two-leg matrices.  Letters act in place and
+    nothing is cached here, so that table is the only cache the
+    quantum-trace route reads.
+    """
+    _rmatrix().clear_cache()
 
 
 def braid_operator(braid: ColoredBraid) -> Operator:
     """The represented braid, from the bottom-color shape to itself."""
-    op = rmatrix.act_letters(braid.word.letters, identity(Shape(braid.colors)))
+    op = _rmatrix().act_letters(braid.word.letters, identity(Shape(braid.colors)))
     if op.shape_out.factors != braid.colors:  # pragma: no cover - ColoredBraid guarantees this
         raise AssertionError("colors failed to return to the bottom sequence")
     return op
@@ -83,7 +105,7 @@ def _closure_trace(braid: ColoredBraid, symmetric: bool) -> LaurentPoly:
     sector = shape.twice_weights()
     one = LaurentPoly.one()
     start = Operator(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
-    op = rmatrix.act_letters(braid.word.letters, start)
+    op = _rmatrix().act_letters(braid.word.letters, start)
     traces: dict[int, LaurentPoly] = {}
     for (r, c), p in op.entries.items():
         if r == c:
@@ -105,11 +127,12 @@ def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:
     multiplied by q^(-2j(j+1) * self-writhe) per component, trading the framed
     (regular-isotopy) value for an ambient-isotopy one.
     """
+    intertwines = _rmatrix().intertwines
     spins = set(braid.colors)
     # A letter that fails to intertwine (a corrupted R) breaks the t <-> -t
     # symmetry and could hide in the unread sectors; such a braid is traced
     # over every column.
-    value = _closure_trace(braid, all(rmatrix.intertwines(a, b) for a in spins for b in spins))
+    value = _closure_trace(braid, all(intertwines(a, b) for a in spins for b in spins))
     if normalize:
         breakdown = writhe(braid)
         exponent = 0
@@ -296,6 +319,8 @@ def fusion_identity_residual(twice_a: int, twice_b: int) -> LaurentPoly:
     Residual of the loop-dimension fusion rule: [a+1][b+1] equals the sum of
     [c+1] over the decomposition range of twice-spins c.
     """
+    from .uqsu2 import twice_spin_range
+
     lhs = qint(twice_a + 1) * qint(twice_b + 1)
     rhs = LaurentPoly.zero()
     for tc in twice_spin_range(twice_a, twice_b):

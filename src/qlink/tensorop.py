@@ -23,12 +23,12 @@ so operator equality is exact.  Everything is immutable and pure.
 from __future__ import annotations
 
 from functools import total_ordering
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .laurent import (
     LaurentPoly,
     accumulate_product,
-    accumulate_terms,
     finalize,
     poly_from_json,
     poly_to_json,
@@ -485,18 +485,31 @@ def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Ope
     onto it step by step, without building any embedded operator.  Each `op`
     acts on legs i, i + 1 of the shape left by the steps before it and must
     keep their total dimension (a braiding maps (a, b) to (b, a)), so every
-    other leg keeps its stride s: an entry in row r meets local column
-    lc = (r // s) % d and each entry (lr, lc) of `op` moves it to row
-    r + (lr - lc) * s.  The entries travel between steps as
-    {(row, col): {exponent: coefficient}} cells with zeros dropped, and are
-    wrapped as polynomials once, in one Operator, at the end.
+    other leg keeps its stride t: an entry in row r meets local column
+    lc = (r // t) % d and each entry (lr, lc) of `op` moves it to row
+    r + (lr - lc) * t.
+
+    Cells travel packed (Kronecker substitution): the polynomial
+    sum_k d_k v^(e + s k) is the pair (e, sum_k d_k 2^(w k)), with balanced
+    digits |d_k| < 2^(w - 1).  A cell times an entry of `op` is then one int
+    product, and adding into a cell one int sum aligned by a left shift.  The
+    exponent stride s is the gcd of the exponent gaps inside each polynomial
+    of `target` and of the steps (4 for every braided matrix, as v^4 = q^2);
+    two contributions to one cell whose bases differ by a gap that s does not
+    divide rerun the word at the gcd of the two, down to s = 1.  The width w
+    is proven from the operands: after k steps no coefficient of any cell, nor
+    of any partial sum, exceeds B_k = (the largest l1 norm of an entry of
+    `target`) times the product over those k steps of the largest sum of l1
+    norms along a row of `op`, and w = max_k B_k.bit_length() + 1.  So a packed
+    cell is 0 exactly when its polynomial is, zero cells are dropped as they
+    arise, and each cell is decoded into a polynomial once, at the end.
     """
     if not steps:
         return target
     factors = list(target.shape_out.factors)
     dims = [f.dim for f in factors]
-    cells = {rc: p.terms for rc, p in target.entries.items()}
-    by_op: dict[int, dict[int, list[tuple[int, dict[int, int]]]]] = {}
+    plan = []  # (stride t of leg i + 1, d, id(op)) per step
+    ops: dict[int, Operator] = {}
     for i, op in steps:
         if not 0 <= i < len(factors) - 1:
             raise ShapeError(f"no adjacent legs {i}, {i + 1} in a shape of {len(factors)} factors")
@@ -505,35 +518,111 @@ def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Ope
         d = op.shape_in.dim
         if op.shape_out.dim != d:
             raise ShapeError(f"operator changes the dimension of legs {i}, {i + 1}: {op.shape_in}->{op.shape_out}")
-        by_col = by_op.get(id(op))
-        if by_col is None:
-            by_col = by_op[id(op)] = {}
-            for (lr, lc), p in op.entries.items():
-                by_col.setdefault(lc, []).append((lr, p.terms))
-        s = 1
+        t = 1
         for dim in dims[i + 2 :]:
-            s *= dim
-        acc: dict[tuple[int, int], dict[int, int]] = {}
-        for (r, c), terms in cells.items():
-            lc = (r // s) % d
-            for lr, op_terms in by_col.get(lc, ()):
-                key = (r + (lr - lc) * s, c)
-                cell = acc.get(key)
-                if cell is None:
-                    cell = acc[key] = {}
-                accumulate_terms(cell, op_terms, terms)
-        for key, cell in list(acc.items()):
-            if 0 in cell.values():  # drop zero coefficients, and the cells that they empty
-                cell = {e: c for e, c in cell.items() if c}
-                if cell:
-                    acc[key] = cell
-                else:
-                    del acc[key]
-        cells = acc
+            t *= dim
+        plan.append((t, d, id(op)))
+        ops[id(op)] = op
         factors[i : i + 2] = op.shape_out.factors
         dims[i : i + 2] = op.shape_out.dims
-    entries = {rc: LaurentPoly._raw(cell) for rc, cell in cells.items()}
+    polys = [p.terms for p in target.entries.values()]
+    bound = max([sum(map(abs, terms.values())) for terms in polys], default=0)
+    row_sums = {}
+    for key, op in ops.items():
+        rows: dict[int, int] = {}
+        for (lr, _), p in op.entries.items():
+            rows[lr] = rows.get(lr, 0) + sum(map(abs, p.terms.values()))
+            polys.append(p.terms)
+        row_sums[key] = max(rows.values(), default=0)
+    # Gaps inside each polynomial only: the bases of two entries can differ
+    # by 1 when the colors are mixed.
+    s = gcd(*[e - low for terms in polys if len(terms) > 1 for low in (min(terms),) for e in terms])
+    largest = bound
+    for _, _, key in plan:
+        bound *= row_sums[key]
+        largest = max(largest, bound)
+    w = largest.bit_length() + 1
+    s = s or 1  # every polynomial is a monomial
+    while True:
+        cells, gap = _packed_word(plan, ops, target, s, w)
+        if not gap:
+            break
+        s = gcd(s, gap)
+    entries = {rc: _unpack(e, n, s, w) for rc, (e, n) in cells.items()}
     return Operator._raw(target.shape_in, Shape(factors), entries)
+
+
+def _pack(terms: dict[int, int], s: int, w: int) -> tuple[int, int]:
+    """(e, sum_k d_k 2^(w k)) for the terms d_k v^(e + s k)."""
+    if len(terms) == 1:
+        for item in terms.items():
+            return item
+    low = min(terms)
+    n = 0
+    for e, c in terms.items():
+        n += c << (e - low) // s * w
+    return low, n
+
+
+def _unpack(e: int, n: int, s: int, w: int) -> LaurentPoly:
+    """The inverse of `_pack`: a digit of w bits at or above 2^(w - 1) is negative and carries 1."""
+    half = 1 << (w - 1)
+    if -half < n < half:
+        return LaurentPoly._raw({e: n})
+    mask = (1 << w) - 1
+    terms = {}
+    while n:
+        digit = n & mask
+        n >>= w
+        if digit >= half:
+            digit -= mask + 1
+            n += 1
+        if digit:
+            terms[e] = digit
+        e += s
+    return LaurentPoly._raw(terms)
+
+
+def _packed_word(plan, ops: dict[int, Operator], target: Operator, s: int, w: int):
+    """
+    The steps of `act_adjacent` on packed cells at stride s and width w:
+    (cells, 0), or (None, gap) at the first two contributions to one cell
+    whose bases differ by a gap that s does not divide.
+    """
+    by_col = {}  # per operator: [(lr - lc, e, N), ...] for each local column lc
+    for key, op in ops.items():
+        cols = by_col[key] = [[] for _ in range(op.shape_in.dim)]
+        for (lr, lc), p in op.entries.items():
+            cols[lc].append((lr - lc, *_pack(p.terms, s, w)))
+    cells = {rc: _pack(p.terms, s, w) for rc, p in target.entries.items()}
+    for t, d, key in plan:
+        cols = by_col[key]
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
+        for (r, c), (e0, n0) in cells.items():
+            for dl, e, n in cols[(r // t) % d]:
+                rc = (r + dl * t, c)
+                e += e0
+                n *= n0
+                prev = acc.get(rc)
+                if prev is None:
+                    acc[rc] = (e, n)
+                    continue
+                pe, pn = prev
+                if e != pe:
+                    k, rem = divmod(abs(e - pe), s)
+                    if rem:
+                        return None, e - pe
+                    if e > pe:
+                        e, n = pe, n << k * w
+                    else:
+                        pn <<= k * w
+                n += pn
+                if n:
+                    acc[rc] = (e, n)
+                else:  # the contributions cancel
+                    del acc[rc]
+        cells = acc
+    return cells, 0
 
 
 # ---------------------------------------------------------------------------

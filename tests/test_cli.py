@@ -377,11 +377,18 @@ class TestStartupImports:
         "argv,absent",
         [
             (["invariant", "--braid", "n=2; 1 1 1", "--method", "rt", "--colors", "1/2,1/2"], ["qlink.aw", "qlink.tl"]),
-            (["invariant", "--braid", "n=2; 1 1 1", "--method", "cs"], ["qlink.aw"]),
-            (["rmatrix", "--spins", "1/2,1"], ["qlink.aw", "qlink.tl"]),
+            (
+                ["invariant", "--braid", "n=2; 1 1 1", "--method", "cs"],
+                ["qlink.aw", "qlink.rmatrix", "qlink.uqsu2"],
+            ),
+            (
+                ["invariant", "--braid", "n=2; 1 1 1", "--method", "bracket"],
+                ["qlink.aw", "qlink.rmatrix", "qlink.uqsu2"],
+            ),
+            (["rmatrix", "--spins", "1/2,1"], ["qlink.aw", "qlink.tl", "qlink.braid"]),
             (["verify", "aw", "--spins", "1/2,1/2,1/2", "--suite", "relations"], ["qlink.tl"]),
         ],
-        ids=["rt", "cs", "rmatrix", "aw-relations"],
+        ids=["rt", "cs", "bracket", "rmatrix", "aw-relations"],
     )
     def test_subcommand_loads_only_its_modules(self, argv, absent):
         src = str(pathlib.Path(cli.__file__).resolve().parents[1])

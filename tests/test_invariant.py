@@ -49,7 +49,8 @@ class TestClosedValues:
     @pytest.mark.parametrize(
         "ta, tb, k",
         [(ta, tb, k) for ta in range(6) for tb in range(6) for k in range(-4, 5) if k % 2 == 0 or ta == tb]
-        + [(t, t, k) for t in (6, 8, 10) for k in (-2, -1, 1, 2)],
+        + [(t, t, k) for t in (6, 8, 10) for k in (-2, -1, 1, 2)]
+        + [(8, 8, 6), (8, 8, -6), (10, 10, 5), (12, 12, 3)],
     )
     def test_colored_torus_links_match_closed_form(self, ta, tb, k):
         a, b = Spin(ta), Spin(tb)

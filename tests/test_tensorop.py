@@ -343,6 +343,37 @@ class TestActAdjacent:
             steps = [(0, bad), (1, bad), (0, braided_r(HALF, HALF)), (1, bad), (0, bad)]
             assert act_adjacent(steps, target) == embedded_steps(steps, target), cell
 
+    @pytest.mark.parametrize("c", [-7, 7])
+    def test_coefficient_at_the_width_bound(self, c):
+        # The bound is 1 * 7^9 exactly and the product reaches it, so a width
+        # one bit narrower would decode the cell wrongly.
+        legs = Shape.of(0, 0)
+        op = Operator(legs, legs, {(0, 0): V(4) * c})
+        assert act_adjacent([(0, op)] * 9, identity(legs)).entries == {(0, 0): V(36) * c**9}
+
+    def test_gap_the_stride_does_not_divide_reruns_the_word(self):
+        # Both rows of column 0 land in row 0: (1 + v^4) * 1 meets v^2 * 1, a gap
+        # of 2 against the stride 4 of the polynomials' own gaps.
+        legs = Shape.of(1, 0)
+        one = LaurentPoly.one()
+        op = Operator(legs, legs, {(0, 0): one + V(4), (0, 1): V(2)})
+        target = Operator(legs, legs, {(0, 0): one, (1, 0): one})
+        steps = [(0, op), (0, braided_r(HALF, Spin(0))), (0, braided_r(Spin(0), HALF)), (0, op)]
+        assert act_adjacent(steps[:1], target).entries == {(0, 0): LaurentPoly({0: 1, 2: 1, 4: 1})}
+        assert act_adjacent(steps, target) == embedded_steps(steps, target)
+
+    def test_zero_operator_and_empty_target(self):
+        ambient = Shape.of(1, 2, 1)
+        target = random_operator(random.Random(17), ambient, ambient, fill=8)
+        zero = Operator(Shape.of(1, 1), Shape.of(1, 1), {})
+        steps = [(0, braided_r(HALF, Spin(2))), (1, zero), (0, braided_r(Spin(2), HALF))]
+        got = act_adjacent(steps, target)
+        assert got == embedded_steps(steps, target) and not got.entries
+        empty = Operator(ambient, ambient, {})
+        got = act_adjacent(steps[:1], empty)
+        assert got == embedded_steps(steps[:1], empty) and not got.entries
+        assert got.shape_out == Shape.of(2, 1, 1)
+
     def test_bad_later_step_raises_the_single_step_message(self):
         target = identity(Shape.of(1, 2, 3))
         first = (0, braided_r(HALF, Spin(2)))  # the legs become (1, 1/2, 3/2)
