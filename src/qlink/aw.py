@@ -17,6 +17,10 @@ genuinely permutes factors, and constructing the middle operator on the
 permuted shape is exactly what the shape-typed operators enforce.  Every
 braiding here is a word of braid letters made into matrices by
 `rmatrix.letter_matrix`, the same rule the quantum-trace invariant uses.
+Each block Casimir is written straight into its cells on the whole shape,
+and each conjugation is one `act_adjacent` pass over Q_12' read as a column
+on the out and in legs: W^-1 acts on the out legs and the transpose of W on
+the in legs, so neither W nor a product is formed.
 
 Partial-trace route (`q_elem_trace`, uncached): every element is the weighted
 trace of an auxiliary spin-1/2 leg out of a product of two-leg mixed matrices,
@@ -24,7 +28,8 @@ each acting on that leg and one of j1, j2, j3.  The product is read from the
 index: the auxiliary strand winds up through the legs with L+ and back down
 with L-, passing over each leg outside the block, or under it for a "~" index.
 Each leg meets the strand once each way, so the trace is contracted leg by
-leg on 2x2 auxiliary blocks; no operator on (1/2, j1, j2, j3) is formed.
+leg on 2x2 auxiliary blocks, each leg's terms summed into one accumulator
+per cell; no operator on (1/2, j1, j2, j3) and no tensor product is formed.
 `verify_routes` compares the two constructions on every index but the
 one-leg "3", whose agreement the tests check.
 
@@ -43,20 +48,19 @@ from functools import reduce
 from typing import Callable
 
 from .braid import BraidWord
-from .laurent import LaurentPoly, subst_x_iv
+from .laurent import LaurentPoly, accumulate_terms, finalize, subst_x_iv
 from .report import Report
 from .rmatrix import (
-    act_letters,
     braided_r,
     braided_r_inv,
     l_minus,
     l_minus_inv,
     l_plus,
     l_plus_inv,
-    letter_matrix,
     m_matrix,
     p_matrix,
     r_matrix,
+    word_steps,
 )
 from .tensorop import (
     EMPTY_SHAPE,
@@ -64,6 +68,7 @@ from .tensorop import (
     Operator,
     Shape,
     Spin,
+    act_adjacent,
     combine,
     compose,
     embed,
@@ -114,14 +119,23 @@ def q_elem(index, shape: Shape) -> Operator:
 
 def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -> Operator:
     """
-    W^-1 . iterated_casimir(W's output shape, span) . W with W the braid word
-    `letters` on `shape`, started from its first letter's embedded matrix;
-    W^-1 is applied in place as the inverted word.
+    W^-1 . C . W with W the braid word `letters` on `shape` and C =
+    iterated_casimir(W's output shape, span), in one `act_adjacent` pass: C
+    is read as one column on the legs (out legs + in legs), entry (r, k) in
+    row r * D + k; the inverted word acts on the out legs, and the transposed
+    letters of W, last letter first, on the in legs (position n + i).
     """
-    i, first = letter_matrix(letters[0], shape.factors)
-    w = act_letters(letters[1:], embed(first, (i, i + 1), shape))
-    inverse = tuple(-letter for letter in reversed(letters))
-    return act_letters(inverse, compose(iterated_casimir(w.shape_out, span), w))
+    word, out = word_steps(letters, shape.factors)
+    inverse, _ = word_steps([-letter for letter in reversed(letters)], out)
+    n, middle = len(shape), Shape(out)
+    transposed = [
+        (n + i, Operator._raw(m.shape_out, m.shape_in, {(c, r): p for (r, c), p in m.entries.items()}))
+        for i, m in reversed(word)
+    ]
+    d = middle.dim
+    column = {(r * d + k, 0): p for (r, k), p in iterated_casimir(middle, span).entries.items()}
+    cells = act_adjacent(transposed + inverse, Operator._raw(EMPTY_SHAPE, middle + middle, column)).entries
+    return Operator._raw(shape, shape, {divmod(row, shape.dim): p for (row, _), p in cells.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +187,17 @@ def _aux_blocks(op: Operator) -> dict[tuple[int, int], Operator]:
 def _traced(name: str, shape: Shape) -> Operator:
     """
     Weighted trace of the auxiliary spin-1/2 leg out of the index's product,
-    contracted leg by leg.  With w[b, c] the operator on legs 1..k-1 between
+    contracted leg by leg.  With w[b, c] the cells on legs 1..k-1 between
     auxiliary indices b (going up) and c (coming down), leg k's pair turns it
-    into w'[b', c'] = sum kron(w[b, c], up[b, b'] . down[c', c]).  The weight
-    m = diag(q, q^-1) starts the strand, b' = c' at the top closes it, and the
-    closed operator on legs 1..top is embedded in `shape`.
+    into w'[b', c'] = sum w[b, c] (x) (up[b, b'] . down[c', c]), accumulated
+    into one {exponent: coefficient} dict per cell of w'.  The weight
+    m = diag(q, q^-1) starts the strand as scalars on no legs, b' = c' at the
+    top closes it, and the closed operator on legs 1..top is embedded in
+    `shape`.
     """
     formula = _trace_formula(name)
     top = len(formula) // 2
-    w = {(c, b): Operator(EMPTY_SHAPE, EMPTY_SHAPE, {(0, 0): p}) for (b, c), p in m_matrix().entries.items()}
+    w = {(c, b): {(0, 0): p} for (b, c), p in m_matrix().entries.items()}
     for k, ((build_up, leg), (build_down, _)) in enumerate(zip(formula[:top], reversed(formula[top:])), 1):
         up, down = _aux_blocks(build_up(shape[leg - 1])), _aux_blocks(build_down(shape[leg - 1]))
         steps: dict = {}  # (b, c, the cell of w' it feeds) -> the products up[b, b'] . down[c', c]
@@ -190,11 +206,22 @@ def _traced(name: str, shape: Shape) -> Operator:
                 if (b, c) in w and (k < top or b2 == c2):  # at the top, b' = c' closes the strand into one cell
                     steps.setdefault((b, c, (b2, c2) if k < top else "closed"), []).append((1, u, dn))
         leg_shape = Shape((shape[leg - 1],))
-        cells: dict = {}  # the cell of w' -> its kron terms
+        d = leg_shape.dim
+        acc: dict = {}  # the cell of w' -> {(row, col): {exponent: coefficient}}
         for (b, c, cell), products in steps.items():
-            cells.setdefault(cell, []).append(kron(w[(b, c)], combine(leg_shape, leg_shape, products)))
-        w = {cell: sum(krons[1:], krons[0]) for cell, krons in cells.items()}
-    return embed(w["closed"], range(top), shape)
+            x = combine(leg_shape, leg_shape, products).entries.items()
+            out = acc.setdefault(cell, {})
+            for (ra, ca), pa in w[(b, c)].items():
+                ra, ca, pa = ra * d, ca * d, pa.terms
+                for (rb, cb), pb in x:
+                    rc = (ra + rb, ca + cb)
+                    terms = out.get(rc)
+                    if terms is None:
+                        terms = out[rc] = {}
+                    accumulate_terms(terms, pa, pb.terms)
+        w = {cell: {rc: finalize(t) for rc, t in out.items() if any(t.values())} for cell, out in acc.items()}
+    block = Shape(shape.factors[:top])
+    return embed(Operator._raw(block, block, w["closed"]), range(top), shape)
 
 
 def casimir_trace(j: Spin) -> Operator:

@@ -167,19 +167,24 @@ def letter_matrix(letter: int, factors: Sequence[Spin]) -> tuple[int, Operator]:
     return i, braided_r(a, b) if letter > 0 else braided_r_inv(b, a)
 
 
-def act_letters(letters: Iterable[int], target: Operator) -> Operator:
+def word_steps(letters: Iterable[int], factors: Sequence[Spin]) -> tuple[list[tuple[int, Operator]], tuple[Spin, ...]]:
     """
-    Apply signed braid letters bottom-up to the output legs of `target`, each
-    by `letter_matrix` at the spins its legs carry by then, in one
-    `act_adjacent` pass over the whole word.
+    The `act_adjacent` steps of signed braid letters read bottom-up from legs
+    with spins `factors`, each by `letter_matrix` at the spins its legs carry
+    by then, and the spins the word leaves.
     """
-    factors = list(target.shape_out.factors)
+    factors = list(factors)
     steps = []
     for letter in letters:
         i, matrix = letter_matrix(letter, factors)
         steps.append((i, matrix))
         factors[i : i + 2] = matrix.shape_out.factors
-    return act_adjacent(steps, target)
+    return steps, tuple(factors)
+
+
+def act_letters(letters: Iterable[int], target: Operator) -> Operator:
+    """Apply signed braid letters bottom-up to the output legs of `target` in one `act_adjacent` pass."""
+    return act_adjacent(word_steps(letters, target.shape_out.factors)[0], target)
 
 
 def monodromy(j1: Spin, j2: Spin) -> Operator:

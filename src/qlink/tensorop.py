@@ -382,7 +382,15 @@ def combine(shape_in: Shape, shape_out: Shape, terms: Iterable[tuple]) -> Operat
             raise ShapeError(f"term maps {term_in}->{a.shape_out}, the sum {shape_in}->{shape_out}")
         if not scalar:
             continue
-        entries = a.entries.items() if scalar == 1 else [(rc, p * scalar) for rc, p in a.entries.items()]
+        if scalar == 1:
+            entries = a.entries.items()
+        elif isinstance(scalar, LaurentPoly) and len(scalar.terms) == 1:  # c v^k shifts every exponent by k
+            ((k, s),) = scalar.terms.items()
+            entries = [
+                (rc, LaurentPoly._raw({e + k: c * s for e, c in p.terms.items()})) for rc, p in a.entries.items()
+            ]
+        else:
+            entries = [(rc, p * scalar) for rc, p in a.entries.items()]
         if b is None:
             for rc, p in entries:
                 cell = acc.get(rc)

@@ -25,12 +25,11 @@ Casimir entry by entry; nothing is multiplied out.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from itertools import product
 from typing import Sequence
 
 from .laurent import LaurentPoly, finalize, qint
-from .tensorop import Immutable, Operator, Shape, ShapeError, Spin, combine, embed
+from .tensorop import Immutable, Operator, Shape, ShapeError, Spin, combine
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -194,36 +193,18 @@ def casimir_rep(shape: Shape) -> Operator:
     return iterated_casimir(shape, range(len(shape)))
 
 
-def _add_casimir_term(cell: Counter, a: int, b: int, power: int) -> None:
-    """cell += (q - q^-1)^2 [a][b] v^power, expanded as (q^a - q^-a)(q^b - q^-b) v^power."""
-    for sa in (1, -1):
-        for sb in (1, -1):
-            cell[power + 2 * (sa * a + sb * b)] += sa * sb
-
-
-def _casimir_entries(shape: Shape) -> Operator:
-    """
-    casimir_rep(shape) entry by entry: (q - q^-1)^2 D(F) D(E) as each E-move
-    out of a column, then each F-move out of the column it reaches, plus
-    q K^2 + q^-1 K^-2 = v^(2T+2) + v^(-2T-2) on the diagonal.
-    """
-    walk = _moves(shape)
-    cells: defaultdict[tuple[int, int], Counter] = defaultdict(Counter)
-    for col, (total, raises, _) in enumerate(walk):
-        cells[(col, col)].update((2 * total + 2, -2 * total - 2))
-        for mid, n_e, p_e in raises:
-            for row, n_f, p_f in walk[mid][2]:
-                _add_casimir_term(cells[(row, col)], n_e, n_f, p_e + p_f)
-    return Operator(shape, shape, {rc: finalize(cell) for rc, cell in cells.items()})
-
-
 def iterated_casimir(shape: Shape, span: Sequence[int]) -> Operator:
     """
     The intermediate Casimir supported on a contiguous block `span` of factor
-    positions (0-based), acting as the identity elsewhere: written entry by
-    entry on the block's legs, then embedded.  Non-contiguous spans are
-    rejected; recoupled blocks are built by braiding conjugation in the
-    Askey-Wilson layer instead.
+    positions (0-based), acting as the identity elsewhere.  Column by column
+    of the block: (q - q^-1)^2 D(F) D(E) as each E-move out of the column
+    followed by each F-move out of the column it reaches, plus
+    q K^2 + q^-1 K^-2 = v^(2T+2) + v^(-2T-2) on the diagonal; each finished
+    polynomial is written straight into its ambient cells, row and column
+    (hi * d_block + r) * d_lo + l for the digits hi of the legs before the
+    block and l of those after it.  Non-contiguous spans are rejected;
+    recoupled blocks are built by braiding conjugation in the Askey-Wilson
+    layer instead.
     """
     span = tuple(sorted(span))
     if not span:
@@ -233,4 +214,26 @@ def iterated_casimir(shape: Shape, span: Sequence[int]) -> Operator:
     if any(b - a != 1 for a, b in zip(span, span[1:])):
         raise ShapeError(f"span {span} is not contiguous")
     sub = Shape(shape.factors[span[0] : span[-1] + 1])
-    return embed(_casimir_entries(sub), span, shape)
+    lo = Shape(shape.factors[span[-1] + 1 :]).dim
+    hi_rows = [h * sub.dim for h in range(Shape(shape.factors[: span[0]]).dim)]
+    walk = _moves(sub)
+    entries = {}
+    for col, (total, raises, _) in enumerate(walk):
+        cells: dict[int, dict[int, int]] = {col: {}}  # row of the block -> {exponent: coefficient}
+        for e in (2 * total + 2, -2 * total - 2):  # equal when T = -1
+            cells[col][e] = cells[col].get(e, 0) + 1
+        for mid, a, p_e in raises:
+            for row, b, p_f in walk[mid][2]:
+                cell = cells.setdefault(row, {})
+                # (q - q^-1)^2 [a][b] v^power = (q^a - q^-a)(q^b - q^-b) v^power
+                for x, sign in ((a + b, 1), (a - b, -1), (b - a, -1), (-a - b, 1)):
+                    e = p_e + p_f + 2 * x
+                    cell[e] = cell.get(e, 0) + sign
+        for row, cell in cells.items():
+            p = finalize(cell)
+            if p:
+                for h in hi_rows:
+                    r, c = (h + row) * lo, (h + col) * lo
+                    for l in range(lo):
+                        entries[(r + l, c + l)] = p
+    return Operator._raw(shape, shape, entries)

@@ -16,7 +16,9 @@ iterated coproducts of E, F and q^(kH) are folded out of tensor products of
 the one-leg generators instead of read from the per-column walk, the
 coproduct Casimir is multiplied out of those folds instead of written entry
 by entry, the traced product is formed on the whole auxiliary shape and
-traced there instead of contracted leg by leg, the Askey-Wilson residuals
+traced there instead of contracted leg by leg, a braiding conjugation is
+every letter embedded and composed on both sides of a folded Casimir
+instead of one packed pass over a two-sided column, the Askey-Wilson residuals
 are summed one operator at a time with +, - and scalar * instead of in one
 fused pass, and an operator product is summed over the shared index row by
 column instead of accumulated per output cell.
@@ -29,7 +31,7 @@ from itertools import product
 
 from qlink.braid import BraidWord
 from qlink.laurent import LaurentPoly, div_exact, qfact, qint
-from qlink.rmatrix import l_minus, l_minus_inv, l_plus, l_plus_inv, m_matrix
+from qlink.rmatrix import braided_r, braided_r_inv, l_minus, l_minus_inv, l_plus, l_plus_inv, m_matrix
 from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, kron, partial_trace_first
 from qlink.tl import TLElement, close_first
 from qlink.uqsu2 import E_SYM, F_SYM, GeneratorSymbol, qh_symbol, rep_e, rep_f, rep_qh
@@ -283,6 +285,32 @@ def aux_shape_trace(formula, shape: Shape) -> Operator:
     aux = Shape((HALF,) + shape.factors)
     prod = reduce(compose, (embed(build(shape[leg - 1]), (0, leg), aux) for build, leg in formula))
     return partial_trace_first(prod, m_matrix())
+
+
+def embedded_word(letters, shape: Shape) -> Operator:
+    """
+    The braid word `letters` on `shape` as one composed operator: letter +i
+    is braided_r(a, b) and -i is braided_r_inv(b, a) with (a, b) the spins
+    on legs i - 1, i by then, each embedded and composed onto the product.
+    """
+    word = identity(shape)
+    for letter in letters:
+        i = abs(letter) - 1
+        a, b = word.shape_out[i], word.shape_out[i + 1]
+        matrix = braided_r(a, b) if letter > 0 else braided_r_inv(b, a)
+        word = compose(embed(matrix, (i, i + 1), word.shape_out), word)
+    return word
+
+
+def conjugation_sandwich(letters, span, shape: Shape) -> Operator:
+    """
+    W^-1 . C . W with W the braid word `letters` on `shape`, W^-1 the word of
+    the negated letters in reverse order, and C the folded Casimir of the
+    legs `span` of the shape W reaches.
+    """
+    word = embedded_word(letters, shape)
+    inverse = embedded_word(tuple(-letter for letter in reversed(letters)), word.shape_out)
+    return compose(inverse, compose(casimir_fold(word.shape_out, span), word))
 
 
 def random_word(rng, n_strands: int, length: int) -> BraidWord:

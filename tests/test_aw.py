@@ -5,7 +5,6 @@ import pytest
 
 from qlink import aw
 from qlink.laurent import LaurentPoly
-from qlink.rmatrix import braided_r, braided_r_inv
 from qlink.tensorop import (
     HALF,
     Operator,
@@ -18,11 +17,15 @@ from qlink.tensorop import (
 )
 from qlink.uqsu2 import casimir, chi
 
-from oracles import TRACE_PRODUCTS, aux_shape_trace, aw_residuals_by_products
+from oracles import TRACE_PRODUCTS, aux_shape_trace, aw_residuals_by_products, conjugation_sandwich
 
 Q = LaurentPoly.q_power
 
 SMALL_SHAPES = [Shape.of(1, 1, 1), Shape.of(1, 2, 1), Shape.of(2, 1, 2)]
+
+# (letters, span) of every braiding conjugation aw builds: Q13 and Q~13, and
+# the three readings of the conjugation dictionary.
+CONJUGATIONS = [((2,), (0, 1)), ((-2,), (0, 1)), ((-1,), (1, 2)), ((1,), (1, 2)), ((1, 2), (0, 1))]
 
 
 @pytest.fixture(autouse=True)
@@ -96,9 +99,8 @@ class TestTraceRoute:
 
     @pytest.mark.parametrize("index", aw.AW_INDICES)
     def test_contraction_equals_the_aux_shape_product(self, index):
-        # Every triple with 2j <= 2 on each leg, and three larger or mixed ones.
-        shapes = [Shape.of(*tjs) for tjs in itertools.product(range(3), repeat=3)]
-        shapes += [Shape.of(3, 3, 3), Shape.of(1, 2, 3), Shape.of(4, 3, 2)]
+        # Every ordered triple with 2j <= 3 on each leg, and one larger one.
+        shapes = [Shape.of(*tjs) for tjs in itertools.product(range(4), repeat=3)] + [Shape.of(4, 3, 2)]
         formula = aw._trace_formula(index)
         for shape in shapes:
             assert aw.q_elem_trace(index, shape) == aux_shape_trace(formula, shape), shape
@@ -209,42 +211,28 @@ class TestStructure:
         assert report.passed, report.summary()
 
     def test_recoupling_is_braiding_conjugate_of_block(self):
-        # Explicit sandwich on a mixed shape, exercising the swapped middle shape.
+        # On a mixed shape, so the middle Casimir lives on the swapped shape.
         shape = Shape.of(1, 2, 3)
-        j1, j2, j3 = shape.factors
-        swapped = Shape((j1, j3, j2))
-        up = embed(braided_r(j2, j3), (1, 2), shape)
-        down = embed(braided_r_inv(j2, j3), (1, 2), swapped)
-        middle = aw.iterated_casimir(swapped, (0, 1))
-        assert aw.q_elem("13", shape) == compose(down, compose(middle, up))
+        assert aw.q_elem("13", shape) == conjugation_sandwich((2,), (0, 1), shape)
 
     def test_inverse_recoupling_is_braiding_conjugate_of_block(self):
         shape = Shape.of(1, 2, 3)
-        j1, j2, j3 = shape.factors
-        swapped = Shape((j1, j3, j2))
-        up = embed(braided_r_inv(j3, j2), (1, 2), shape)
-        down = embed(braided_r(j3, j2), (1, 2), swapped)
-        middle = aw.iterated_casimir(swapped, (0, 1))
-        assert aw.q_elem("13~", shape) == compose(down, compose(middle, up))
+        assert aw.q_elem("13~", shape) == conjugation_sandwich((-2,), (0, 1), shape)
 
     def test_conjugation_readings_match_explicit_sandwiches(self):
         shape = Shape.of(1, 2, 3)
-        j1, j2, j3 = shape.factors
-        swapped12, mid = Shape((j2, j1, j3)), Shape((j2, j3, j1))
-        q23 = aw.iterated_casimir(swapped12, (1, 2))
-        # Q13 = Rhat12 Q23 Rhat12^-1.
-        up, down = embed(braided_r_inv(j2, j1), (0, 1), shape), embed(braided_r(j2, j1), (0, 1), swapped12)
-        sandwich = compose(down, compose(q23, up))
-        assert aw._conjugated((-1,), (1, 2), shape) == sandwich == aw.q_elem("13", shape)
-        # Q~13 = Rhat12^-1 Q23 Rhat12.
-        up, down = embed(braided_r(j1, j2), (0, 1), shape), embed(braided_r_inv(j1, j2), (0, 1), swapped12)
-        sandwich = compose(down, compose(q23, up))
-        assert aw._conjugated((1,), (1, 2), shape) == sandwich == aw.q_elem("13~", shape)
+        # Q13 = Rhat12 Q23 Rhat12^-1, Q~13 = Rhat12^-1 Q23 Rhat12 and
         # Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12.
-        up = compose(embed(braided_r(j1, j3), (1, 2), swapped12), embed(braided_r(j1, j2), (0, 1), shape))
-        down = compose(embed(braided_r_inv(j1, j2), (0, 1), swapped12), embed(braided_r_inv(j1, j3), (1, 2), mid))
-        sandwich = compose(down, compose(aw.iterated_casimir(mid, (0, 1)), up))
-        assert aw._conjugated((1, 2), (0, 1), shape) == sandwich == aw.q_elem("23", shape)
+        for letters, span, index in (((-1,), (1, 2), "13"), ((1,), (1, 2), "13~"), ((1, 2), (0, 1), "23")):
+            sandwich = conjugation_sandwich(letters, span, shape)
+            assert aw._conjugated(letters, span, shape) == sandwich == aw.q_elem(index, shape), letters
+
+    @pytest.mark.parametrize("letters, span", CONJUGATIONS, ids=str)
+    def test_conjugated_equals_the_embedded_sandwich(self, letters, span):
+        # Every ordered triple with 2j <= 3 on each leg.
+        for tjs in itertools.product(range(4), repeat=3):
+            shape = Shape.of(*tjs)
+            assert aw._conjugated(letters, span, shape) == conjugation_sandwich(letters, span, shape), shape
 
 
 class TestSweeps:
