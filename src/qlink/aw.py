@@ -31,7 +31,9 @@ Each leg meets the strand once each way, so the trace is contracted leg by
 leg on 2x2 auxiliary blocks, each leg's terms summed into one accumulator
 per cell; no operator on (1/2, j1, j2, j3) and no tensor product is formed.
 `verify_routes` compares the two constructions on every index but the
-one-leg "3", whose agreement the tests check.
+one-leg "3", whose agreement the tests check.  `_traced` reads only the legs
+up to the block's top one, so on one or two legs it gives the one-leg
+Casimir or the coproduct Casimir.
 
 The central elements in the quartic relation are instantiated as their full
 matrices, not scalar eigenvalues: the three-leg Casimir is generically not
@@ -181,7 +183,7 @@ def _aux_blocks(op: Operator) -> dict[tuple[int, int], Operator]:
     for (r, c), p in op.entries.items():
         (b, i), (b2, i2) = divmod(r, d), divmod(c, d)
         cells.setdefault((b, b2), {})[(i, i2)] = p
-    return {bb: Operator(leg, leg, entries) for bb, entries in cells.items()}
+    return {bb: Operator._raw(leg, leg, entries) for bb, entries in cells.items()}
 
 
 def _traced(name: str, shape: Shape) -> Operator:
@@ -222,16 +224,6 @@ def _traced(name: str, shape: Shape) -> Operator:
         w = {cell: {rc: finalize(t) for rc, t in out.items() if any(t.values())} for cell, out in acc.items()}
     block = Shape(shape.factors[:top])
     return embed(Operator._raw(block, block, w["closed"]), range(top), shape)
-
-
-def casimir_trace(j: Spin) -> Operator:
-    """One-leg version: the weighted trace of L+ L- reproduces the Casimir."""
-    return _traced("1", Shape((j,)))
-
-
-def delta_casimir_trace(j1: Spin, j2: Spin) -> Operator:
-    """Two-leg version: the weighted trace reproduces the coproduct Casimir."""
-    return _traced("12", Shape((j1, j2)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,23 +454,6 @@ def verify_centrality(shape: Shape) -> Report:
     for index in AW_INDICES:
         for kind, defect in commutation_defects(q_elem(index, shape), generators):
             report.add(f"Q_{_norm_index(index)} commutes with diagonal {kind}", defect)
-    return report
-
-
-def conjugation_dictionary(shape: Shape) -> Report:
-    """
-    The braiding conjugations relating the recoupled elements to the adjacent
-    blocks: Q13 = Rhat12 Q23 Rhat12^-1, Q~13 = Rhat12^-1 Q23 Rhat12, and the
-    two-step form Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12, each read with
-    the middle element built on the appropriately permuted shape.
-    """
-    report = Report(f"conjugation dictionary {shape}")
-    report.add("Q13 = Rhat12 Q23 Rhat12^-1 (shape-aware)", q_elem("13", shape) - _conjugated((-1,), (1, 2), shape))
-    report.add("Q~13 = Rhat12^-1 Q23 Rhat12 (shape-aware)", q_elem("13~", shape) - _conjugated((1,), (1, 2), shape))
-    report.add(
-        "Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12 (shape-aware)",
-        q_elem("23", shape) - _conjugated((1, 2), (0, 1), shape),
-    )
     return report
 
 

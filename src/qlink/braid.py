@@ -274,7 +274,7 @@ def recolor_component(
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON formats.
+# Text and JSON formats, read only: no route writes a braid.
 #
 # Text:  "n=<strands>; <letters>[; colors=<c1,c2,...>]" with letters separated
 # by spaces or commas and colors written as "1/2", "1", "3/2", ...; an empty
@@ -343,23 +343,6 @@ def _parse_sections(text: str) -> tuple[BraidWord, Optional[tuple[Spin, ...]]]:
     return BraidWord(n, tuple(letters)), colors
 
 
-def format_word(word: BraidWord) -> str:
-    return f"n={word.n_strands}; " + " ".join(str(l) for l in word.letters)
-
-
-def format_colored(braid: ColoredBraid) -> str:
-    colors = ",".join(str(c) for c in braid.colors)
-    return format_word(braid.word) + f"; colors={colors}"
-
-
-def braid_to_json(braid: ColoredBraid) -> dict:
-    return {
-        "n": braid.n_strands,
-        "letters": list(braid.word.letters),
-        "colors": [str(c) for c in braid.colors],
-    }
-
-
 def _json_field(data: dict, key: str, valid, expected: str):
     if key not in data:
         raise BraidError(f"braid JSON is missing field {key!r}")
@@ -390,10 +373,6 @@ def _colors_from_json(data: dict) -> tuple[Spin, ...]:
         return tuple(Spin.parse(c) for c in colors)
     except ValueError as exc:
         raise BraidError(f"braid JSON field 'colors': {exc}") from None
-
-
-def braid_from_json(data: dict) -> ColoredBraid:
-    return ColoredBraid(_word_from_json(data), _colors_from_json(data))
 
 
 def parse_any(text: str, colors: Optional[Sequence[Spin]] = None):

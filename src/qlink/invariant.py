@@ -44,7 +44,7 @@ from .braid import (
     recolor_component,
     writhe,
 )
-from .laurent import LaurentPoly, phase_mul, qint
+from .laurent import LaurentPoly, phase_mul
 from .report import Report
 from .tensorop import (
     HALF,
@@ -302,27 +302,3 @@ def verify_markov(braid: ColoredBraid) -> Report:
     for g in range(1, braid.n_strands):
         report.add(f"conjugation by generator {g}", rt_invariant(_conjugate(braid, g)) - base)
     return report
-
-
-def unknot(j: Spin) -> ColoredBraid:
-    """The zero-writhe unknot: the closed identity 1-braid."""
-    return ColoredBraid(BraidWord(1, ()), (j,))
-
-
-def hopf_link(j1: Spin, j2: Spin) -> ColoredBraid:
-    """The closure of the doubled crossing on two strands."""
-    return ColoredBraid(BraidWord(2, (1, 1)), (j1, j2))
-
-
-def fusion_identity_residual(twice_a: int, twice_b: int) -> LaurentPoly:
-    """
-    Residual of the loop-dimension fusion rule: [a+1][b+1] equals the sum of
-    [c+1] over the decomposition range of twice-spins c.
-    """
-    from .uqsu2 import twice_spin_range
-
-    lhs = qint(twice_a + 1) * qint(twice_b + 1)
-    rhs = LaurentPoly.zero()
-    for tc in twice_spin_range(twice_a, twice_b):
-        rhs = rhs + qint(tc + 1)
-    return lhs - rhs

@@ -31,7 +31,13 @@ Derived operators:
   transcribed, so there is a single source of truth (the written 2x2 block
   forms are asserted in the tests instead);
 - the 4x4 projector-like P with middle block [[q^-1, -1], [-1, q]], satisfying
-  Rhat = q^(1/2) - q^(-1/2) P on two spin-1/2 legs.
+  Rhat = q^(1/2) - q^(-1/2) P on two spin-1/2 legs;
+- M = diag(q, q^-1), the weight q^(2H) on the spin-1/2 leg that every
+  auxiliary-strand trace is taken against.
+
+The Yang-Baxter equation, the FRT/RLL exchange relations and the monodromy
+annihilators of these matrices are checked by the test suite; no route of
+the package runs them.
 
 `letter_matrix` is the one place a braid letter becomes a matrix: letter +i
 acts on legs i - 1, i by Rhat at their current spins, letter -i by Rhat^-1,
@@ -54,13 +60,12 @@ the intertwining verdicts drawn from them too.
 
 from __future__ import annotations
 
-from functools import reduce, wraps
+from functools import wraps
 from typing import Iterable, Sequence, Union
 
 from .laurent import LaurentPoly, qint
-from .report import Report
-from .tensorop import HALF, Operator, Shape, ShapeError, Spin, act_adjacent, compose, embed, identity, swap
-from .uqsu2 import commutation_defects, mu as _mu, twice_spin_range
+from .tensorop import HALF, Operator, Shape, ShapeError, Spin, act_adjacent, compose, identity, swap
+from .uqsu2 import commutation_defects
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -187,11 +192,6 @@ def act_letters(letters: Iterable[int], target: Operator) -> Operator:
     return act_adjacent(word_steps(letters, target.shape_out.factors)[0], target)
 
 
-def monodromy(j1: Spin, j2: Spin) -> Operator:
-    """R21 R12 on (j1, j2): the square of the braiding."""
-    return compose(r_opposite(j1, j2), r_matrix(j1, j2))
-
-
 # ---------------------------------------------------------------------------
 # The mixed matrices with a spin-1/2 first leg, and the 4x4 P matrix.
 # ---------------------------------------------------------------------------
@@ -217,8 +217,9 @@ def l_plus_inv(j: Spin) -> Operator:
 
 
 def m_matrix() -> Operator:
-    """diag(q, q^-1): the weight element on the spin-1/2 space."""
-    return _mu(HALF)
+    """diag(q, q^-1): the weight element q^(2H) on the spin-1/2 space."""
+    shape = Shape((HALF,))
+    return Operator._raw(shape, shape, {(0, 0): Q(1), (1, 1): Q(-1)})
 
 
 @_memo("P")
@@ -233,79 +234,3 @@ def p_matrix() -> Operator:
         (2, 2): Q(1),
     }
     return Operator(shape, shape, entries)
-
-
-# ---------------------------------------------------------------------------
-# Verification suites.
-# ---------------------------------------------------------------------------
-
-
-def verify_yang_baxter(j1: Spin, j2: Spin, j3: Spin) -> Report:
-    """R12 R13 R23 = R23 R13 R12 on (j1, j2, j3), with plain (non-braided) legs."""
-    report = Report(f"yang-baxter {j1},{j2},{j3}")
-    shape = Shape((j1, j2, j3))
-    r12 = embed(r_matrix(j1, j2), (0, 1), shape)
-    r13 = embed(r_matrix(j1, j3), (0, 2), shape)
-    r23 = embed(r_matrix(j2, j3), (1, 2), shape)
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    report.add("R12 R13 R23 = R23 R13 R12", lhs - rhs)
-    return report
-
-
-def verify_frt(general_twice_spins: tuple[int, ...] = (1, 2, 3)) -> Report:
-    """
-    The six exchange relations between R and the mixed matrices, as exact
-    matrix identities.  The three with two fundamental legs run with the
-    remaining leg at each requested spin; the three one-leg variants place the
-    fundamental leg at each of the three positions in turn.
-    """
-    report = Report("frt")
-    for tj in general_twice_spins:
-        j = Spin(tj)
-
-        shape = Shape((HALF, HALF, j))
-        r12 = embed(r_matrix(HALF, HALF), (0, 1), shape)
-        lm13 = embed(l_minus(j), (0, 2), shape)
-        lm23 = embed(l_minus(j), (1, 2), shape)
-        lp13 = embed(l_plus(j), (0, 2), shape)
-        lp23 = embed(l_plus(j), (1, 2), shape)
-        report.add(f"FRT1 j={j}", r12 @ lm13 @ lm23 - lm23 @ lm13 @ r12)
-        report.add(f"FRT2 j={j}", r12 @ lp23 @ lp13 - lp13 @ lp23 @ r12)
-        report.add(f"FRT3 j={j}", lm13 @ r12 @ lp23 - lp23 @ r12 @ lm13)
-
-        shape4 = Shape((HALF, j, j))
-        r23 = embed(r_matrix(j, j), (1, 2), shape4)
-        lm13 = embed(l_minus(j), (0, 2), shape4)
-        lm12 = embed(l_minus(j), (0, 1), shape4)
-        report.add(f"RLL4 j={j}", r23 @ lm13 @ lm12 - lm12 @ lm13 @ r23)
-
-        shape5 = Shape((j, j, HALF))
-        r12g = embed(r_matrix(j, j), (0, 1), shape5)
-        lp31 = embed(l_plus(j), (2, 0), shape5)
-        lp32 = embed(l_plus(j), (2, 1), shape5)
-        report.add(f"RLL5 j={j}", r12g @ lp31 @ lp32 - lp32 @ lp31 @ r12g)
-
-        shape6 = Shape((j, HALF, j))
-        lp21 = embed(l_plus(j), (1, 0), shape6)
-        r13g = embed(r_matrix(j, j), (0, 2), shape6)
-        lm23 = embed(l_minus(j), (1, 2), shape6)
-        report.add(f"RLL6 j={j}", lp21 @ r13g @ lm23 - lm23 @ r13g @ lp21)
-    return report
-
-
-def monodromy_annihilator(j1: Spin, j2: Spin) -> Report:
-    """
-    The squared braiding R21 R12 is annihilated by the product of
-    (B - q^(-2j1(j1+1) - 2j2(j2+1) + 2j(j+1))) over the decomposition range of
-    j; checked as an exact matrix identity.
-    """
-    report = Report(f"monodromy {j1},{j2}")
-    b = monodromy(j1, j2)
-    shape = b.shape_in
-    ta, tb = j1.twice_j, j2.twice_j
-    spins = twice_spin_range(ta, tb)
-    exponents = (-ta * (ta + 2) - tb * (tb + 2) + tj * (tj + 2) for tj in spins)  # of v
-    prod = reduce(compose, (b - identity(shape) * V(e) for e in exponents))
-    report.add("annihilating product", prod, note=f"eigenvalue exponents over 2j in {list(spins)}")
-    return report

@@ -18,11 +18,14 @@ shape bookkeeping is what keeps mixed-spin conjugations honest.
 
 Entries are stored sparsely as {(row, col): LaurentPoly} with no zero entries,
 so operator equality is exact.  Everything is immutable and pure.
+
+The structural operations are the ones a route uses: identity, kron, the
+two-factor `swap`, `embed`, sums of products (`combine`, with `compose` its
+one-term call), a word of two-leg steps (`act_adjacent`) and weighted traces.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
@@ -60,9 +63,8 @@ class Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-@total_ordering
 class Spin(Immutable):
-    """A spin j stored as twice_j; dimension of the carrier space is twice_j + 1.  Spins order by twice_j."""
+    """A spin j stored as twice_j; dimension of the carrier space is twice_j + 1."""
 
     __slots__ = ("twice_j",)
 
@@ -76,9 +78,6 @@ class Spin(Immutable):
 
     def __hash__(self):
         return hash((self.twice_j,))
-
-    def __lt__(self, other):
-        return self.twice_j < other.twice_j if other.__class__ is Spin else NotImplemented
 
     def __repr__(self) -> str:
         return f"Spin(twice_j={self.twice_j!r})"
@@ -171,9 +170,6 @@ class Shape(Immutable):
             out.append(index % d)
             index //= d
         return tuple(reversed(out))
-
-    def permuted(self, perm: Sequence[int]) -> Shape:
-        return Shape(self.factors[p] for p in perm)
 
     def replace(self, positions: Sequence[int], spins: Sequence[Spin]) -> Shape:
         fs = list(self.factors)
@@ -325,12 +321,6 @@ def identity(shape: Shape) -> Operator:
     return Operator._raw(shape, shape, {(i, i): one for i in range(shape.dim)})
 
 
-def diagonal(shape: Shape, diag: Sequence[LaurentPoly]) -> Operator:
-    if len(diag) != shape.dim:
-        raise ShapeError(f"diagonal length {len(diag)} != dim {shape.dim}")
-    return Operator._raw(shape, shape, {(i, i): c for i, c in enumerate(diag) if c})
-
-
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor product; output/input shapes are concatenated."""
     shape_in = a.shape_in + b.shape_in
@@ -413,29 +403,12 @@ def combine(shape_in: Shape, shape_out: Shape, terms: Iterable[tuple]) -> Operat
     return Operator._raw(shape_in, shape_out, _finalize_cells(acc))
 
 
-def permute(shape: Shape, perm: Sequence[int]) -> Operator:
-    """
-    The permutation operator sending the basis vector labeled (m_0, ..., m_{n-1})
-    to the vector whose slot t carries label m_{perm[t]}; shape_out is the
-    correspondingly permuted shape.
-    """
-    perm = tuple(perm)
-    if sorted(perm) != list(range(len(shape))):
-        raise ShapeError(f"invalid permutation {perm} for {len(shape)} factors")
-    shape_out = shape.permuted(perm)
-    out_strides = shape_out.strides()
-    one = LaurentPoly.one()
-    entries = {}
-    for col in range(shape.dim):
-        multi = shape.unravel(col)
-        row = sum(multi[perm[t]] * out_strides[t] for t in range(len(perm)))
-        entries[(row, col)] = one
-    return Operator._raw(shape, shape_out, entries)
-
-
 def swap(a: Spin, b: Spin) -> Operator:
-    """The two-factor exchange (V_a (x) V_b -> V_b (x) V_a)."""
-    return permute(Shape((a, b)), (1, 0))
+    """The two-factor exchange (V_a (x) V_b -> V_b (x) V_a): column i d_b + k to row k d_a + i."""
+    one = LaurentPoly.one()
+    da, db = a.dim, b.dim
+    entries = {(k * da + i, i * db + k): one for i in range(da) for k in range(db)}
+    return Operator._raw(Shape((a, b)), Shape((b, a)), entries)
 
 
 def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
@@ -715,18 +688,3 @@ def full_trace(op: Operator, weights: Sequence[Optional[Operator]]) -> LaurentPo
     for leg in range(len(weights) - 1, -1, -1):
         op = _trace_leg(op, leg, weights[leg])
     return op.entry(0, 0)
-
-
-def as_scalar(op: Operator) -> Optional[LaurentPoly]:
-    """Return c if op equals c*identity exactly, else None."""
-    _require_square(op, "as_scalar")
-    dim = op.shape_in.dim
-    if not op.entries:
-        return LaurentPoly.zero()
-    c = op.entries.get((0, 0))
-    if c is None or len(op.entries) != dim:
-        return None
-    for i in range(dim):
-        if op.entries.get((i, i)) != c:
-            return None
-    return c

@@ -1,6 +1,6 @@
 """
-Finite-dimensional representations of the quantum algebra on generators
-E, F, q^H.
+Representations of the quantum algebra on generators E, F, q^H, on tensor
+products of spin spaces.
 
 Everything is held as a represented matrix in the fixed descending-weight
 basis of `tensorop`; there is no representation-free algebra arithmetic.
@@ -20,7 +20,8 @@ acts on spin j as the scalar chi_j = q^(2j+1) + q^(-2j-1).  The coproduct is
 
 so on n legs D(E) = sum_i q^H..q^H E_i q^-H..q^-H.  One walk over the basis
 columns (`_moves`) writes D(E), D(F), D(q^(kH)) and the iterated-coproduct
-Casimir entry by entry; nothing is multiplied out.
+Casimir entry by entry; nothing is multiplied out, and a single leg is the
+one-leg case of the same walk.
 """
 
 from __future__ import annotations
@@ -29,81 +30,9 @@ from itertools import product
 from typing import Sequence
 
 from .laurent import LaurentPoly, finalize, qint
-from .tensorop import Immutable, Operator, Shape, ShapeError, Spin, combine
+from .tensorop import Operator, Shape, ShapeError, Spin, combine
 
-Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
-
-
-def _check_power(k) -> None:
-    if not isinstance(k, int):
-        raise ValueError(f"power of q^H must be an integer, got {k!r}")
-
-
-class GeneratorSymbol(Immutable):
-    """One of E, F, or q^(kH) with integer k (powers of q^H compose additively)."""
-
-    __slots__ = ("kind", "power")
-
-    def __init__(self, kind: str, power: int = 0):
-        # kind is "E", "F", or "QH"; power is k when kind == "QH".
-        if kind not in ("E", "F", "QH"):
-            raise ValueError(f"unknown generator kind {kind!r}")
-        _check_power(power)
-        if kind != "QH" and power:
-            raise ValueError("only QH carries a power")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "power", power)
-
-    def __eq__(self, other):
-        if other.__class__ is not GeneratorSymbol:
-            return NotImplemented
-        return self.kind == other.kind and self.power == other.power
-
-    def __hash__(self):
-        return hash((self.kind, self.power))
-
-    def __repr__(self) -> str:
-        return f"GeneratorSymbol(kind={self.kind!r}, power={self.power!r})"
-
-
-E_SYM = GeneratorSymbol("E")
-F_SYM = GeneratorSymbol("F")
-
-
-def qh_symbol(k: int) -> GeneratorSymbol:
-    return GeneratorSymbol("QH", k)
-
-
-def rep_e(j: Spin) -> Operator:
-    """E on the spin-j space: raises the weight by one step."""
-    tj = j.twice_j
-    # Column index i carries m = j - i, so E sends column i to row i - 1
-    # with coefficient [j - m] = [i].
-    entries = {(i - 1, i): qint(i) for i in range(1, tj + 1)}
-    shape = Shape((j,))
-    return Operator(shape, shape, entries)
-
-
-def rep_f(j: Spin) -> Operator:
-    """F on the spin-j space: lowers the weight by one step."""
-    tj = j.twice_j
-    entries = {(i + 1, i): qint(tj - i) for i in range(tj)}
-    shape = Shape((j,))
-    return Operator(shape, shape, entries)
-
-
-def rep_qh(j: Spin, k: int) -> Operator:
-    """q^(kH) on the spin-j space, diagonal with entries q^(k m) = v^(k 2m)."""
-    _check_power(k)
-    shape = Shape((j,))
-    entries = {(i, i): V(k * tm) for i, tm in enumerate(j.twice_weights())}
-    return Operator(shape, shape, entries)
-
-
-def mu(j: Spin) -> Operator:
-    """The weight element q^(2H) on the spin-j space."""
-    return rep_qh(j, 2)
 
 
 def twice_spin_range(ta: int, tb: int) -> range:
@@ -114,12 +43,6 @@ def twice_spin_range(ta: int, tb: int) -> range:
 def chi(j: Spin) -> LaurentPoly:
     """The Casimir eigenvalue chi_j = q^(2j+1) + q^(-2j-1) on spin j."""
     return V(2 * j.twice_j + 2) + V(-2 * j.twice_j - 2)
-
-
-def casimir(j: Spin) -> Operator:
-    """(q - q^-1)^2 F E + q^(2H+1) + q^(-2H-1) on the spin-j space."""
-    coeff = (Q(1) - Q(-1)) ** 2
-    return rep_f(j) @ rep_e(j) * coeff + rep_qh(j, 2) * Q(1) + rep_qh(j, -2) * Q(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +76,28 @@ def _moves(shape: Shape) -> list[tuple[int, list, list]]:
     return walk
 
 
-def delta_rep(sym: GeneratorSymbol, shape: Shape) -> Operator:
-    """The (len(shape) - 1)-fold iterated coproduct of one generator, represented on the whole of `shape`."""
+def delta_rep(kind: str, shape: Shape, power: int = 1) -> Operator:
+    """
+    The (len(shape) - 1)-fold iterated coproduct of one generator, represented
+    on the whole of `shape`: E for kind "E", F for "F", and q^(power H) for
+    "QH" (`power` is read for "QH" only).
+    """
+    if kind not in ("E", "F", "QH"):
+        raise ValueError(f"unknown generator kind {kind!r}")
     if not len(shape):
         raise ShapeError("cannot represent a generator on an empty shape")
     walk = _moves(shape)
-    if sym.kind == "QH":
-        entries = {(col, col): V(sym.power * total) for col, (total, _, _) in enumerate(walk)}
+    if kind == "QH":
+        entries = {(col, col): V(power * total) for col, (total, _, _) in enumerate(walk)}
     else:
-        side = 1 if sym.kind == "E" else 2
-        entries = {(row, col): qint(n, power) for col, moves in enumerate(walk) for row, n, power in moves[side]}
+        side = 1 if kind == "E" else 2
+        entries = {(row, col): qint(n, p) for col, moves in enumerate(walk) for row, n, p in moves[side]}
     return Operator(shape, shape, entries)
 
 
 def diagonal_generators(shape: Shape) -> list[tuple[str, Operator]]:
     """(kind, D(g)) for g = E, F and q^H, represented on `shape`."""
-    return [(sym.kind, delta_rep(sym, shape)) for sym in (E_SYM, F_SYM, qh_symbol(1))]
+    return [(kind, delta_rep(kind, shape)) for kind in ("E", "F", "QH")]
 
 
 def commutation_defects(op: Operator, generators: Sequence[tuple[str, Operator]] = ()) -> list[tuple[str, Operator]]:

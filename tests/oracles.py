@@ -22,6 +22,28 @@ instead of one packed pass over a two-sided column, the Askey-Wilson residuals
 are summed one operator at a time with +, - and scalar * instead of in one
 fused pass, and an operator product is summed over the shared index row by
 column instead of accumulated per output cell.
+
+Moved here from the package, because no route of the package uses them:
+
+- `rep_e`, `rep_f`, `rep_qh` and `casimir`: the written one-leg matrices of
+  E, F, q^(kH) and the Casimir (q - q^-1)^2 F E + q^(2H+1) + q^(-2H-1)
+  multiplied out of them.  They are the one-leg entries [i] and q^(k m) read
+  off the defining formulas, while `uqsu2` writes every generator and
+  Casimir from one per-column walk over the legs, so the folds above no
+  longer check that walk against itself;
+- `as_scalar`, which reads an operator as c times the identity entry by
+  entry;
+- `unknot` and `hopf_link`, two literal braids, and
+  `fusion_identity_residual`, the fusion rule [a+1][b+1] = sum [c+1] from
+  q-integers alone;
+- `verify_yang_baxter`, `verify_frt`, `monodromy` and
+  `monodromy_annihilator`: the R-matrix layer's identities, each side
+  embedded and multiplied out densely, so they share nothing with the one
+  `act_adjacent` pass through which every route applies R.
+
+`loop_word` reads the spin-1/2 loop around a block of legs as a braid word
+by the over/under rule, so a generator can be evaluated as a closed strand
+through R letters and one partial trace, with no L+- product.
 """
 
 from __future__ import annotations
@@ -29,12 +51,22 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 
-from qlink.braid import BraidWord
+from qlink.braid import BraidWord, ColoredBraid
 from qlink.laurent import LaurentPoly, div_exact, qfact, qint
-from qlink.rmatrix import braided_r, braided_r_inv, l_minus, l_minus_inv, l_plus, l_plus_inv, m_matrix
+from qlink.report import Report
+from qlink.rmatrix import (
+    braided_r,
+    braided_r_inv,
+    l_minus,
+    l_minus_inv,
+    l_plus,
+    l_plus_inv,
+    m_matrix,
+    r_matrix,
+    r_opposite,
+)
 from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, kron, partial_trace_first
 from qlink.tl import TLElement, close_first
-from qlink.uqsu2 import E_SYM, F_SYM, GeneratorSymbol, qh_symbol, rep_e, rep_f, rep_qh
 
 
 class _UnionFind:
@@ -199,6 +231,162 @@ def aw_residuals_by_products(q, one) -> dict:
     return res
 
 
+# ---------------------------------------------------------------------------
+# The written one-leg generators, and helpers no route of the package uses.
+# ---------------------------------------------------------------------------
+
+
+def rep_e(j: Spin) -> Operator:
+    """E on the spin-j space: column i carries m = j - i and goes to row i - 1 times [j - m] = [i]."""
+    shape = Shape((j,))
+    return Operator(shape, shape, {(i - 1, i): qint(i) for i in range(1, j.twice_j + 1)})
+
+
+def rep_f(j: Spin) -> Operator:
+    """F on the spin-j space: column i goes to row i + 1 times [j + m] = [2j - i]."""
+    shape = Shape((j,))
+    return Operator(shape, shape, {(i + 1, i): qint(j.twice_j - i) for i in range(j.twice_j)})
+
+
+def rep_qh(j: Spin, k: int) -> Operator:
+    """q^(kH) on the spin-j space, diagonal with entries q^(k m) = v^(k 2m); k must be an integer."""
+    if not isinstance(k, int):
+        raise ValueError(f"power of q^H must be an integer, got {k!r}")
+    shape = Shape((j,))
+    return Operator(shape, shape, {(i, i): LaurentPoly.v_power(k * tm) for i, tm in enumerate(j.twice_weights())})
+
+
+def casimir(j: Spin) -> Operator:
+    """(q - q^-1)^2 F E + q^(2H+1) + q^(-2H-1) on the spin-j space."""
+    q = LaurentPoly.q_power
+    return rep_f(j) @ rep_e(j) * (q(1) - q(-1)) ** 2 + rep_qh(j, 2) * q(1) + rep_qh(j, -2) * q(-1)
+
+
+def as_scalar(op: Operator):
+    """c if op equals c times the identity exactly, else None."""
+    assert op.shape_in == op.shape_out
+    if not op.entries:
+        return LaurentPoly.zero()
+    c = op.entries.get((0, 0))
+    if c is None or len(op.entries) != op.shape_in.dim:
+        return None
+    if any(op.entries.get((i, i)) != c for i in range(op.shape_in.dim)):
+        return None
+    return c
+
+
+def unknot(j: Spin) -> ColoredBraid:
+    """The zero-writhe unknot: the closed identity 1-braid."""
+    return ColoredBraid(BraidWord(1, ()), (j,))
+
+
+def hopf_link(j1: Spin, j2: Spin) -> ColoredBraid:
+    """The closure of the doubled crossing on two strands."""
+    return ColoredBraid(BraidWord(2, (1, 1)), (j1, j2))
+
+
+def fusion_identity_residual(twice_a: int, twice_b: int) -> LaurentPoly:
+    """[a+1][b+1] minus the sum of [c+1] over the twice-spins c of V_(a/2) (x) V_(b/2)."""
+    rhs = LaurentPoly.zero()
+    for tc in range(abs(twice_a - twice_b), twice_a + twice_b + 1, 2):
+        rhs = rhs + qint(tc + 1)
+    return qint(twice_a + 1) * qint(twice_b + 1) - rhs
+
+
+def loop_word(index: str) -> tuple[int, ...]:
+    """
+    The braid word of an auxiliary strand at position 0 that runs out across
+    legs 1..top and back, top the highest leg the index names: going out,
+    letter k is +k when leg k is in the block or the index has "~", and -k
+    otherwise; coming back, from top down to 1, letter k is +k when leg k is
+    in the block or the index has no "~", and -k otherwise.
+    """
+    block, tilde = {int(digit) for digit in index.rstrip("~")}, index.endswith("~")
+    top = max(block)
+    out = [k if k in block or tilde else -k for k in range(1, top + 1)]
+    back = [k if k in block or not tilde else -k for k in range(top, 0, -1)]
+    return tuple(out + back)
+
+
+# ---------------------------------------------------------------------------
+# The R-matrix layer's identity suites.
+# ---------------------------------------------------------------------------
+
+
+def monodromy(j1: Spin, j2: Spin) -> Operator:
+    """R21 R12 on (j1, j2): the square of the braiding."""
+    return compose(r_opposite(j1, j2), r_matrix(j1, j2))
+
+
+def verify_yang_baxter(j1: Spin, j2: Spin, j3: Spin) -> Report:
+    """R12 R13 R23 = R23 R13 R12 on (j1, j2, j3), with plain (non-braided) legs."""
+    report = Report(f"yang-baxter {j1},{j2},{j3}")
+    shape = Shape((j1, j2, j3))
+    r12 = embed(r_matrix(j1, j2), (0, 1), shape)
+    r13 = embed(r_matrix(j1, j3), (0, 2), shape)
+    r23 = embed(r_matrix(j2, j3), (1, 2), shape)
+    report.add("R12 R13 R23 = R23 R13 R12", r12 @ r13 @ r23 - r23 @ r13 @ r12)
+    return report
+
+
+def verify_frt(general_twice_spins: tuple[int, ...] = (1, 2, 3)) -> Report:
+    """
+    The six exchange relations between R and the mixed matrices, as exact
+    matrix identities.  The three with two fundamental legs run with the
+    remaining leg at each requested spin; the three one-leg variants place the
+    fundamental leg at each of the three positions in turn.
+    """
+    report = Report("frt")
+    for tj in general_twice_spins:
+        j = Spin(tj)
+
+        shape = Shape((HALF, HALF, j))
+        r12 = embed(r_matrix(HALF, HALF), (0, 1), shape)
+        lm13 = embed(l_minus(j), (0, 2), shape)
+        lm23 = embed(l_minus(j), (1, 2), shape)
+        lp13 = embed(l_plus(j), (0, 2), shape)
+        lp23 = embed(l_plus(j), (1, 2), shape)
+        report.add(f"FRT1 j={j}", r12 @ lm13 @ lm23 - lm23 @ lm13 @ r12)
+        report.add(f"FRT2 j={j}", r12 @ lp23 @ lp13 - lp13 @ lp23 @ r12)
+        report.add(f"FRT3 j={j}", lm13 @ r12 @ lp23 - lp23 @ r12 @ lm13)
+
+        shape4 = Shape((HALF, j, j))
+        r23 = embed(r_matrix(j, j), (1, 2), shape4)
+        lm13 = embed(l_minus(j), (0, 2), shape4)
+        lm12 = embed(l_minus(j), (0, 1), shape4)
+        report.add(f"RLL4 j={j}", r23 @ lm13 @ lm12 - lm12 @ lm13 @ r23)
+
+        shape5 = Shape((j, j, HALF))
+        r12g = embed(r_matrix(j, j), (0, 1), shape5)
+        lp31 = embed(l_plus(j), (2, 0), shape5)
+        lp32 = embed(l_plus(j), (2, 1), shape5)
+        report.add(f"RLL5 j={j}", r12g @ lp31 @ lp32 - lp32 @ lp31 @ r12g)
+
+        shape6 = Shape((j, HALF, j))
+        lp21 = embed(l_plus(j), (1, 0), shape6)
+        r13g = embed(r_matrix(j, j), (0, 2), shape6)
+        lm23 = embed(l_minus(j), (1, 2), shape6)
+        report.add(f"RLL6 j={j}", lp21 @ r13g @ lm23 - lm23 @ r13g @ lp21)
+    return report
+
+
+def monodromy_annihilator(j1: Spin, j2: Spin) -> Report:
+    """
+    The squared braiding R21 R12 is annihilated by the product of
+    (B - q^(-2j1(j1+1) - 2j2(j2+1) + 2j(j+1))) over the decomposition range of
+    j; checked as an exact matrix identity.
+    """
+    report = Report(f"monodromy {j1},{j2}")
+    b = monodromy(j1, j2)
+    shape = b.shape_in
+    ta, tb = j1.twice_j, j2.twice_j
+    spins = range(abs(ta - tb), ta + tb + 1, 2)
+    exponents = (-ta * (ta + 2) - tb * (tb + 2) + tj * (tj + 2) for tj in spins)  # of v
+    prod = reduce(compose, (b - identity(shape) * LaurentPoly.v_power(e) for e in exponents))
+    report.add("annihilating product", prod, note=f"eigenvalue exponents over 2j in {list(spins)}")
+    return report
+
+
 def r_matrix_expansion(j1, j2) -> Operator:
     """
     R on V_j1 (x) V_j2 as the operator sum over k of
@@ -238,27 +426,28 @@ TRACE_PRODUCTS = {
 }
 
 
-def _one_leg(sym: GeneratorSymbol, j: Spin) -> Operator:
-    if sym.kind == "E":
+def _one_leg(kind: str, j: Spin, power: int) -> Operator:
+    if kind == "E":
         return rep_e(j)
-    if sym.kind == "F":
+    if kind == "F":
         return rep_f(j)
-    return rep_qh(j, sym.power)
+    return rep_qh(j, power)
 
 
-def coproduct_fold(sym: GeneratorSymbol, shape: Shape) -> Operator:
+def coproduct_fold(kind: str, shape: Shape, power: int = 1) -> Operator:
     """
-    The iterated coproduct of one generator on `shape`, folded from the left
-    out of krons: D(g) on head + (last,) is D(g)|head (x) q^-H + D(q^H)|head (x) g
-    for g = E, F, and D(q^(kH))|head (x) q^(kH).
+    The iterated coproduct of one generator (kind "E", "F", or "QH" for
+    q^(power H)) on `shape`, folded from the left out of krons: D(g) on
+    head + (last,) is D(g)|head (x) q^-H + D(q^H)|head (x) g for g = E, F,
+    and D(q^(kH))|head (x) q^(kH).
     """
     if len(shape) == 1:
-        return _one_leg(sym, shape[0])
+        return _one_leg(kind, shape[0], power)
     head, last = Shape(shape.factors[:-1]), shape[-1]
-    if sym.kind == "QH":
-        return kron(coproduct_fold(sym, head), rep_qh(last, sym.power))
-    tail = kron(coproduct_fold(qh_symbol(1), head), _one_leg(sym, last))
-    return kron(coproduct_fold(sym, head), rep_qh(last, -1)) + tail
+    if kind == "QH":
+        return kron(coproduct_fold(kind, head, power), rep_qh(last, power))
+    tail = kron(coproduct_fold("QH", head), _one_leg(kind, last, power))
+    return kron(coproduct_fold(kind, head), rep_qh(last, -1)) + tail
 
 
 def casimir_fold(shape: Shape, span) -> Operator:
@@ -270,8 +459,8 @@ def casimir_fold(shape: Shape, span) -> Operator:
     span = tuple(span)
     sub = Shape(shape.factors[span[0] : span[-1] + 1])
     q = LaurentPoly.q_power
-    fe = compose(coproduct_fold(F_SYM, sub), coproduct_fold(E_SYM, sub))
-    weights = coproduct_fold(qh_symbol(2), sub) * q(1) + coproduct_fold(qh_symbol(-2), sub) * q(-1)
+    fe = compose(coproduct_fold("F", sub), coproduct_fold("E", sub))
+    weights = coproduct_fold("QH", sub, 2) * q(1) + coproduct_fold("QH", sub, -2) * q(-1)
     block = fe * (q(1) - q(-1)) ** 2 + weights
     return embed(block, span, shape)
 
@@ -324,8 +513,7 @@ def random_word(rng, n_strands: int, length: int) -> BraidWord:
 
 def random_colored_braid(rng, n_strands: int, length: int, max_twice_spin: int):
     """A random word with one random color per closure component."""
-    from qlink.braid import ColoredBraid, underlying_permutation
-    from qlink.tensorop import Spin
+    from qlink.braid import underlying_permutation
 
     word = random_word(rng, n_strands, length)
     perm = underlying_permutation(word)

@@ -11,17 +11,27 @@ from itertools import product
 
 import pytest
 
-from oracles import bracket_state_sum, random_colored_braid, random_word
+from oracles import (
+    as_scalar,
+    bracket_state_sum,
+    casimir,
+    fusion_identity_residual,
+    hopf_link,
+    monodromy_annihilator,
+    random_colored_braid,
+    random_word,
+    rep_qh,
+    unknot,
+    verify_frt,
+    verify_yang_baxter,
+)
 from qlink import aw, invariant, rmatrix
 from qlink.braid import BraidWord, ColoredBraid, delete_component
 from qlink.invariant import (
     all_half,
     cs_invariant_fundamental,
-    fusion_identity_residual,
-    hopf_link,
     kauffman_bracket,
     rt_invariant,
-    unknot,
     verify_factorization,
     verify_framing,
     verify_markov,
@@ -34,11 +44,10 @@ from qlink.tensorop import (
     Operator,
     Shape,
     Spin,
-    as_scalar,
     partial_trace_first,
     partial_trace_last,
 )
-from qlink.uqsu2 import casimir, casimir_rep, mu, rep_qh
+from qlink.uqsu2 import casimir_rep
 
 V = LaurentPoly.v_power
 
@@ -108,8 +117,8 @@ def test_c04_weighted_partial_traces():
             factor = V(tj * (tj + 2))
             braid_op = rmatrix.braided_r(j, j)
             braid_inv = rmatrix.braided_r_inv(j, j)
-            assert as_scalar(partial_trace_first(braid_op, mu(j))) == factor
-            assert as_scalar(partial_trace_first(braid_inv, mu(j))) == factor.bar()
+            assert as_scalar(partial_trace_first(braid_op, rep_qh(j, 2))) == factor
+            assert as_scalar(partial_trace_first(braid_inv, rep_qh(j, 2))) == factor.bar()
             assert as_scalar(partial_trace_last(braid_op, rep_qh(j, -2))) == factor
             assert as_scalar(partial_trace_last(braid_inv, rep_qh(j, -2))) == factor.bar()
 
@@ -117,11 +126,11 @@ def test_c04_weighted_partial_traces():
 def test_c05_trace_route_reproduces_casimirs():
     with criterion(5, 30.0, "trace route reproduces Casimir and coproduct Casimir, 2j <= 4"):
         for tj in range(0, 5):
-            assert aw.casimir_trace(Spin(tj)) == casimir(Spin(tj)), tj
+            assert aw._traced("1", Shape.of(tj)) == casimir(Spin(tj)), tj
         for ta in range(0, 5):
             for tb in range(0, 5):
-                got = aw.delta_casimir_trace(Spin(ta), Spin(tb))
-                assert got == casimir_rep(Shape.of(ta, tb)), (ta, tb)
+                shape = Shape.of(ta, tb)
+                assert aw._traced("12", shape) == casimir_rep(shape), (ta, tb)
 
 
 AW_SHAPES = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 3), (2, 2, 2)]
@@ -155,16 +164,16 @@ def test_c08_p_matrix_layer():
 
 def test_c09_exchange_and_yang_baxter_layer():
     with criterion(9, 60.0, "FRT/one-leg exchange relations, Yang-Baxter, monodromy annihilators"):
-        report = rmatrix.verify_frt((1, 2, 3))
+        report = verify_frt((1, 2, 3))
         assert report.passed, report.summary()
         for t1 in (0, 1, 2):
             for t2 in (0, 1, 2):
                 for t3 in (0, 1, 2):
-                    ybe = rmatrix.verify_yang_baxter(Spin(t1), Spin(t2), Spin(t3))
+                    ybe = verify_yang_baxter(Spin(t1), Spin(t2), Spin(t3))
                     assert ybe.passed, ybe.summary()
         for ta in (0, 1, 2):
             for tb in (0, 1, 2):
-                mono = rmatrix.monodromy_annihilator(Spin(ta), Spin(tb))
+                mono = monodromy_annihilator(Spin(ta), Spin(tb))
                 assert mono.passed, mono.summary()
 
 
@@ -259,7 +268,7 @@ def _detects_corruption() -> dict:
     except Exception:
         detected["aw-relations"] = True
     try:
-        report = rmatrix.verify_yang_baxter(HALF, HALF, HALF)
+        report = verify_yang_baxter(HALF, HALF, HALF)
         detected["yang-baxter"] = not report.passed
     except Exception:
         detected["yang-baxter"] = True

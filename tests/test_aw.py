@@ -3,21 +3,31 @@ from functools import reduce
 
 import pytest
 
-from qlink import aw
+from qlink import aw, rmatrix
 from qlink.laurent import LaurentPoly
+from qlink.report import Report
 from qlink.tensorop import (
     HALF,
     Operator,
     Shape,
     Spin,
-    as_scalar,
     compose,
     embed,
     identity,
+    partial_trace_first,
 )
-from qlink.uqsu2 import casimir, chi
+from qlink.uqsu2 import casimir_rep, chi
 
-from oracles import TRACE_PRODUCTS, aux_shape_trace, aw_residuals_by_products, conjugation_sandwich
+from oracles import (
+    TRACE_PRODUCTS,
+    as_scalar,
+    aux_shape_trace,
+    aw_residuals_by_products,
+    casimir,
+    conjugation_sandwich,
+    loop_word,
+    rep_qh,
+)
 
 Q = LaurentPoly.q_power
 
@@ -26,6 +36,23 @@ SMALL_SHAPES = [Shape.of(1, 1, 1), Shape.of(1, 2, 1), Shape.of(2, 1, 2)]
 # (letters, span) of every braiding conjugation aw builds: Q13 and Q~13, and
 # the three readings of the conjugation dictionary.
 CONJUGATIONS = [((2,), (0, 1)), ((-2,), (0, 1)), ((-1,), (1, 2)), ((1,), (1, 2)), ((1, 2), (0, 1))]
+
+
+def conjugation_dictionary(shape: Shape) -> Report:
+    """
+    The braiding conjugations relating the recoupled elements to the adjacent
+    blocks: Q13 = Rhat12 Q23 Rhat12^-1, Q~13 = Rhat12^-1 Q23 Rhat12, and the
+    two-step form Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12, each read with
+    the middle element built on the appropriately permuted shape.
+    """
+    report = Report(f"conjugation dictionary {shape}")
+    report.add("Q13 = Rhat12 Q23 Rhat12^-1 (shape-aware)", aw.q_elem("13", shape) - aw._conjugated((-1,), (1, 2), shape))
+    report.add("Q~13 = Rhat12^-1 Q23 Rhat12 (shape-aware)", aw.q_elem("13~", shape) - aw._conjugated((1,), (1, 2), shape))
+    report.add(
+        "Q23 = Rhat12^-1 Rhat23^-1 Q12 Rhat23 Rhat12 (shape-aware)",
+        aw.q_elem("23", shape) - aw._conjugated((1, 2), (0, 1), shape),
+    )
+    return report
 
 
 @pytest.fixture(autouse=True)
@@ -78,14 +105,12 @@ class TestTraceRoute:
 
     @pytest.mark.parametrize("tj", range(0, 5))
     def test_one_leg_trace(self, tj):
-        assert aw.casimir_trace(Spin(tj)) == casimir(Spin(tj))
+        assert aw._traced("1", Shape((Spin(tj),))) == casimir(Spin(tj))
 
     @pytest.mark.parametrize("pair", [(0, 0), (1, 1), (1, 2), (2, 2), (3, 4), (4, 4)])
     def test_two_leg_trace(self, pair):
-        from qlink.uqsu2 import casimir_rep
-
-        j1, j2 = Spin(pair[0]), Spin(pair[1])
-        assert aw.delta_casimir_trace(j1, j2) == casimir_rep(Shape((j1, j2)))
+        shape = Shape.of(*pair)
+        assert aw._traced("12", shape) == casimir_rep(shape)
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
     def test_routes_agree(self, shape):
@@ -110,6 +135,63 @@ class TestTraceRoute:
         # The one index verify_routes leaves out: the auxiliary strand passes
         # over legs 1 and 2 on its way to leg 3 and back.
         assert aw.q_elem_trace("3", shape) == aw.q_elem("3", shape)
+
+
+def loop(index: str, a: Spin, shape: Shape) -> Operator:
+    """
+    The closed loop of spin a around the index's block: `loop_word` applied to
+    the identity on (a, j1..j_top), the first leg traced against q^(2H) on
+    spin a, and the result embedded in `shape`.
+    """
+    top = max(int(digit) for digit in index.rstrip("~"))
+    legs = Shape((a,) + shape.factors[:top])
+    closed = partial_trace_first(rmatrix.act_letters(loop_word(index), identity(legs)), rep_qh(a, 2))
+    return embed(closed, range(top), shape)
+
+
+def chebyshev(n: int, q: Operator) -> Operator:
+    """S_n(Q) by S_0 = 1, S_1 = Q, S_(k+1) = Q S_k - S_(k-1)."""
+    prev, cur = identity(q.shape_in), q
+    for _ in range(n - 1):
+        prev, cur = cur, compose(q, cur) - prev
+    return cur if n else prev
+
+
+LOOP_SHAPES = [Shape.of(1, 1, 1), Shape.of(1, 2, 3), Shape.of(2, 1, 1), Shape.of(0, 3, 1)]
+
+
+class TestLoops:
+    def test_loop_words(self):
+        words = {index: " ".join(map(str, loop_word(index))) for index in aw.AW_INDICES}
+        assert words == {
+            "1": "1 1",
+            "2": "-1 2 2 1",
+            "3": "-1 -2 3 3 2 1",
+            "12": "1 2 2 1",
+            "23": "-1 2 3 3 2 1",
+            "123": "1 2 3 3 2 1",
+            "13": "1 -2 3 3 2 1",
+            "13~": "1 2 3 3 -2 1",
+        }
+
+    @pytest.mark.parametrize("shape", LOOP_SHAPES, ids=str)
+    @pytest.mark.parametrize("index", aw.AW_INDICES)
+    def test_colored_loop_is_chebyshev_of_generator(self, index, shape):
+        # The spin-1/2 loop is the generator, and the spin-a loop is S_2a of it:
+        # Q, Q^2 - 1 and Q^3 - 2Q for a = 1/2, 1 and 3/2.
+        q = aw.q_elem(index, shape)
+        for ta in (1, 2, 3):
+            assert loop(index, Spin(ta), shape) == chebyshev(ta, q), ta
+
+    def test_fundamental_loop_on_every_small_shape(self):
+        for tjs in itertools.product(range(4), repeat=3):
+            shape = Shape.of(*tjs)
+            for index in aw.AW_INDICES:
+                assert loop(index, HALF, shape) == aw.q_elem(index, shape), (index, shape)
+
+    def test_loop_tells_the_recoupled_pair_apart(self):
+        shape = Shape.of(1, 1, 1)
+        assert loop("13", HALF, shape) != aw.q_elem("13~", shape)
 
 
 class TestRelations:
@@ -207,7 +289,7 @@ class TestStructure:
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES + [Shape.of(1, 2, 3)], ids=str)
     def test_conjugation_dictionary(self, shape):
-        report = aw.conjugation_dictionary(shape)
+        report = conjugation_dictionary(shape)
         assert report.passed, report.summary()
 
     def test_recoupling_is_braiding_conjugate_of_block(self):

@@ -3,17 +3,22 @@ from itertools import product
 
 import pytest
 
-from oracles import bracket_state_sum, random_colored_braid, random_word, two_strand_torus_value
+from oracles import (
+    bracket_state_sum,
+    fusion_identity_residual,
+    hopf_link,
+    random_colored_braid,
+    random_word,
+    two_strand_torus_value,
+    unknot,
+)
 from qlink.braid import BraidError, BraidWord, ColoredBraid, cable_component, disjoint_union
 from qlink.invariant import (
     all_half,
     braid_operator,
     cs_invariant_fundamental,
-    fusion_identity_residual,
-    hopf_link,
     kauffman_bracket,
     rt_invariant,
-    unknot,
     verify_factorization,
     verify_framing,
     verify_markov,

@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from oracles import r_matrix_expansion
+from oracles import (
+    as_scalar,
+    monodromy,
+    monodromy_annihilator,
+    r_matrix_expansion,
+    rep_e,
+    rep_f,
+    rep_qh,
+    verify_frt,
+    verify_yang_baxter,
+)
 from qlink import rmatrix as rm
 from qlink.laurent import LaurentPoly
 from qlink.tensorop import (
@@ -10,25 +20,15 @@ from qlink.tensorop import (
     Shape,
     ShapeError,
     Spin,
-    as_scalar,
     compose,
     embed,
     identity,
     kron,
     partial_trace_first,
     partial_trace_last,
-    permute,
+    swap,
 )
-from qlink.uqsu2 import (
-    E_SYM,
-    F_SYM,
-    delta_rep,
-    mu,
-    qh_symbol,
-    rep_e,
-    rep_f,
-    rep_qh,
-)
+from qlink.uqsu2 import delta_rep
 
 V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
@@ -157,16 +157,16 @@ class TestBraided:
     def test_braided_intertwines_the_coproduct(self, pair):
         j1, j2 = Spin(pair[0]), Spin(pair[1])
         braid = rm.braided_r(j1, j2)
-        for sym in (E_SYM, F_SYM, qh_symbol(1)):
-            lhs = compose(braid, delta_rep(sym, Shape((j1, j2))))
-            rhs = compose(delta_rep(sym, Shape((j2, j1))), braid)
+        for kind in ("E", "F", "QH"):
+            lhs = compose(braid, delta_rep(kind, Shape((j1, j2))))
+            rhs = compose(delta_rep(kind, Shape((j2, j1))), braid)
             assert lhs == rhs
 
     @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 3)])
     def test_braided_commutes_with_weights(self, pair):
         j1, j2 = Spin(pair[0]), Spin(pair[1])
         braid = rm.braided_r(j1, j2)
-        assert compose(braid, kron(mu(j1), mu(j2))) == compose(kron(mu(j2), mu(j1)), braid)
+        assert compose(braid, kron(rep_qh(j1, 2), rep_qh(j2, 2))) == compose(kron(rep_qh(j2, 2), rep_qh(j1, 2)), braid)
 
 
 class TestActLetters:
@@ -205,8 +205,8 @@ class TestWeightedTraces:
     def test_all_four_kink_traces(self, tj):
         j = Spin(tj)
         factor = V(tj * (tj + 2))  # q^(2j(j+1))
-        assert as_scalar(partial_trace_first(rm.braided_r(j, j), mu(j))) == factor
-        assert as_scalar(partial_trace_first(rm.braided_r_inv(j, j), mu(j))) == factor.bar()
+        assert as_scalar(partial_trace_first(rm.braided_r(j, j), rep_qh(j, 2))) == factor
+        assert as_scalar(partial_trace_first(rm.braided_r_inv(j, j), rep_qh(j, 2))) == factor.bar()
         assert as_scalar(partial_trace_last(rm.braided_r(j, j), rep_qh(j, -2))) == factor
         assert as_scalar(partial_trace_last(rm.braided_r_inv(j, j), rep_qh(j, -2))) == factor.bar()
 
@@ -267,7 +267,7 @@ class TestPMatrix:
 
 class TestSuites:
     def test_frt_passes(self):
-        report = rm.verify_frt((1, 2, 3))
+        report = verify_frt((1, 2, 3))
         assert report.passed, report.summary()
         assert len(report.checks) == 18
 
@@ -278,7 +278,7 @@ class TestSuites:
         (key, value), *_ = sorted(bad_entries.items())
         bad_entries[key] = value * V(2)
         rm._cache[("Rop", 1, 2)] = rm.Operator(good.shape_in, good.shape_out, bad_entries)
-        report = rm.verify_frt((2,))
+        report = verify_frt((2,))
         assert not report.passed
         assert any(not c.passed and c.residual for c in report.checks)
 
@@ -286,27 +286,27 @@ class TestSuites:
         for t1 in (0, 1, 2):
             for t2 in (0, 1, 2):
                 for t3 in (0, 1, 2):
-                    report = rm.verify_yang_baxter(Spin(t1), Spin(t2), Spin(t3))
+                    report = verify_yang_baxter(Spin(t1), Spin(t2), Spin(t3))
                     assert report.passed, report.summary()
 
     def test_monodromy_fundamental_factors(self):
-        b = rm.monodromy(HALF, HALF)
+        b = monodromy(HALF, HALF)
         id2 = identity(Shape((HALF, HALF)))
         prod = compose(b - id2 * Q(1), b - id2 * Q(-3))
         assert prod.is_zero()
 
     def test_monodromy_trivial_pair(self):
-        assert rm.monodromy(Spin(0), Spin(3)) == identity(Shape((Spin(0), Spin(3))))
-        assert rm.monodromy_annihilator(Spin(0), Spin(3)).passed
+        assert monodromy(Spin(0), Spin(3)) == identity(Shape((Spin(0), Spin(3))))
+        assert monodromy_annihilator(Spin(0), Spin(3)).passed
 
     def test_monodromy_reports(self):
         for ta, tb in [(1, 1), (1, 2), (2, 2)]:
-            report = rm.monodromy_annihilator(Spin(ta), Spin(tb))
+            report = monodromy_annihilator(Spin(ta), Spin(tb))
             assert report.passed, report.summary()
 
     def test_opposite_variant(self):
-        flip = permute(Shape((HALF, Spin(2))), (1, 0))
-        back = permute(Shape((Spin(2), HALF)), (1, 0))
+        flip = swap(HALF, Spin(2))
+        back = swap(Spin(2), HALF)
         assert rm.r_opposite(HALF, Spin(2)) == compose(back, compose(rm.r_matrix(Spin(2), HALF), flip))
 
 

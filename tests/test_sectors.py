@@ -8,13 +8,13 @@ import random
 
 import pytest
 
-from oracles import random_colored_braid
+from oracles import random_colored_braid, rep_qh
 from qlink import rmatrix
 from qlink.braid import BraidWord, parse_colored
 from qlink.invariant import all_half, braid_operator, rt_invariant
 from qlink.laurent import LaurentPoly
 from qlink.tensorop import HALF, Operator, Shape, Spin, full_trace
-from qlink.uqsu2 import delta_rep, mu, qh_symbol
+from qlink.uqsu2 import delta_rep
 
 V = LaurentPoly.v_power
 
@@ -31,14 +31,14 @@ def fresh_caches():
 
 
 def full_column_value(braid):
-    return full_trace(braid_operator(braid), [mu(j) for j in braid.colors])
+    return full_trace(braid_operator(braid), [rep_qh(j, 2) for j in braid.colors])
 
 
 def test_shape_twice_weights_are_the_weight_diagonal():
     assert Shape.of(1, 2).twice_weights() == [3, 1, -1, 1, -1, -3]
     assert Shape(()).twice_weights() == [0]
     shape = Shape.of(1, 2, 3)
-    qh = delta_rep(qh_symbol(1), shape)
+    qh = delta_rep("QH", shape)
     assert [qh.entry(i, i) for i in range(shape.dim)] == [V(t) for t in shape.twice_weights()]
 
 

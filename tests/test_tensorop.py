@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import entrywise_full_trace, entrywise_product
+from oracles import as_scalar, casimir, entrywise_full_trace, entrywise_product, rep_qh
 from qlink.laurent import LaurentPoly, qint
 from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
 from qlink.tensorop import (
@@ -14,20 +14,17 @@ from qlink.tensorop import (
     ShapeError,
     Spin,
     act_adjacent,
-    as_scalar,
     combine,
     compose,
-    diagonal,
     embed,
     full_trace,
     identity,
     kron,
     partial_trace_first,
     partial_trace_last,
-    permute,
     swap,
 )
-from qlink.uqsu2 import casimir, chi, commutation_defects, mu
+from qlink.uqsu2 import chi, commutation_defects
 
 V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
@@ -80,8 +77,9 @@ class TestBasics:
         assert kron(identity(Shape((HALF,))), identity(Shape((HALF,)))) == identity(Shape((HALF, HALF)))
 
     def test_kron_weight_matrices(self):
-        m = mu(HALF)
-        assert kron(m, m) == diagonal(Shape((HALF, HALF)), [Q(2), Q(0), Q(0), Q(-2)])
+        m = rep_qh(HALF, 2)
+        shape = Shape((HALF, HALF))
+        assert kron(m, m) == Operator(shape, shape, {(i, i): c for i, c in enumerate([Q(2), Q(0), Q(0), Q(-2)])})
 
     def test_kron_unit(self):
         rng = random.Random(0)
@@ -154,37 +152,30 @@ class TestCombine:
 
 
 class TestPermute:
-    def test_identity_permutation(self):
-        shape = Shape.of(1, 2)
-        assert permute(shape, (0, 1)) == identity(shape)
-
     def test_swap_on_two_halves(self):
         op = swap(HALF, HALF)
         one = LaurentPoly.one()
         assert op.entries == {(0, 0): one, (1, 2): one, (2, 1): one, (3, 3): one}
 
     def test_mixed_swap_shape(self):
-        op = permute(Shape.of(1, 2), (1, 0))
+        op = swap(HALF, Spin(2))
         assert op.shape_out == Shape.of(2, 1)
         assert op.nnz() == 6
-        back = permute(Shape.of(2, 1), (1, 0))
+        back = swap(Spin(2), HALF)
         assert compose(back, op) == identity(Shape.of(1, 2))
 
-    def test_invalid_permutation(self):
-        with pytest.raises(ShapeError):
-            permute(Shape.of(1, 1), (0, 0))
-
     def test_composition_law_with_shapes(self):
-        rng = random.Random(2)
-        shape = Shape.of(1, 2, 0, 1)
-        for _ in range(10):
-            p1 = list(range(4))
-            p2 = list(range(4))
-            rng.shuffle(p1)
-            rng.shuffle(p2)
-            lhs = compose(permute(shape.permuted(p2), p1), permute(shape, p2))
-            net = tuple(p2[p1[t]] for t in range(4))
-            assert lhs == permute(shape, net)
+        # Adjacent exchanges embedded on mixed shapes satisfy s1 s2 s1 = s2 s1 s2,
+        # and both reverse the three legs.
+        def exchange(i, op):
+            legs = op.shape_out
+            return compose(embed(swap(legs[i], legs[i + 1]), (i, i + 1), legs), op)
+
+        for tjs in ((1, 2, 0), (1, 2, 3), (2, 1, 2)):
+            shape = Shape.of(*tjs)
+            lhs = exchange(0, exchange(1, exchange(0, identity(shape))))
+            assert lhs == exchange(1, exchange(0, exchange(1, identity(shape))))
+            assert lhs.shape_out == Shape.of(*reversed(tjs))
 
 
 class TestEmbed:
@@ -246,7 +237,7 @@ class TestActAdjacent:
         for ambient in self.SHAPES:
             for i in range(len(ambient) - 1):
                 legs = Shape(ambient.factors[i : i + 2])
-                for legs_out in (legs, legs.permuted((1, 0))):
+                for legs_out in (legs, Shape((legs[1], legs[0]))):
                     op = random_operator(rng, legs, legs_out, fill=6)
                     target = random_operator(rng, Shape.of(2, 1), ambient, fill=12)
                     want = compose(embed(op, (i, i + 1), ambient), target)
@@ -269,7 +260,7 @@ class TestActAdjacent:
         with pytest.raises(ShapeError):
             act_adjacent([(2, braided_r(Spin(2), Spin(3)))], target)
         with pytest.raises(ShapeError):
-            act_adjacent([(-1, permute(Shape.of(1, 2), (1, 0)))], target)
+            act_adjacent([(-1, swap(HALF, Spin(2)))], target)
         with pytest.raises(ShapeError):
             act_adjacent([(0, Operator(Shape.of(1, 2), Shape.of(1, 1), {}))], target)
 
@@ -293,7 +284,7 @@ class TestActAdjacent:
                 else:
                     i = rng.randrange(n - 1)
                     legs = Shape(factors[i : i + 2])
-                    op = random_operator(rng, legs, legs.permuted((1, 0)) if rng.random() < 0.5 else legs, fill=5)
+                    op = random_operator(rng, legs, Shape((legs[1], legs[0])) if rng.random() < 0.5 else legs, fill=5)
                 steps.append((i, op))
                 factors[i : i + 2] = op.shape_out.factors
             got = act_adjacent(steps, target)
@@ -401,13 +392,13 @@ class TestTraces:
         rng = random.Random(5)
         a = random_operator(rng, Shape((HALF,)), Shape((HALF,)))
         b = random_operator(rng, Shape((Spin(2),)), Shape((Spin(2),)))
-        w = mu(HALF)
+        w = rep_qh(HALF, 2)
         got = partial_trace_first(kron(a, b), w)
         assert got == b * full_trace(a, [w])
 
     def test_full_trace_weight_values(self):
-        assert full_trace(identity(Shape((HALF,))), [mu(HALF)]) == qint(2)
-        assert full_trace(identity(Shape((Spin(2),))), [mu(Spin(2))]) == qint(3)
+        assert full_trace(identity(Shape((HALF,))), [rep_qh(HALF, 2)]) == qint(2)
+        assert full_trace(identity(Shape((Spin(2),))), [rep_qh(Spin(2), 2)]) == qint(3)
         assert full_trace(identity(Shape((HALF,))), [None]) == LaurentPoly.const(2)
 
     def test_traces_match_entrywise_oracle(self):
@@ -428,16 +419,16 @@ class TestTraces:
                 assert entrywise_full_trace(partial_trace_last(op, weights[-1]), weights[:-1]) == want
 
     def test_trace_requires_square(self):
-        op = permute(Shape.of(1, 2), (1, 0))
+        op = swap(HALF, Spin(2))
         with pytest.raises(ShapeError):
             full_trace(op, [None, None])
 
     def test_trace_shape_errors(self):
         op = identity(Shape.of(1, 2))
         with pytest.raises(ShapeError):
-            partial_trace_first(op, mu(Spin(2)))
+            partial_trace_first(op, rep_qh(Spin(2), 2))
         with pytest.raises(ShapeError):
-            partial_trace_last(op, mu(HALF))
+            partial_trace_last(op, rep_qh(HALF, 2))
         with pytest.raises(ShapeError):
             full_trace(op, [None])
         with pytest.raises(ShapeError):
@@ -511,6 +502,6 @@ class TestAlgebraProperties:
         # because the braiding commutes with the product of weight matrices.
         from qlink.rmatrix import braided_r, braided_r_inv
 
-        weights = [mu(HALF), mu(HALF)]
+        weights = [rep_qh(HALF, 2), rep_qh(HALF, 2)]
         conj = compose(braided_r(HALF, HALF), compose(x, braided_r_inv(HALF, HALF)))
         assert full_trace(conj, weights) == full_trace(x, weights)
