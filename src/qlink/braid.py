@@ -1,6 +1,7 @@
 """
 Colored braid words: parsing, permutation/component analysis, writhe
-accounting, disjoint union, strand deletion, and parallel 2-cabling.
+accounting, disjoint union, and cabling (one rewiring that deletes,
+recolors or cables each component).
 
 A braid word on n strands is a list of nonzero letters +-i with 1 <= i <= n-1;
 letter order is bottom to top of the diagram, and the letter +i crosses the
@@ -10,8 +11,9 @@ group generator, negative = its inverse).  Colors are spins attached to the
 is accepted only if its closure is consistently colored, i.e. the color
 sequence is invariant under the braid's underlying permutation.
 
-Cabling replaces every strand of one component by two adjacent parallel
-strands.  A single crossing of blocks of widths (a, b) becomes a block
+Cabling replaces every strand of a component by a block of adjacent parallel
+strands: width 0 deletes the component, width 1 recolors it and width 2
+doubles it.  A single crossing of blocks of widths (a, b) becomes a block
 crossing word that moves the right block across the left one strand at a
 time; the word for a negative crossing is the exact group inverse of the word
 for the opposite positive crossing, so cabling respects composition and
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .tensorop import Immutable, InputError, Spin
+from .tensorop import Immutable, InputError, Spin, parse_int
 
 
 class BraidError(InputError):
@@ -194,7 +196,7 @@ def disjoint_union(a: ColoredBraid, b: ColoredBraid) -> ColoredBraid:
 
 
 # ---------------------------------------------------------------------------
-# Cabling and strand deletion.
+# Cabling: deletion, recoloring and doubling of components.
 # ---------------------------------------------------------------------------
 
 
@@ -234,43 +236,26 @@ def _rewired_letters(braid: ColoredBraid, width: list[int]) -> tuple[int, ...]:
     return tuple(letters_out)
 
 
-def cable_component(
-    braid: ColoredBraid, comp_index: int, new_colors: tuple[Spin, Spin]
-) -> ColoredBraid:
+def cable(braid: ColoredBraid, colors: Sequence[Sequence[Spin]]) -> ColoredBraid:
     """
-    Replace every strand of the chosen component with two adjacent parallel
-    strands colored (new_colors[0], new_colors[1]) left to right.
+    Replace every strand of component c (numbered as in `components`) by
+    len(colors[c]) adjacent parallel strands colored colors[c] left to right.
+    Width 0 deletes the component: crossings involving it are dropped and the
+    remaining letters re-indexed, which is exact at the invariant level
+    precisely when the component carries spin 0.  Width 1 recolors it and
+    keeps the word; width 2 cables it.
     """
-    doubled = set(component(braid, comp_index))
-    width = [2 if s in doubled else 1 for s in range(braid.n_strands)]
-    colors_out: list[Spin] = []
-    for s in range(braid.n_strands):
-        colors_out.extend(new_colors[:2] if s in doubled else (braid.colors[s],))
-    return ColoredBraid(BraidWord(sum(width), _rewired_letters(braid, width)), tuple(colors_out))
-
-
-def delete_component(braid: ColoredBraid, comp_index: int) -> ColoredBraid:
-    """
-    Remove all strands of one component: rewire it to width 0, so crossings
-    involving a removed strand are dropped and the remaining letters are
-    re-indexed.  This is exact at the invariant level precisely when the
-    removed component carries spin 0.
-    """
-    dead = set(component(braid, comp_index))
-    width = [0 if s in dead else 1 for s in range(braid.n_strands)]
-    colors_out = tuple(braid.colors[s] for s in range(braid.n_strands) if s not in dead)
-    return ColoredBraid(BraidWord(sum(width), _rewired_letters(braid, width)), colors_out)
-
-
-def recolor_component(
-    braid: ColoredBraid, comp_index: int, color: Spin
-) -> ColoredBraid:
-    """The same braid with one component's color replaced."""
-    target = set(component(braid, comp_index))
-    colors = tuple(
-        color if s in target else braid.colors[s] for s in range(braid.n_strands)
+    comps = components(braid)
+    if len(colors) != len(comps):
+        raise BraidError(f"{len(colors)} color tuples for {len(comps)} components", "colors")
+    strand_colors: list[tuple[Spin, ...]] = [()] * braid.n_strands
+    for comp, new in zip(comps, colors):
+        for s in comp:
+            strand_colors[s] = tuple(new)
+    width = [len(c) for c in strand_colors]
+    return ColoredBraid(
+        BraidWord(sum(width), _rewired_letters(braid, width)), tuple(c for cs in strand_colors for c in cs)
     )
-    return ColoredBraid(braid.word, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +263,8 @@ def recolor_component(
 #
 # Text:  "n=<strands>; <letters>[; colors=<c1,c2,...>]" with letters separated
 # by spaces or commas and colors written as "1/2", "1", "3/2", ...; an empty
-# "colors=" lists no colors, as "colors": [] does in JSON.
+# "colors=" lists no colors, as "colors": [] does in JSON.  Every integer is
+# an optional sign and ASCII digits (`parse_int`).
 # JSON:   {"n": 2, "letters": [1, 1], "colors": ["1/2", "1/2"]}
 # ---------------------------------------------------------------------------
 
@@ -318,7 +304,7 @@ def _parse_sections(text: str) -> tuple[BraidWord, Optional[tuple[Spin, ...]]]:
     if not sections or not sections[0].startswith("n="):
         raise BraidError(f"braid text must start with 'n=<strands>': {text!r}")
     try:
-        n = int(sections[0][2:])
+        n = parse_int(sections[0][2:])
     except ValueError:
         raise BraidError(f"bad strand count in {sections[0]!r}") from None
     letters: list[int] = []
@@ -337,7 +323,7 @@ def _parse_sections(text: str) -> tuple[BraidWord, Optional[tuple[Spin, ...]]]:
         else:
             for token in section.replace(",", " ").split():
                 try:
-                    letters.append(int(token))
+                    letters.append(parse_int(token))
                 except ValueError:
                     raise BraidError(f"bad letter {token!r}") from None
     return BraidWord(n, tuple(letters)), colors

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .laurent import poly_to_json
 from .report import Report
-from .tensorop import InputError, Shape, Spin
+from .tensorop import InputError, Shape, Spin, parse_int
 
 if TYPE_CHECKING:  # annotations only: the braid-reading helpers import braid
     from .braid import BraidWord, ColoredBraid
@@ -38,6 +38,14 @@ EXIT_INTERNAL = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
         raise InputError(message)
+
+
+def _index(text: str) -> int:
+    """An index flag's value: an optional sign and ASCII digits (int() also takes 1_0 and non-ASCII digits)."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _dump_json(data) -> str:
@@ -234,8 +242,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--colors", help="colors for --braid")
     p_ver.add_argument("--braid2", help="second braid (factorization)")
     p_ver.add_argument("--colors2", help="colors for --braid2")
-    p_ver.add_argument("--strand", type=int, default=0, help="strand index (framing)")
-    p_ver.add_argument("--component", type=int, default=0, help="component index (recursion)")
+    p_ver.add_argument("--strand", type=_index, default=0, help="strand index (framing)")
+    p_ver.add_argument("--component", type=_index, default=0, help="component index (recursion)")
     p_ver.add_argument("--spins", help="three comma-separated spins (aw suites)")
     p_ver.add_argument(
         "--suite",

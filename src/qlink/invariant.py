@@ -36,12 +36,10 @@ import sys
 from .braid import (
     BraidWord,
     ColoredBraid,
-    cable_component,
+    cable,
     component,
     components,
-    delete_component,
     disjoint_union,
-    recolor_component,
     writhe,
 )
 from .laurent import LaurentPoly, phase_mul
@@ -245,18 +243,20 @@ def verify_recursion(braid: ColoredBraid, comp_index: int) -> Report:
     tj = color.twice_j
     if tj < 1:
         raise InputError(f"component {comp_index} has color {color}; recursion needs at least 1/2", "component")
+    own = [(braid.colors[comp[0]],) for comp in components(braid)]
+
+    def edited(new: tuple[Spin, ...]) -> ColoredBraid:
+        # Every other component keeps its color at width 1; this one becomes `new`.
+        return cable(braid, [*own[:comp_index], new, *own[comp_index + 1 :]])
+
     report = Report(f"recursion component={comp_index} color={color}")
-    residual = rt_invariant(braid) - rt_invariant(cable_component(braid, comp_index, (HALF, Spin(tj - 1))))
+    residual = rt_invariant(braid) - rt_invariant(edited((HALF, Spin(tj - 1))))
     name = f"value(j={color}) = value(cable(1/2,{Spin(tj - 1)}))"
     if tj >= 2:
-        residual = residual + rt_invariant(recolor_component(braid, comp_index, Spin(tj - 2)))
+        residual = residual + rt_invariant(edited((Spin(tj - 2),)))
         name += f" - value(j={Spin(tj - 2)})"
     report.add(name, residual)
-    zeroed = recolor_component(braid, comp_index, Spin(0))
-    report.add(
-        "a color-0 component deletes cleanly",
-        rt_invariant(zeroed) - rt_invariant(delete_component(zeroed, comp_index)),
-    )
+    report.add("a color-0 component deletes cleanly", rt_invariant(edited((Spin(0),))) - rt_invariant(edited(())))
     return report
 
 

@@ -99,9 +99,6 @@ class LaurentPoly:
             return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
-    def coefficient(self, exp: int) -> int:
-        return self.terms.get(exp, 0)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
@@ -310,23 +307,9 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 # Serialization: a polynomial is a JSON array of [exponent, c, 1, 0, 1] rows
 # sorted by exponent.  A row has the layout [exponent, re_num, re_den, im_num,
 # im_den] of a Gaussian-rational coefficient, so files written in that wire
-# format stay valid; anything but an integer coefficient is rejected.
+# format stay valid.
 # ---------------------------------------------------------------------------
 
 
 def poly_to_json(p: LaurentPoly) -> list[list[int]]:
     return [[e, c, 1, 0, 1] for e, c in p.sorted_terms()]
-
-
-def poly_from_json(data: Iterable[Iterable[int]]) -> LaurentPoly:
-    terms = {}
-    for row in data:
-        if not (
-            isinstance(row, list)
-            and len(row) == 5
-            and all(isinstance(x, int) for x in row)
-            and row[2:] == [1, 0, 1]
-        ):
-            raise ValueError(f"polynomial row must be [exponent, c, 1, 0, 1] with integer c: {row!r}")
-        terms[row[0]] = row[1]
-    return LaurentPoly(terms)

@@ -33,7 +33,6 @@ from .laurent import (
     LaurentPoly,
     accumulate_product,
     finalize,
-    poly_from_json,
     poly_to_json,
 )
 
@@ -61,6 +60,18 @@ class Immutable:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def parse_int(text: str) -> int:
+    """
+    The integer written in `text`: an optional sign and ASCII digits, with
+    surrounding blanks allowed.  ValueError otherwise, also for the
+    underscores and non-ASCII digits that int() would accept.
+    """
+    digits = text.strip()
+    if not (digits[1:] if digits[:1] in ("+", "-") else digits).isdigit() or not digits.isascii():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(digits)
 
 
 class Spin(Immutable):
@@ -97,7 +108,7 @@ class Spin(Immutable):
         if slash and den.strip() != "2":
             raise InputError(f"spin denominator must be 2: {text!r}")
         try:
-            twice_j = int(num) if slash else 2 * int(num)
+            twice_j = parse_int(num) if slash else 2 * parse_int(num)
         except ValueError:
             raise InputError(f"not a spin: {text!r}") from None
         if twice_j < 0:
@@ -303,13 +314,6 @@ class Operator(Immutable):
             "entries": [[r, c, poly_to_json(p)] for (r, c), p in sorted(self.entries.items())],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> Operator:
-        shape_in = Shape.of(*data["shape_in"])
-        shape_out = Shape.of(*data["shape_out"])
-        entries = {(int(r), int(c)): poly_from_json(p) for r, c, p in data["entries"]}
-        return cls(shape_in, shape_out, entries)
-
 
 # ---------------------------------------------------------------------------
 # Constructors and structural operations.
@@ -357,9 +361,11 @@ def combine(shape_in: Shape, shape_out: Shape, terms: Iterable[tuple]) -> Operat
     (scalar, a) or (scalar, a, b) with an int or LaurentPoly scalar and every
     term mapping shape_in to shape_out.  Each output cell keeps one
     {exponent: coefficient} accumulator, finalized once at the end, and each
-    scalar is folded into a's entries once per term.
+    scalar is folded into a's entries once per term.  Each distinct right
+    factor b is indexed by row once per call.
     """
     acc: dict[tuple[int, int], dict[int, int]] = {}
+    indexed: dict[int, tuple[Operator, dict[int, list[tuple[int, LaurentPoly]]]]] = {}
     for scalar, a, *rest in terms:
         b = rest[0] if rest else None
         if b is None:
@@ -390,9 +396,15 @@ def combine(shape_in: Shape, shape_out: Shape, terms: Iterable[tuple]) -> Operat
                     for e, c in p.terms.items():
                         cell[e] = cell.get(e, 0) + c
             continue
-        rows_b: dict[int, list[tuple[int, LaurentPoly]]] = {}
-        for (r, c), p in b.entries.items():
-            rows_b.setdefault(r, []).append((c, p))
+        known = indexed.get(id(b))
+        if known is None:
+            rows_b: dict[int, list[tuple[int, LaurentPoly]]] = {}
+            for (r, c), p in b.entries.items():
+                rows_b.setdefault(r, []).append((c, p))
+            # b is kept next to its index, so its id is not reused during the call.
+            indexed[id(b)] = (b, rows_b)
+        else:
+            rows_b = known[1]
         for (r, k), pa in entries:
             for c, pb in rows_b.get(k, ()):
                 cell = acc.get((r, c))

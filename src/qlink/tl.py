@@ -2,11 +2,12 @@
 The diagram monoid of planar matchings, the state space of the bracket
 polynomial.
 
-A diagram on n strands is a perfect noncrossing matching of 2n boundary
-points: bottom points 0..n-1 and top points n..2n-1, both numbered left to
-right.  Noncrossing is checked against the circular boundary order (bottom
+A diagram on n strands is its pairing: a tuple of 2n boundary points in which
+entry i is the point joined to i, bottom points 0..n-1 and top points
+n..2n-1, both numbered left to right.  The pairing is a fixed-point-free
+involution, and it is noncrossing against the circular boundary order (bottom
 left to right, then top right to left), where a planar matching is exactly a
-balanced bracket sequence.
+balanced bracket sequence.  The strand count of a diagram is len(pairing) // 2.
 
 The product stacks the left operand on top of the right one; closed loops
 formed in the middle are erased and counted, each contributing one factor of
@@ -17,10 +18,10 @@ leftmost strand around the left side of the diagram, which is how
 loop-around-strands tangles are evaluated; `close_all` gives the bracket of a
 braid closure from one loop-counting walk per diagram.
 
-`PlanarMatching(...)` and `TLElement(...)` check every caller's input.  What
-this module builds itself is valid by construction and skips those checks
-through the internal `_raw` constructors: diagram products, the identity and
-the hooks, and the results of `tl_mul` and `braid_letter`.
+`TLElement(...)` is where a caller's diagrams enter, and it checks each one.
+What this module builds itself is valid by construction and skips those
+checks through `TLElement._raw`: the identity and the hooks, products, sums,
+scalings, letters and one-strand closures.
 
 Coefficients are Laurent polynomials whose variable is *read as* x here; the
 `subst_x_iv` and `phase_mul` maps in `laurent` convert finished bracket
@@ -29,7 +30,7 @@ values onto the v axis.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 from .laurent import LaurentPoly, accumulate_product, finalize
 from .braid import BraidWord
@@ -39,106 +40,72 @@ from .tensorop import Immutable
 DELTA_X = LaurentPoly({2: -1, -2: -1})
 
 
-class PlanarMatching(Immutable):
-    """A noncrossing perfect matching of n bottom and n top points."""
-
-    __slots__ = ("n", "pairing", "_hash")
-
-    def __init__(self, n: int, pairing: Sequence[int]):
-        pairing = tuple(pairing)
-        pts = 2 * n
-        if len(pairing) != pts:
-            raise ValueError(f"pairing on {len(pairing)} points, expected {pts}")
-        for i, p in enumerate(pairing):
-            if not 0 <= p < pts or p == i or pairing[p] != i:
-                raise ValueError(f"pairing is not a fixed-point-free involution: {pairing}")
-        if not _is_noncrossing(n, pairing):
-            raise ValueError(f"pairing is not planar: {pairing}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairing", pairing)
-        # Diagrams key every product's accumulator: hash once.
-        object.__setattr__(self, "_hash", hash(pairing))
-
-    def __eq__(self, other):
-        # The pairing has 2n entries, so it alone decides n.
-        return self.pairing == other.pairing if other.__class__ is PlanarMatching else NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"PlanarMatching(n={self.n!r}, pairing={self.pairing!r})"
-
-    @staticmethod
-    def _raw(n: int, pairing: tuple[int, ...]) -> PlanarMatching:
-        """Wrap a pairing already known to be a planar matching, unchecked (internal)."""
-        diag = PlanarMatching.__new__(PlanarMatching)
-        object.__setattr__(diag, "n", n)
-        object.__setattr__(diag, "pairing", pairing)
-        object.__setattr__(diag, "_hash", hash(pairing))
-        return diag
-
-    @classmethod
-    def identity(cls, n: int) -> PlanarMatching:
-        return cls._raw(n, _identity_pairing(n))
-
-    @classmethod
-    def hook(cls, n: int, i: int) -> PlanarMatching:
-        """Cup joining bottom i, i+1 and cap joining top i, i+1 (1-based i < n)."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"hook index {i} out of range for {n} strands")
-        pairing = list(_identity_pairing(n))
-        a, b = i - 1, i
-        pairing[a], pairing[b] = b, a
-        pairing[n + a], pairing[n + b] = n + b, n + a
-        return cls._raw(n, tuple(pairing))
-
-
-def _is_noncrossing(n: int, pairing: tuple[int, ...]) -> bool:
+def _check_pairing(n: int, pairing) -> tuple[int, ...]:
+    """`pairing` as a tuple, if it is a planar matching on n strands; ValueError otherwise."""
+    pairing = tuple(pairing)
+    pts = 2 * n
+    if len(pairing) != pts:
+        raise ValueError(f"pairing on {len(pairing)} points, expected {pts}")
+    for i, p in enumerate(pairing):
+        if not 0 <= p < pts or p == i or pairing[p] != i:
+            raise ValueError(f"pairing is not a fixed-point-free involution: {pairing}")
     # Walk the boundary circle: bottom left to right, then top right to left.
     stack: list[int] = []
-    for i in (*range(n), *range(2 * n - 1, n - 1, -1)):
+    for i in (*range(n), *range(pts - 1, n - 1, -1)):
         if stack and stack[-1] == i:
             stack.pop()
         else:
             stack.append(pairing[i])
-    return not stack
+    if stack:
+        raise ValueError(f"pairing is not planar: {pairing}")
+    return pairing
 
 
-def _identity_pairing(n: int) -> tuple[int, ...]:
+def identity_diagram(n: int) -> tuple[int, ...]:
     """Bottom i joined straight up to top n+i."""
     return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
-def compose_matchings(top: PlanarMatching, bottom: PlanarMatching) -> tuple[PlanarMatching, int]:
+def hook_diagram(n: int, i: int) -> tuple[int, ...]:
+    """Cup joining bottom i, i+1 and cap joining top i, i+1 (1-based i < n)."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"hook index {i} out of range for {n} strands")
+    pairing = list(identity_diagram(n))
+    a, b = i - 1, i
+    pairing[a], pairing[b] = b, a
+    pairing[n + a], pairing[n + b] = n + b, n + a
+    return tuple(pairing)
+
+
+def compose_matchings(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """
     Stack `top` above `bottom` (gluing bottom's top row to top's bottom row);
     return the resulting matching and the number of erased middle loops.
     The identity on either side returns the other operand itself.
     """
-    if top.n != bottom.n:
-        raise ValueError(f"cannot stack diagrams on {top.n} and {bottom.n} strands")
-    n = top.n
-    ident = _identity_pairing(n)
-    if top.pairing == ident:
+    if len(top) != len(bottom):
+        raise ValueError(f"cannot stack diagrams on {len(top) // 2} and {len(bottom) // 2} strands")
+    n = len(top) // 2
+    ident = identity_diagram(n)
+    if top == ident:
         return bottom, 0
-    if bottom.pairing == ident:
+    if bottom == ident:
         return top, 0
     visited = [False] * n  # middle interface points, indexed 0..n-1
     result = [-1] * (2 * n)
 
-    def walk(in_top: bool, point: int) -> tuple[bool, int]:
+    def walk(in_top: bool, point: int) -> int:
         # Follow arcs until a boundary point of the product is reached.
         while True:
-            partner = (top if in_top else bottom).pairing[point]
+            partner = (top if in_top else bottom)[point]
             if in_top:
                 if partner >= n:
-                    return True, partner
+                    return partner
                 visited[partner] = True
                 in_top, point = False, n + partner
             else:
                 if partner < n:
-                    return False, partner
+                    return partner
                 visited[partner - n] = True
                 in_top, point = True, partner - n
 
@@ -147,7 +114,7 @@ def compose_matchings(top: PlanarMatching, bottom: PlanarMatching) -> tuple[Plan
             continue
         # Bottom boundary points live in the bottom diagram; top boundary
         # points share their index with the top diagram's own numbering.
-        _, end = walk(False, start) if start < n else walk(True, start)
+        end = walk(start >= n, start)
         result[start] = end
         result[end] = start
 
@@ -159,39 +126,42 @@ def compose_matchings(top: PlanarMatching, bottom: PlanarMatching) -> tuple[Plan
         cur = t
         while not visited[cur]:
             visited[cur] = True
-            step = top.pairing[cur]  # stays in the middle: step < n
+            step = top[cur]  # stays in the middle: step < n
             visited[step] = True
-            nxt = bottom.pairing[n + step]  # back to the middle: nxt >= n
+            nxt = bottom[n + step]  # back to the middle: nxt >= n
             cur = nxt - n
-    return PlanarMatching._raw(n, tuple(result)), loops
+    return tuple(result), loops
+
+
+def _summed(items) -> dict[tuple[int, ...], LaurentPoly]:
+    """{diagram: coefficient} with the coefficients of equal diagrams summed and zeros dropped."""
+    canon: dict[tuple[int, ...], LaurentPoly] = {}
+    for diag, coeff in items:
+        if coeff:
+            prev = canon.get(diag)
+            if prev is None:
+                canon[diag] = coeff
+            else:
+                s = prev + coeff
+                if s:
+                    canon[diag] = s
+                else:
+                    del canon[diag]
+    return canon
 
 
 class TLElement(Immutable):
-    """A linear combination of planar matchings with LaurentPoly coefficients."""
+    """A linear combination of n-strand diagrams (pairing tuples) with LaurentPoly coefficients."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms):
-        canon: dict[PlanarMatching, LaurentPoly] = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for diag, coeff in items:
-            if diag.n != n:
-                raise ValueError(f"diagram on {diag.n} strands in a {n}-strand element")
-            if coeff:
-                prev = canon.get(diag)
-                if prev is None:
-                    canon[diag] = coeff
-                else:
-                    s = prev + coeff
-                    if s:
-                        canon[diag] = s
-                    else:
-                        del canon[diag]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", _summed((_check_pairing(n, diag), coeff) for diag, coeff in items))
 
     @staticmethod
-    def _raw(n: int, canon: dict[PlanarMatching, LaurentPoly]) -> TLElement:
+    def _raw(n: int, canon: dict[tuple[int, ...], LaurentPoly]) -> TLElement:
         """Wrap canonical terms (n-strand diagrams, nonzero coefficients) without copying (internal)."""
         elem = TLElement.__new__(TLElement)
         object.__setattr__(elem, "n", n)
@@ -200,11 +170,11 @@ class TLElement(Immutable):
 
     @classmethod
     def identity(cls, n: int) -> TLElement:
-        return cls(n, {PlanarMatching.identity(n): LaurentPoly.one()})
+        return cls._raw(n, {identity_diagram(n): LaurentPoly.one()})
 
     @classmethod
     def hook(cls, n: int, i: int) -> TLElement:
-        return cls(n, {PlanarMatching.hook(n, i): LaurentPoly.one()})
+        return cls._raw(n, {hook_diagram(n, i): LaurentPoly.one()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -215,10 +185,10 @@ class TLElement(Immutable):
     def __add__(self, other: TLElement) -> TLElement:
         if self.n != other.n:
             raise ValueError("cannot add elements on different strand counts")
-        return TLElement(self.n, [*self.terms.items(), *other.terms.items()])
+        return TLElement._raw(self.n, _summed([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self) -> TLElement:
-        return TLElement(self.n, {d: -c for d, c in self.terms.items()})
+        return TLElement._raw(self.n, {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other: TLElement) -> TLElement:
         return self + (-other)
@@ -228,12 +198,12 @@ class TLElement(Immutable):
             scalar = LaurentPoly.const(scalar)
         if not isinstance(scalar, LaurentPoly):
             return NotImplemented
-        return TLElement(self.n, {d: c * scalar for d, c in self.terms.items()})
+        return TLElement._raw(self.n, _summed((d, c * scalar) for d, c in self.terms.items()))
 
     __rmul__ = __mul__
 
     def map_coefficients(self, fn) -> TLElement:
-        return TLElement(self.n, {d: fn(c) for d, c in self.terms.items()})
+        return TLElement._raw(self.n, _summed((d, fn(c)) for d, c in self.terms.items()))
 
     def __repr__(self) -> str:
         return f"<TLElement n={self.n}, {len(self.terms)} diagrams>"
@@ -250,7 +220,7 @@ def tl_mul(a: TLElement, b: TLElement) -> TLElement:
     """Product with `a` stacked on top of `b`; erased loops contribute delta each."""
     if a.n != b.n:
         raise ValueError(f"cannot stack elements on {a.n} and {b.n} strands")
-    acc: dict[PlanarMatching, dict[int, int]] = {}
+    acc: dict[tuple[int, ...], dict[int, int]] = {}
     for da, ca in a.terms.items():
         multiples = [ca]
         for db, cb in b.terms.items():
@@ -277,7 +247,7 @@ def braid_letter(n: int, letter: int) -> TLElement:
         raise ValueError(f"letter {letter} out of range for {n} strands")
     x = LaurentPoly.v_power(1) if letter > 0 else LaurentPoly.v_power(-1)
     x_inv = LaurentPoly.v_power(-1) if letter > 0 else LaurentPoly.v_power(1)
-    return TLElement._raw(n, {PlanarMatching.identity(n): x, PlanarMatching.hook(n, abs(letter)): x_inv})
+    return TLElement._raw(n, {identity_diagram(n): x, hook_diagram(n, abs(letter)): x_inv})
 
 
 def word_element(word: BraidWord) -> TLElement:
@@ -302,9 +272,8 @@ def close_first(elem: TLElement) -> TLElement:
     def renumber(i: int) -> int:
         return i - 1 if i < n else i - 2
 
-    acc: dict[PlanarMatching, LaurentPoly] = {}
-    for diag, coeff in elem.terms.items():
-        pairing = list(diag.pairing)
+    closed = []
+    for pairing, coeff in elem.terms.items():
         if pairing[0] == n:
             new_pairs = {
                 renumber(i): renumber(pairing[i]) for i in range(2 * n) if i not in (0, n)
@@ -319,19 +288,17 @@ def close_first(elem: TLElement) -> TLElement:
             }
             new_pairs[renumber(a)] = renumber(b)
             new_pairs[renumber(b)] = renumber(a)
-        new_diag = PlanarMatching(n - 1, tuple(new_pairs[i] for i in range(2 * (n - 1))))
-        prev = acc.get(new_diag)
-        acc[new_diag] = coeff if prev is None else prev + coeff
-    return TLElement(n - 1, acc)
+        closed.append((tuple(new_pairs[i] for i in range(2 * (n - 1))), coeff))
+    return TLElement._raw(n - 1, _summed(closed))
 
 
-def _closure_loops(diag: PlanarMatching) -> int:
+def _closure_loops(pairing: tuple[int, ...]) -> int:
     """
-    Loops formed by the arcs of `diag` and the closure arcs top n+i -> bottom i.
+    Loops formed by the arcs of a diagram and the closure arcs top n+i -> bottom i.
     A walk leaves position `start` by its bottom point, leaves each position it
     arrives at by that position's other point, and ends at the start's top.
     """
-    n, pairing = diag.n, diag.pairing
+    n = len(pairing) // 2
     seen = [False] * n
     loops = 0
     for start in range(n):

@@ -39,7 +39,10 @@ Moved here from the package, because no route of the package uses them:
 - `verify_yang_baxter`, `verify_frt`, `monodromy` and
   `monodromy_annihilator`: the R-matrix layer's identities, each side
   embedded and multiplied out densely, so they share nothing with the one
-  `act_adjacent` pass through which every route applies R.
+  `act_adjacent` pass through which every route applies R;
+- `poly_from_json` and `operator_from_json` (once `Operator.from_json`),
+  which read back what `poly_to_json` and `Operator.to_json` write: no route
+  reads that JSON, only the tests' round trips do.
 
 `loop_word` reads the spin-1/2 loop around a block of legs as a braid word
 by the over/under rule, so a generator can be evaluated as a closed strand
@@ -526,3 +529,24 @@ def random_colored_braid(rng, n_strands: int, length: int, max_twice_spin: int):
                 colors[t] = spin
                 t = perm[t]
     return ColoredBraid(word, tuple(colors))
+
+
+def poly_from_json(data) -> LaurentPoly:
+    """The polynomial of `poly_to_json` rows; a row that is not [exponent, c, 1, 0, 1] with integer c is a ValueError."""
+    terms = {}
+    for row in data:
+        if not (
+            isinstance(row, list)
+            and len(row) == 5
+            and all(isinstance(x, int) for x in row)
+            and row[2:] == [1, 0, 1]
+        ):
+            raise ValueError(f"polynomial row must be [exponent, c, 1, 0, 1] with integer c: {row!r}")
+        terms[row[0]] = row[1]
+    return LaurentPoly(terms)
+
+
+def operator_from_json(data: dict) -> Operator:
+    """The operator of `Operator.to_json`."""
+    entries = {(int(r), int(c)): poly_from_json(p) for r, c, p in data["entries"]}
+    return Operator(Shape.of(*data["shape_in"]), Shape.of(*data["shape_out"]), entries)

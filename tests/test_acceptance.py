@@ -26,7 +26,7 @@ from oracles import (
     verify_yang_baxter,
 )
 from qlink import aw, invariant, rmatrix
-from qlink.braid import BraidWord, ColoredBraid, delete_component
+from qlink.braid import BraidWord, ColoredBraid, cable
 from qlink.invariant import (
     all_half,
     cs_invariant_fundamental,
@@ -250,7 +250,7 @@ def test_c12_color_lowering_recursion():
             assert report.passed, report.summary()
         # Color-0 components delete outright, even when entangled.
         chain = ColoredBraid(BraidWord(3, (1, 1, 2, 2)), (Spin(0), HALF, HALF))
-        assert rt_invariant(chain) == rt_invariant(delete_component(chain, 0))
+        assert rt_invariant(chain) == rt_invariant(cable(chain, [(), (HALF,), (HALF,)]))
 
 
 def test_c13_diagram_relations_and_quotient_map():

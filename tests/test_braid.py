@@ -8,14 +8,12 @@ from qlink.braid import (
     BraidError,
     BraidWord,
     ColoredBraid,
-    cable_component,
+    cable,
     components,
-    delete_component,
     disjoint_union,
     parse,
     parse_any,
     parse_colored,
-    recolor_component,
     underlying_permutation,
     writhe,
 )
@@ -27,6 +25,13 @@ ONE = Spin(2)
 
 def colored(n, letters, *twice):
     return ColoredBraid(BraidWord(n, letters), tuple(Spin(t) for t in twice))
+
+
+def edit_component(braid, index, new):
+    """`cable` applied to component `index` alone: it becomes `new`, every other component keeps its color."""
+    colors = [(braid.colors[comp[0]],) for comp in components(braid)]
+    colors[index] = new
+    return cable(braid, colors)
 
 
 class TestParsing:
@@ -148,11 +153,11 @@ class TestUnion:
 
 class TestCabling:
     def test_idle_strand(self):
-        cabled = cable_component(colored(1, (), 2), 0, (H, H))
+        cabled = cable(colored(1, (), 2), [(H, H)])
         assert cabled == colored(2, (), 1, 1)
 
     def test_hopf_component_doubling(self):
-        cabled = cable_component(colored(2, (1, 1), 2, 1), 0, (H, H))
+        cabled = cable(colored(2, (1, 1), 2, 1), [(H, H), (H,)])
         assert cabled.word == BraidWord(3, (2, 1, 1, 2))
         assert cabled.colors == (H, H, H)
 
@@ -167,7 +172,7 @@ class TestCabling:
             color = braid.colors[comps[ci][0]]
             if color.twice_j == 0:
                 continue
-            cabled = cable_component(braid, ci, (H, Spin(color.twice_j - 1)))
+            cabled = edit_component(braid, ci, (H, Spin(color.twice_j - 1)))
             # Blocked version of the original permutation.
             width = [2 if s in comps[ci] else 1 for s in range(braid.n_strands)]
             offset = [sum(width[:s]) for s in range(braid.n_strands)]
@@ -194,7 +199,7 @@ class TestCabling:
             ci = rng.randrange(len(comps))
             if braid.colors[comps[ci][0]].twice_j == 0:
                 continue
-            cabled = cable_component(braid, ci, (H, Spin(braid.colors[comps[ci][0]].twice_j - 1)))
+            cabled = edit_component(braid, ci, (H, Spin(braid.colors[comps[ci][0]].twice_j - 1)))
             breakdown = writhe(braid)
             self_w = breakdown.per_component_self[ci]
             link_w = sum(v for k, v in breakdown.linking.items() if ci in k)
@@ -203,7 +208,7 @@ class TestCabling:
 
     def test_cancelling_word_cables_to_cancelling_word(self):
         braid = colored(2, (1, -1), 2, 1)
-        cabled = cable_component(braid, 0, (H, H))
+        cabled = cable(braid, [(H, H), (H,)])
         assert underlying_permutation(cabled.word) == (0, 1, 2)
         # The cabled word is letterwise self-inverse.
         half = len(cabled.word.letters) // 2
@@ -214,7 +219,7 @@ class TestCabling:
 class TestDeletion:
     def test_idle_strand_removed(self):
         braid = colored(3, (1, 1, 1), 1, 1, 0)
-        reduced = delete_component(braid, 1)
+        reduced = cable(braid, [(H,), ()])
         assert reduced == colored(2, (1, 1, 1), 1, 1)
 
     def test_entangled_strand_removed(self):
@@ -223,7 +228,7 @@ class TestDeletion:
         braid = colored(3, (1, 1, 2, 2), 0, 1, 1)
         comps = components(braid)
         assert braid.colors[comps[0][0]] == Spin(0)
-        reduced = delete_component(braid, 0)
+        reduced = cable(braid, [(), (H,), (H,)])
         assert reduced == colored(2, (1, 1), 1, 1)
 
     def test_survivors_keep_colors_permutation_and_writhe(self):
@@ -234,7 +239,7 @@ class TestDeletion:
             braid = random_colored_braid(rng, rng.randint(1, 6), rng.randint(0, 12), 4)
             comps = components(braid)
             ci = rng.randrange(len(comps))
-            reduced = delete_component(braid, ci)
+            reduced = edit_component(braid, ci, ())
             survivors = [s for s in range(braid.n_strands) if s not in comps[ci]]
             new = {s: k for k, s in enumerate(survivors)}
             assert reduced.colors == tuple(braid.colors[s] for s in survivors)
@@ -257,7 +262,23 @@ class TestDeletion:
 
     def test_recolor(self):
         braid = colored(2, (1, 1), 2, 1)
-        assert recolor_component(braid, 0, Spin(4)).colors == (Spin(4), H)
+        assert cable(braid, [(Spin(4),), (H,)]).colors == (Spin(4), H)
+
+    def test_width_one_keeps_the_word(self):
+        rng = random.Random(15)
+        from oracles import random_colored_braid
+
+        for _ in range(100):
+            braid = random_colored_braid(rng, rng.randint(0, 6), rng.randint(0, 12), 4)
+            comps = components(braid)
+            recolored = cable(braid, [(Spin(rng.randint(0, 4)),) for _ in comps])
+            assert recolored.word == braid.word
+            assert components(recolored) == comps
+
+    def test_one_color_tuple_per_component(self):
+        with pytest.raises(BraidError, match="3 color tuples for 2 components") as caught:
+            cable(colored(3, (1, 1, 1), 1, 1, 0), [(H,), (H,), (H,)])
+        assert caught.value.field == "colors"
 
 
 words = st.integers(min_value=2, max_value=5).flatmap(

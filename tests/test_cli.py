@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from oracles import operator_from_json
 from qlink import aw, cli, invariant, rmatrix
 from qlink.laurent import LaurentPoly
 from qlink.tensorop import HALF, Operator
@@ -216,7 +217,7 @@ class TestRMatrixCommand:
     def test_json_round_trips_to_operator(self):
         code, out, _ = run(["rmatrix", "--spins", "1/2,1/2"])
         assert code == 0
-        assert Operator.from_json(json.loads(out)) == rmatrix.r_matrix(HALF, HALF)
+        assert operator_from_json(json.loads(out)) == rmatrix.r_matrix(HALF, HALF)
 
     def test_braided_variant_shape(self):
         code, out, _ = run(["rmatrix", "--spins", "1/2,1", "--variant", "braided"])
@@ -370,6 +371,37 @@ code = cli.main(sys.argv[1:])
 print(" ".join(sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("qlink."))))
 sys.exit(code)
 """
+
+
+class TestIntegerFields:
+    """Integers in the text format and in index flags are an optional sign and ASCII digits."""
+
+    def usage_error(self, argv) -> str:
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        return err
+
+    def test_letter(self):
+        # int() would read "1_0" as 10, an in-range letter on 12 strands.
+        err = self.usage_error(["invariant", "--braid", "n=12; 1_0", "--method", "cs"])
+        assert "--braid: bad letter '1_0'" in err
+
+    def test_strand_count(self):
+        err = self.usage_error(["invariant", "--braid", "n=\u0662; 1", "--method", "cs"])
+        assert "--braid: bad strand count in 'n=\u0662'" in err
+
+    def test_spin(self):
+        err = self.usage_error(["invariant", "--braid", "n=2; 1", "--colors", "\u0661,\u0661", "--method", "rt"])
+        assert "--colors: not a spin: '\u0661'" in err
+
+    def test_strand_flag(self):
+        err = self.usage_error(["verify", "framing", "--braid", "n=1;", "--colors", "1/2", "--strand", "0_0"])
+        assert "argument --strand: invalid int value: '0_0'" in err
+
+    def test_component_flag(self):
+        err = self.usage_error(["verify", "recursion", "--braid", "n=1;", "--colors", "1", "--component", "\u0660"])
+        assert "argument --component: invalid int value: '\u0660'" in err
 
 
 class TestStartupImports:

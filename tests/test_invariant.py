@@ -12,7 +12,7 @@ from oracles import (
     two_strand_torus_value,
     unknot,
 )
-from qlink.braid import BraidError, BraidWord, ColoredBraid, cable_component, disjoint_union
+from qlink.braid import BraidError, BraidWord, ColoredBraid, cable, disjoint_union
 from qlink.invariant import (
     all_half,
     braid_operator,
@@ -141,9 +141,8 @@ class TestStability:
     def test_cabled_cancelling_pair_keeps_the_invariant(self):
         plain = ColoredBraid(BraidWord(2, ()), (Spin(2), HALF))
         wiggly = ColoredBraid(BraidWord(2, (1, -1)), (Spin(2), HALF))
-        assert rt_invariant(cable_component(wiggly, 0, (HALF, HALF))) == rt_invariant(
-            cable_component(plain, 0, (HALF, HALF))
-        )
+        colors = [(HALF, HALF), (HALF,)]
+        assert rt_invariant(cable(wiggly, colors)) == rt_invariant(cable(plain, colors))
 
     def test_conjugation_invariance_random_colored(self):
         rng = random.Random(25)
@@ -178,7 +177,7 @@ class TestRecursion:
 
     def test_unknot_identity_is_quantum_number_identity(self):
         # [3] = [2]^2 - 1 realized through the doubling route.
-        cabled = cable_component(unknot(Spin(2)), 0, (HALF, HALF))
+        cabled = cable(unknot(Spin(2)), [(HALF, HALF)])
         assert rt_invariant(cabled) == qint(2) * qint(2)
 
     @pytest.mark.parametrize("colors", [(2, 1), (2, 2)])
@@ -187,7 +186,7 @@ class TestRecursion:
         assert report.passed, report.summary()
 
     def test_cabled_hopf_value(self):
-        cabled = cable_component(hopf_link(Spin(2), HALF), 0, (HALF, HALF))
+        cabled = cable(hopf_link(Spin(2), HALF), [(HALF, HALF), (HALF,)])
         assert rt_invariant(cabled) == qint(6) + qint(2)
 
     def test_color_zero_component_deletes(self):

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import poly_from_json
 from qlink.laurent import (
     LaurentPoly,
     div_exact,
     phase_mul,
-    poly_from_json,
     poly_to_json,
     qfact,
     qint,

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import as_scalar, casimir, entrywise_full_trace, entrywise_product, rep_qh
+from oracles import as_scalar, casimir, entrywise_full_trace, entrywise_product, operator_from_json, rep_qh
 from qlink.laurent import LaurentPoly, qint
 from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
 from qlink.tensorop import (
@@ -136,6 +136,25 @@ class TestCombine:
         cut = Operator(self.SRC, self.DST, dict(list(braid.entries.items())[:3]))
         rest = combine(self.SRC, self.DST, [(V(1), braid), (-V(1), cut)])
         assert rest.nnz() == braid.nnz() - 3 and all(rest.entries.values())
+
+    def test_shared_and_fresh_right_factors(self):
+        # One right factor in several terms, then fresh right factors built
+        # and dropped term by term, whose ids CPython may hand out again.
+        rng = random.Random(8)
+        mid = random_operator(rng, self.SRC, Shape.of(3), fill=5)
+        backs = [random_operator(rng, Shape.of(3), self.DST, fill=5) for _ in range(3)]
+        entries = [dict(random_operator(rng, self.SRC, Shape.of(3), fill=5).entries) for _ in range(4)]
+
+        def terms():
+            for back in backs:
+                yield (V(1), back, mid)
+            for k, cells in enumerate(entries):
+                yield (k + 1, backs[k % 3], Operator(self.SRC, Shape.of(3), cells))
+
+        expected = Operator(self.SRC, self.DST, {})
+        for scalar, a, b in terms():
+            expected = expected + entrywise_product(a, b) * scalar
+        assert combine(self.SRC, self.DST, terms()) == expected
 
     def test_shape_mismatch_names_both_shapes(self):
         braid = braided_r(HALF, Spin(2))
@@ -468,7 +487,7 @@ class TestSerialization:
     def test_operator_json_round_trip(self):
         rng = random.Random(7)
         op = random_operator(rng, Shape.of(1, 2), Shape.of(2, 1), fill=6)
-        assert Operator.from_json(op.to_json()) == op
+        assert operator_from_json(op.to_json()) == op
 
 
 entry_strategy = st.tuples(

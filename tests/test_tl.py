@@ -7,12 +7,13 @@ from qlink.braid import BraidWord
 from qlink.laurent import LaurentPoly
 from qlink.tl import (
     DELTA_X,
-    PlanarMatching,
     TLElement,
     braid_letter,
     close_all,
     close_first,
     compose_matchings,
+    hook_diagram,
+    identity_diagram,
     tl_mul,
     word_element,
 )
@@ -31,14 +32,23 @@ def _perfect_matchings(points):
             yield {**m, first: other, other: first}
 
 
-def all_diagrams(n: int) -> list[PlanarMatching]:
+def checked(n: int, pairing) -> tuple[int, ...]:
+    """`pairing` once the public constructor has accepted it as an n-strand diagram."""
+    (diag,) = TLElement(n, {pairing: 1}).terms
+    return diag
+
+
+def is_diagram(n: int, pairing) -> bool:
+    try:
+        return checked(n, pairing) == pairing
+    except ValueError:
+        return False
+
+
+def all_diagrams(n: int) -> list[tuple[int, ...]]:
     """Every planar matching on n strands, by filtering all perfect matchings."""
-    out = []
-    for m in _perfect_matchings(tuple(range(2 * n))):
-        try:
-            out.append(PlanarMatching(n, tuple(m[i] for i in range(2 * n))))
-        except ValueError:
-            pass
+    pairings = (tuple(m[i] for i in range(2 * n)) for m in _perfect_matchings(tuple(range(2 * n))))
+    out = [pairing for pairing in pairings if is_diagram(n, pairing)]
     assert len(out) == CATALAN[n]
     return out
 
@@ -51,31 +61,26 @@ def random_element(rng, n: int) -> TLElement:
     return TLElement(n, terms)
 
 
-class TestPlanarMatching:
+class TestDiagrams:
     def test_identity_and_hook(self):
-        assert PlanarMatching.identity(2).pairing == (2, 3, 0, 1)
-        hook = PlanarMatching.hook(3, 1)
-        assert hook.pairing == (1, 0, 5, 4, 3, 2)
+        assert identity_diagram(2) == (2, 3, 0, 1)
+        assert hook_diagram(3, 1) == (1, 0, 5, 4, 3, 2)
+
+    def test_hook_index_out_of_range(self):
+        for i in (0, 3):
+            with pytest.raises(ValueError, match="hook index"):
+                hook_diagram(3, i)
 
     def test_crossing_matchings_rejected(self):
-        with pytest.raises(ValueError):
-            PlanarMatching(2, (3, 2, 1, 0))  # bottom0-top1 crosses bottom1-top0
+        with pytest.raises(ValueError, match="not planar"):
+            checked(2, (3, 2, 1, 0))  # bottom0-top1 crosses bottom1-top0
 
     def test_non_involution_rejected(self):
-        with pytest.raises(ValueError):
-            PlanarMatching(1, (0, 1))
+        with pytest.raises(ValueError, match="involution"):
+            checked(1, (0, 1))
 
     def test_nested_cups_allowed(self):
-        PlanarMatching(2, (1, 0, 3, 2))  # cup-cup / cap-cap
-
-    def test_equal_diagrams_hash_equal_and_share_a_key(self):
-        for n in range(5):
-            keys = {diag: diag.pairing for diag in all_diagrams(n)}
-            for twin in all_diagrams(n):
-                match = next(d for d in keys if d == twin)
-                assert match is not twin
-                assert hash(match) == hash(twin)
-                assert keys[twin] == twin.pairing
+        assert checked(2, (1, 0, 3, 2)) == (1, 0, 3, 2)  # cup-cup / cap-cap
 
 
 class TestUncheckedConstructors:
@@ -87,15 +92,18 @@ class TestUncheckedConstructors:
             for top in diagrams:
                 for bottom in diagrams:
                     diag, _ = compose_matchings(top, bottom)
-                    checked = PlanarMatching(n, diag.pairing)
-                    assert checked == diag and hash(checked) == hash(diag)
+                    assert is_diagram(n, diag)
 
     def test_identity_and_hooks_are_valid_matchings(self):
         for n in range(6):
-            built = [PlanarMatching.identity(n)] + [PlanarMatching.hook(n, i) for i in range(1, n)]
-            for diag in built:
-                checked = PlanarMatching(n, diag.pairing)
-                assert checked == diag and hash(checked) == hash(diag)
+            for diag in (identity_diagram(n), *(hook_diagram(n, i) for i in range(1, n))):
+                assert is_diagram(n, diag)
+
+    def test_every_one_strand_closure_is_a_valid_matching(self):
+        for n in range(1, 6):
+            for diag in all_diagrams(n):
+                closed = close_first(TLElement(n, {diag: LaurentPoly.one()}))
+                assert all(is_diagram(n - 1, d) for d in closed.terms)
 
     def test_products_and_letters_are_canonical(self):
         rng = random.Random(21)
@@ -117,16 +125,16 @@ class TestUncheckedConstructors:
     )
     def test_public_constructor_still_rejects_invalid_pairings(self, n, pairing):
         with pytest.raises(ValueError):
-            PlanarMatching(n, pairing)
+            TLElement(n, {pairing: 1})
 
     def test_public_element_constructor_still_rejects_a_wrong_strand_count(self):
-        with pytest.raises(ValueError):
-            TLElement(3, {PlanarMatching.identity(2): LaurentPoly.one()})
+        with pytest.raises(ValueError, match="expected 6"):
+            TLElement(3, {identity_diagram(2): LaurentPoly.one()})
 
 
 class TestComposition:
     def test_hook_squared_makes_one_loop(self):
-        hook = PlanarMatching.hook(2, 1)
+        hook = hook_diagram(2, 1)
         diag, loops = compose_matchings(hook, hook)
         assert diag == hook
         assert loops == 1
@@ -158,7 +166,7 @@ class TestComposition:
     def test_identity_diagram_returns_the_other_operand(self):
         for n in range(5):
             diagrams = all_diagrams(n)
-            (ident,) = [d for d in diagrams if d == PlanarMatching.identity(n)]
+            (ident,) = [d for d in diagrams if d == identity_diagram(n)]
             for diag in diagrams:
                 for top, bottom in ((ident, diag), (diag, ident)):
                     result, loops = compose_matchings(top, bottom)
@@ -169,8 +177,8 @@ class TestComposition:
 class TestBraidLetters:
     def test_letter_expansion(self):
         elem = braid_letter(2, 1)
-        assert elem.terms[PlanarMatching.identity(2)] == V(1)
-        assert elem.terms[PlanarMatching.hook(2, 1)] == V(-1)
+        assert elem.terms[identity_diagram(2)] == V(1)
+        assert elem.terms[hook_diagram(2, 1)] == V(-1)
 
     def test_inverse_letters_cancel(self):
         elem = tl_mul(braid_letter(2, -1), braid_letter(2, 1))
