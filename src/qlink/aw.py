@@ -37,11 +37,14 @@ Casimir or the coproduct Casimir.
 
 The central elements in the quartic relation are instantiated as their full
 matrices, not scalar eigenvalues: the three-leg Casimir is generically not
-scalar, and the relations hold at operator level.  Each relation residual,
-each expansion check and each leg's sum of auxiliary products is one
-`tensorop.combine` over scaled products: every entry of the sum is
-accumulated in place and finalized once, with no intermediate operator per
-product, scaling or difference.
+scalar, and the relations hold at operator level.  The four relation
+residuals are one `tensorop.combine` call, which also holds Q12 Q23, Q1 Q2,
+Q3 Q123 and s1-s3 as named sums that the residuals read; the two expansion
+checks are one call around their shared Q2 Q123 + Q1 Q3.  So each generator
+is packed into integers once per call, the shared sums are never decoded,
+and no intermediate operator is formed per product, scaling or difference.
+The trace route sums its products of 2x2 auxiliary blocks in its own
+{exponent: coefficient} accumulators, where packing would not pay.
 """
 
 from __future__ import annotations
@@ -175,15 +178,17 @@ def q_elem_trace(index, shape: Shape) -> Operator:
     return _traced(name, shape)
 
 
-def _aux_blocks(op: Operator) -> dict[tuple[int, int], Operator]:
-    """The 2x2 auxiliary blocks of an operator on (1/2, j): block (b, b') acts on (j,)."""
-    leg = Shape(op.shape_in.factors[1:])
-    d = leg.dim
-    cells: dict[tuple[int, int], dict] = {}
+def _aux_blocks(op: Operator) -> dict[tuple[int, int], dict[int, list]]:
+    """
+    The 2x2 auxiliary blocks of an operator on (1/2, j), each indexed by row:
+    block (b, b') maps row i of (j,) to its entries [(i', terms), ...].
+    """
+    d = op.shape_in.dim // 2
+    blocks: dict[tuple[int, int], dict[int, list]] = {}
     for (r, c), p in op.entries.items():
         (b, i), (b2, i2) = divmod(r, d), divmod(c, d)
-        cells.setdefault((b, b2), {})[(i, i2)] = p
-    return {bb: Operator._raw(leg, leg, entries) for bb, entries in cells.items()}
+        blocks.setdefault((b, b2), {}).setdefault(i, []).append((i2, p.terms))
+    return blocks
 
 
 def _traced(name: str, shape: Shape) -> Operator:
@@ -191,11 +196,12 @@ def _traced(name: str, shape: Shape) -> Operator:
     Weighted trace of the auxiliary spin-1/2 leg out of the index's product,
     contracted leg by leg.  With w[b, c] the cells on legs 1..k-1 between
     auxiliary indices b (going up) and c (coming down), leg k's pair turns it
-    into w'[b', c'] = sum w[b, c] (x) (up[b, b'] . down[c', c]), accumulated
-    into one {exponent: coefficient} dict per cell of w'.  The weight
-    m = diag(q, q^-1) starts the strand as scalars on no legs, b' = c' at the
-    top closes it, and the closed operator on legs 1..top is embedded in
-    `shape`.
+    into w'[b', c'] = sum w[b, c] (x) (up[b, b'] . down[c', c]): the block
+    products feeding one w[b, c] are summed into one {exponent: coefficient}
+    dict per cell of the leg, and their tensor products with w[b, c] into one
+    per cell of w'.  The weight m = diag(q, q^-1) starts the strand as
+    scalars on no legs, b' = c' at the top closes it, and the closed operator
+    on legs 1..top is embedded in `shape`.
     """
     formula = _trace_formula(name)
     top = len(formula) // 2
@@ -206,12 +212,20 @@ def _traced(name: str, shape: Shape) -> Operator:
         for (b, b2), u in up.items():
             for (c2, c), dn in down.items():
                 if (b, c) in w and (k < top or b2 == c2):  # at the top, b' = c' closes the strand into one cell
-                    steps.setdefault((b, c, (b2, c2) if k < top else "closed"), []).append((1, u, dn))
-        leg_shape = Shape((shape[leg - 1],))
-        d = leg_shape.dim
+                    steps.setdefault((b, c, (b2, c2) if k < top else "closed"), []).append((u, dn))
+        d = shape[leg - 1].dim
         acc: dict = {}  # the cell of w' -> {(row, col): {exponent: coefficient}}
         for (b, c, cell), products in steps.items():
-            x = combine(leg_shape, leg_shape, products).entries.items()
+            summed: dict = {}  # the leg's cell -> {exponent: coefficient} of the summed products
+            for u, dn in products:
+                for i, row in u.items():
+                    for mid, pu in row:
+                        for j, pd in dn.get(mid, ()):
+                            terms = summed.get((i, j))
+                            if terms is None:
+                                terms = summed[(i, j)] = {}
+                            accumulate_terms(terms, pu, pd)
+            x = [(rc, terms) for rc, terms in summed.items() if any(terms.values())]
             out = acc.setdefault(cell, {})
             for (ra, ca), pa in w[(b, c)].items():
                 ra, ca, pa = ra * d, ca * d, pa.terms
@@ -220,7 +234,7 @@ def _traced(name: str, shape: Shape) -> Operator:
                     terms = out.get(rc)
                     if terms is None:
                         terms = out[rc] = {}
-                    accumulate_terms(terms, pa, pb.terms)
+                    accumulate_terms(terms, pa, pb)
         w = {cell: {rc: finalize(t) for rc, t in out.items() if any(t.values())} for cell, out in acc.items()}
     block = Shape(shape.factors[:top])
     return embed(Operator._raw(block, block, w["closed"]), range(top), shape)
@@ -256,41 +270,40 @@ def aw_residuals(q: dict[str, Operator], dim_identity: Operator) -> dict[str, Op
               - q Q12 s2 - q^-1 Q23 s3 - q Q13 s1
               - (q + q^-1)^2 + Q123^2 + Q1^2 + Q2^2 + Q3^2 + Q1 Q2 Q3 Q123,
 
-    each summed in one pass by `combine`.
+    all four in one `combine` call, in which Q12 Q23, Q1 Q2, Q3 Q123 and
+    s1-s3 are named sums that stay packed.
     """
     qq, qi = Q(1), Q(-1)
     shape = dim_identity.shape_in
     q1, q2, q3, q12, q23, q13, q123 = (q[name] for name in ("1", "2", "3", "12", "23", "13", "123"))
-
-    def total(*terms) -> Operator:
-        return combine(shape, shape, terms)
-
-    q12_q23, q1_q2, q3_q123 = compose(q12, q23), compose(q1, q2), compose(q3, q123)
-    s1 = total((1, q1, q3), (1, q2, q123))
-    s2 = total((1, q1_q2), (1, q3_q123))
-    s3 = total((1, q2, q3), (1, q1, q123))
     two, coeff = Q(2) - Q(-2), qi - qq  # q^2 - q^-2 and -(q - q^-1)
-    res = {
-        "AW1": total((qq, q12_q23), (-qi, q23, q12), (two, q13), (coeff, s1)),
-        "AW2": total((qq, q23, q13), (-qi, q13, q23), (two, q12), (coeff, s2)),
-        "AW3": total((qq, q13, q12), (-qi, q12, q13), (two, q23), (coeff, s3)),
+    sums = {
+        "Q12 Q23": ((1, q12, q23),),
+        "Q1 Q2": ((1, q1, q2),),
+        "Q3 Q123": ((1, q3, q123),),
+        "s1": ((1, q1, q3), (1, q2, q123)),
+        "s2": ((1, "Q1 Q2"), (1, "Q3 Q123")),
+        "s3": ((1, q2, q3), (1, q1, q123)),
+        "AW1": ((qq, "Q12 Q23"), (-qi, q23, q12), (two, q13), (coeff, "s1")),
+        "AW2": ((qq, q23, q13), (-qi, q13, q23), (two, q12), (coeff, "s2")),
+        "AW3": ((qq, q13, q12), (-qi, q12, q13), (two, q23), (coeff, "s3")),
+        "AW4": (
+            (qq, "Q12 Q23", q13),
+            (Q(2), q12, q12),
+            (Q(-2), q23, q23),
+            (Q(2), q13, q13),
+            (-qq, q12, "s2"),
+            (-qi, q23, "s3"),
+            (-qq, q13, "s1"),
+            (-((qq + qi) * (qq + qi)), dim_identity),
+            (1, q123, q123),
+            (1, q1, q1),
+            (1, q2, q2),
+            (1, q3, q3),
+            (1, "Q1 Q2", "Q3 Q123"),
+        ),
     }
-    res["AW4"] = total(
-        (qq, q12_q23, q13),
-        (Q(2), q12, q12),
-        (Q(-2), q23, q23),
-        (Q(2), q13, q13),
-        (-qq, q12, s2),
-        (-qi, q23, s3),
-        (-qq, q13, s1),
-        (-((qq + qi) * (qq + qi)), dim_identity),
-        (1, q123, q123),
-        (1, q1, q1),
-        (1, q2, q2),
-        (1, q3, q3),
-        (1, q1_q2, q3_q123),
-    )
-    return res
+    return combine(shape, shape, sums)
 
 
 def verify_aw(shape: Shape) -> Report:
@@ -307,17 +320,23 @@ def verify_expansion(shape: Shape) -> Report:
     The product of the two adjacent-block Casimirs expands into the recoupled
     pair: Q12 Q23 = Q2 Q123 - q Q13 - q^-1 Q~13 + Q1 Q3, and the reversed
     product is the same expansion with q -> q^-1 on the explicit coefficients.
+    Both residuals are one `combine` call that reads Q2 Q123 + Q1 Q3 as a
+    named sum.
     """
     report = Report(f"expansion {shape}")
     q = {name: q_elem(name, shape) for name in AW_INDICES}
 
-    def residual(x: str, y: str, k: int) -> Operator:
-        """Q_x Q_y - (Q2 Q123 - q^k Q13 - q^-k Q~13 + Q1 Q3)."""
-        terms = ((1, q[x], q[y]), (-1, q["2"], q["123"]), (-1, q["1"], q["3"]), (Q(k), q["13"]), (Q(-k), q["13~"]))
-        return combine(shape, shape, terms)
+    def residual(x: str, y: str, k: int) -> tuple:
+        """The terms of Q_x Q_y - (Q2 Q123 - q^k Q13 - q^-k Q~13 + Q1 Q3)."""
+        return ((1, q[x], q[y]), (-1, "Q2 Q123 + Q1 Q3"), (Q(k), q["13"]), (Q(-k), q["13~"]))
 
-    report.add("Q12 Q23 = Q2 Q123 - q Q13 - q^-1 Q~13 + Q1 Q3", residual("12", "23", 1))
-    report.add("Q23 Q12 = Q2 Q123 - q^-1 Q13 - q Q~13 + Q1 Q3", residual("23", "12", -1))
+    sums = {
+        "Q2 Q123 + Q1 Q3": ((1, q["2"], q["123"]), (1, q["1"], q["3"])),
+        "Q12 Q23 = Q2 Q123 - q Q13 - q^-1 Q~13 + Q1 Q3": residual("12", "23", 1),
+        "Q23 Q12 = Q2 Q123 - q^-1 Q13 - q Q~13 + Q1 Q3": residual("23", "12", -1),
+    }
+    for name, res in combine(shape, shape, sums).items():
+        report.add(name, res)
     return report
 
 

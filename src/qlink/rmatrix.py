@@ -26,6 +26,8 @@ Derived operators:
 
 - braided form  Rhat = swap . R  (shape (a,b) -> (b,a)) and its inverse;
 - opposite form R21 = swap . R(b,a) . swap on (a,b);
+- each of these is R or R^-1 with its indices relabelled as `swap` maps
+  them (`_exchanged`), so no product is formed;
 - L^- (j) = R on (1/2, j) and L^+(j) = R21 on (1/2, j): the mixed matrices
   with a distinguished spin-1/2 first leg, defined from R rather than
   transcribed, so there is a single source of truth (the written 2x2 block
@@ -135,22 +137,36 @@ def r_inverse(j1: Spin, j2: Spin) -> Operator:
     return inv
 
 
+def _exchanged(op: Operator, out_legs: bool, in_legs: bool) -> Operator:
+    """
+    swap . op if out_legs, times swap on the right if in_legs, for op between
+    two-leg shapes: each index is relabelled as `swap` maps it, so no product
+    is formed.
+    """
+    rows = {c: r for r, c in swap(*op.shape_out).entries} if out_legs else None
+    cols = {r: c for r, c in swap(*reversed(op.shape_in.factors)).entries} if in_legs else None
+    entries = {(rows[r] if out_legs else r, cols[c] if in_legs else c): p for (r, c), p in op.entries.items()}
+    shape_in = Shape(reversed(op.shape_in.factors)) if in_legs else op.shape_in
+    shape_out = Shape(reversed(op.shape_out.factors)) if out_legs else op.shape_out
+    return Operator._raw(shape_in, shape_out, entries)
+
+
 @_memo("Rop")
 def r_opposite(j1: Spin, j2: Spin) -> Operator:
-    """R21 (the flipped braiding element) represented on V_j1 (x) V_j2."""
-    return compose(swap(j2, j1), compose(r_matrix(j2, j1), swap(j1, j2)))
+    """R21 = swap . R(j2, j1) . swap (the flipped braiding element) represented on V_j1 (x) V_j2."""
+    return _exchanged(r_matrix(j2, j1), True, True)
 
 
 @_memo("bR")
 def braided_r(j1: Spin, j2: Spin) -> Operator:
     """Rhat = swap . R, mapping (j1, j2) to (j2, j1)."""
-    return compose(swap(j1, j2), r_matrix(j1, j2))
+    return _exchanged(r_matrix(j1, j2), True, False)
 
 
 @_memo("bRinv")
 def braided_r_inv(j1: Spin, j2: Spin) -> Operator:
-    """Inverse of braided_r(j1, j2), mapping (j2, j1) back to (j1, j2)."""
-    return compose(r_inverse(j1, j2), swap(j2, j1))
+    """Inverse of braided_r(j1, j2) = R^-1 . swap, mapping (j2, j1) back to (j1, j2)."""
+    return _exchanged(r_inverse(j1, j2), False, True)
 
 
 @_memo("intertwines")
@@ -213,7 +229,7 @@ def l_minus_inv(j: Spin) -> Operator:
 
 @_memo("Lpi")
 def l_plus_inv(j: Spin) -> Operator:
-    return compose(swap(j, HALF), compose(r_inverse(j, HALF), swap(HALF, j)))
+    return _exchanged(r_inverse(j, HALF), True, True)
 
 
 def m_matrix() -> Operator:

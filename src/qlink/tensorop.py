@@ -20,21 +20,20 @@ Entries are stored sparsely as {(row, col): LaurentPoly} with no zero entries,
 so operator equality is exact.  Everything is immutable and pure.
 
 The structural operations are the ones a route uses: identity, kron, the
-two-factor `swap`, `embed`, sums of products (`combine`, with `compose` its
-one-term call), a word of two-leg steps (`act_adjacent`) and weighted traces.
+two-factor `swap`, `embed`, named sums of scaled products (`combine`, with
+`compose` its one-term call), a word of two-leg steps (`act_adjacent`) and
+weighted traces.  `combine` and `act_adjacent` compute on packed integers (a
+Kronecker substitution: a polynomial becomes a base exponent and one int) and
+share one packing (`_pack`, `_unpack`), one stride rule (`_strided`) and one
+base alignment (`_align`).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .laurent import (
-    LaurentPoly,
-    accumulate_product,
-    finalize,
-    poly_to_json,
-)
+from .laurent import LaurentPoly, poly_to_json
 
 
 class ShapeError(ValueError):
@@ -340,79 +339,124 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator._raw(shape_in, shape_out, out)
 
 
-def _finalize_cells(acc: dict[tuple[int, int], dict[int, int]]) -> dict[tuple[int, int], LaurentPoly]:
-    """Canonical nonzero entries from per-cell product accumulators."""
-    out = {}
-    for rc, cell in acc.items():
-        p = finalize(cell)
-        if p:
-            out[rc] = p
-    return out
-
-
 def compose(a: Operator, b: Operator) -> Operator:
     """Matrix product a @ b (b applied first to vectors): the one-term `combine`."""
-    return combine(b.shape_in, a.shape_out, ((1, a, b),))
+    return combine(b.shape_in, a.shape_out, {"product": ((1, a, b),)})["product"]
 
 
-def combine(shape_in: Shape, shape_out: Shape, terms: Iterable[tuple]) -> Operator:
+def combine(shape_in: Shape, shape_out: Shape, sums: Mapping[str, Iterable[tuple]]) -> dict[str, Operator]:
     """
-    The sum over `terms` of scalar * a or scalar * (a @ b), each term being
-    (scalar, a) or (scalar, a, b) with an int or LaurentPoly scalar and every
-    term mapping shape_in to shape_out.  Each output cell keeps one
-    {exponent: coefficient} accumulator, finalized once at the end, and each
-    scalar is folded into a's entries once per term.  Each distinct right
-    factor b is indexed by row once per call.
+    The named sums of `sums`, in order, each over terms scalar * a or
+    scalar * (a @ b), written (scalar, a) or (scalar, a, b) with an int or
+    LaurentPoly scalar.  An operand is an Operator or the name of an earlier
+    sum of the call, and every term maps shape_in to shape_out.  Returns, by
+    name, the sums that no later sum reads; a sum that one reads stays packed
+    and is never decoded.
+
+    The arithmetic is packed as in `act_adjacent`: each distinct operand is
+    packed once per call and each distinct right operand indexed by row once,
+    a scalar is folded into the left operand once per term, and an entry
+    times an entry is one int product.  The width is proven from the
+    operands: with ent(x) the largest l1 norm of an entry of x and row(x) the
+    largest sum of l1 norms along a row, a term s * (a @ b) bounds the
+    entries of its sum by |s| row(a) ent(b) and the rows by |s| row(a) row(b),
+    a term s * a by |s| ent(a) and |s| row(a); a sum adds up the bounds of its
+    terms, and w = (the largest entry bound of any sum).bit_length() + 1, as
+    no coefficient of a cell or of a partial sum exceeds its sum's entry
+    bound.
     """
-    acc: dict[tuple[int, int], dict[int, int]] = {}
-    indexed: dict[int, tuple[Operator, dict[int, list[tuple[int, LaurentPoly]]]]] = {}
-    for scalar, a, *rest in terms:
-        b = rest[0] if rest else None
-        if b is None:
-            term_in = a.shape_in
-        else:
-            if a.shape_in != b.shape_out:
-                raise ShapeError(f"cannot compose: left expects {a.shape_in}, right produces {b.shape_out}")
-            term_in = b.shape_in
-        if term_in != shape_in or a.shape_out != shape_out:
-            raise ShapeError(f"term maps {term_in}->{a.shape_out}, the sum {shape_in}->{shape_out}")
-        if not scalar:
-            continue
-        if scalar == 1:
-            entries = a.entries.items()
-        elif isinstance(scalar, LaurentPoly) and len(scalar.terms) == 1:  # c v^k shifts every exponent by k
-            ((k, s),) = scalar.terms.items()
-            entries = [
-                (rc, LaurentPoly._raw({e + k: c * s for e, c in p.terms.items()})) for rc, p in a.entries.items()
-            ]
-        else:
-            entries = [(rc, p * scalar) for rc, p in a.entries.items()]
-        if b is None:
-            for rc, p in entries:
-                cell = acc.get(rc)
-                if cell is None:
-                    acc[rc] = dict(p.terms)
+    plan = []  # (name, [(scalar terms or None for 1, key of a, key of b or None), ...]) per sum
+    operators: dict[int, Operator] = {}  # each distinct Operator operand by id, kept alive during the call
+    ent: dict = {}  # operand key (the id of an Operator, or a sum's name) -> its entry bound
+    row: dict = {}  # the same for its row bound
+    read = set()  # the sums a later sum reads
+    polys = []  # every entry of an operand and every scalar, for the stride
+    for name, terms in sums.items():
+        ent[name] = row[name] = 0
+        planned = []
+        for scalar, *operands in terms:
+            for x in operands:
+                if isinstance(x, str):
+                    if x == name or x not in ent:
+                        raise ValueError(f"sum {name!r} reads {x!r}, which is not an earlier sum")
+                    read.add(x)
+                elif id(x) not in operators:
+                    operators[id(x)] = x
+                    ent[id(x)], row[id(x)] = _norms(x, polys)
+            keys = [x if isinstance(x, str) else id(x) for x in operands]
+            ends = [(shape_in, shape_out) if isinstance(x, str) else (x.shape_in, x.shape_out) for x in operands]
+            (term_in, term_out), *right = ends
+            if right:
+                ((b_in, b_out),) = right
+                if term_in != b_out:
+                    raise ShapeError(f"cannot compose: left expects {term_in}, right produces {b_out}")
+                term_in = b_in
+            if term_in != shape_in or term_out != shape_out:
+                raise ShapeError(f"term maps {term_in}->{term_out}, the sum {shape_in}->{shape_out}")
+            if not scalar:
+                continue
+            scalar = {0: scalar} if isinstance(scalar, int) else scalar.terms
+            polys.append(scalar)
+            l1 = sum(map(abs, scalar.values()))
+            a, b = keys[0], keys[1] if right else None
+            ent[name] += l1 * (row[a] * ent[b] if right else ent[a])
+            row[name] += l1 * row[a] * (row[b] if right else 1)
+            planned.append((None if scalar == {0: 1} else scalar, a, b))
+        plan.append((name, planned))
+    w = max([ent[name] for name in sums], default=0).bit_length() + 1
+    cells, s = _strided(lambda s: _packed_sums(plan, operators, shape_in.dim, s, w), polys)
+    return {
+        name: Operator._raw(shape_in, shape_out, {rc: _unpack(e, n, s, w) for rc, (e, n) in cells[name].items()})
+        for name in sums
+        if name not in read
+    }
+
+
+def _packed_sums(plan, operators: dict[int, Operator], dim_in: int, s: int, w: int):
+    """
+    The sums of `combine` on packed cells at stride s and width w: (cells by
+    operand key, 0), or (None, gap) at the first two contributions to one
+    cell whose bases differ by a gap that s does not divide.  A term s * a
+    runs as s * (a @ 1), so every term takes one loop.
+    """
+    packed: dict = {key: {rc: _pack(p.terms, s, w) for rc, p in op.entries.items()} for key, op in operators.items()}
+    indexed: dict = {}  # right operand key -> {row: [(col, e, N), ...]}
+    for name, planned in plan:
+        acc = packed[name] = {}
+        for scalar, a, b in planned:
+            left = packed[a].items()
+            if scalar is not None:
+                es, ns = _pack(scalar, s, w)
+                left = [(rc, (e + es, n * ns)) for rc, (e, n) in left]
+            rows = indexed.get(b)
+            if rows is None:
+                if b is None:
+                    rows = {k: ((k, 0, 1),) for k in range(dim_in)}
                 else:
-                    for e, c in p.terms.items():
-                        cell[e] = cell.get(e, 0) + c
-            continue
-        known = indexed.get(id(b))
-        if known is None:
-            rows_b: dict[int, list[tuple[int, LaurentPoly]]] = {}
-            for (r, c), p in b.entries.items():
-                rows_b.setdefault(r, []).append((c, p))
-            # b is kept next to its index, so its id is not reused during the call.
-            indexed[id(b)] = (b, rows_b)
-        else:
-            rows_b = known[1]
-        for (r, k), pa in entries:
-            for c, pb in rows_b.get(k, ()):
-                cell = acc.get((r, c))
-                if cell is None:
-                    cell = {}
-                    acc[(r, c)] = cell
-                accumulate_product(cell, pa, pb)
-    return Operator._raw(shape_in, shape_out, _finalize_cells(acc))
+                    rows = {}
+                    for (r, c), (e, n) in packed[b].items():
+                        rows.setdefault(r, []).append((c, e, n))
+                indexed[b] = rows
+            for (r, k), (ea, na) in left:
+                for c, e, n in rows.get(k, ()):
+                    rc = (r, c)
+                    e += ea
+                    n *= na
+                    prev = acc.get(rc)
+                    if prev is None:
+                        acc[rc] = (e, n)
+                        continue
+                    if e == prev[0]:
+                        n += prev[1]
+                    else:
+                        e, n = _align(prev, e, n, s, w)
+                        if n is None:
+                            return None, e
+                    if n:
+                        acc[rc] = (e, n)
+                    else:  # the contributions cancel
+                        del acc[rc]
+    return packed, 0
 
 
 def swap(a: Spin, b: Spin) -> Operator:
@@ -520,29 +564,64 @@ def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Ope
         dims[i : i + 2] = op.shape_out.dims
     polys = [p.terms for p in target.entries.values()]
     bound = max([sum(map(abs, terms.values())) for terms in polys], default=0)
-    row_sums = {}
-    for key, op in ops.items():
-        rows: dict[int, int] = {}
-        for (lr, _), p in op.entries.items():
-            rows[lr] = rows.get(lr, 0) + sum(map(abs, p.terms.values()))
-            polys.append(p.terms)
-        row_sums[key] = max(rows.values(), default=0)
-    # Gaps inside each polynomial only: the bases of two entries can differ
-    # by 1 when the colors are mixed.
-    s = gcd(*[e - low for terms in polys if len(terms) > 1 for low in (min(terms),) for e in terms])
+    row_sums = {key: _norms(op, polys)[1] for key, op in ops.items()}
     largest = bound
     for _, _, key in plan:
         bound *= row_sums[key]
         largest = max(largest, bound)
     w = largest.bit_length() + 1
-    s = s or 1  # every polynomial is a monomial
-    while True:
-        cells, gap = _packed_word(plan, ops, target, s, w)
-        if not gap:
-            break
-        s = gcd(s, gap)
+    cells, s = _strided(lambda s: _packed_word(plan, ops, target, s, w), polys)
     entries = {rc: _unpack(e, n, s, w) for rc, (e, n) in cells.items()}
     return Operator._raw(target.shape_in, Shape(factors), entries)
+
+
+def _norms(op: Operator, polys: list[dict[int, int]]) -> tuple[int, int]:
+    """
+    (the largest l1 norm of an entry of `op`, the largest sum of those norms
+    along a row), the bounds a width is proven from; op's polynomials join
+    `polys`, from which `_strided` takes the stride.
+    """
+    largest, rows = 0, {}
+    for (r, _), p in op.entries.items():
+        norm = sum(map(abs, p.terms.values()))
+        if norm > largest:
+            largest = norm
+        rows[r] = rows.get(r, 0) + norm
+        polys.append(p.terms)
+    return largest, max(rows.values(), default=0)
+
+
+def _strided(run, polys: list[dict[int, int]]):
+    """
+    (result, s) for run(s) at the exponent stride s = the gcd of the
+    exponent gaps inside each of `polys` ({exponent: coefficient} dicts; 1
+    when all are monomials).  Gaps are taken inside each polynomial only, as
+    the bases of two of them can differ by 1 when the colors are mixed; run
+    returns (result, 0), or (None, gap) for two contributions to one cell
+    whose bases differ by a gap that s does not divide, and then reruns at
+    gcd(s, gap), down to s = 1.
+    """
+    s = gcd(*[e - low for terms in polys if len(terms) > 1 for low in (min(terms),) for e in terms]) or 1
+    while True:
+        result, gap = run(s)
+        if not gap:
+            return result, s
+        s = gcd(s, gap)
+
+
+def _align(prev: tuple[int, int], e: int, n: int, s: int, w: int) -> tuple[int, Optional[int]]:
+    """
+    The packed cell prev = (pe, N') plus the contribution (e, N) at another
+    base: the one at the higher base is shifted left onto the lower one.
+    (gap, None) when the stride s does not divide the gap e - pe.
+    """
+    pe, pn = prev
+    k, rem = divmod(abs(e - pe), s)
+    if rem:
+        return e - pe, None
+    if e > pe:
+        return pe, pn + (n << k * w)
+    return e, (pn << k * w) + n
 
 
 def _pack(terms: dict[int, int], s: int, w: int) -> tuple[int, int]:
@@ -600,16 +679,12 @@ def _packed_word(plan, ops: dict[int, Operator], target: Operator, s: int, w: in
                 if prev is None:
                     acc[rc] = (e, n)
                     continue
-                pe, pn = prev
-                if e != pe:
-                    k, rem = divmod(abs(e - pe), s)
-                    if rem:
-                        return None, e - pe
-                    if e > pe:
-                        e, n = pe, n << k * w
-                    else:
-                        pn <<= k * w
-                n += pn
+                if e == prev[0]:
+                    n += prev[1]
+                else:
+                    e, n = _align(prev, e, n, s, w)
+                    if n is None:
+                        return None, e
                 if n:
                     acc[rc] = (e, n)
                 else:  # the contributions cancel

@@ -107,14 +107,13 @@ def commutation_defects(op: Operator, generators: Sequence[tuple[str, Operator]]
     left (one build when the two coincide); every defect is zero exactly when
     `op` intertwines the diagonal action.  `generators`, the
     `diagonal_generators` of op.shape_in, spares the builds when many
-    operators on one shape are checked.
+    operators on one shape are checked.  The three defects are one `combine`
+    call, so `op` is packed once.
     """
     right = generators or diagonal_generators(op.shape_in)
     left = right if op.shape_out == op.shape_in else diagonal_generators(op.shape_out)
-    return [
-        (kind, combine(op.shape_in, op.shape_out, ((1, op, r), (-1, l, op))))
-        for (kind, r), (_, l) in zip(right, left)
-    ]
+    sums = {kind: ((1, op, r), (-1, l, op)) for (kind, r), (_, l) in zip(right, left)}
+    return list(combine(op.shape_in, op.shape_out, sums).items())
 
 
 def casimir_rep(shape: Shape) -> Operator:

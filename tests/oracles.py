@@ -20,8 +20,8 @@ traced there instead of contracted leg by leg, a braiding conjugation is
 every letter embedded and composed on both sides of a folded Casimir
 instead of one packed pass over a two-sided column, the Askey-Wilson residuals
 are summed one operator at a time with +, - and scalar * instead of in one
-fused pass, and an operator product is summed over the shared index row by
-column instead of accumulated per output cell.
+packed pass, and an operator product is summed over the shared index row by
+column instead of accumulated as packed integers per output cell.
 
 Moved here from the package, because no route of the package uses them:
 

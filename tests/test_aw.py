@@ -30,6 +30,7 @@ from oracles import (
 )
 
 Q = LaurentPoly.q_power
+V = LaurentPoly.v_power
 
 SMALL_SHAPES = [Shape.of(1, 1, 1), Shape.of(1, 2, 1), Shape.of(2, 1, 2)]
 
@@ -211,7 +212,10 @@ class TestRelations:
     @pytest.mark.parametrize("shape", SMALL_SHAPES + [Shape.of(3, 3, 3)], ids=str)
     def test_residuals_match_operator_arithmetic(self, shape):
         # The one-pass sums against the operator-by-operator oracle, on the
-        # true generators and on three corruptions of them.
+        # true generators and on five corruptions of them: Q13 times v puts
+        # contributions to one cell at odd exponent gaps, so the packed pass
+        # reruns at stride 1, and Q123 times 2^70 needs a digit wider than
+        # 64 bits.
         q = {name: aw.q_elem(name, shape) for name in ("1", "2", "3", "12", "23", "13", "123")}
         (r, c), p = min(q["123"].entries.items())
         perturbed = Operator(shape, shape, {**q["123"].entries, (r, c): p + 1})
@@ -220,6 +224,8 @@ class TestRelations:
             "Q13 scaled by q": {**q, "13": q["13"] * Q(1)},
             "Q12 and Q23 swapped": {**q, "12": q["23"], "23": q["12"]},
             "one entry of Q123 perturbed": {**q, "123": perturbed},
+            "Q13 scaled by v": {**q, "13": q["13"] * V(1)},
+            "Q123 scaled by 2**70": {**q, "123": q["123"] * 2**70},
         }
         one = identity(shape)
         for label, assignment in assignments.items():

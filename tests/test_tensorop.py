@@ -99,6 +99,10 @@ class TestCombine:
     # A braiding-shaped sum: every term maps (1/2, 1) to (1, 1/2).
     SRC, DST = Shape.of(1, 2), Shape.of(2, 1)
 
+    def total(self, terms):
+        """The one sum of `terms`, through `combine`."""
+        return combine(self.SRC, self.DST, {"sum": terms})["sum"]
+
     def terms(self, scalars):
         rng = random.Random(7)
         braid = braided_r(HALF, Spin(2))
@@ -110,32 +114,76 @@ class TestCombine:
 
     @pytest.mark.parametrize(
         "scalars",
-        [(1, -1, 3, 2), (Q(1), Q(1) + Q(-1), V(-3) * 2, -V(1)), (2, Q(-1), 1, V(5))],
-        ids=("int", "poly", "mixed"),
+        [(1, -1, 3, 2), (Q(1), Q(1) + Q(-1), V(-3) * 2, -V(1)), (2, Q(-1), 1, V(5)), (1, 2**70, V(2) * -(2**70), -1)],
+        ids=("int", "poly", "mixed", "beyond 2^64"),
     )
     def test_matches_products_and_sums(self, scalars):
         terms = self.terms(scalars)
         expected = Operator(self.SRC, self.DST, {})
         for scalar, a, *b in terms:
             expected = expected + (entrywise_product(a, b[0]) if b else a) * scalar
-        assert combine(self.SRC, self.DST, terms) == expected
+        assert self.total(terms) == expected
         by_compose = [compose(a, b[0]) * scalar if b else a * scalar for scalar, a, *b in terms]
         assert expected == sum(by_compose[1:], by_compose[0])
 
+    def test_bases_one_apart(self):
+        # The braiding's exponents step by 4, so the cells meet bases 1 apart
+        # only in the sum, and the pass reruns at stride 1.
+        braid = self.terms((1, 1, 1, 1))[0][1]
+        assert self.total([(1, braid), (V(1), braid)]) == braid * (1 + V(1))
+
     def test_one_product_is_compose(self):
         _, (_, back, mid), _, _ = self.terms((1, 1, 1, 1))
-        assert combine(self.SRC, self.DST, [(1, back, mid)]) == entrywise_product(back, mid)
+        assert self.total([(1, back, mid)]) == entrywise_product(back, mid)
         assert compose(back, mid) == entrywise_product(back, mid)
-        assert combine(self.SRC, self.DST, []) == Operator(self.SRC, self.DST, {})
+        assert self.total([]) == Operator(self.SRC, self.DST, {})
 
     def test_cancelling_terms_leave_no_zero_entry(self):
         (_, braid), (_, back, mid), (_, square, _), _ = self.terms((1, 1, 1, 1))
-        assert combine(self.SRC, self.DST, [(Q(1), back, mid), (-Q(1), back, mid)]).nnz() == 0
-        partial = combine(self.SRC, self.DST, [(1, braid), (-1, square, braid), (1, square, braid), (0, square, braid)])
+        assert self.total([(Q(1), back, mid), (-Q(1), back, mid)]).nnz() == 0
+        partial = self.total([(1, braid), (-1, square, braid), (1, square, braid), (0, square, braid)])
         assert partial == braid
         cut = Operator(self.SRC, self.DST, dict(list(braid.entries.items())[:3]))
-        rest = combine(self.SRC, self.DST, [(V(1), braid), (-V(1), cut)])
+        rest = self.total([(V(1), braid), (-V(1), cut)])
         assert rest.nnz() == braid.nnz() - 3 and all(rest.entries.values())
+        # A sum that cancels an earlier one entirely.
+        sums = {
+            "braid": [(V(1), braid), (1, square, braid)],
+            "zero": [(1, "braid"), (-V(1), braid), (-1, square, braid)],
+        }
+        assert combine(self.SRC, self.DST, sums)["zero"].entries == {}
+
+    def test_named_sums_read_earlier_sums(self):
+        # Earlier sums as left and as right operands, against products formed
+        # one by one; only the sum that no later sum reads comes back.
+        rng = random.Random(9)
+        square, other, third = (random_operator(rng, self.DST, self.DST, fill=6) for _ in range(3))
+        sums = {
+            "p": [(V(1), square, other), (2, third)],
+            "p on the left": [(Q(1), "p", square), (-1, other)],
+            "p on the right": [(1, third, "p"), (V(-1), "p")],
+            "product": [(1, "p on the left", "p on the right"), (3, "p")],
+        }
+        got = combine(self.DST, self.DST, sums)
+        assert list(got) == ["product"]
+        p = entrywise_product(square, other) * V(1) + third * 2
+        left = entrywise_product(p, square) * Q(1) - other
+        right = entrywise_product(third, p) + p * V(-1)
+        assert got["product"] == entrywise_product(left, right) + p * 3
+        with pytest.raises(ValueError, match="'later', which is not an earlier sum"):
+            combine(self.DST, self.DST, {"early": [(1, "later")], "later": [(1, square)]})
+
+    def test_dense_sums_reach_the_width_bound(self):
+        # Every cell of these dense monomial products sums its contributions
+        # without cancelling, so each coefficient, 4 * 6^2 = 144, equals its
+        # sum's entry bound: a digit one bit narrower, or proven from entry
+        # norms alone or from the largest term instead of the sum of terms,
+        # would corrupt it.
+        dense = Operator(self.DST, self.DST, {(r, c): V(1) for r in range(6) for c in range(6)})
+        sums = {"square": [(1, dense, dense)], "sum": [(1, "square", dense)] * 4}
+        expected = entrywise_product(entrywise_product(dense, dense), dense) * 4
+        assert set(expected.entries.values()) == {V(3) * 144}
+        assert combine(self.DST, self.DST, sums)["sum"] == expected
 
     def test_shared_and_fresh_right_factors(self):
         # One right factor in several terms, then fresh right factors built
@@ -154,20 +202,20 @@ class TestCombine:
         expected = Operator(self.SRC, self.DST, {})
         for scalar, a, b in terms():
             expected = expected + entrywise_product(a, b) * scalar
-        assert combine(self.SRC, self.DST, terms()) == expected
+        assert self.total(terms()) == expected
 
     def test_shape_mismatch_names_both_shapes(self):
         braid = braided_r(HALF, Spin(2))
         with pytest.raises(ShapeError) as err:
-            combine(self.DST, self.SRC, [(1, braid)])
+            combine(self.DST, self.SRC, {"sum": [(1, braid)]})
         assert "(1/2, 1)" in str(err.value) and "(1, 1/2)" in str(err.value)
         with pytest.raises(ShapeError) as err:
-            combine(self.SRC, self.SRC, [(1, braid, identity(self.SRC))])
+            combine(self.SRC, self.SRC, {"sum": [(1, braid, identity(self.SRC))]})
         assert "term maps (1/2, 1)->(1, 1/2)" in str(err.value) and "(1/2, 1)->(1/2, 1)" in str(err.value)
         with pytest.raises(ShapeError):  # a zero scalar does not skip the check
-            combine(self.SRC, self.SRC, [(0, braid)])
+            combine(self.SRC, self.SRC, {"sum": [(0, braid)]})
         with pytest.raises(ShapeError, match=r"left expects \(1/2, 1\), right produces \(1, 1/2\)"):
-            combine(self.SRC, self.DST, [(1, braid, braid)])
+            self.total([(1, braid, braid)])
 
 
 class TestPermute:
