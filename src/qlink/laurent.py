@@ -119,16 +119,7 @@ class LaurentPoly:
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) - c
-            if s:
-                out[exp] = s
-            else:
-                del out[exp]
-        return LaurentPoly._raw(out)
+        return self + -other
 
     def __rsub__(self, other: int) -> LaurentPoly:
         return LaurentPoly.const(other) - self
@@ -218,7 +209,7 @@ def accumulate_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> N
 
 
 def finalize(acc: dict[int, int]) -> LaurentPoly:
-    """Canonicalize an accumulator produced by `accumulate_product`."""
+    """Canonicalize an accumulator filled by `accumulate_product` or `accumulate_terms`."""
     return LaurentPoly._raw({e: c for e, c in acc.items() if c})
 
 

@@ -22,10 +22,10 @@ so operator equality is exact.  Everything is immutable and pure.
 The structural operations are the ones a route uses: identity, kron, the
 two-factor `swap`, `embed`, named sums of scaled products (`combine`, with
 `compose` its one-term call), a word of two-leg steps (`act_adjacent`) and
-weighted traces.  `combine` and `act_adjacent` compute on packed integers (a
-Kronecker substitution: a polynomial becomes a base exponent and one int) and
-share one packing (`_pack`, `_unpack`), one stride rule (`_strided`) and one
-base alignment (`_align`).
+weighted traces.  `combine` and `act_adjacent` are front ends of one packed
+executor, `_packed_sums`: it computes on packed integers (a Kronecker
+substitution: a polynomial becomes a base exponent and one int), and its
+docstring states the packing, the stride rule and the width proof.
 """
 
 from __future__ import annotations
@@ -351,112 +351,44 @@ def combine(shape_in: Shape, shape_out: Shape, sums: Mapping[str, Iterable[tuple
     LaurentPoly scalar.  An operand is an Operator or the name of an earlier
     sum of the call, and every term maps shape_in to shape_out.  Returns, by
     name, the sums that no later sum reads; a sum that one reads stays packed
-    and is never decoded.
-
-    The arithmetic is packed as in `act_adjacent`: each distinct operand is
-    packed once per call and each distinct right operand indexed by row once,
-    a scalar is folded into the left operand once per term, and an entry
-    times an entry is one int product.  The width is proven from the
-    operands: with ent(x) the largest l1 norm of an entry of x and row(x) the
-    largest sum of l1 norms along a row, a term s * (a @ b) bounds the
-    entries of its sum by |s| row(a) ent(b) and the rows by |s| row(a) row(b),
-    a term s * a by |s| ent(a) and |s| row(a); a sum adds up the bounds of its
-    terms, and w = (the largest entry bound of any sum).bit_length() + 1, as
-    no coefficient of a cell or of a partial sum exceeds its sum's entry
-    bound.
+    and is never decoded.  All sums run in one `_packed_sums` call: a term
+    scalar * (a @ b) is the step (scalar, a, b, 1, a's input dimension) and a
+    term scalar * a the 1x1 step (scalar, None, a, 1, 1).
     """
-    plan = []  # (name, [(scalar terms or None for 1, key of a, key of b or None), ...]) per sum
-    operators: dict[int, Operator] = {}  # each distinct Operator operand by id, kept alive during the call
-    ent: dict = {}  # operand key (the id of an Operator, or a sum's name) -> its entry bound
-    row: dict = {}  # the same for its row bound
+    plan = []  # the steps of each sum, as `_packed_sums` takes them
+    position: dict[str, int] = {}  # sum name -> its place in plan
     read = set()  # the sums a later sum reads
-    polys = []  # every entry of an operand and every scalar, for the stride
     for name, terms in sums.items():
-        ent[name] = row[name] = 0
-        planned = []
+        steps = []
         for scalar, *operands in terms:
+            refs, ends = [], []
             for x in operands:
                 if isinstance(x, str):
-                    if x == name or x not in ent:
+                    if x not in position:
                         raise ValueError(f"sum {name!r} reads {x!r}, which is not an earlier sum")
                     read.add(x)
-                elif id(x) not in operators:
-                    operators[id(x)] = x
-                    ent[id(x)], row[id(x)] = _norms(x, polys)
-            keys = [x if isinstance(x, str) else id(x) for x in operands]
-            ends = [(shape_in, shape_out) if isinstance(x, str) else (x.shape_in, x.shape_out) for x in operands]
-            (term_in, term_out), *right = ends
+                    refs.append(position[x])
+                    ends.append((shape_in, shape_out))
+                else:
+                    refs.append(x)
+                    ends.append((x.shape_in, x.shape_out))
+            (a_in, term_out), *right = ends
+            term_in = a_in
             if right:
-                ((b_in, b_out),) = right
-                if term_in != b_out:
-                    raise ShapeError(f"cannot compose: left expects {term_in}, right produces {b_out}")
-                term_in = b_in
+                ((term_in, b_out),) = right
+                if a_in != b_out:
+                    raise ShapeError(f"cannot compose: left expects {a_in}, right produces {b_out}")
             if term_in != shape_in or term_out != shape_out:
                 raise ShapeError(f"term maps {term_in}->{term_out}, the sum {shape_in}->{shape_out}")
             if not scalar:
                 continue
             scalar = {0: scalar} if isinstance(scalar, int) else scalar.terms
-            polys.append(scalar)
-            l1 = sum(map(abs, scalar.values()))
-            a, b = keys[0], keys[1] if right else None
-            ent[name] += l1 * (row[a] * ent[b] if right else ent[a])
-            row[name] += l1 * row[a] * (row[b] if right else 1)
-            planned.append((None if scalar == {0: 1} else scalar, a, b))
-        plan.append((name, planned))
-    w = max([ent[name] for name in sums], default=0).bit_length() + 1
-    cells, s = _strided(lambda s: _packed_sums(plan, operators, shape_in.dim, s, w), polys)
-    return {
-        name: Operator._raw(shape_in, shape_out, {rc: _unpack(e, n, s, w) for rc, (e, n) in cells[name].items()})
-        for name in sums
-        if name not in read
-    }
-
-
-def _packed_sums(plan, operators: dict[int, Operator], dim_in: int, s: int, w: int):
-    """
-    The sums of `combine` on packed cells at stride s and width w: (cells by
-    operand key, 0), or (None, gap) at the first two contributions to one
-    cell whose bases differ by a gap that s does not divide.  A term s * a
-    runs as s * (a @ 1), so every term takes one loop.
-    """
-    packed: dict = {key: {rc: _pack(p.terms, s, w) for rc, p in op.entries.items()} for key, op in operators.items()}
-    indexed: dict = {}  # right operand key -> {row: [(col, e, N), ...]}
-    for name, planned in plan:
-        acc = packed[name] = {}
-        for scalar, a, b in planned:
-            left = packed[a].items()
-            if scalar is not None:
-                es, ns = _pack(scalar, s, w)
-                left = [(rc, (e + es, n * ns)) for rc, (e, n) in left]
-            rows = indexed.get(b)
-            if rows is None:
-                if b is None:
-                    rows = {k: ((k, 0, 1),) for k in range(dim_in)}
-                else:
-                    rows = {}
-                    for (r, c), (e, n) in packed[b].items():
-                        rows.setdefault(r, []).append((c, e, n))
-                indexed[b] = rows
-            for (r, k), (ea, na) in left:
-                for c, e, n in rows.get(k, ()):
-                    rc = (r, c)
-                    e += ea
-                    n *= na
-                    prev = acc.get(rc)
-                    if prev is None:
-                        acc[rc] = (e, n)
-                        continue
-                    if e == prev[0]:
-                        n += prev[1]
-                    else:
-                        e, n = _align(prev, e, n, s, w)
-                        if n is None:
-                            return None, e
-                    if n:
-                        acc[rc] = (e, n)
-                    else:  # the contributions cancel
-                        del acc[rc]
-    return packed, 0
+            scalar = None if scalar == {0: 1} else scalar
+            steps.append((scalar, *refs, 1, a_in.dim) if right else (scalar, None, *refs, 1, 1))
+        position[name] = len(plan)
+        plan.append(steps)
+    entries = _packed_sums(plan)
+    return {name: Operator._raw(shape_in, shape_out, entries[k]) for name, k in position.items() if name not in read}
 
 
 def swap(a: Spin, b: Spin) -> Operator:
@@ -521,33 +453,18 @@ def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Ope
     output legs of `target`: the same as composing embed(op, (i, i + 1), ...)
     onto it step by step, without building any embedded operator.  Each `op`
     acts on legs i, i + 1 of the shape left by the steps before it and must
-    keep their total dimension (a braiding maps (a, b) to (b, a)), so every
-    other leg keeps its stride t: an entry in row r meets local column
-    lc = (r // t) % d and each entry (lr, lc) of `op` moves it to row
-    r + (lr - lc) * t.
-
-    Cells travel packed (Kronecker substitution): the polynomial
-    sum_k d_k v^(e + s k) is the pair (e, sum_k d_k 2^(w k)), with balanced
-    digits |d_k| < 2^(w - 1).  A cell times an entry of `op` is then one int
-    product, and adding into a cell one int sum aligned by a left shift.  The
-    exponent stride s is the gcd of the exponent gaps inside each polynomial
-    of `target` and of the steps (4 for every braided matrix, as v^4 = q^2);
-    two contributions to one cell whose bases differ by a gap that s does not
-    divide rerun the word at the gcd of the two, down to s = 1.  The width w
-    is proven from the operands: after k steps no coefficient of any cell, nor
-    of any partial sum, exceeds B_k = (the largest l1 norm of an entry of
-    `target`) times the product over those k steps of the largest sum of l1
-    norms along a row of `op`, and w = max_k B_k.bit_length() + 1.  So a packed
-    cell is 0 exactly when its polynomial is, zero cells are dropped as they
-    arise, and each cell is decoded into a polynomial once, at the end.
+    keep their total dimension d (a braiding maps (a, b) to (b, a)), so every
+    other leg keeps its stride.  The word is one `_packed_sums` call with one
+    one-step sum (None, op, the sum before it or the target, t, d) per
+    letter, t the stride of leg i + 1.
     """
     if not steps:
         return target
     factors = list(target.shape_out.factors)
     dims = [f.dim for f in factors]
-    plan = []  # (stride t of leg i + 1, d, id(op)) per step
-    ops: dict[int, Operator] = {}
-    for i, op in steps:
+    plan = []
+    prev = target
+    for k, (i, op) in enumerate(steps):
         if not 0 <= i < len(factors) - 1:
             raise ShapeError(f"no adjacent legs {i}, {i + 1} in a shape of {len(factors)} factors")
         if op.shape_in.factors != (factors[i], factors[i + 1]):
@@ -558,28 +475,166 @@ def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Ope
         t = 1
         for dim in dims[i + 2 :]:
             t *= dim
-        plan.append((t, d, id(op)))
-        ops[id(op)] = op
+        plan.append(((None, op, prev, t, d),))
+        prev = k
         factors[i : i + 2] = op.shape_out.factors
         dims[i : i + 2] = op.shape_out.dims
-    polys = [p.terms for p in target.entries.values()]
-    bound = max([sum(map(abs, terms.values())) for terms in polys], default=0)
-    row_sums = {key: _norms(op, polys)[1] for key, op in ops.items()}
-    largest = bound
-    for _, _, key in plan:
-        bound *= row_sums[key]
-        largest = max(largest, bound)
-    w = largest.bit_length() + 1
-    cells, s = _strided(lambda s: _packed_word(plan, ops, target, s, w), polys)
-    entries = {rc: _unpack(e, n, s, w) for rc, (e, n) in cells.items()}
-    return Operator._raw(target.shape_in, Shape(factors), entries)
+    return Operator._raw(target.shape_in, Shape(factors), _packed_sums(plan)[-1])
+
+
+def _packed_sums(plan: list) -> list:
+    """
+    The sums of `plan`, in order, each a sequence of steps (scalar, a, b, t,
+    d) meaning scalar * a acting on b.  b is an Operator or the place in
+    `plan` of an earlier sum; a is one too, or None for the 1x1 one (d = 1);
+    scalar is an {exponent: coefficient} dict, or None for 1.  a is indexed
+    by local column: its entry (lr, lc) meets each cell of b in a row r with
+    (r // t) % d = lc and moves it to row r + (lr - lc) t, in the same
+    column.  So t = 1 with d the input dimension of a is the product a @ b,
+    and t the stride of leg i + 1 applies a two-leg a to legs i, i + 1 of b.
+    Returns per sum its entries {(row, col): LaurentPoly}, or None for a sum
+    that a later one reads: that one stays packed and is freed once its last
+    reader has run.
+
+    Packing (a Kronecker substitution, D. Harvey 2009): the polynomial
+    sum_k d_k v^(e + s k) is the pair (e, sum_k d_k 2^(w k)) with balanced
+    digits |d_k| < 2^(w - 1), so an entry times a cell is one int product
+    and adding into a cell one int sum, shifted into line when the bases
+    differ.  Each Operator is packed once per pass, and as a indexed once
+    (from its cells when it is also a b); a scalar is folded into the index
+    of a once per step, and each returned cell is decoded once, at the end.
+
+    Stride: s is the gcd of the exponent gaps inside each entry of an
+    Operator and inside each scalar (4 for every braided matrix, as
+    v^4 = q^2; 1 when all are monomials), never across polynomials, whose
+    bases can differ by 1 when the colors are mixed.  Two contributions to
+    one cell whose bases differ by a gap that s does not divide rerun the
+    whole plan at the gcd of the two, down to s = 1, keeping nothing from
+    the failed pass.
+
+    Width: with ent(x) the largest l1 norm of an entry of x and row(x) the
+    largest sum of those norms along a row (both 1 for the 1x1 one; a
+    two-leg a at any stride has the bounds of a), a step bounds the entries
+    of its sum by |scalar| row(a) ent(b) and the rows by |scalar| row(a)
+    row(b), |scalar| being its l1 norm.  A sum adds up the bounds of its
+    steps, and w = (the largest entry bound of any sum).bit_length() + 1.
+    No coefficient of a cell, nor of a partial sum, exceeds its sum's entry
+    bound, so a packed cell is 0 exactly when its polynomial is, and zero
+    cells are dropped as they arise.
+    """
+    polys = []  # every entry of an Operator and every scalar, for the stride
+    norms: dict[int, tuple[int, int]] = {}  # id of an Operator -> (ent, row)
+    rights: dict[int, Operator] = {}  # the Operators read as b, by id: packed whole
+    bounds = []  # (ent, row) of each sum
+    last = {}  # place of a sum that a later one reads -> place of its last reader
+    for k, steps in enumerate(plan):
+        ent_k = row_k = 0
+        for scalar, a, b, _, _ in steps:
+            if b.__class__ is int:
+                last[b] = k
+                ent_b, row_b = bounds[b]
+            else:
+                rights[id(b)] = b
+                ent_b, row_b = norms.get(id(b)) or norms.setdefault(id(b), _norms(b, polys))
+            if a.__class__ is int:
+                last[a] = k
+                row_a = bounds[a][1]
+            elif a is None:
+                row_a = 1
+            else:
+                row_a = (norms.get(id(a)) or norms.setdefault(id(a), _norms(a, polys)))[1]
+            if scalar is not None:
+                polys.append(scalar)
+                row_a *= sum(map(abs, scalar.values()))
+            ent_k += row_a * ent_b
+            row_k += row_a * row_b
+        bounds.append((ent_k, row_k))
+    frees = [()] * len(plan)  # per sum: the sums to free once it has run
+    for x, k in last.items():
+        frees[k] += (x,)
+    w = max([ent for ent, _ in bounds], default=0).bit_length() + 1
+    s = gcd(*[e - low for terms in polys if len(terms) > 1 for low in (min(terms),) for e in terms]) or 1
+    while True:
+        done, gap = _packed_pass(plan, rights, frees, s, w)
+        if not gap:
+            return [cells and {rc: _unpack(e, n, s, w) for rc, (e, n) in cells.items()} for cells in done]
+        s = gcd(s, gap)
+
+
+def _packed_pass(plan: list, rights: dict[int, Operator], frees: list[tuple[int, ...]], s: int, w: int):
+    """
+    One pass of `_packed_sums` at stride s and width w: (the packed cells of
+    each sum, None for a freed one; 0), or (None, gap) at the first two
+    contributions to one cell whose bases differ by a gap that s does not
+    divide.
+    """
+    done = []
+    packed = {key: {rc: _pack(p.terms, s, w) for rc, p in b.entries.items()} for key, b in rights.items()}
+    indexed = {}  # id of an Operator a -> its `_columns`
+    for steps, freed in zip(plan, frees):
+        acc = {}
+        for scalar, a, b, t, d in steps:
+            cells = done[b] if b.__class__ is int else packed[id(b)]
+            if a.__class__ is Operator:
+                cols = indexed.get(id(a))
+                if cols is None:
+                    cols = indexed[id(a)] = _columns(a, packed.get(id(a)), d, s, w)
+            elif a is None:
+                cols = [((0, 0, 1),)]
+            else:
+                cols = _columns(None, done[a], d, s, w)
+            if scalar is not None:
+                es, ns = _pack(scalar, s, w)
+                cols = [[(dl, e + es, n * ns) for dl, e, n in col] for col in cols]
+            for (r, c), (e0, n0) in cells.items():
+                for dl, e, n in cols[r // t % d]:
+                    rc = (r + dl * t, c)
+                    e += e0
+                    n *= n0
+                    prev = acc.get(rc)
+                    if prev is None:
+                        acc[rc] = (e, n)
+                        continue
+                    pe, pn = prev
+                    if e != pe:  # the contribution at the higher base shifts onto the lower one
+                        shift, rem = divmod(abs(e - pe), s)
+                        if rem:
+                            return None, e - pe
+                        if e > pe:
+                            e, n = pe, n << shift * w
+                        else:
+                            pn <<= shift * w
+                    n += pn
+                    if n:
+                        acc[rc] = (e, n)
+                    else:  # the contributions cancel
+                        del acc[rc]
+        done.append(acc)
+        for x in freed:
+            done[x] = None
+    return done, 0
+
+
+def _columns(a: Optional[Operator], cells: Optional[dict], d: int, s: int, w: int) -> list[list[tuple[int, int, int]]]:
+    """
+    An operand by local column lc < d, [(lr - lc, e, N), ...]: from its
+    packed `cells` {(lr, lc): (e, N)}, or else from the entries of `a`.
+    """
+    cols = [[] for _ in range(d)]
+    if cells is None:
+        for (lr, lc), p in a.entries.items():
+            cols[lc].append((lr - lc, *_pack(p.terms, s, w)))
+    else:
+        for (lr, lc), cell in cells.items():
+            cols[lc].append((lr - lc, *cell))
+    return cols
 
 
 def _norms(op: Operator, polys: list[dict[int, int]]) -> tuple[int, int]:
     """
     (the largest l1 norm of an entry of `op`, the largest sum of those norms
     along a row), the bounds a width is proven from; op's polynomials join
-    `polys`, from which `_strided` takes the stride.
+    `polys`, from which `_packed_sums` takes the stride.
     """
     largest, rows = 0, {}
     for (r, _), p in op.entries.items():
@@ -589,39 +644,6 @@ def _norms(op: Operator, polys: list[dict[int, int]]) -> tuple[int, int]:
         rows[r] = rows.get(r, 0) + norm
         polys.append(p.terms)
     return largest, max(rows.values(), default=0)
-
-
-def _strided(run, polys: list[dict[int, int]]):
-    """
-    (result, s) for run(s) at the exponent stride s = the gcd of the
-    exponent gaps inside each of `polys` ({exponent: coefficient} dicts; 1
-    when all are monomials).  Gaps are taken inside each polynomial only, as
-    the bases of two of them can differ by 1 when the colors are mixed; run
-    returns (result, 0), or (None, gap) for two contributions to one cell
-    whose bases differ by a gap that s does not divide, and then reruns at
-    gcd(s, gap), down to s = 1.
-    """
-    s = gcd(*[e - low for terms in polys if len(terms) > 1 for low in (min(terms),) for e in terms]) or 1
-    while True:
-        result, gap = run(s)
-        if not gap:
-            return result, s
-        s = gcd(s, gap)
-
-
-def _align(prev: tuple[int, int], e: int, n: int, s: int, w: int) -> tuple[int, Optional[int]]:
-    """
-    The packed cell prev = (pe, N') plus the contribution (e, N) at another
-    base: the one at the higher base is shifted left onto the lower one.
-    (gap, None) when the stride s does not divide the gap e - pe.
-    """
-    pe, pn = prev
-    k, rem = divmod(abs(e - pe), s)
-    if rem:
-        return e - pe, None
-    if e > pe:
-        return pe, pn + (n << k * w)
-    return e, (pn << k * w) + n
 
 
 def _pack(terms: dict[int, int], s: int, w: int) -> tuple[int, int]:
@@ -653,44 +675,6 @@ def _unpack(e: int, n: int, s: int, w: int) -> LaurentPoly:
             terms[e] = digit
         e += s
     return LaurentPoly._raw(terms)
-
-
-def _packed_word(plan, ops: dict[int, Operator], target: Operator, s: int, w: int):
-    """
-    The steps of `act_adjacent` on packed cells at stride s and width w:
-    (cells, 0), or (None, gap) at the first two contributions to one cell
-    whose bases differ by a gap that s does not divide.
-    """
-    by_col = {}  # per operator: [(lr - lc, e, N), ...] for each local column lc
-    for key, op in ops.items():
-        cols = by_col[key] = [[] for _ in range(op.shape_in.dim)]
-        for (lr, lc), p in op.entries.items():
-            cols[lc].append((lr - lc, *_pack(p.terms, s, w)))
-    cells = {rc: _pack(p.terms, s, w) for rc, p in target.entries.items()}
-    for t, d, key in plan:
-        cols = by_col[key]
-        acc: dict[tuple[int, int], tuple[int, int]] = {}
-        for (r, c), (e0, n0) in cells.items():
-            for dl, e, n in cols[(r // t) % d]:
-                rc = (r + dl * t, c)
-                e += e0
-                n *= n0
-                prev = acc.get(rc)
-                if prev is None:
-                    acc[rc] = (e, n)
-                    continue
-                if e == prev[0]:
-                    n += prev[1]
-                else:
-                    e, n = _align(prev, e, n, s, w)
-                    if n is None:
-                        return None, e
-                if n:
-                    acc[rc] = (e, n)
-                else:  # the contributions cancel
-                    del acc[rc]
-        cells = acc
-    return cells, 0
 
 
 # ---------------------------------------------------------------------------

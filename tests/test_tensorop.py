@@ -132,6 +132,27 @@ class TestCombine:
         braid = self.terms((1, 1, 1, 1))[0][1]
         assert self.total([(1, braid), (V(1), braid)]) == braid * (1 + V(1))
 
+    def test_gap_in_a_later_sum_reruns_the_whole_call(self):
+        # "a" alone keeps the braiding's stride 4; the bases first meet 1
+        # apart in "b", which reads "a" packed, so the rerun at stride 1 must
+        # rebuild "a" and every packed operand rather than reuse them.
+        braid = self.terms((1, 1, 1, 1))[0][1]
+        got = combine(self.SRC, self.DST, {"a": [(1, braid)], "b": [(V(1), "a"), (1, braid)]})
+        assert list(got) == ["b"]
+        assert got["b"] == braid * (1 + V(1))
+
+    def test_sum_as_left_factor_of_a_narrowing_product(self):
+        # Input dimension 3, output dimension 2: a sum read as the left
+        # factor is indexed by its 3 input columns, every one of them filled.
+        src, dst = Shape.of(2), Shape.of(1)
+        narrow = Operator(src, dst, {(r, c): V(r - c) * (r + 2 * c + 1) for r in range(2) for c in range(3)})
+        square = random_operator(random.Random(10), src, src, fill=6)
+        sums = {"p": [(V(1), narrow), (2, narrow, square)], "q": [(Q(1), "p", square), (-1, narrow)]}
+        got = combine(src, dst, sums)
+        p = narrow * V(1) + entrywise_product(narrow, square) * 2
+        assert list(got) == ["q"]
+        assert got["q"] == entrywise_product(p, square) * Q(1) - narrow
+
     def test_one_product_is_compose(self):
         _, (_, back, mid), _, _ = self.terms((1, 1, 1, 1))
         assert self.total([(1, back, mid)]) == entrywise_product(back, mid)
