@@ -52,7 +52,6 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable
 
-from .braid import BraidWord
 from .laurent import LaurentPoly, accumulate_terms, finalize, subst_x_iv
 from .report import Report
 from .rmatrix import (
@@ -404,6 +403,7 @@ def verify_tl_iso() -> Report:
     report.add("Q23 = (q^3 + q^-3) - (q - q^-1)^2 P23", q_elem("23", shape) - (identity(shape) * shift - p23 * coeff))
 
     # Diagram-monoid side.
+    from .braid import BraidWord
     from .tl import DELTA_X, TLElement, close_first, tl_mul, word_element
 
     e1, e2 = TLElement.hook(3, 1), TLElement.hook(3, 2)

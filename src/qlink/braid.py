@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .tensorop import Immutable, InputError, Spin, parse_int
+from .laurent import Immutable
+from .tensorop import InputError, Spin, parse_int
 
 
 class BraidError(InputError):
@@ -52,17 +53,6 @@ class BraidWord(Immutable):
                 raise BraidError(f"letter {letter} out of range for {n_strands} strands")
         object.__setattr__(self, "n_strands", n_strands)
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is not BraidWord:
-            return NotImplemented
-        return self.n_strands == other.n_strands and self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.n_strands, self.letters))
-
-    def __repr__(self) -> str:
-        return f"BraidWord(n_strands={self.n_strands!r}, letters={self.letters!r})"
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -102,17 +92,6 @@ class ColoredBraid(Immutable):
                 )
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "colors", colors)
-
-    def __eq__(self, other):
-        if other.__class__ is not ColoredBraid:
-            return NotImplemented
-        return self.word == other.word and self.colors == other.colors
-
-    def __hash__(self):
-        return hash((self.word, self.colors))
-
-    def __repr__(self) -> str:
-        return f"ColoredBraid(word={self.word!r}, colors={self.colors!r})"
 
     @property
     def n_strands(self) -> int:

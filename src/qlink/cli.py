@@ -8,7 +8,8 @@ runs the identity suites.  Output is deterministic and byte-identical for
 identical inputs; JSON objects are emitted with sorted keys.  Each handler
 imports the modules its subcommand runs, so a process loads no other: the
 quantum-trace route loads neither `tl` nor `aw`, only `verify aw` loads `aw`,
-and only a subcommand that reads a braid loads `braid`.
+and only a subcommand that reads a braid loads `braid`; of the `verify aw`
+suites, only `tl-iso` and `all` (the default) load `braid` and `tl`.
 
 Exit codes: 0 all requested checks passed (or value computed), 1 bad input
 (the message names the flag that carried it), 2 at least one check failed,

@@ -42,7 +42,7 @@ from .braid import (
     disjoint_union,
     writhe,
 )
-from .laurent import LaurentPoly, phase_mul
+from .laurent import LaurentPoly, phase_mul, summed
 from .report import Report
 from .tensorop import (
     HALF,
@@ -104,11 +104,7 @@ def _closure_trace(braid: ColoredBraid, symmetric: bool) -> LaurentPoly:
     one = LaurentPoly.one()
     start = Operator(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
     op = _rmatrix().act_letters(braid.word.letters, start)
-    traces: dict[int, LaurentPoly] = {}
-    for (r, c), p in op.entries.items():
-        if r == c:
-            t = sector[r]
-            traces[t] = traces[t] + p if t in traces else p
+    traces = summed([(sector[r], p) for (r, c), p in op.entries.items() if r == c])
     value = LaurentPoly.zero()
     for t, tr in traces.items():
         if not symmetric:

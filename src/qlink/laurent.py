@@ -20,15 +20,54 @@ immediately).  The canonical ascending-exponent ordering only matters for
 printing and serialization.
 
 All values are immutable; every operation returns a fresh polynomial, so
-sharing across threads is safe.
+sharing across threads is safe.  `Immutable`, the base of every value class
+in the package, lives here because every such class imports this module; so
+does `summed`, the one sum of polynomials keyed by a diagram, a matrix cell
+or a weight sector.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from operator import attrgetter
+from typing import Hashable, Iterable, Mapping, Union
 
 
-class LaurentPoly:
+class Immutable:
+    """
+    Base of the package's value classes.  Each subclass lists its fields in
+    `__slots__` and sets them once, through object.__setattr__, in its
+    constructor; a later assignment or deletion raises AttributeError.
+    Equality, hashing and repr are read from the fields, as a dataclass would
+    write them: a value equals one of the same class with equal fields, hashes
+    as its fields (TypeError if one is a dict or list) and prints as
+    Class(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__slots__)  # the field values; a tuple from two fields on
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # `del value.name` passes no value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class LaurentPoly(Immutable):
     """Laurent polynomial in v with int coefficients, in canonical form."""
 
     __slots__ = ("terms",)
@@ -44,9 +83,6 @@ class LaurentPoly:
                     raise TypeError(f"Laurent exponents are ints, got {type(exp).__name__} {exp!r}")
                 canon[exp] = canon.get(exp, 0) + c
         object.__setattr__(self, "terms", {e: c for e, c in canon.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
     def _raw(canon: dict[int, int]) -> LaurentPoly:
@@ -211,6 +247,23 @@ def accumulate_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> N
 def finalize(acc: dict[int, int]) -> LaurentPoly:
     """Canonicalize an accumulator filled by `accumulate_product` or `accumulate_terms`."""
     return LaurentPoly._raw({e: c for e, c in acc.items() if c})
+
+
+def summed(items: Iterable[tuple[Hashable, LaurentPoly]]) -> dict:
+    """{key: polynomial} with the polynomials of equal keys summed and zeros dropped."""
+    canon = {}
+    for key, p in items:
+        prev = canon.get(key)
+        if prev is None:
+            if p:
+                canon[key] = p
+        else:
+            s = prev + p
+            if s:
+                canon[key] = s
+            else:
+                del canon[key]
+    return canon
 
 
 # ---------------------------------------------------------------------------

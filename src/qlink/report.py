@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .laurent import LaurentPoly
+from .laurent import Immutable, LaurentPoly
 from .tensorop import Operator
 
 
@@ -25,22 +25,14 @@ class Check(NamedTuple):
         return {"name": self.name, "passed": self.passed, "residual": self.residual, "note": self.note}
 
 
-class Report:
+class Report(Immutable):
+    """A suite's checks; its fields are bound once, and `checks` grows through `add`, `add_bool` and `extend`."""
+
     __slots__ = ("suite", "checks")
 
     def __init__(self, suite: str, checks: Optional[list[Check]] = None):
-        self.suite = suite
-        self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not Report:
-            return NotImplemented
-        return self.suite == other.suite and self.checks == other.checks
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Report(suite={self.suite!r}, checks={self.checks!r})"
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "checks", [] if checks is None else checks)
 
     @property
     def passed(self) -> bool:

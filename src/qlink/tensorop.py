@@ -17,7 +17,9 @@ but braidings genuinely permute factors (V_a (x) V_b -> V_b (x) V_a), and the
 shape bookkeeping is what keeps mixed-spin conjugations honest.
 
 Entries are stored sparsely as {(row, col): LaurentPoly} with no zero entries,
-so operator equality is exact.  Everything is immutable and pure.
+so operator equality is exact.  Spins, shapes and operators are `Immutable`
+values: equality compares their fields, and an operator, which holds a dict,
+is not hashable.  Everything is pure.
 
 The structural operations are the ones a route uses: identity, kron, the
 two-factor `swap`, `embed`, named sums of scaled products (`combine`, with
@@ -33,7 +35,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .laurent import LaurentPoly, poly_to_json
+from .laurent import Immutable, LaurentPoly, poly_to_json, summed
 
 
 class ShapeError(ValueError):
@@ -46,19 +48,6 @@ class InputError(ValueError):
     def __init__(self, message: str, field: Optional[str] = None):
         super().__init__(message)
         self.field = field
-
-
-class Immutable:
-    """
-    Base of the package's value classes: each subclass lists its fields in
-    `__slots__` and sets them once, through object.__setattr__, in its
-    constructor; any later assignment raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def parse_int(text: str) -> int:
@@ -82,15 +71,6 @@ class Spin(Immutable):
         if twice_j < 0:
             raise ValueError(f"twice_j must be non-negative, got {twice_j}")
         object.__setattr__(self, "twice_j", twice_j)
-
-    def __eq__(self, other):
-        return self.twice_j == other.twice_j if other.__class__ is Spin else NotImplemented
-
-    def __hash__(self):
-        return hash((self.twice_j,))
-
-    def __repr__(self) -> str:
-        return f"Spin(twice_j={self.twice_j!r})"
 
     @property
     def dim(self) -> int:
@@ -151,12 +131,6 @@ class Shape(Immutable):
 
     def __getitem__(self, i):
         return self.factors[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Shape) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
     def __add__(self, other: Shape) -> Shape:
         return Shape(self.factors + other.factors)
@@ -234,17 +208,6 @@ class Operator(Immutable):
     def entry(self, row: int, col: int) -> LaurentPoly:
         return self.entries.get((row, col), LaurentPoly.zero())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Operator)
-            and self.shape_in == other.shape_in
-            and self.shape_out == other.shape_out
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.shape_in, self.shape_out, frozenset(self.entries)))
-
     # -- linear structure ----------------------------------------------------
 
     def _check_same_shapes(self, other: Operator):
@@ -256,18 +219,7 @@ class Operator(Immutable):
 
     def __add__(self, other: Operator) -> Operator:
         self._check_same_shapes(other)
-        out = dict(self.entries)
-        for rc, p in other.entries.items():
-            prev = out.get(rc)
-            if prev is None:
-                out[rc] = p
-            else:
-                s = prev + p
-                if s:
-                    out[rc] = s
-                else:
-                    del out[rc]
-        return Operator._raw(self.shape_in, self.shape_out, out)
+        return Operator._raw(self.shape_in, self.shape_out, summed([*self.entries.items(), *other.entries.items()]))
 
     def __sub__(self, other: Operator) -> Operator:
         self._check_same_shapes(other)
@@ -702,7 +654,7 @@ def _trace_leg(op: Operator, leg: int, weight: Optional[Operator]) -> Operator:
         w = weight.entries
     d = shape.dims[leg]
     s = shape.strides()[leg]
-    acc: dict[tuple[int, int], LaurentPoly] = {}
+    terms = []
     for (r, c), p in op.entries.items():
         rh, rl = divmod(r, s)
         rh, a = divmod(rh, d)
@@ -711,21 +663,14 @@ def _trace_leg(op: Operator, leg: int, weight: Optional[Operator]) -> Operator:
         if w is None:
             if a != k:
                 continue
-            contrib = p
         else:
             wp = w.get((k, a))
             if wp is None:
                 continue
-            contrib = p * wp
-        key = (rh * s + rl, ch * s + cl)
-        prev = acc.get(key)
-        total = contrib if prev is None else prev + contrib
-        if total:
-            acc[key] = total
-        elif prev is not None:
-            del acc[key]
+            p = p * wp
+        terms.append(((rh * s + rl, ch * s + cl), p))
     rest = Shape(shape.factors[:leg] + shape.factors[leg + 1 :])
-    return Operator._raw(rest, rest, acc)
+    return Operator._raw(rest, rest, summed(terms))
 
 
 def _require_factor(op: Operator, what: str):

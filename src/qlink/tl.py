@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .laurent import LaurentPoly, accumulate_product, finalize
+from .laurent import Immutable, LaurentPoly, accumulate_product, finalize, summed
 from .braid import BraidWord
-from .tensorop import Immutable
 
 # Loop value of one erased circle.
 DELTA_X = LaurentPoly({2: -1, -2: -1})
@@ -133,23 +132,6 @@ def compose_matchings(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[tu
     return tuple(result), loops
 
 
-def _summed(items) -> dict[tuple[int, ...], LaurentPoly]:
-    """{diagram: coefficient} with the coefficients of equal diagrams summed and zeros dropped."""
-    canon: dict[tuple[int, ...], LaurentPoly] = {}
-    for diag, coeff in items:
-        if coeff:
-            prev = canon.get(diag)
-            if prev is None:
-                canon[diag] = coeff
-            else:
-                s = prev + coeff
-                if s:
-                    canon[diag] = s
-                else:
-                    del canon[diag]
-    return canon
-
-
 class TLElement(Immutable):
     """A linear combination of n-strand diagrams (pairing tuples) with LaurentPoly coefficients."""
 
@@ -158,7 +140,7 @@ class TLElement(Immutable):
     def __init__(self, n: int, terms):
         items = terms.items() if hasattr(terms, "items") else terms
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", _summed((_check_pairing(n, diag), coeff) for diag, coeff in items))
+        object.__setattr__(self, "terms", summed((_check_pairing(n, diag), coeff) for diag, coeff in items))
 
     @staticmethod
     def _raw(n: int, canon: dict[tuple[int, ...], LaurentPoly]) -> TLElement:
@@ -179,13 +161,10 @@ class TLElement(Immutable):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TLElement) and self.n == other.n and self.terms == other.terms
-
     def __add__(self, other: TLElement) -> TLElement:
         if self.n != other.n:
             raise ValueError("cannot add elements on different strand counts")
-        return TLElement._raw(self.n, _summed([*self.terms.items(), *other.terms.items()]))
+        return TLElement._raw(self.n, summed([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self) -> TLElement:
         return TLElement._raw(self.n, {d: -c for d, c in self.terms.items()})
@@ -198,12 +177,12 @@ class TLElement(Immutable):
             scalar = LaurentPoly.const(scalar)
         if not isinstance(scalar, LaurentPoly):
             return NotImplemented
-        return TLElement._raw(self.n, _summed((d, c * scalar) for d, c in self.terms.items()))
+        return TLElement._raw(self.n, summed((d, c * scalar) for d, c in self.terms.items()))
 
     __rmul__ = __mul__
 
     def map_coefficients(self, fn) -> TLElement:
-        return TLElement._raw(self.n, _summed((d, fn(c)) for d, c in self.terms.items()))
+        return TLElement._raw(self.n, summed((d, fn(c)) for d, c in self.terms.items()))
 
     def __repr__(self) -> str:
         return f"<TLElement n={self.n}, {len(self.terms)} diagrams>"
@@ -289,7 +268,7 @@ def close_first(elem: TLElement) -> TLElement:
             new_pairs[renumber(a)] = renumber(b)
             new_pairs[renumber(b)] = renumber(a)
         closed.append((tuple(new_pairs[i] for i in range(2 * (n - 1))), coeff))
-    return TLElement._raw(n - 1, _summed(closed))
+    return TLElement._raw(n - 1, summed(closed))
 
 
 def _closure_loops(pairing: tuple[int, ...]) -> int:

@@ -418,7 +418,7 @@ class TestStartupImports:
                 ["qlink.aw", "qlink.rmatrix", "qlink.uqsu2"],
             ),
             (["rmatrix", "--spins", "1/2,1"], ["qlink.aw", "qlink.tl", "qlink.braid"]),
-            (["verify", "aw", "--spins", "1/2,1/2,1/2", "--suite", "relations"], ["qlink.tl"]),
+            (["verify", "aw", "--spins", "1/2,1/2,1/2", "--suite", "relations"], ["qlink.tl", "qlink.braid"]),
         ],
         ids=["rt", "cs", "bracket", "rmatrix", "aw-relations"],
     )

@@ -1,0 +1,91 @@
+"""
+The record contract of the value classes: every one derives from
+`laurent.Immutable`, so equality, hashing and repr are read from its fields,
+and no field can be assigned or deleted once the value is built.
+"""
+
+import pytest
+
+from qlink.braid import BraidWord, ColoredBraid
+from qlink.laurent import LaurentPoly
+from qlink.report import Check, Report
+from qlink.tensorop import HALF, Operator, Shape, Spin
+from qlink.tl import TLElement
+
+# Each builder returns a fresh value, equal to its last one field by field.
+BUILDERS = {
+    "LaurentPoly": lambda: LaurentPoly({-1: 2, 3: -1}),
+    "LaurentPoly.one": LaurentPoly.one,  # a shared constant: every call returns the same object
+    "Spin": lambda: Spin(3),
+    "Shape": lambda: Shape.of(1, 2),
+    "Operator": lambda: Operator(Shape.of(1), Shape.of(1), {(0, 1): LaurentPoly.v_power(2)}),
+    "BraidWord": lambda: BraidWord(3, (1, -2)),
+    "ColoredBraid": lambda: ColoredBraid(BraidWord(2, (1, 1)), (HALF, Spin(1))),
+    "TLElement": lambda: TLElement.hook(3, 1) * 2,
+    "Report": lambda: Report("s", [Check("c", False, 3, "n")]),
+}
+UNHASHABLE = ("Operator", "TLElement", "Report")  # each holds a dict or a list
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_equal_fields_give_equal_values(name):
+    a, b = BUILDERS[name](), BUILDERS[name]()
+    assert a == b and not a != b
+    if name not in UNHASHABLE:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name", UNHASHABLE)
+def test_values_holding_a_dict_or_list_are_unhashable(name):
+    with pytest.raises(TypeError):
+        hash(BUILDERS[name]())
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (Spin(1), 1),
+        (Spin(1), LaurentPoly.one()),
+        (BraidWord(2, (1,)), ColoredBraid(BraidWord(2, (1,)), (HALF, HALF))),
+        (Shape.of(1), (HALF,)),
+        (Report("s"), "s"),
+    ],
+    ids=["spin-int", "spin-poly", "word-colored", "shape-tuple", "report-str"],
+)
+def test_a_different_class_is_unequal(a, b):
+    assert a != b and b != a
+    assert a.__eq__(b) is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (Spin(1), "Spin(twice_j=1)"),
+        (BraidWord(3, (1, -2)), "BraidWord(n_strands=3, letters=(1, -2))"),
+        (
+            ColoredBraid(BraidWord(2, (1, 1)), (HALF, HALF)),
+            "ColoredBraid(word=BraidWord(n_strands=2, letters=(1, 1)), colors=(Spin(twice_j=1), Spin(twice_j=1)))",
+        ),
+        (
+            Report("s", [Check("c", True), Check("d", False, 3, "n")]),
+            "Report(suite='s', checks=[Check(name='c', passed=True, residual=None, note=None), "
+            "Check(name='d', passed=False, residual=3, note='n')])",
+        ),
+    ],
+    ids=["Spin", "BraidWord", "ColoredBraid", "Report"],
+)
+def test_repr_names_every_field(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_fields_can_be_neither_assigned_nor_deleted(name):
+    value = BUILDERS[name]()
+    before = repr(value)
+    for field in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == BUILDERS[name]() and repr(value) == before
+    assert LaurentPoly.one() == 1
