@@ -112,7 +112,7 @@ def q_elem(index, shape: Shape) -> Operator:
     name = _norm_index(index)
     if len(shape) != 3:
         raise ValueError(f"intermediate Casimirs need a 3-leg shape, got {shape}")
-    key = (name, shape)
+    key = (name, shape.dims)  # the dims fix the spins, and a tuple of ints hashes in C
     if key not in _q_cache:
         if name in ("13", "13~"):
             _q_cache[key] = _conjugated((2,) if name == "13" else (-2,), (0, 1), shape)

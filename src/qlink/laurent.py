@@ -34,20 +34,24 @@ from typing import Hashable, Iterable, Mapping, Union
 
 class Immutable:
     """
-    Base of the package's value classes.  Each subclass lists its fields in
-    `__slots__` and sets them once, through object.__setattr__, in its
-    constructor; a later assignment or deletion raises AttributeError.
-    Equality, hashing and repr are read from the fields, as a dataclass would
-    write them: a value equals one of the same class with equal fields, hashes
-    as its fields (TypeError if one is a dict or list) and prints as
-    Class(field=value, ...).
+    Base of the package's value classes.  Each subclass lists its slots in
+    `__slots__` and sets each once, through object.__setattr__; a later
+    assignment or deletion raises AttributeError.  A slot whose name starts
+    with "_" is a cache derived from the others (a Shape's strides, an
+    Operator's index), set in the constructor or on first use; the public
+    slots, `_fields`, are the value's fields.  Equality, hashing and repr are
+    read from the fields alone, as a dataclass would write them: a value
+    equals one of the same class with equal fields, hashes as its fields
+    (TypeError if one is a dict or list) and prints as Class(field=value,
+    ...), whether its caches are filled or not.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls.__slots__)  # the field values; a tuple from two fields on
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = attrgetter(*cls._fields)  # the field values; a tuple from two fields on
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -63,7 +67,7 @@ class Immutable:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
 

@@ -19,7 +19,7 @@ from the q-Pascal rule, so nothing is divided.  The inverse is *not* obtained
 by matrix inversion but by the bar substitution v -> v^-1 applied entrywise
 (the representation matrices of E and F are bar-invariant, so this is the
 same as barring the expansion coefficients); the construction asserts
-R R^-1 = id and raises if that ever fails, which makes any upstream
+R^-1 R = id and raises if that ever fails, which makes any upstream
 corruption loud.
 
 Derived operators:
@@ -129,9 +129,9 @@ def r_inverse(j1: Spin, j2: Spin) -> Operator:
     """Inverse of `r_matrix`, built by the bar substitution and then verified."""
     base = r_matrix(j1, j2)
     inv = Operator._raw(base.shape_in, base.shape_out, {rc: p.bar() for rc, p in base.entries.items()})
-    if compose(base, inv) != identity(base.shape_in):
+    if compose(inv, base) != identity(base.shape_in):
         raise RuntimeError(
-            f"bar-substituted inverse failed the R R^-1 = id cross-check on {base.shape_in}; "
+            f"bar-substituted inverse failed the R^-1 R = id cross-check on {base.shape_in}; "
             "the braiding matrix construction is corrupted"
         )
     return inv

@@ -172,19 +172,23 @@ EMPTY_SHAPE = Shape(())
 
 
 class Operator(Immutable):
-    """A sparse matrix of LaurentPoly entries from shape_in to shape_out."""
+    """
+    A sparse matrix of LaurentPoly entries from shape_in to shape_out.  Its
+    `_index`, None until `_packed_sums` first reads the operator, caches what
+    the packed executor derives from the entries (see `_indexed`).
+    """
 
-    __slots__ = ("shape_in", "shape_out", "entries")
+    __slots__ = ("shape_in", "shape_out", "entries", "_index")
 
-    def __init__(self, shape_in: Shape, shape_out: Shape, entries):
+    def __init__(self, shape_in: Shape, shape_out: Shape, entries: Mapping[tuple[int, int], LaurentPoly]):
         canon: dict[tuple[int, int], LaurentPoly] = {}
-        items = entries.items() if hasattr(entries, "items") else entries
-        for (r, c), p in items:
+        for (r, c), p in entries.items():
             if p:
                 canon[(r, c)] = p
         object.__setattr__(self, "shape_in", shape_in)
         object.__setattr__(self, "shape_out", shape_out)
         object.__setattr__(self, "entries", canon)
+        object.__setattr__(self, "_index", None)
 
     @staticmethod
     def _raw(shape_in: Shape, shape_out: Shape, canon: dict[tuple[int, int], LaurentPoly]) -> Operator:
@@ -192,6 +196,7 @@ class Operator(Immutable):
         object.__setattr__(op, "shape_in", shape_in)
         object.__setattr__(op, "shape_out", shape_out)
         object.__setattr__(op, "entries", canon)
+        object.__setattr__(op, "_index", None)
         return op
 
     # -- queries -----------------------------------------------------------
@@ -452,31 +457,40 @@ def _packed_sums(plan: list) -> list:
     sum_k d_k v^(e + s k) is the pair (e, sum_k d_k 2^(w k)) with balanced
     digits |d_k| < 2^(w - 1), so an entry times a cell is one int product
     and adding into a cell one int sum, shifted into line when the bases
-    differ.  Each Operator is packed once per pass, and as a indexed once
-    (from its cells when it is also a b); a scalar is folded into the index
-    of a once per step, and each returned cell is decoded once, at the end.
+    differ.  Each Operator read as a b is packed once per pass, and one read
+    as an a once per (d, s, w) and call.  From its second call on, an a
+    keeps its `_columns` in its index by (d, s, w), so a memoized braid
+    letter is bounded once and packed once per (d, s, w) per process, not
+    once per word, while an operator read in one call only keeps none.  A
+    scalar is folded into the columns of a once per step, and each returned
+    cell is decoded once, at the end.
 
-    Stride: s is the gcd of the exponent gaps inside each entry of an
-    Operator and inside each scalar (4 for every braided matrix, as
-    v^4 = q^2; 1 when all are monomials), never across polynomials, whose
-    bases can differ by 1 when the colors are mixed.  Two contributions to
-    one cell whose bases differ by a gap that s does not divide rerun the
-    whole plan at the gcd of the two, down to s = 1, keeping nothing from
-    the failed pass.
+    Stride: s is the gcd of the gaps of every Operator (the gcd of the
+    exponent gaps inside its entries, kept in its index) and of every
+    scalar: 4 for every braided matrix, as v^4 = q^2, and 1 when all are
+    monomials.  It is never taken across polynomials, whose bases can differ
+    by 1 when the colors are mixed.  Two contributions to one cell whose
+    bases differ by a gap that s does not divide rerun the whole plan at the
+    gcd of the two, down to s = 1, keeping no cell from the failed pass.
 
     Width: with ent(x) the largest l1 norm of an entry of x and row(x) the
     largest sum of those norms along a row (both 1 for the 1x1 one; a
-    two-leg a at any stride has the bounds of a), a step bounds the entries
-    of its sum by |scalar| row(a) ent(b) and the rows by |scalar| row(a)
-    row(b), |scalar| being its l1 norm.  A sum adds up the bounds of its
-    steps, and w = (the largest entry bound of any sum).bit_length() + 1.
-    No coefficient of a cell, nor of a partial sum, exceeds its sum's entry
+    two-leg a at any stride has the bounds of a; both kept in an Operator's
+    index), a step bounds the entries of its sum by |scalar| row(a) ent(b)
+    and the rows by |scalar| row(a) row(b), |scalar| being its l1 norm.  A
+    sum adds up the bounds of its steps, and w is (the largest entry bound
+    of any sum).bit_length() + 1 rounded up to a whole byte: any larger w is
+    proven too, and the rounding keeps few (d, s, w) per letter.  No
+    coefficient of a cell, nor of a partial sum, exceeds its sum's entry
     bound, so a packed cell is 0 exactly when its polynomial is, and zero
     cells are dropped as they arise.
     """
-    polys = []  # every entry of an Operator and every scalar, for the stride
-    norms: dict[int, tuple[int, int]] = {}  # id of an Operator -> (ent, row)
+    gaps = set()  # the gap of every Operator and every scalar, for the stride
     rights: dict[int, Operator] = {}  # the Operators read as b, by id: packed whole
+    # id of an Operator -> the dict that stores its `_columns` when it is read
+    # as a: its index's variants, or one that lasts this call if the call
+    # first indexed it
+    stores: dict[int, dict] = {}
     bounds = []  # (ent, row) of each sum
     last = {}  # place of a sum that a later one reads -> place of its last reader
     for k, steps in enumerate(plan):
@@ -487,16 +501,19 @@ def _packed_sums(plan: list) -> list:
                 ent_b, row_b = bounds[b]
             else:
                 rights[id(b)] = b
-                ent_b, row_b = norms.get(id(b)) or norms.setdefault(id(b), _norms(b, polys))
+                ent_b, row_b, gap, _ = b._index or _indexed(b, stores)
+                gaps.add(gap)
             if a.__class__ is int:
                 last[a] = k
                 row_a = bounds[a][1]
             elif a is None:
                 row_a = 1
             else:
-                row_a = (norms.get(id(a)) or norms.setdefault(id(a), _norms(a, polys)))[1]
+                _, row_a, gap, variants = a._index or _indexed(a, stores)
+                stores.setdefault(id(a), variants)
+                gaps.add(gap)
             if scalar is not None:
-                polys.append(scalar)
+                gaps.add(_gap([scalar]))
                 row_a *= sum(map(abs, scalar.values()))
             ent_k += row_a * ent_b
             row_k += row_a * row_b
@@ -504,33 +521,34 @@ def _packed_sums(plan: list) -> list:
     frees = [()] * len(plan)  # per sum: the sums to free once it has run
     for x, k in last.items():
         frees[k] += (x,)
-    w = max([ent for ent, _ in bounds], default=0).bit_length() + 1
-    s = gcd(*[e - low for terms in polys if len(terms) > 1 for low in (min(terms),) for e in terms]) or 1
+    w = (max([ent for ent, _ in bounds], default=0).bit_length() + 8) // 8 * 8
+    s = gcd(*gaps) or 1
     while True:
-        done, gap = _packed_pass(plan, rights, frees, s, w)
+        done, gap = _packed_pass(plan, rights, stores, frees, s, w)
         if not gap:
             return [cells and {rc: _unpack(e, n, s, w) for rc, (e, n) in cells.items()} for cells in done]
         s = gcd(s, gap)
 
 
-def _packed_pass(plan: list, rights: dict[int, Operator], frees: list[tuple[int, ...]], s: int, w: int):
+def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: list[tuple[int, ...]], s: int, w: int):
     """
     One pass of `_packed_sums` at stride s and width w: (the packed cells of
     each sum, None for a freed one; 0), or (None, gap) at the first two
     contributions to one cell whose bases differ by a gap that s does not
-    divide.
+    divide.  The Operators of `plan` are indexed, and `stores` holds, by id,
+    the dict that stores the `_columns` of each one read as an a.
     """
     done = []
     packed = {key: {rc: _pack(p.terms, s, w) for rc, p in b.entries.items()} for key, b in rights.items()}
-    indexed = {}  # id of an Operator a -> its `_columns`
     for steps, freed in zip(plan, frees):
         acc = {}
         for scalar, a, b, t, d in steps:
             cells = done[b] if b.__class__ is int else packed[id(b)]
             if a.__class__ is Operator:
-                cols = indexed.get(id(a))
+                store = stores[id(a)]
+                cols = store.get((d, s, w))
                 if cols is None:
-                    cols = indexed[id(a)] = _columns(a, packed.get(id(a)), d, s, w)
+                    cols = store[d, s, w] = _columns(a, packed.get(id(a)), d, s, w)
             elif a is None:
                 cols = [((0, 0, 1),)]
             else:
@@ -582,11 +600,15 @@ def _columns(a: Optional[Operator], cells: Optional[dict], d: int, s: int, w: in
     return cols
 
 
-def _norms(op: Operator, polys: list[dict[int, int]]) -> tuple[int, int]:
+def _indexed(op: Operator, stores: dict[int, dict]) -> tuple[int, int, int, dict]:
     """
-    (the largest l1 norm of an entry of `op`, the largest sum of those norms
-    along a row), the bounds a width is proven from; op's polynomials join
-    `polys`, from which `_packed_sums` takes the stride.
+    The index of `op`, filled on first use and kept in its `_index` slot:
+    (ent, row, gap, variants) with ent the largest l1 norm of an entry, row
+    the largest sum of those norms along a row, gap the `_gap` of its
+    entries, and variants {(d, s, w): op's `_columns`} as `_packed_pass`
+    packs them, filled from the second call that reads op as an a: the
+    call that fills the index stores op's columns in a dict of its own, put
+    in `stores`.  The index lives and dies with the operator.
     """
     largest, rows = 0, {}
     for (r, _), p in op.entries.items():
@@ -594,8 +616,15 @@ def _norms(op: Operator, polys: list[dict[int, int]]) -> tuple[int, int]:
         if norm > largest:
             largest = norm
         rows[r] = rows.get(r, 0) + norm
-        polys.append(p.terms)
-    return largest, max(rows.values(), default=0)
+    index = (largest, max(rows.values(), default=0), _gap([p.terms for p in op.entries.values()]), {})
+    object.__setattr__(op, "_index", index)
+    stores[id(op)] = {}
+    return index
+
+
+def _gap(polys: list[dict[int, int]]) -> int:
+    """The gcd of the exponent gaps inside each {exponent: coefficient} of `polys`: 0 if all are monomials."""
+    return gcd(*[e - low for terms in polys if len(terms) > 1 for low in (min(terms),) for e in terms])
 
 
 def _pack(terms: dict[int, int], s: int, w: int) -> tuple[int, int]:

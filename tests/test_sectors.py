@@ -71,7 +71,7 @@ def test_corrupted_r_fails_the_check_and_keeps_the_full_column_value(cell, mode)
 
 
 def test_corrupted_mixed_color_r_keeps_the_full_column_value():
-    # Positive letters only: a corrupted R(1/2, 1) would fail the R R^-1 = id check of its inverse.
+    # Positive letters only: a corrupted R(1/2, 1) would fail the R^-1 R = id check of its inverse.
     braid = parse_colored("n=2; 1 1", colors=(HALF, Spin(2)))
     clean_value = rt_invariant(braid)
     clean = rmatrix.r_matrix(HALF, Spin(2))

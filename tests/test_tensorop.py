@@ -87,6 +87,13 @@ class TestBasics:
         assert kron(a, identity(EMPTY_SHAPE)) == a
         assert kron(identity(EMPTY_SHAPE), a) == a
 
+    def test_entries_must_be_a_mapping(self):
+        # A list of ((row, col), poly) pairs could repeat a cell; only a
+        # mapping, which cannot, is taken.
+        shape, one = Shape.of(1), LaurentPoly.one()
+        with pytest.raises(AttributeError):
+            Operator(shape, shape, [((0, 0), one), ((0, 0), V(1))])
+
     def test_compose_identity_and_mismatch(self):
         rng = random.Random(1)
         a = random_operator(rng, Shape((HALF, HALF)), Shape((HALF, HALF)))
@@ -422,10 +429,11 @@ class TestActAdjacent:
             steps = [(0, bad), (1, bad), (0, braided_r(HALF, HALF)), (1, bad), (0, bad)]
             assert act_adjacent(steps, target) == embedded_steps(steps, target), cell
 
-    @pytest.mark.parametrize("c", [-7, 7])
+    @pytest.mark.parametrize("c", [-7, -6, 6, 7])
     def test_coefficient_at_the_width_bound(self, c):
-        # The bound is 1 * 7^9 exactly and the product reaches it, so a width
-        # one bit narrower would decode the cell wrongly.
+        # The bound is 1 * c^9 exactly and the product reaches it.  6^9 takes
+        # 24 bits, so its width is 32 and a proof one bit short (24) would
+        # decode the cell wrongly; 7^9 (26 bits) is byte-rounded to 32 either way.
         legs = Shape.of(0, 0)
         op = Operator(legs, legs, {(0, 0): V(4) * c})
         assert act_adjacent([(0, op)] * 9, identity(legs)).entries == {(0, 0): V(36) * c**9}
@@ -467,6 +475,68 @@ class TestActAdjacent:
             with pytest.raises(ShapeError) as word:
                 act_adjacent([first, bad, first], target)
             assert str(word.value) == str(single.value)
+
+
+def cold(op: Operator) -> Operator:
+    """A copy of `op` whose index is empty."""
+    return Operator._raw(op.shape_in, op.shape_out, dict(op.entries))
+
+
+class TestIndex:
+    # Each test warms its own copy of a braided matrix, which no other test reads.
+    AMBIENT = Shape.of(2, 2, 1)
+
+    def test_warm_and_cold_letters_agree(self):
+        # A short word twice (the second keeps its columns), a long one (a
+        # wider width), then the short one again from the index: every run on
+        # the warm matrix equals a run on a cold copy.
+        m = cold(braided_r(Spin(2), Spin(2)))
+        target = random_operator(random.Random(18), self.AMBIENT, self.AMBIENT, fill=12)
+        for n in (2, 2, 12, 2):
+            got = act_adjacent([(0, m)] * n, target)
+            assert got == act_adjacent([(0, cold(m))] * n, target), n
+        assert got == embedded_steps([(0, cold(m))] * 2, target)
+        assert len({w for _, _, w in m._index[3]}) == 2
+
+    def test_a_first_call_keeps_no_columns(self):
+        # An operator read in one call only, like the inverse in r_inverse's
+        # check, keeps its bounds but no packed columns; a second call keeps
+        # them.  Read as both a and b in its first call, it keeps none either.
+        m = cold(braided_r(HALF, HALF))
+        target = identity(Shape.of(1, 1))
+        want = act_adjacent([(0, m)] * 3, target)
+        assert m._index is not None and m._index[3] == {}
+        assert act_adjacent([(0, m)] * 3, target) == want
+        assert list(m._index[3]) == [(4, 4, 8)]
+        square = cold(m)
+        assert compose(square, square) == compose(cold(m), cold(m))
+        assert square._index[3] == {}
+
+    def test_stride_rerun_with_a_warm_index(self):
+        # The braiding's exponents step by 4, and the target's cells v^0 and
+        # v^1 of column 0 meet in one row: every run packs the matrix at
+        # stride 4, then reruns at stride 1.
+        m = cold(braided_r(HALF, HALF))
+        legs = Shape.of(1, 1)
+        target = Operator(legs, legs, {(1, 0): LaurentPoly.one(), (2, 0): V(1)})
+        want = embedded_steps([(0, cold(m))] * 3, target)
+        for _ in range(3):
+            assert act_adjacent([(0, m)] * 3, target) == want
+        assert sorted(s for _, s, _ in m._index[3]) == [1, 4]
+
+    def test_variants_are_at_most_the_byte_widths_used(self):
+        # Words of 1-16 letters on the identity: the proven width grows with
+        # the length, and rounding it up to whole bytes leaves fewer variants.
+        m = cold(braided_r(Spin(2), Spin(2)))
+        rows = {}
+        for (r, _), p in m.entries.items():
+            rows[r] = rows.get(r, 0) + sum(map(abs, p.terms.values()))
+        exact = {(max(rows.values()) ** n).bit_length() + 1 for n in range(1, 17)}
+        for n in range(1, 17):
+            act_adjacent([(0, m)] * n, identity(self.AMBIENT))
+        variants = m._index[3]
+        assert len(variants) <= len({-(-w // 8) * 8 for w in exact}) < len(exact)
+        assert all(d == 9 and s == 4 and w % 8 == 0 for d, s, w in variants)
 
 
 class TestTraces:

@@ -1,15 +1,16 @@
 """
 The record contract of the value classes: every one derives from
-`laurent.Immutable`, so equality, hashing and repr are read from its fields,
-and no field can be assigned or deleted once the value is built.
+`laurent.Immutable`, so equality, hashing and repr are read from its fields
+(its public slots), never from the caches in its "_" slots, and no slot can
+be assigned or deleted once the value is built.
 """
 
 import pytest
 
 from qlink.braid import BraidWord, ColoredBraid
-from qlink.laurent import LaurentPoly
+from qlink.laurent import Immutable, LaurentPoly
 from qlink.report import Check, Report
-from qlink.tensorop import HALF, Operator, Shape, Spin
+from qlink.tensorop import HALF, Operator, Shape, Spin, compose, identity
 from qlink.tl import TLElement
 
 # Each builder returns a fresh value, equal to its last one field by field.
@@ -25,6 +26,16 @@ BUILDERS = {
     "Report": lambda: Report("s", [Check("c", False, 3, "n")]),
 }
 UNHASHABLE = ("Operator", "TLElement", "Report")  # each holds a dict or a list
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_every_value_class_is_covered():
+    assert {type(build()) for build in BUILDERS.values()} == set(subclasses(Immutable))
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -89,3 +100,37 @@ def test_fields_can_be_neither_assigned_nor_deleted(name):
             delattr(value, field)
     assert value == BUILDERS[name]() and repr(value) == before
     assert LaurentPoly.one() == 1
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_fields_are_the_public_slots(name):
+    cls = type(BUILDERS[name]())
+    assert cls._fields == tuple(slot for slot in cls.__slots__ if not slot.startswith("_"))
+    assert cls._fields
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_filled_caches_leave_equality_hashing_and_repr_alone(name):
+    # Every "_" slot of one value is overwritten with a foreign object: the
+    # value still equals, hashes and prints like a fresh one.
+    warm, cold = BUILDERS[name](), BUILDERS[name]()
+    caches = [slot for slot in type(warm).__slots__ if slot.startswith("_")]
+    for slot in caches:
+        object.__setattr__(warm, slot, object())
+    assert warm == cold and cold == warm and repr(warm) == repr(cold)
+    if name not in UNHASHABLE:
+        assert hash(warm) == hash(cold)
+
+
+def test_an_indexed_operator_equals_a_cold_one():
+    # The packed executor fills an operator's index on first use.
+    warm, cold = BUILDERS["Operator"](), BUILDERS["Operator"]()
+    assert compose(identity(warm.shape_out), warm) == cold
+    assert warm._index is not None and cold._index is None
+    assert warm == cold and repr(warm) == repr(cold)
+    for slot in ("_index", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(warm, slot, None)
+        with pytest.raises(AttributeError):
+            delattr(warm, slot)
+    assert warm._index is not None
