@@ -2,15 +2,16 @@
 The two invariant pipelines for closed braids, and the identity suites
 connecting them.
 
-Quantum-trace route: the braid's letters are applied by `rmatrix.act_letters`
-in one `tensorop.act_adjacent` pass over the word, each on the two legs it
+Quantum-trace route: the braid's letters (`rmatrix.word_steps`) are applied
+in one pass of `tensorop`'s packed executor over the word, each on the two legs it
 crosses by the braided two-leg matrix at their spins (inverse matrices for
 negative letters); neither an ambient-size letter operator nor an operator
 per letter is built.  Colors travel with the strands, so the shape
 bookkeeping is exact for mixed colorings.  The closure value is the trace weighted by
 q^(2H) on every factor, Tr(B . q^(2H) (x) ... (x) q^(2H)) = sum_i B_ii v^(2 t_i)
 with t_i the twice-weight of column i, and one path computes it: the letters
-act on the identity's columns and the diagonal is read sector by sector.
+act on the identity's columns in one `tensorop.weighted_trace` call, whose
+last letter writes only the diagonal, decoded straight into the weighted sum.
 When every braided matrix between the braid's colors intertwines the U_q
 action (`rmatrix.intertwines`), so does the braid, and its trace on sector t
 equals its trace on -t, so only the columns with t >= 0 are acted on.
@@ -42,7 +43,7 @@ from .braid import (
     disjoint_union,
     writhe,
 )
-from .laurent import LaurentPoly, phase_mul, summed
+from .laurent import LaurentPoly, phase_mul
 from .report import Report
 from .tensorop import (
     HALF,
@@ -51,6 +52,7 @@ from .tensorop import (
     Shape,
     Spin,
     identity,
+    weighted_trace,
 )
 
 Q = LaurentPoly.q_power
@@ -94,25 +96,18 @@ def braid_operator(braid: ColoredBraid) -> Operator:
 def _closure_trace(braid: ColoredBraid, symmetric: bool) -> LaurentPoly:
     """
     Tr(braid . q^(2H) on every factor) = sum_i B_ii v^(2 t_i), with t_i the
-    twice-weight of column i.  When `symmetric` (every letter intertwines),
-    sector t has the same trace as -t, so the letters act only on the columns
-    with t >= 0: sector 0 is weighted by 1 and each t > 0 by v^(2t) + v^(-2t).
-    Otherwise every column is acted on and weighted by v^(2t).
+    twice-weight of column i, in one `weighted_trace` call.  When `symmetric`
+    (every letter intertwines), sector t has the same trace as -t, so the
+    letters act only on the columns with t >= 0: sector 0 takes the offset 0
+    and each t > 0 the offsets 2t and -2t, a weight v^(2t) + v^(-2t).
+    Otherwise every column is acted on and takes the offset 2t.
     """
     shape = Shape(braid.colors)
     sector = shape.twice_weights()
     one = LaurentPoly.one()
-    start = Operator(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
-    op = _rmatrix().act_letters(braid.word.letters, start)
-    traces = summed([(sector[r], p) for (r, c), p in op.entries.items() if r == c])
-    value = LaurentPoly.zero()
-    for t, tr in traces.items():
-        if not symmetric:
-            tr = tr * V(2 * t)
-        elif t:
-            tr = tr * (V(2 * t) + V(-2 * t))
-        value = value + tr
-    return value
+    start = Operator._raw(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
+    offsets = [(2 * t,) if not symmetric or t == 0 else (2 * t, -2 * t) for t in sector]
+    return weighted_trace(_rmatrix().word_steps(braid.word.letters, braid.colors)[0], start, offsets)
 
 
 def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:

@@ -43,9 +43,9 @@ the package runs them.
 
 `letter_matrix` is the one place a braid letter becomes a matrix: letter +i
 acts on legs i - 1, i by Rhat at their current spins, letter -i by Rhat^-1,
-and the spins travel with the strands.  `act_letters` applies a word through
-it; closed braids and the Askey-Wilson conjugations both take their braidings
-from it.
+and the spins travel with the strands.  `word_steps` reads a word through
+it, and `act_letters` applies those steps; closed braids and the
+Askey-Wilson conjugations both take their braidings from it.
 
 `intertwines(j1, j2)` reports whether Rhat carries the coproducts of E, F
 and q^H on (j1, j2) to those on (j2, j1); the closure trace reads only the

@@ -23,8 +23,9 @@ is not hashable.  Everything is pure.
 
 The structural operations are the ones a route uses: identity, kron, the
 two-factor `swap`, `embed`, named sums of scaled products (`combine`, with
-`compose` its one-term call), a word of two-leg steps (`act_adjacent`) and
-weighted traces.  `combine` and `act_adjacent` are front ends of one packed
+`compose` its one-term call), a word of two-leg steps (`act_adjacent`), the
+weighted diagonal of such a word (`weighted_trace`) and weighted traces.
+`combine`, `act_adjacent` and `weighted_trace` are front ends of one packed
 executor, `_packed_sums`: it computes on packed integers (a Kronecker
 substitution: a polynomial becomes a base exponent and one int), and its
 docstring states the packing, the stride rule and the width proof.
@@ -417,6 +418,25 @@ def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Ope
     """
     if not steps:
         return target
+    plan, factors = _adjacent_plan(steps, target)
+    return Operator._raw(target.shape_in, Shape(factors), _packed_sums(plan)[-1])
+
+
+def weighted_trace(steps: Sequence[tuple[int, Operator]], target: Operator, offsets: Sequence[Sequence[int]]) -> LaurentPoly:
+    """
+    sum_r sum_(o in offsets[r]) v^o B_rr, with B = act_adjacent(steps, target)
+    square, from the same plan, but the last letter writes only diagonal
+    cells and no cell is decoded into a polynomial of its own.  An empty word
+    reads the diagonal of `target`, as a 1x1 step.
+    """
+    plan, factors = _adjacent_plan(steps, target)
+    if tuple(factors) != target.shape_in.factors:
+        raise ShapeError(f"weighted_trace requires a square operator, got {target.shape_in}->{Shape(factors)}")
+    return _packed_sums(plan or [((None, None, target, 1, 1),)], offsets)
+
+
+def _adjacent_plan(steps: Sequence[tuple[int, Operator]], target: Operator) -> tuple[list, list[Spin]]:
+    """The `_packed_sums` plan of `act_adjacent`, after checking each step, and the factors the word leaves."""
     factors = list(target.shape_out.factors)
     dims = [f.dim for f in factors]
     plan = []
@@ -436,10 +456,10 @@ def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Ope
         prev = k
         factors[i : i + 2] = op.shape_out.factors
         dims[i : i + 2] = op.shape_out.dims
-    return Operator._raw(target.shape_in, Shape(factors), _packed_sums(plan)[-1])
+    return plan, factors
 
 
-def _packed_sums(plan: list) -> list:
+def _packed_sums(plan: list, trace: Optional[Sequence[Sequence[int]]] = None) -> Union[list, LaurentPoly]:
     """
     The sums of `plan`, in order, each a sequence of steps (scalar, a, b, t,
     d) meaning scalar * a acting on b.  b is an Operator or the place in
@@ -451,7 +471,11 @@ def _packed_sums(plan: list) -> list:
     and t the stride of leg i + 1 applies a two-leg a to legs i, i + 1 of b.
     Returns per sum its entries {(row, col): LaurentPoly}, or None for a sum
     that a later one reads: that one stays packed and is freed once its last
-    reader has run.
+    reader has run.  Given `trace`, exponent offsets per row, the last sum
+    computes only its diagonal cells, and the call returns the one
+    polynomial sum_r sum_(o in trace[r]) v^o B_rr of that sum B instead: a
+    cell (r, c) meets only the entry (c's local digit, r's local digit) of
+    a, and only when r and c agree outside it.
 
     Packing (a Kronecker substitution, D. Harvey 2009): the polynomial
     sum_k d_k v^(e + s k) is the pair (e, sum_k d_k 2^(w k)) with balanced
@@ -463,7 +487,9 @@ def _packed_sums(plan: list) -> list:
     letter is bounded once and packed once per (d, s, w) per process, not
     once per word, while an operator read in one call only keeps none.  A
     scalar is folded into the columns of a once per step, and each returned
-    cell is decoded once, at the end.
+    cell is decoded once, at the end: into a polynomial of its own, or, for
+    a trace, digit by digit into the one sum.  Packed cells are never added
+    to each other, since the width bounds one cell.
 
     Stride: s is the gcd of the gaps of every Operator (the gcd of the
     exponent gaps inside its entries, kept in its index) and of every
@@ -524,23 +550,34 @@ def _packed_sums(plan: list) -> list:
     w = (max([ent for ent, _ in bounds], default=0).bit_length() + 8) // 8 * 8
     s = gcd(*gaps) or 1
     while True:
-        done, gap = _packed_pass(plan, rights, stores, frees, s, w)
-        if not gap:
+        done, gap = _packed_pass(plan, rights, stores, frees, s, w, trace is not None)
+        if gap:
+            s = gcd(s, gap)
+        elif trace is None:
             return [cells and {rc: _unpack(e, n, s, w) for rc, (e, n) in cells.items()} for cells in done]
-        s = gcd(s, gap)
+        else:
+            terms = {}
+            for (r, _), (e, n) in done[-1].items():
+                offsets = trace[r]
+                for x, digit in _digits(e, n, s, w):
+                    for o in offsets:
+                        terms[x + o] = terms.get(x + o, 0) + digit
+            return LaurentPoly._raw({x: c for x, c in terms.items() if c})
 
 
-def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: list[tuple[int, ...]], s: int, w: int):
+def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: list[tuple[int, ...]], s: int, w: int, diagonal: bool):
     """
     One pass of `_packed_sums` at stride s and width w: (the packed cells of
     each sum, None for a freed one; 0), or (None, gap) at the first two
     contributions to one cell whose bases differ by a gap that s does not
     divide.  The Operators of `plan` are indexed, and `stores` holds, by id,
-    the dict that stores the `_columns` of each one read as an a.
+    the dict that stores the `_columns` of each one read as an a.  If
+    `diagonal`, the last sum computes only its cells (c, c).
     """
     done = []
     packed = {key: {rc: _pack(p.terms, s, w) for rc, p in b.entries.items()} for key, b in rights.items()}
-    for steps, freed in zip(plan, frees):
+    for k, (steps, freed) in enumerate(zip(plan, frees)):
+        diagonal_k = diagonal and k == len(plan) - 1
         acc = {}
         for scalar, a, b, t, d in steps:
             cells = done[b] if b.__class__ is int else packed[id(b)]
@@ -556,8 +593,16 @@ def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: l
             if scalar is not None:
                 es, ns = _pack(scalar, s, w)
                 cols = [[(dl, e + es, n * ns) for dl, e, n in col] for col in cols]
+            if diagonal_k:  # by (lc, lr - lc): the entry of a that moves a cell of local row lc to lr
+                picks = {(lc, dl): ((dl, e, n),) for lc, col in enumerate(cols) for dl, e, n in col}
             for (r, c), (e0, n0) in cells.items():
-                for dl, e, n in cols[r // t % d]:
+                lc = r // t % d
+                if diagonal_k:  # only onto row c, and only if r agrees with c outside a's legs
+                    dl = c // t % d - lc
+                    col = picks.get((lc, dl), ()) if r + dl * t == c else ()
+                else:
+                    col = cols[lc]
+                for dl, e, n in col:
                     rc = (r + dl * t, c)
                     e += e0
                     n *= n0
@@ -640,12 +685,17 @@ def _pack(terms: dict[int, int], s: int, w: int) -> tuple[int, int]:
 
 
 def _unpack(e: int, n: int, s: int, w: int) -> LaurentPoly:
-    """The inverse of `_pack`: a digit of w bits at or above 2^(w - 1) is negative and carries 1."""
+    """The inverse of `_pack`."""
     half = 1 << (w - 1)
     if -half < n < half:
         return LaurentPoly._raw({e: n})
+    return LaurentPoly._raw(dict(_digits(e, n, s, w)))
+
+
+def _digits(e: int, n: int, s: int, w: int):
+    """The nonzero terms (exponent, digit) of a packed cell: a digit of w bits at or above 2^(w - 1) is negative and carries 1."""
+    half = 1 << (w - 1)
     mask = (1 << w) - 1
-    terms = {}
     while n:
         digit = n & mask
         n >>= w
@@ -653,9 +703,8 @@ def _unpack(e: int, n: int, s: int, w: int) -> LaurentPoly:
             digit -= mask + 1
             n += 1
         if digit:
-            terms[e] = digit
+            yield e, digit
         e += s
-    return LaurentPoly._raw(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from oracles import random_colored_braid, rep_qh
+from oracles import random_colored_braid, rep_qh, two_strand_torus_value
 from qlink import rmatrix
-from qlink.braid import BraidWord, parse_colored
+from qlink.braid import BraidWord, ColoredBraid, parse_colored
 from qlink.invariant import all_half, braid_operator, rt_invariant
 from qlink.laurent import LaurentPoly
 from qlink.tensorop import HALF, Operator, Shape, Spin, full_trace
@@ -84,3 +84,16 @@ def test_corrupted_mixed_color_r_keeps_the_full_column_value():
     value = rt_invariant(braid)
     assert value == full_column_value(braid)
     assert value != clean_value
+
+
+@pytest.mark.parametrize("tj", [8, 10, 12])
+@pytest.mark.parametrize("k", [4, -3])
+def test_high_color_two_strand_closure_matches_closed_form(tj, k):
+    braid = ColoredBraid(BraidWord(2, (1 if k > 0 else -1,) * abs(k)), (Spin(tj), Spin(tj)))
+    assert rt_invariant(braid) == two_strand_torus_value(Spin(tj), Spin(tj), k)
+
+
+@pytest.mark.parametrize("tj", [5, 6])
+def test_high_color_three_strand_closure_equals_full_column_trace(tj):
+    braid = ColoredBraid(BraidWord(3, (1, 2, 1, 2, -1, 2)), (Spin(tj),) * 3)
+    assert rt_invariant(braid) == full_column_value(braid)

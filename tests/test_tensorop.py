@@ -23,6 +23,7 @@ from qlink.tensorop import (
     partial_trace_first,
     partial_trace_last,
     swap,
+    weighted_trace,
 )
 from qlink.uqsu2 import chi, commutation_defects
 
@@ -475,6 +476,104 @@ class TestActAdjacent:
             with pytest.raises(ShapeError) as word:
                 act_adjacent([first, bad, first], target)
             assert str(word.value) == str(single.value)
+
+
+def diagonal_oracle(steps, target: Operator, offsets) -> LaurentPoly:
+    """The oracle for `weighted_trace`: sum_r sum_(o in offsets[r]) v^o B_rr of the full act_adjacent(steps, target)."""
+    op = act_adjacent(steps, target)
+    return sum((V(o) * op.entry(r, r) for r in range(op.shape_out.dim) for o in offsets[r]), LaurentPoly.zero())
+
+
+def random_offsets(rng, shape: Shape) -> list[tuple[int, ...]]:
+    return [tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 2))) for _ in range(shape.dim)]
+
+
+class TestWeightedTrace:
+    def test_random_words_match_the_full_diagonal(self):
+        # Words of braidings and of random two-leg operators on 2-4 legs with
+        # 2j <= 3, on random targets whose input is the shape the word leaves.
+        rng = random.Random(19)
+        for case in range(60):
+            n = 2 + case % 3
+            ambient = Shape.of(*(rng.randint(0, 3) for _ in range(n)))
+            factors = list(ambient.factors)
+            steps = []
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.7:
+                    i, op = braid_step(rng, factors)
+                else:
+                    i = rng.randrange(n - 1)
+                    legs = Shape(factors[i : i + 2])
+                    op = random_operator(rng, legs, Shape((legs[1], legs[0])) if rng.random() < 0.5 else legs, fill=5)
+                steps.append((i, op))
+                factors[i : i + 2] = op.shape_out.factors
+            target = random_operator(rng, Shape(factors), ambient, fill=3 * ambient.dim)
+            offsets = random_offsets(rng, ambient)
+            assert weighted_trace(steps, target, offsets) == diagonal_oracle(steps, target, offsets), ambient
+
+    def test_empty_word_reads_the_target_diagonal(self):
+        rng = random.Random(20)
+        for ambient in (EMPTY_SHAPE, Shape.of(1, 2), Shape.of(2, 0, 3)):
+            target = random_operator(rng, ambient, ambient, fill=3 * ambient.dim)
+            offsets = random_offsets(rng, ambient)
+            want = sum((V(o) * target.entry(r, r) for r in range(ambient.dim) for o in offsets[r]), LaurentPoly.zero())
+            assert weighted_trace([], target, offsets) == want
+
+    def test_non_symmetric_offsets_give_the_q2h_weighted_trace(self):
+        # (2t,) on every column of the identity: Tr(B q^(2H) (x) ... (x) q^(2H)),
+        # B a pure braid (each letter crosses its legs twice) on mixed colors.
+        rng = random.Random(21)
+        for ambient in (Shape.of(1, 2, 1), Shape.of(2, 3), Shape.of(1, 3, 0, 2)):
+            factors = list(ambient.factors)
+            steps = []
+            for _ in range(4):
+                i = rng.randrange(len(factors) - 1)
+                for _ in range(2):
+                    a, b = factors[i], factors[i + 1]
+                    steps.append((i, braided_r(a, b) if rng.random() < 0.5 else braided_r_inv(b, a)))
+                    factors[i : i + 2] = b, a
+            offsets = [(2 * t,) for t in ambient.twice_weights()]
+            want = full_trace(act_adjacent(steps, identity(ambient)), [rep_qh(j, 2) for j in ambient])
+            assert weighted_trace(steps, identity(ambient), offsets) == want
+
+    def test_a_diagonal_cell_that_cancels(self):
+        # R(1/2, 1/2) braided sends both cells of column 1 to row 1:
+        # (v - v^-3) * 1 + v^-1 * (v^-2 - v^2) = 0.
+        legs = Shape.of(1, 1)
+        one = LaurentPoly.one()
+        target = Operator(legs, legs, {(0, 0): one, (1, 1): one, (2, 1): V(-2) - V(2), (3, 3): one * 2})
+        steps = [(0, braided_r(HALF, HALF))]
+        assert (1, 1) not in act_adjacent(steps, target).entries
+        offsets = [(0,), (5,), (0,), (1,)]
+        assert weighted_trace(steps, target, offsets) == V(1) + V(2) * 2 == diagonal_oracle(steps, target, offsets)
+
+    def test_diagonal_cells_whose_bases_differ_by_an_odd_gap_rerun_the_word(self):
+        # Both cells of column 1 land on (1, 1): (v - v^-3) * 1 meets v^-1 * v,
+        # a base gap of 3 against the braiding's stride 4, in the last, diagonal
+        # only step.  Run twice, the letter keeps both of its packed strides.
+        m = cold(braided_r(HALF, HALF))
+        legs = Shape.of(1, 1)
+        target = Operator(legs, legs, {(1, 1): LaurentPoly.one(), (2, 1): V(1)})
+        offsets = [(0,)] * 4
+        for _ in range(2):
+            assert weighted_trace([(0, m)], target, offsets) == LaurentPoly({-3: -1, 0: 1, 1: 1})
+        assert sorted(s for _, s, _ in m._index[3]) == [1, 4]
+        rng = random.Random(22)
+        for _ in range(10):
+            offsets = random_offsets(rng, legs)
+            steps = [(0, m)] * rng.randint(1, 3)
+            assert weighted_trace(steps, target, offsets) == diagonal_oracle(steps, target, offsets)
+
+    def test_bad_steps_and_non_square_words_rejected(self):
+        target = identity(Shape.of(1, 2, 3))
+        offsets = [(0,)] * target.shape_in.dim
+        with pytest.raises(ShapeError) as single:
+            act_adjacent([(0, braided_r(HALF, HALF))], target)
+        with pytest.raises(ShapeError) as trace:
+            weighted_trace([(0, braided_r(HALF, HALF))], target, offsets)
+        assert str(trace.value) == str(single.value)
+        with pytest.raises(ShapeError):
+            weighted_trace([(0, braided_r(HALF, Spin(2)))], target, offsets)
 
 
 def cold(op: Operator) -> Operator:
