@@ -123,11 +123,13 @@ def q_elem(index, shape: Shape) -> Operator:
 
 def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -> Operator:
     """
-    W^-1 . C . W with W the braid word `letters` on `shape` and C =
-    iterated_casimir(W's output shape, span), in one `act_adjacent` pass: C
-    is read as one column on the legs (out legs + in legs), entry (r, k) in
-    row r * D + k; the inverted word acts on the out legs, and the transposed
-    letters of W, last letter first, on the in legs (position n + i).
+    W^-1 . C . W with W the braid word `letters` on `shape` and C the
+    Casimir of the contiguous block `span` on W's output shape, in one
+    `act_adjacent` pass: C is read as one column on the legs (out legs + in
+    legs), entry (r, k) in row r * D + k; the inverted word acts on the out
+    legs, and the transposed letters of W, last letter first, on the in legs
+    (position n + i).  C comes from `q_elem`'s cache, so Q13 and Q~13 on one
+    shape share it.
     """
     word, out = word_steps(letters, shape.factors)
     inverse, _ = word_steps([-letter for letter in reversed(letters)], out)
@@ -137,7 +139,8 @@ def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -
         for i, m in reversed(word)
     ]
     d = middle.dim
-    column = {(r * d + k, 0): p for (r, k), p in iterated_casimir(middle, span).entries.items()}
+    block = q_elem("".join(str(leg + 1) for leg in span), middle)
+    column = {(r * d + k, 0): p for (r, k), p in block.entries.items()}
     cells = act_adjacent(transposed + inverse, Operator._raw(EMPTY_SHAPE, middle + middle, column)).entries
     return Operator._raw(shape, shape, {divmod(row, shape.dim): p for (row, _), p in cells.items()})
 

@@ -15,7 +15,9 @@ last letter writes only the diagonal, decoded straight into the weighted sum.
 When every braided matrix between the braid's colors intertwines the U_q
 action (`rmatrix.intertwines`), so does the braid, and its trace on sector t
 equals its trace on -t, so only the columns with t >= 0 are acted on.
-Otherwise (a corrupted R) every column is.  `braid_operator` with
+Otherwise (a corrupted R) every column is.  The start columns and offsets
+of a color tuple, its frame, are built once and kept in rmatrix's table,
+which `clear_cache` empties.  `braid_operator` with
 `tensorop.full_trace` is the test oracle for this path.  The value is a
 regular-isotopy invariant: a kink changes it by exactly q^(+-2j(j+1)), which
 is checked by `verify_framing` rather than normalized away.  An
@@ -78,9 +80,8 @@ def _rmatrix():
 
 def clear_cache() -> None:
     """
-    Clear rmatrix's table of two-leg matrices.  Letters act in place and
-    nothing is cached here, so that table is the only cache the
-    quantum-trace route reads.
+    Clear rmatrix's table: its two-leg matrices and the closure frames drawn
+    from them, the only cache the quantum-trace route reads.
     """
     _rmatrix().clear_cache()
 
@@ -93,21 +94,31 @@ def braid_operator(braid: ColoredBraid) -> Operator:
     return op
 
 
-def _closure_trace(braid: ColoredBraid, symmetric: bool) -> LaurentPoly:
+def _closure_trace(braid: ColoredBraid) -> LaurentPoly:
     """
     Tr(braid . q^(2H) on every factor) = sum_i B_ii v^(2 t_i), with t_i the
-    twice-weight of column i, in one `weighted_trace` call.  When `symmetric`
-    (every letter intertwines), sector t has the same trace as -t, so the
-    letters act only on the columns with t >= 0: sector 0 takes the offset 0
-    and each t > 0 the offsets 2t and -2t, a weight v^(2t) + v^(-2t).
-    Otherwise every column is acted on and takes the offset 2t.
+    twice-weight of column i, in one `weighted_trace` call from the frame of
+    the braid's colors: (start, offsets), built on first use and kept in
+    rmatrix's table under ("frame", 2j of each color), so `clear_cache`
+    drops it with the matrices its verdict was drawn from.  If every letter
+    intertwines (`rmatrix.intertwines` on each color pair), sector t has the
+    trace of -t: the start is the identity's columns with t >= 0, sector 0
+    takes the offset 0 and t > 0 the offsets 2t and -2t.  Otherwise (a
+    corrupted R) the start is the identity and column i takes 2 t_i.  The
+    start keeps its index, so no closure indexes or packs it again.
     """
-    shape = Shape(braid.colors)
-    sector = shape.twice_weights()
-    one = LaurentPoly.one()
-    start = Operator._raw(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
-    offsets = [(2 * t,) if not symmetric or t == 0 else (2 * t, -2 * t) for t in sector]
-    return weighted_trace(_rmatrix().word_steps(braid.word.letters, braid.colors)[0], start, offsets)
+    rmatrix = _rmatrix()
+    key = ("frame", *[c.twice_j for c in braid.colors])
+    frame = rmatrix._cache.get(key)
+    if frame is None:
+        spins = set(braid.colors)
+        symmetric = all(rmatrix.intertwines(a, b) for a in spins for b in spins)
+        shape = Shape(braid.colors)
+        sector, one = shape.twice_weights(), LaurentPoly.one()
+        start = Operator._raw(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
+        weights = {t: (2 * t,) if not symmetric or t == 0 else (2 * t, -2 * t) for t in sector}
+        frame = rmatrix._cache[key] = (start, [weights[t] for t in sector])
+    return weighted_trace(rmatrix.word_steps(braid.word.letters, braid.colors)[0], *frame)
 
 
 def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:
@@ -116,12 +127,7 @@ def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:
     multiplied by q^(-2j(j+1) * self-writhe) per component, trading the framed
     (regular-isotopy) value for an ambient-isotopy one.
     """
-    intertwines = _rmatrix().intertwines
-    spins = set(braid.colors)
-    # A letter that fails to intertwine (a corrupted R) breaks the t <-> -t
-    # symmetry and could hide in the unread sectors; such a braid is traced
-    # over every column.
-    value = _closure_trace(braid, all(intertwines(a, b) for a in spins for b in spins))
+    value = _closure_trace(braid)
     if normalize:
         breakdown = writhe(braid)
         exponent = 0

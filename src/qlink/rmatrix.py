@@ -54,10 +54,13 @@ nonnegative weight sectors of a braid whose color pairs all pass it.
 `_memo` keeps each builder's result in one module-level table under its tag
 and the twice-spins of its arguments: ("R", 2j_1, 2j_2), likewise "Rinv",
 "Rop", "bR", "bRinv" and "intertwines" (a bool); ("Lpi", 2j) and ("P",).
-`l_minus` and `l_plus` read ("R", 1, 2j) and ("Rop", 1, 2j).  Each key is
-written once, so concurrent readers are safe under the GIL.  `clear_cache`
-exists for tests that inject corrupted matrices under these keys; it clears
-the intertwining verdicts drawn from them too.
+`l_minus` and `l_plus` read ("R", 1, 2j) and ("Rop", 1, 2j).  The closure
+trace of `invariant` keeps there, under ("frame", 2j of each color), the
+frame of each color tuple: its start columns and offsets, chosen by the
+intertwining verdicts.  Each key is written once, so concurrent readers
+are safe under the GIL.  `clear_cache` exists for tests that inject
+corrupted matrices under these keys; it clears the verdicts and frames
+drawn from them too.
 """
 
 from __future__ import annotations

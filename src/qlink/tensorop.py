@@ -27,8 +27,9 @@ two-factor `swap`, `embed`, named sums of scaled products (`combine`, with
 weighted diagonal of such a word (`weighted_trace`) and weighted traces.
 `combine`, `act_adjacent` and `weighted_trace` are front ends of one packed
 executor, `_packed_sums`: it computes on packed integers (a Kronecker
-substitution: a polynomial becomes a base exponent and one int), and its
-docstring states the packing, the stride rule and the width proof.
+substitution: a polynomial becomes a base exponent and one int), each cell
+keyed by the one int r m + c, and its docstring states the cell key, the
+packing, the stride rule and the width proof.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def combine(shape_in: Shape, shape_out: Shape, sums: Mapping[str, Iterable[tuple
             steps.append((scalar, *refs, 1, a_in.dim) if right else (scalar, None, *refs, 1, 1))
         position[name] = len(plan)
         plan.append(steps)
-    entries = _packed_sums(plan)
+    entries = _packed_sums(plan, shape_in.dim)
     return {name: Operator._raw(shape_in, shape_out, entries[k]) for name, k in position.items() if name not in read}
 
 
@@ -419,7 +420,7 @@ def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Ope
     if not steps:
         return target
     plan, factors = _adjacent_plan(steps, target)
-    return Operator._raw(target.shape_in, Shape(factors), _packed_sums(plan)[-1])
+    return Operator._raw(target.shape_in, Shape(factors), _packed_sums(plan, target.shape_in.dim)[-1])
 
 
 def weighted_trace(steps: Sequence[tuple[int, Operator]], target: Operator, offsets: Sequence[Sequence[int]]) -> LaurentPoly:
@@ -432,7 +433,7 @@ def weighted_trace(steps: Sequence[tuple[int, Operator]], target: Operator, offs
     plan, factors = _adjacent_plan(steps, target)
     if tuple(factors) != target.shape_in.factors:
         raise ShapeError(f"weighted_trace requires a square operator, got {target.shape_in}->{Shape(factors)}")
-    return _packed_sums(plan or [((None, None, target, 1, 1),)], offsets)
+    return _packed_sums(plan or [((None, None, target, 1, 1),)], target.shape_in.dim, offsets)
 
 
 def _adjacent_plan(steps: Sequence[tuple[int, Operator]], target: Operator) -> tuple[list, list[Spin]]:
@@ -459,37 +460,41 @@ def _adjacent_plan(steps: Sequence[tuple[int, Operator]], target: Operator) -> t
     return plan, factors
 
 
-def _packed_sums(plan: list, trace: Optional[Sequence[Sequence[int]]] = None) -> Union[list, LaurentPoly]:
+def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = None) -> Union[list, LaurentPoly]:
     """
     The sums of `plan`, in order, each a sequence of steps (scalar, a, b, t,
-    d) meaning scalar * a acting on b.  b is an Operator or the place in
-    `plan` of an earlier sum; a is one too, or None for the 1x1 one (d = 1);
-    scalar is an {exponent: coefficient} dict, or None for 1.  a is indexed
-    by local column: its entry (lr, lc) meets each cell of b in a row r with
-    (r // t) % d = lc and moves it to row r + (lr - lc) t, in the same
+    d) meaning scalar * a acting on b, all from shape_in of dimension m.  b
+    is an Operator or the place in `plan` of an earlier sum; a is one too,
+    or None for the 1x1 one (d = 1); scalar is an {exponent: coefficient}
+    dict, or None for 1.  Inside the call a cell (r, c) is keyed by the one
+    int r m + c, so a row stride t is the key stride t m.  a is indexed by
+    local column: its entry (lr, lc) meets each cell of b whose key k has
+    (k // t m) % d = lc, that is in a row r with (r // t) % d = lc, and
+    moves it to the key k + (lr - lc) t m, row r + (lr - lc) t in the same
     column.  So t = 1 with d the input dimension of a is the product a @ b,
     and t the stride of leg i + 1 applies a two-leg a to legs i, i + 1 of b.
     Returns per sum its entries {(row, col): LaurentPoly}, or None for a sum
     that a later one reads: that one stays packed and is freed once its last
     reader has run.  Given `trace`, exponent offsets per row, the last sum
     computes only its diagonal cells, and the call returns the one
-    polynomial sum_r sum_(o in trace[r]) v^o B_rr of that sum B instead: a
-    cell (r, c) meets only the entry (c's local digit, r's local digit) of
-    a, and only when r and c agree outside it.
+    polynomial sum_r sum_(o in trace[r]) v^o B_rr of that sum B instead: of
+    the contributions of a cell (r, c), only the one that lands on the key
+    of (c, c) is computed.
 
     Packing (a Kronecker substitution, D. Harvey 2009): the polynomial
     sum_k d_k v^(e + s k) is the pair (e, sum_k d_k 2^(w k)) with balanced
     digits |d_k| < 2^(w - 1), so an entry times a cell is one int product
     and adding into a cell one int sum, shifted into line when the bases
-    differ.  Each Operator read as a b is packed once per pass, and one read
-    as an a once per (d, s, w) and call.  From its second call on, an a
-    keeps its `_columns` in its index by (d, s, w), so a memoized braid
-    letter is bounded once and packed once per (d, s, w) per process, not
-    once per word, while an operator read in one call only keeps none.  A
-    scalar is folded into the columns of a once per step, and each returned
-    cell is decoded once, at the end: into a polynomial of its own, or, for
-    a trace, digit by digit into the one sum.  Packed cells are never added
-    to each other, since the width bounds one cell.
+    differ.  Each Operator read as a b is packed once per pass, or never
+    when its entries are monomials, whose packed cells its index keeps; one
+    read as an a is packed once per (d, s, w) and call.  From its second
+    call on, an a keeps its `_columns` in its index by (d, s, w), so a
+    memoized braid letter is bounded once and packed once per (d, s, w) per
+    process, not once per word, while an operator read in one call only
+    keeps none.  A scalar is folded into the columns of a once per step, and
+    each returned cell is decoded once, at the end: into a polynomial of its
+    own, or, for a trace, digit by digit into the one sum.  Packed cells are
+    never added to each other, since the width bounds one cell.
 
     Stride: s is the gcd of the gaps of every Operator (the gcd of the
     exponent gaps inside its entries, kept in its index) and of every
@@ -527,7 +532,7 @@ def _packed_sums(plan: list, trace: Optional[Sequence[Sequence[int]]] = None) ->
                 ent_b, row_b = bounds[b]
             else:
                 rights[id(b)] = b
-                ent_b, row_b, gap, _ = b._index or _indexed(b, stores)
+                ent_b, row_b, gap, _, _ = b._index or _indexed(b, stores)
                 gaps.add(gap)
             if a.__class__ is int:
                 last[a] = k
@@ -535,7 +540,7 @@ def _packed_sums(plan: list, trace: Optional[Sequence[Sequence[int]]] = None) ->
             elif a is None:
                 row_a = 1
             else:
-                _, row_a, gap, variants = a._index or _indexed(a, stores)
+                _, row_a, gap, variants, _ = a._index or _indexed(a, stores)
                 stores.setdefault(id(a), variants)
                 gaps.add(gap)
             if scalar is not None:
@@ -550,32 +555,36 @@ def _packed_sums(plan: list, trace: Optional[Sequence[Sequence[int]]] = None) ->
     w = (max([ent for ent, _ in bounds], default=0).bit_length() + 8) // 8 * 8
     s = gcd(*gaps) or 1
     while True:
-        done, gap = _packed_pass(plan, rights, stores, frees, s, w, trace is not None)
+        done, gap = _packed_pass(plan, rights, stores, frees, s, w, m, trace is not None)
         if gap:
             s = gcd(s, gap)
         elif trace is None:
-            return [cells and {rc: _unpack(e, n, s, w) for rc, (e, n) in cells.items()} for cells in done]
+            return [cells and {divmod(key, m): _unpack(e, n, s, w) for key, (e, n) in cells.items()} for cells in done]
         else:
             terms = {}
-            for (r, _), (e, n) in done[-1].items():
-                offsets = trace[r]
+            for key, (e, n) in done[-1].items():  # the cell (r, r) has the key r (m + 1)
+                offsets = trace[key // (m + 1)]
                 for x, digit in _digits(e, n, s, w):
                     for o in offsets:
                         terms[x + o] = terms.get(x + o, 0) + digit
             return LaurentPoly._raw({x: c for x, c in terms.items() if c})
 
 
-def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: list[tuple[int, ...]], s: int, w: int, diagonal: bool):
+def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: list[tuple[int, ...]], s: int, w: int, m: int, diagonal: bool):
     """
-    One pass of `_packed_sums` at stride s and width w: (the packed cells of
-    each sum, None for a freed one; 0), or (None, gap) at the first two
-    contributions to one cell whose bases differ by a gap that s does not
-    divide.  The Operators of `plan` are indexed, and `stores` holds, by id,
-    the dict that stores the `_columns` of each one read as an a.  If
-    `diagonal`, the last sum computes only its cells (c, c).
+    One pass of `_packed_sums` at stride s and width w: (the packed cells
+    {r m + c: (e, N)} of each sum, None for a freed one; 0), or (None, gap)
+    at the first two contributions to one cell whose bases differ by a gap
+    that s does not divide.  The Operators of `plan` are indexed, and
+    `stores` holds, by id, the dict that stores the `_columns` of each one
+    read as an a.  If `diagonal`, the last sum computes only its cells
+    (c, c).
     """
     done = []
-    packed = {key: {rc: _pack(p.terms, s, w) for rc, p in b.entries.items()} for key, b in rights.items()}
+    packed = {  # a right operand's cells, packed now unless its index keeps them
+        key: b._index[4] or {r * m + c: _pack(p.terms, s, w) for (r, c), p in b.entries.items()} for key, b in rights.items()
+    }
+    m1 = m + 1
     for k, (steps, freed) in enumerate(zip(plan, frees)):
         diagonal_k = diagonal and k == len(plan) - 1
         acc = {}
@@ -585,25 +594,22 @@ def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: l
                 store = stores[id(a)]
                 cols = store.get((d, s, w))
                 if cols is None:
-                    cols = store[d, s, w] = _columns(a, packed.get(id(a)), d, s, w)
+                    cols = store[d, s, w] = _columns(a, packed.get(id(a)), d, s, w, m)
             elif a is None:
                 cols = [((0, 0, 1),)]
             else:
-                cols = _columns(None, done[a], d, s, w)
+                cols = _columns(None, done[a], d, s, w, m)
             if scalar is not None:
                 es, ns = _pack(scalar, s, w)
                 cols = [[(dl, e + es, n * ns) for dl, e, n in col] for col in cols]
-            if diagonal_k:  # by (lc, lr - lc): the entry of a that moves a cell of local row lc to lr
-                picks = {(lc, dl): ((dl, e, n),) for lc, col in enumerate(cols) for dl, e, n in col}
-            for (r, c), (e0, n0) in cells.items():
-                lc = r // t % d
-                if diagonal_k:  # only onto row c, and only if r agrees with c outside a's legs
-                    dl = c // t % d - lc
-                    col = picks.get((lc, dl), ()) if r + dl * t == c else ()
-                else:
-                    col = cols[lc]
-                for dl, e, n in col:
-                    rc = (r + dl * t, c)
+            T = t * m
+            for key, (e0, n0) in cells.items():
+                if diagonal_k:  # the one key this cell may reach: (c, c), c its column
+                    to = key % m * m1
+                for dl, e, n in cols[key // T % d]:
+                    rc = key + dl * T
+                    if diagonal_k and rc != to:
+                        continue
                     e += e0
                     n *= n0
                     prev = acc.get(rc)
@@ -630,30 +636,33 @@ def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: l
     return done, 0
 
 
-def _columns(a: Optional[Operator], cells: Optional[dict], d: int, s: int, w: int) -> list[list[tuple[int, int, int]]]:
+def _columns(a: Optional[Operator], cells: Optional[dict], d: int, s: int, w: int, m: int) -> list[list[tuple[int, int, int]]]:
     """
     An operand by local column lc < d, [(lr - lc, e, N), ...]: from its
-    packed `cells` {(lr, lc): (e, N)}, or else from the entries of `a`.
+    packed `cells` {lr m + lc: (e, N)}, or else from the entries of `a`.
     """
     cols = [[] for _ in range(d)]
     if cells is None:
         for (lr, lc), p in a.entries.items():
             cols[lc].append((lr - lc, *_pack(p.terms, s, w)))
     else:
-        for (lr, lc), cell in cells.items():
+        for key, cell in cells.items():
+            lr, lc = divmod(key, m)
             cols[lc].append((lr - lc, *cell))
     return cols
 
 
-def _indexed(op: Operator, stores: dict[int, dict]) -> tuple[int, int, int, dict]:
+def _indexed(op: Operator, stores: dict[int, dict]) -> tuple[int, int, int, dict, Optional[dict]]:
     """
     The index of `op`, filled on first use and kept in its `_index` slot:
-    (ent, row, gap, variants) with ent the largest l1 norm of an entry, row
-    the largest sum of those norms along a row, gap the `_gap` of its
-    entries, and variants {(d, s, w): op's `_columns`} as `_packed_pass`
-    packs them, filled from the second call that reads op as an a: the
-    call that fills the index stores op's columns in a dict of its own, put
-    in `stores`.  The index lives and dies with the operator.
+    (ent, row, gap, variants, cells) with ent the largest l1 norm of an
+    entry, row the largest sum of those norms along a row, gap the `_gap` of
+    its entries, variants {(d, s, w): op's `_columns`} as `_packed_pass`
+    packs them, filled from the second call that reads op as an a (the call
+    that fills the index stores op's columns in a dict of its own, put in
+    `stores`), and cells, when every entry is a monomial (gap 0), its packed
+    cells {r m + c: (e, N)} with m its input dimension, which no stride or
+    width changes; else None.  The index lives and dies with the operator.
     """
     largest, rows = 0, {}
     for (r, _), p in op.entries.items():
@@ -661,7 +670,9 @@ def _indexed(op: Operator, stores: dict[int, dict]) -> tuple[int, int, int, dict
         if norm > largest:
             largest = norm
         rows[r] = rows.get(r, 0) + norm
-    index = (largest, max(rows.values(), default=0), _gap([p.terms for p in op.entries.values()]), {})
+    gap, m = _gap([p.terms for p in op.entries.values()]), op.shape_in.dim
+    cells = None if gap else {r * m + c: item for (r, c), p in op.entries.items() for item in p.terms.items()}
+    index = (largest, max(rows.values(), default=0), gap, {}, cells)
     object.__setattr__(op, "_index", index)
     stores[id(op)] = {}
     return index

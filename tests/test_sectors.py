@@ -13,7 +13,7 @@ from qlink import rmatrix
 from qlink.braid import BraidWord, ColoredBraid, parse_colored
 from qlink.invariant import all_half, braid_operator, rt_invariant
 from qlink.laurent import LaurentPoly
-from qlink.tensorop import HALF, Operator, Shape, Spin, full_trace
+from qlink.tensorop import HALF, Operator, Shape, Spin, full_trace, weighted_trace
 from qlink.uqsu2 import delta_rep
 
 V = LaurentPoly.v_power
@@ -97,3 +97,58 @@ def test_high_color_two_strand_closure_matches_closed_form(tj, k):
 def test_high_color_three_strand_closure_equals_full_column_trace(tj):
     braid = ColoredBraid(BraidWord(3, (1, 2, 1, 2, -1, 2)), (Spin(tj),) * 3)
     assert rt_invariant(braid) == full_column_value(braid)
+
+
+def frame_key(braid):
+    return ("frame", *[c.twice_j for c in braid.colors])
+
+
+# Pure words (every strand closes on itself), so any colors fit: a color-0
+# strand, mixed colors, a word whose second letter reads the leg stride the
+# first one changed, and the empty word.
+FIXED_BRAIDS = [
+    ColoredBraid(BraidWord(3, (1, 1, -2, -2)), (Spin(0), Spin(2), Spin(1))),
+    ColoredBraid(BraidWord(3, (2, 1, 1, 2)), (Spin(1), Spin(2), Spin(3))),
+    ColoredBraid(BraidWord(4, (2, 2, 1, -3, -3, -1)), (Spin(1), Spin(3), Spin(0), Spin(2))),
+    ColoredBraid(BraidWord(3, ()), (Spin(1), Spin(0), Spin(3))),
+    ColoredBraid(BraidWord(2, ()), (Spin(2), Spin(2))),
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cold_and_warm_frames_give_the_full_column_value(seed):
+    # Each braid twice: from a cold frame, then from the frame the first call
+    # kept, on 2-4 strands of mixed colors 2j <= 3.  Even cases build the
+    # frame before any matrix, odd ones after the oracle has built them.
+    rng = random.Random(7300 + seed)
+    braids = [random_colored_braid(rng, 2 + case % 3, rng.randint(0, 7), 3) for case in range(6)]
+    for case, braid in enumerate(braids + FIXED_BRAIDS[seed % 5 : seed % 5 + 1]):
+        rmatrix.clear_cache()
+        want = None if case % 2 == 0 else full_column_value(braid)
+        assert frame_key(braid) not in rmatrix._cache
+        cold = rt_invariant(braid)
+        frame = rmatrix._cache[frame_key(braid)]
+        warm = rt_invariant(braid)
+        assert rmatrix._cache[frame_key(braid)] is frame
+        assert cold == warm == (want or full_column_value(braid)), braid
+
+
+def test_clear_cache_drops_the_frame_so_a_corrupted_r_is_traced_over_every_column():
+    # The (1/2, 1/2) frame from a clean R reads only the columns of twice-weight
+    # t >= 0.  After clear_cache and c14's scaled entry, the closure must build
+    # a new frame over every column; the old one would give a wrong value.
+    braid = all_half(BraidWord(2, (1, 1, 1)))
+    rt_invariant(braid)
+    stale = rmatrix._cache[("frame", 1, 1)]
+    assert stale[0].nnz() == 3
+    clean = rmatrix.r_matrix(HALF, HALF)
+    entries = dict(clean.entries)
+    cell = min(entries)
+    entries[cell] = entries[cell] * V(2)
+    rmatrix.clear_cache()
+    rmatrix._cache[("R", 1, 1)] = Operator(clean.shape_in, clean.shape_out, entries)
+    value = rt_invariant(braid)
+    frame = rmatrix._cache[("frame", 1, 1)]
+    assert frame is not stale and frame[0].nnz() == 4
+    assert value == full_column_value(braid)
+    assert weighted_trace(rmatrix.word_steps(braid.word.letters, braid.colors)[0], *stale) != value

@@ -623,6 +623,19 @@ class TestIndex:
             assert act_adjacent([(0, m)] * 3, target) == want
         assert sorted(s for _, s, _ in m._index[3]) == [1, 4]
 
+    def test_monomial_entries_keep_their_packed_cells(self):
+        # An operator whose entries are all monomials keeps its packed cells,
+        # keyed r m + c with m its input dimension, since no stride or width
+        # changes them; one with a polynomial entry keeps none.
+        legs = Shape.of(1, 1)
+        target = Operator(legs, legs, {(0, 0): V(3) * 2, (2, 1): -V(-1)})
+        m = cold(braided_r(HALF, HALF))
+        want = embedded_steps([(0, m)] * 2, target)
+        assert act_adjacent([(0, m)] * 2, target) == want
+        cells = target._index[4]
+        assert cells == {0: (3, 2), 9: (-1, -1)} and m._index[4] is None
+        assert act_adjacent([(0, m)] * 2, target) == want and target._index[4] is cells
+
     def test_variants_are_at_most_the_byte_widths_used(self):
         # Words of 1-16 letters on the identity: the proven width grows with
         # the length, and rounding it up to whole bytes leaves fewer variants.
