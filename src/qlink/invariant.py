@@ -25,11 +25,11 @@ ambient-isotopy variant that divides out each component's self-writhe is
 available behind the `normalize` flag; the raw framed value is the default.
 
 Bracket route (fundamental color only): a braid word is expanded in the
-diagram monoid, closed, and evaluated at loop value -x^2 - x^(-2); composing
-with x -> i v and the writhe phase (-i)^w yields the same value as the
-quantum trace with every color 1/2.  An exponential-time smoothing-tree
-oracle for the bracket lives in the test suite, deliberately independent of
-the diagram-monoid implementation here.
+diagram monoid over v (a letter is v - v^-1 E, its inverse v^-1 - v E) and
+closed at loop value q + q^-1, which is the quantum trace with every color
+1/2; the Kauffman bracket in x is `phase_mul` of that value.  An
+exponential-time smoothing-tree oracle for the bracket lives in the test
+suite, deliberately independent of the diagram-monoid implementation here.
 """
 
 from __future__ import annotations
@@ -145,22 +145,21 @@ def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:
 
 def kauffman_bracket(word: BraidWord) -> LaurentPoly:
     """
-    The bracket of the braid closure, as a polynomial in x, normalized so a
-    single closed strand is worth the loop value -x^2 - x^(-2) itself.
+    The bracket of the braid closure in x, a closed strand worth -x^2 - x^(-2):
+    `phase_mul` of the fundamental-color value at the writhe.  An exponent of
+    the other parity is a complex residue, a pipeline fault: ArithmeticError.
     """
-    from .tl import close_all, word_element
-
-    return close_all(word_element(word))
+    return phase_mul(cs_invariant_fundamental(word), word.exponent_sum())
 
 
 def cs_invariant_fundamental(word: BraidWord) -> LaurentPoly:
     """
-    The invariant value of the closure with every component in the fundamental
-    color: the bracket at x = i v times the writhe phase (-i)^w.  The result
-    must come out real; a complex residue means the pipeline is broken, and
-    `phase_mul` raises ArithmeticError for it.
+    The closure's value with every component in the fundamental color: the
+    word's element in the diagram monoid over v, closed.
     """
-    return phase_mul(kauffman_bracket(word), word.exponent_sum())
+    from .tl import close_all, word_element
+
+    return close_all(word_element(word))
 
 
 def all_half(word: BraidWord) -> ColoredBraid:

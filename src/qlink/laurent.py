@@ -8,10 +8,10 @@ the framing factor q^(3/2) of a spin-1/2 kink, ...) are integer powers of v,
 so fractional exponents never arise.  Every value the package computes --
 invariants, R-matrix entries, Casimirs, Askey-Wilson residuals -- lies in
 Z[v, v^-1], so coefficients are plain Python ints: exact division either
-divides or raises, and nothing rational or imaginary is ever stored.  The one
-place imaginary units could enter, the substitution x -> i*v of the bracket
-route, is merged with the writhe phase into `phase_mul`, which is integral
-term by term.
+divides or raises, and nothing rational or imaginary is ever stored.  The
+diagram monoid computes over v too; the bracket's own variable x meets v only
+in `phase_mul`, the substitution x -> i*v merged with the writhe phase, which
+is integral term by term and reads the bracket off an invariant value.
 
 A polynomial is a dict {exponent: coefficient} holding no zero coefficients,
 so equality is exact dict equality.  Exponents and coefficients are
@@ -304,7 +304,8 @@ def phase_mul(p: LaurentPoly, w: int) -> LaurentPoly:
     Read p in the bracket variable x, substitute x -> i*v and multiply by the
     writhe phase (-i)^w: x^e goes to i^(e-w) v^e, which is +-v^e when e - w is
     even.  An odd e - w leaves an imaginary coefficient, which no invariant
-    value has, so it raises ArithmeticError as a pipeline fault.
+    value has, so it raises ArithmeticError as a pipeline fault.  The map is
+    its own inverse: a second call at the same w gives p back.
     """
     out = {}
     for e, c in p.terms.items():

@@ -11,32 +11,32 @@ balanced bracket sequence.  The strand count of a diagram is len(pairing) // 2.
 
 The product stacks the left operand on top of the right one; closed loops
 formed in the middle are erased and counted, each contributing one factor of
-the loop value delta = -x^2 - x^{-2} to the coefficient.  A product with the
-identity diagram returns the other diagram without a walk, and `tl_mul` sums
-each result coefficient in integer accumulators.  `close_first` closes the
-leftmost strand around the left side of the diagram, which is how
-loop-around-strands tangles are evaluated; `close_all` gives the bracket of a
-braid closure from one loop-counting walk per diagram.
+the loop value `DELTA` = v^2 + v^-2 = q + q^-1 to the coefficient.  A
+product with the identity diagram returns the other diagram without a walk,
+and `tl_mul` sums each result coefficient in integer accumulators.
+`close_first` closes the leftmost strand around the left side of the
+diagram, which is how loop-around-strands tangles are evaluated; `close_all`
+closes every strand, one loop-counting walk per diagram.
 
 `TLElement(...)` is where a caller's diagrams enter, and it checks each one.
 What this module builds itself is valid by construction and skips those
 checks through `TLElement._raw`: the identity and the hooks, products, sums,
 scalings, letters and one-strand closures.
 
-Coefficients are Laurent polynomials whose variable is *read as* x here; the
-`subst_x_iv` and `phase_mul` maps in `laurent` convert finished bracket
-values onto the v axis.
+Coefficients are Laurent polynomials in v, as on the quantum-trace route
+(the hook E_i is the P matrix on legs i, i+1 of (1/2)^n); `braid_letter`
+absorbs the writhe phase, so a word's closure is the invariant itself.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .laurent import Immutable, LaurentPoly, accumulate_product, finalize, summed
+from .laurent import Immutable, LaurentPoly, accumulate_product, finalize, qint, summed
 from .braid import BraidWord
 
-# Loop value of one erased circle.
-DELTA_X = LaurentPoly({2: -1, -2: -1})
+# Loop value of one erased circle: q + q^-1, the trace of q^(2H) on spin 1/2.
+DELTA = qint(2)
 
 
 def _check_pairing(n: int, pairing) -> tuple[int, ...]:
@@ -181,9 +181,6 @@ class TLElement(Immutable):
 
     __rmul__ = __mul__
 
-    def map_coefficients(self, fn) -> TLElement:
-        return TLElement._raw(self.n, summed((d, fn(c)) for d, c in self.terms.items()))
-
     def __repr__(self) -> str:
         return f"<TLElement n={self.n}, {len(self.terms)} diagrams>"
 
@@ -191,7 +188,7 @@ class TLElement(Immutable):
 def _delta_multiple(multiples: list[LaurentPoly], loops: int) -> LaurentPoly:
     """multiples[loops], where multiples[k] = multiples[0] * delta^k, grown on demand."""
     while len(multiples) <= loops:
-        multiples.append(multiples[-1] * DELTA_X)
+        multiples.append(multiples[-1] * DELTA)
     return multiples[loops]
 
 
@@ -218,15 +215,15 @@ def tl_mul(a: TLElement, b: TLElement) -> TLElement:
 
 def braid_letter(n: int, letter: int) -> TLElement:
     """
-    The smoothing expansion of one crossing: a positive letter maps to
-    x * id + x^-1 * hook, a negative one to x^-1 * id + x * hook.  The signs
-    are fixed by requiring the closed positive kink to evaluate to -x^3.
+    One crossing in v: v * id - v^-1 * hook if positive, v^-1 * id - v * hook
+    if negative.  That is the bracket's smoothing at x = i v times the letter's
+    writhe phase -i (i if negative), so the closed positive kink is v^3 DELTA.
     """
     if letter == 0 or not 1 <= abs(letter) <= n - 1:
         raise ValueError(f"letter {letter} out of range for {n} strands")
-    x = LaurentPoly.v_power(1) if letter > 0 else LaurentPoly.v_power(-1)
-    x_inv = LaurentPoly.v_power(-1) if letter > 0 else LaurentPoly.v_power(1)
-    return TLElement._raw(n, {identity_diagram(n): x, hook_diagram(n, abs(letter)): x_inv})
+    e = 1 if letter > 0 else -1
+    ident, hook = identity_diagram(n), hook_diagram(n, abs(letter))
+    return TLElement._raw(n, {ident: LaurentPoly.v_power(e), hook: -LaurentPoly.v_power(-e)})
 
 
 def word_element(word: BraidWord) -> TLElement:
@@ -257,7 +254,7 @@ def close_first(elem: TLElement) -> TLElement:
             new_pairs = {
                 renumber(i): renumber(pairing[i]) for i in range(2 * n) if i not in (0, n)
             }
-            coeff = coeff * DELTA_X
+            coeff = coeff * DELTA
         else:
             a, b = pairing[0], pairing[n]
             new_pairs = {

@@ -47,11 +47,16 @@ Moved here from the package, because no route of the package uses them:
 `loop_word` reads the spin-1/2 loop around a block of legs as a braid word
 by the over/under rule, so a generator can be evaluated as a closed strand
 through R letters and one partial trace, with no L+- product.
+
+`tl_image` sends a diagram-monoid element to its operator on (1/2)^n, the
+hook E_i going to the P matrix on legs i, i+1: each diagram's image is the
+product of P matrices along a hook word that reaches it closing no loop, found
+by a walk out of the identity, so no diagram's image is read off its pairing.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 from qlink.braid import BraidWord, ColoredBraid
@@ -65,11 +70,12 @@ from qlink.rmatrix import (
     l_plus,
     l_plus_inv,
     m_matrix,
+    p_matrix,
     r_matrix,
     r_opposite,
 )
 from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, kron, partial_trace_first
-from qlink.tl import TLElement, close_first
+from qlink.tl import TLElement, close_first, compose_matchings, hook_diagram, identity_diagram
 
 
 class _UnionFind:
@@ -151,6 +157,30 @@ def close_all_by_strands(elem: TLElement) -> LaurentPoly:
         return LaurentPoly.zero()
     ((_, coeff),) = elem.terms.items()
     return coeff
+
+
+@lru_cache(maxsize=None)
+def _diagram_images(n: int) -> dict:
+    """{diagram: its image} for every n-strand diagram, by a walk over hook words that close no loop."""
+    shape = Shape((HALF,) * n)
+    hooks = [(hook_diagram(n, i), embed(p_matrix(), (i - 1, i), shape)) for i in range(1, n)]
+    images = {identity_diagram(n): identity(shape)}
+    frontier = list(images)
+    while frontier:
+        diag = frontier.pop()
+        for hook, p in hooks:
+            top, loops = compose_matchings(hook, diag)
+            if loops == 0 and top not in images:
+                images[top] = compose(p, images[diag])
+                frontier.append(top)
+    return images
+
+
+def tl_image(elem: TLElement) -> Operator:
+    """The operator of `elem` on (1/2)^n, each hook E_i sent to the P matrix on legs i, i+1."""
+    images = _diagram_images(elem.n)
+    shape = Shape((HALF,) * elem.n)
+    return reduce(Operator.__add__, (images[d] * c for d, c in elem.terms.items()), Operator(shape, shape, {}))
 
 
 def entrywise_full_trace(op, weights) -> LaurentPoly:

@@ -195,9 +195,9 @@ class TestInvariantCommand:
         assert message in err
 
     def test_complex_residue_exits_three(self, monkeypatch):
-        # An odd power of x left in a bracket cannot be carried onto the v axis.
-        monkeypatch.setattr(invariant, "kauffman_bracket", lambda word: LaurentPoly.v_power(1))
-        code, _, err = run(["invariant", "--braid", "n=1;", "--method", "cs"])
+        # A value with an odd power of v on a word of even writhe has no bracket in x.
+        monkeypatch.setattr(invariant, "cs_invariant_fundamental", lambda word: LaurentPoly.v_power(1))
+        code, _, err = run(["invariant", "--braid", "n=1;", "--method", "bracket"])
         assert code == 3
         assert "complex residue" in err
 

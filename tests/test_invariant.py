@@ -27,9 +27,10 @@ from qlink.invariant import (
 )
 from qlink.laurent import LaurentPoly, qint
 from qlink.tensorop import HALF, InputError, Spin
-from qlink.tl import DELTA_X
 
 V = LaurentPoly.v_power
+# The bracket's loop value -x^2 - x^-2, read in its own variable x.
+BRACKET_LOOP = LaurentPoly({2: -1, -2: -1})
 
 
 class TestClosedValues:
@@ -73,10 +74,10 @@ class TestClosedValues:
 
 class TestBracketPipeline:
     def test_unknot_bracket(self):
-        assert kauffman_bracket(BraidWord(1, ())) == DELTA_X
+        assert kauffman_bracket(BraidWord(1, ())) == BRACKET_LOOP
 
     def test_positive_kink(self):
-        assert kauffman_bracket(BraidWord(2, (1,))) == LaurentPoly({3: -1}) * DELTA_X
+        assert kauffman_bracket(BraidWord(2, (1,))) == LaurentPoly({3: -1}) * BRACKET_LOOP
 
     def test_state_sum_oracle_agreement_exhaustive_short_words(self):
         for n in (2, 3):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,25 @@ class TestSubstitutions:
             subst_x_iv(-V(3))
         with pytest.raises(ArithmeticError, match="complex residue"):
             phase_mul(qint(2), 1)
+
+    def test_phase_is_an_involution(self):
+        # The bracket is read back off the invariant value by the same map.
+        rng = random.Random(28)
+        accepted = rejected = 0
+        for _ in range(300):
+            # Exponents of one parity half the time, so both outcomes occur.
+            parity = rng.choice((0, 1, None))
+            exps = [2 * rng.randint(-6, 6) + (rng.randint(0, 1) if parity is None else parity) for _ in range(5)]
+            p = LaurentPoly({e: rng.randint(-5, 5) for e in exps})
+            w = rng.randint(-9, 9)
+            try:
+                image = phase_mul(p, w)
+            except ArithmeticError:
+                rejected += 1
+                continue
+            accepted += 1
+            assert phase_mul(image, w) == p, (p, w)
+        assert accepted > 50 and rejected > 50
 
 
 class TestDivision:

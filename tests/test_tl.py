@@ -1,12 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
-from oracles import close_all_by_strands, random_word
+from oracles import _diagram_images, close_all_by_strands, random_word, tl_image
 from qlink.braid import BraidWord
+from qlink.invariant import all_half, braid_operator
 from qlink.laurent import LaurentPoly
 from qlink.tl import (
-    DELTA_X,
+    DELTA,
     TLElement,
     braid_letter,
     close_all,
@@ -141,7 +143,7 @@ class TestComposition:
 
     def test_hook_relations(self):
         e1, e2 = TLElement.hook(3, 1), TLElement.hook(3, 2)
-        assert tl_mul(e1, e1) == e1 * DELTA_X
+        assert tl_mul(e1, e1) == e1 * DELTA
         assert tl_mul(tl_mul(e1, e2), e1) == e1
         assert tl_mul(tl_mul(e2, e1), e2) == e2
 
@@ -149,9 +151,9 @@ class TestComposition:
         # e1 e3 stacked on itself erases two loops; stacked on e2, none.
         e1e3 = tl_mul(TLElement.hook(4, 1), TLElement.hook(4, 3))
         e2 = TLElement.hook(4, 2)
-        assert tl_mul(e1e3, e1e3) == e1e3 * DELTA_X**2
+        assert tl_mul(e1e3, e1e3) == e1e3 * DELTA**2
         lhs = tl_mul(e1e3 * V(1), e2 + e1e3 * V(-3))
-        assert lhs == tl_mul(e1e3, e2) * V(1) + e1e3 * (V(-2) * DELTA_X**2)
+        assert lhs == tl_mul(e1e3, e2) * V(1) + e1e3 * (V(-2) * DELTA**2)
 
     def test_identity_element_is_neutral(self):
         e1 = TLElement.hook(4, 1)
@@ -178,7 +180,10 @@ class TestBraidLetters:
     def test_letter_expansion(self):
         elem = braid_letter(2, 1)
         assert elem.terms[identity_diagram(2)] == V(1)
-        assert elem.terms[hook_diagram(2, 1)] == V(-1)
+        assert elem.terms[hook_diagram(2, 1)] == -V(-1)
+        inverse = braid_letter(2, -1)
+        assert inverse.terms[identity_diagram(2)] == V(-1)
+        assert inverse.terms[hook_diagram(2, 1)] == -V(1)
 
     def test_inverse_letters_cancel(self):
         elem = tl_mul(braid_letter(2, -1), braid_letter(2, 1))
@@ -192,23 +197,23 @@ class TestBraidLetters:
 
 class TestClosure:
     def test_closing_identity_strands(self):
-        assert close_all(TLElement.identity(1)) == DELTA_X
-        assert close_all(TLElement.identity(3)) == DELTA_X**3
+        assert close_all(TLElement.identity(1)) == DELTA
+        assert close_all(TLElement.identity(3)) == DELTA**3
 
     def test_closing_hook(self):
-        assert close_all(TLElement.hook(2, 1)) == DELTA_X
+        assert close_all(TLElement.hook(2, 1)) == DELTA
 
     def test_close_first_partial(self):
         # Closing one strand of the two-strand identity leaves one strand and a loop.
         partial = close_first(TLElement.identity(2))
-        assert partial == TLElement.identity(1) * DELTA_X
+        assert partial == TLElement.identity(1) * DELTA
 
     def test_positive_kink_value(self):
         closed = close_all(word_element(BraidWord(2, (1,))))
-        assert closed == LaurentPoly({3: -1}) * DELTA_X
+        assert closed == V(3) * DELTA
 
     def test_empty_word_bracket(self):
-        assert close_all(word_element(BraidWord(1, ()))) == DELTA_X
+        assert close_all(word_element(BraidWord(1, ()))) == DELTA
 
     def test_close_all_matches_strand_by_strand_closure(self):
         rng = random.Random(7)
@@ -220,3 +225,24 @@ class TestClosure:
             for _ in range(8):
                 elem = word_element(random_word(rng, n, rng.randint(0, 7)))
                 assert close_all(elem) == close_all_by_strands(elem), elem.terms
+
+
+class TestOperatorImage:
+    """The map E_i -> P on legs i, i+1 of (1/2)^n, checked against the R-matrix route with no closure."""
+
+    def test_walk_reaches_every_diagram(self):
+        for n in range(6):
+            assert set(_diagram_images(n)) == set(all_diagrams(n))
+
+    def test_image_respects_products(self):
+        diagrams = [TLElement(4, {d: LaurentPoly.one()}) for d in all_diagrams(4)]
+        for a in diagrams:
+            for b in diagrams:
+                assert tl_image(tl_mul(a, b)) == tl_image(a) @ tl_image(b), (a.terms, b.terms)
+
+    def test_letters_are_the_braided_r_matrix(self):
+        words = [BraidWord(3, letters) for k in range(4) for letters in product((1, -1, 2, -2), repeat=k)]
+        rng = random.Random(28)
+        words += [random_word(rng, 4, rng.randint(1, 8)) for _ in range(50)]
+        for word in words:
+            assert tl_image(word_element(word)) == braid_operator(all_half(word)), word
