@@ -414,8 +414,8 @@ def verify_tl_iso() -> Report:
     report.add_bool("E2 E2 = delta E2", tl_mul(e2, e2) == e2 * DELTA)
     # The bracket's loop value -x^2 - x^-2, read in x, goes to DELTA.
     report.add_bool("loop value at x = i v is q + q^-1", subst_x_iv(-loop) == DELTA == loop)
-    report.add_bool("E1 E2 E1 = E1", tl_mul(tl_mul(e1, e2), e1) == e1)
-    report.add_bool("E2 E1 E2 = E2", tl_mul(tl_mul(e2, e1), e2) == e2)
+    report.add_bool("E1 E2 E1 = E1", tl_mul(e1, e2, e1) == e1)
+    report.add_bool("E2 E1 E2 = E2", tl_mul(e2, e1, e2) == e2)
 
     # The loop-around-two-strands tangle: close the auxiliary strand of the
     # four-strand word (1 2 2 1).

@@ -9,11 +9,13 @@ involution, and it is noncrossing against the circular boundary order (bottom
 left to right, then top right to left), where a planar matching is exactly a
 balanced bracket sequence.  The strand count of a diagram is len(pairing) // 2.
 
-The product stacks the left operand on top of the right one; closed loops
-formed in the middle are erased and counted, each contributing one factor of
-the loop value `DELTA` = v^2 + v^-2 = q + q^-1 to the coefficient.  A
-product with the identity diagram returns the other diagram without a walk,
-and `tl_mul` sums each result coefficient in integer accumulators.
+The product stacks each factor on top of the next; closed loops formed in
+the middle are erased and counted, each contributing one factor of the loop
+value `DELTA` = v^2 + v^-2 = q + q^-1 to the coefficient.  A product with the
+identity diagram returns the other diagram without a walk.  `tl_mul` takes
+any number of factors and multiplies them in one pass on integer cells,
+{exponent: int} per diagram, from the last factor up; it builds polynomials
+only for the result, so a braid word is one call.
 `close_first` closes the leftmost strand around the left side of the
 diagram, which is how loop-around-strands tangles are evaluated; `close_all`
 closes every strand, one loop-counting walk per diagram.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .laurent import Immutable, LaurentPoly, accumulate_product, finalize, qint, summed
+from .laurent import Immutable, LaurentPoly, accumulate_product, accumulate_terms, finalize, qint, summed
 from .braid import BraidWord
 
 # Loop value of one erased circle: q + q^-1, the trace of q^(2H) on spin 1/2.
@@ -85,35 +87,33 @@ def compose_matchings(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[tu
     if len(top) != len(bottom):
         raise ValueError(f"cannot stack diagrams on {len(top) // 2} and {len(bottom) // 2} strands")
     n = len(top) // 2
-    ident = identity_diagram(n)
-    if top == ident:
+    # A planar matching whose bottom points all run to the top is the identity.
+    if not n or min(top[:n]) >= n:
         return bottom, 0
-    if bottom == ident:
+    if min(bottom[:n]) >= n:
         return top, 0
     visited = [False] * n  # middle interface points, indexed 0..n-1
     result = [-1] * (2 * n)
-
-    def walk(in_top: bool, point: int) -> int:
-        # Follow arcs until a boundary point of the product is reached.
-        while True:
-            partner = (top if in_top else bottom)[point]
-            if in_top:
-                if partner >= n:
-                    return partner
-                visited[partner] = True
-                in_top, point = False, n + partner
-            else:
-                if partner < n:
-                    return partner
-                visited[partner - n] = True
-                in_top, point = True, partner - n
-
     for start in range(2 * n):
         if result[start] != -1:
             continue
-        # Bottom boundary points live in the bottom diagram; top boundary
-        # points share their index with the top diagram's own numbering.
-        end = walk(start >= n, start)
+        # Follow arcs until a boundary point of the product is reached.  Bottom
+        # boundary points live in the bottom diagram; top boundary points share
+        # their index with the top diagram's own numbering.
+        in_top, point = start >= n, start
+        while True:
+            if in_top:
+                end = top[point]
+                if end >= n:
+                    break
+                visited[end] = True
+                in_top, point = False, n + end
+            else:
+                end = bottom[point]
+                if end < n:
+                    break
+                visited[end - n] = True
+                in_top, point = True, end - n
         result[start] = end
         result[end] = start
 
@@ -185,32 +185,43 @@ class TLElement(Immutable):
         return f"<TLElement n={self.n}, {len(self.terms)} diagrams>"
 
 
-def _delta_multiple(multiples: list[LaurentPoly], loops: int) -> LaurentPoly:
-    """multiples[loops], where multiples[k] = multiples[0] * delta^k, grown on demand."""
+def _delta_multiple(multiples: list[dict[int, int]], loops: int) -> dict[int, int]:
+    """multiples[loops], where multiples[k] = multiples[0] * delta^k as raw terms, grown on demand."""
     while len(multiples) <= loops:
-        multiples.append(multiples[-1] * DELTA)
+        acc: dict[int, int] = {}
+        accumulate_terms(acc, multiples[-1], DELTA.terms)
+        multiples.append({e: c for e, c in acc.items() if c})
     return multiples[loops]
 
 
-def tl_mul(a: TLElement, b: TLElement) -> TLElement:
-    """Product with `a` stacked on top of `b`; erased loops contribute delta each."""
-    if a.n != b.n:
-        raise ValueError(f"cannot stack elements on {a.n} and {b.n} strands")
-    acc: dict[tuple[int, ...], dict[int, int]] = {}
-    for da, ca in a.terms.items():
-        multiples = [ca]
-        for db, cb in b.terms.items():
-            diag, loops = compose_matchings(da, db)
-            cell = acc.get(diag)
-            if cell is None:
-                cell = acc[diag] = {}
-            accumulate_product(cell, _delta_multiple(multiples, loops), cb)
-    terms = {}
-    for diag, cell in acc.items():
-        coeff = finalize(cell)
-        if coeff:
-            terms[diag] = coeff
-    return TLElement._raw(a.n, terms)
+def tl_mul(*factors: TLElement) -> TLElement:
+    """
+    The product of the factors, each stacked on top of the next; erased loops
+    contribute delta each.  One pass from the last factor up carries integer
+    cells {diagram: {exponent: int}}, dropping zeros after each factor, and
+    builds the polynomials of the result only.
+    """
+    if not factors:
+        raise ValueError("tl_mul needs at least one factor")
+    *upper, last = factors
+    n = last.n
+    cells = {diag: coeff.terms for diag, coeff in last.terms.items()}
+    for factor in reversed(upper):
+        if factor.n != n:
+            raise ValueError(f"cannot stack elements on {factor.n} and {n} strands")
+        acc: dict[tuple[int, ...], dict[int, int]] = {}
+        for da, ca in factor.terms.items():
+            multiples = [ca.terms]
+            for db, cb in cells.items():
+                diag, loops = compose_matchings(da, db)
+                accumulate_terms(acc.setdefault(diag, {}), _delta_multiple(multiples, loops), cb)
+        cells = {}
+        for diag, cell in acc.items():
+            if 0 in cell.values():
+                cell = {e: c for e, c in cell.items() if c}
+            if cell:
+                cells[diag] = cell
+    return TLElement._raw(n, {diag: LaurentPoly._raw(cell) for diag, cell in cells.items()})
 
 
 def braid_letter(n: int, letter: int) -> TLElement:
@@ -223,17 +234,18 @@ def braid_letter(n: int, letter: int) -> TLElement:
         raise ValueError(f"letter {letter} out of range for {n} strands")
     e = 1 if letter > 0 else -1
     ident, hook = identity_diagram(n), hook_diagram(n, abs(letter))
-    return TLElement._raw(n, {ident: LaurentPoly.v_power(e), hook: -LaurentPoly.v_power(-e)})
+    return TLElement._raw(n, {ident: LaurentPoly.v_power(e), hook: LaurentPoly._raw({-e: -1})})
 
 
 def word_element(word: BraidWord) -> TLElement:
-    """The image of a braid word in the diagram monoid (letters read bottom-up)."""
+    """
+    The image of a braid word in the diagram monoid (letters read bottom-up):
+    one `tl_mul` over the chain of its letters, top letter first, on the
+    identity, so the whole product runs in one pass on integer cells.
+    """
     n = word.n_strands
     letters = {letter: braid_letter(n, letter) for letter in dict.fromkeys(word.letters)}
-    elem = TLElement.identity(n)
-    for letter in word.letters:
-        elem = tl_mul(letters[letter], elem)
-    return elem
+    return tl_mul(*(letters[letter] for letter in reversed(word.letters)), TLElement.identity(n))
 
 
 def close_first(elem: TLElement) -> TLElement:
@@ -291,7 +303,7 @@ def _closure_loops(pairing: tuple[int, ...]) -> int:
 def close_all(elem: TLElement) -> LaurentPoly:
     """Close every strand: the sum of coeff * delta^loops over the diagrams."""
     acc: dict[int, int] = {}
-    powers = [LaurentPoly.one()]
+    powers = [LaurentPoly.one().terms]
     for diag, coeff in elem.terms.items():
-        accumulate_product(acc, coeff, _delta_multiple(powers, _closure_loops(diag)))
+        accumulate_product(acc, coeff, LaurentPoly._raw(_delta_multiple(powers, _closure_loops(diag))))
     return finalize(acc)

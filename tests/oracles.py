@@ -10,7 +10,9 @@ weighted trace oracle visits every entry once with all its digits unraveled
 instead of tracing one leg at a time, the R-matrix oracle sums the operator
 expansion of R term by term instead of writing its closed-form entries, and
 the closure oracle closes one strand at a time with `close_first` instead of
-counting closure loops in one walk, the trace-route products are the
+counting closure loops in one walk, the word oracle multiplies a braid word
+one letter at a time, a two-factor `tl_mul` per letter, instead of in one
+chain product, the trace-route products are the
 paper's written products listed by hand instead of read from the index, the
 iterated coproducts of E, F and q^(kH) are folded out of tensor products of
 the one-leg generators instead of read from the per-column walk, the
@@ -75,7 +77,7 @@ from qlink.rmatrix import (
     r_opposite,
 )
 from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, kron, partial_trace_first
-from qlink.tl import TLElement, close_first, compose_matchings, hook_diagram, identity_diagram
+from qlink.tl import TLElement, braid_letter, close_first, compose_matchings, hook_diagram, identity_diagram, tl_mul
 
 
 class _UnionFind:
@@ -157,6 +159,14 @@ def close_all_by_strands(elem: TLElement) -> LaurentPoly:
         return LaurentPoly.zero()
     ((_, coeff),) = elem.terms.items()
     return coeff
+
+
+def word_element_by_letters(word: BraidWord) -> TLElement:
+    """The image of a braid word folded one letter at a time from the bottom up."""
+    elem = TLElement.identity(word.n_strands)
+    for letter in word.letters:
+        elem = tl_mul(braid_letter(word.n_strands, letter), elem)
+    return elem
 
 
 @lru_cache(maxsize=None)

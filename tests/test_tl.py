@@ -1,9 +1,10 @@
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
 
-from oracles import _diagram_images, close_all_by_strands, random_word, tl_image
+from oracles import _diagram_images, close_all_by_strands, random_word, tl_image, word_element_by_letters
 from qlink.braid import BraidWord
 from qlink.invariant import all_half, braid_operator
 from qlink.laurent import LaurentPoly
@@ -162,8 +163,11 @@ class TestComposition:
         assert tl_mul(e1, ident) == e1
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            tl_mul(TLElement.identity(2), TLElement.identity(3))
+        # Anywhere in a chain, the error names both strand counts.
+        three, two = TLElement.identity(3), TLElement.identity(2)
+        for chain in ((two, three), (two, three, three), (three, two, three), (three, three, two)):
+            with pytest.raises(ValueError, match=r"on (3 and 2|2 and 3) strands"):
+                tl_mul(*chain)
 
     def test_identity_diagram_returns_the_other_operand(self):
         for n in range(5):
@@ -174,6 +178,50 @@ class TestComposition:
                     result, loops = compose_matchings(top, bottom)
                     assert result is diag
                     assert loops == 0
+
+
+class TestChainProduct:
+    """`tl_mul` of any number of factors, in one pass, against two-factor products."""
+
+    def test_chain_equals_the_pairwise_right_fold(self):
+        # One factor folds to itself, so the chain of one is that factor.
+        rng = random.Random(29)
+        for n in range(6):
+            for length in range(1, 7):
+                factors = [random_element(rng, n) for _ in range(length)]
+                fold = reduce(lambda below, top: tl_mul(top, below), reversed(factors[:-1]), factors[-1])
+                assert tl_mul(*factors) == fold, [f.terms for f in factors]
+
+    def test_no_factor_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            tl_mul()
+
+    def test_inverse_letters_cancel_exactly_mid_chain(self):
+        rng = random.Random(31)
+        for n in range(2, 6):
+            for i in range(1, n):
+                pair = (braid_letter(n, -i), braid_letter(n, i))
+                assert tl_mul(*pair).terms == {identity_diagram(n): LaurentPoly.one()}
+                # The expected elements are canonical, so equality also rules
+                # out a zero-coefficient diagram left by the cancellation.
+                above, below = random_element(rng, n), random_element(rng, n)
+                assert tl_mul(*pair, below) == below
+                assert tl_mul(above, *pair, below) == tl_mul(above, below)
+
+    def test_word_element_equals_the_per_letter_fold(self):
+        # Every word up to length 6 on up to three strands and up to length 4
+        # on four (lengths 5 and 6 there add 54,432 words, too many for every
+        # run), then random words of length 5 and 6 on four strands and random
+        # longer words on up to six.
+        words = []
+        for n, max_len in ((1, 6), (2, 6), (3, 6), (4, 4)):
+            alphabet = [s * g for g in range(1, n) for s in (1, -1)]
+            words += [BraidWord(n, letters) for k in range(max_len + 1) for letters in product(alphabet, repeat=k)]
+        rng = random.Random(32)
+        words += [random_word(rng, 4, rng.randint(5, 6)) for _ in range(200)]
+        words += [random_word(rng, n, rng.randint(7, 14)) for n in range(2, 7) for _ in range(20)]
+        for word in words:
+            assert word_element(word) == word_element_by_letters(word), word
 
 
 class TestBraidLetters:
