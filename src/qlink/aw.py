@@ -5,9 +5,9 @@ independent routes, and exact verification of the Askey-Wilson relations.
 An index names its legs, counted from 1 ("13" and "13~" both name legs 1
 and 3); every construction and every spectrum reads the legs from the name.
 
-Coproduct route (`q_elem`, the only cached one): the one-, two-, and
-three-leg Casimirs come from iterated coproducts; the recoupled elements
-conjugate the (1,2)-block Casimir by a braiding W of the last two legs,
+Coproduct route (`q_elem`): the one-, two-, and three-leg Casimirs come
+from iterated coproducts; the recoupled elements conjugate the (1,2)-block
+Casimir by a braiding W of the last two legs,
 
     Q_13  = W^-1 . Q_12' . W   with W = sigma_2,
     Q~_13 = W^-1 . Q_12' . W   with W = sigma_2^-1,
@@ -20,7 +20,9 @@ braiding here is a word of braid letters made into matrices by
 Each block Casimir is written straight into its cells on the whole shape,
 and each conjugation is one `act_adjacent` pass over Q_12' read as a column
 on the out and in legs: W^-1 acts on the out legs and the transpose of W on
-the in legs, so neither W nor a product is formed.
+the in legs, so neither W nor a product is formed.  Only the contiguous
+block Casimirs, which no R-matrix enters, are cached; Q13 and Q~13 are
+conjugated afresh on every call, so they read the R-matrices held now.
 
 Partial-trace route (`q_elem_trace`, uncached): every element is the weighted
 trace of an auxiliary spin-1/2 leg out of a product of two-leg mixed matrices,
@@ -40,16 +42,17 @@ matrices, not scalar eigenvalues: the three-leg Casimir is generically not
 scalar, and the relations hold at operator level.  The four relation
 residuals are one `tensorop.combine` call, which also holds Q12 Q23, Q1 Q2,
 Q3 Q123 and s1-s3 as named sums that the residuals read; the two expansion
-checks are one call around their shared Q2 Q123 + Q1 Q3.  So each generator
-is packed into integers once per call, the shared sums are never decoded,
-and no intermediate operator is formed per product, scaling or difference.
-The trace route sums its products of 2x2 auxiliary blocks in its own
-{exponent: coefficient} accumulators, where packing would not pay.
+checks are one call around their shared Q2 Q123 + Q1 Q3, and a spectrum's
+annihilating product is one call with a named sum per factor (Q - chi_j)
+that multiplies the one before it.  So each generator is packed into integers
+once per call, the shared sums are never decoded, and no intermediate
+operator is formed per product, scaling or difference.  The trace route sums
+its products of 2x2 auxiliary blocks in its own {exponent: coefficient}
+accumulators, where packing would not pay.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Callable
 
 from .laurent import LaurentPoly, accumulate_terms, finalize, subst_x_iv
@@ -95,10 +98,13 @@ def clear_cache() -> None:
     _q_cache.clear()
 
 
-def _norm_index(index) -> str:
+def _index_name(index, shape: Shape) -> str:
+    """The name of an intermediate-Casimir index on `shape`, which must have three legs."""
     name = str(index)
     if name not in AW_INDICES:
         raise ValueError(f"unknown intermediate-Casimir index {index!r}")
+    if len(shape) != 3:
+        raise ValueError(f"intermediate Casimirs need a 3-leg shape, got {shape}")
     return name
 
 
@@ -108,16 +114,13 @@ def _legs(name: str) -> tuple[int, ...]:
 
 
 def q_elem(index, shape: Shape) -> Operator:
-    """The intermediate Casimir for one index block on a three-leg shape."""
-    name = _norm_index(index)
-    if len(shape) != 3:
-        raise ValueError(f"intermediate Casimirs need a 3-leg shape, got {shape}")
+    """The intermediate Casimir for one index block on a three-leg shape; only contiguous blocks are cached."""
+    name = _index_name(index, shape)
+    if name in ("13", "13~"):
+        return _conjugated((2,) if name == "13" else (-2,), (0, 1), shape)
     key = (name, shape.dims)  # the dims fix the spins, and a tuple of ints hashes in C
     if key not in _q_cache:
-        if name in ("13", "13~"):
-            _q_cache[key] = _conjugated((2,) if name == "13" else (-2,), (0, 1), shape)
-        else:
-            _q_cache[key] = iterated_casimir(shape, _legs(name))
+        _q_cache[key] = iterated_casimir(shape, _legs(name))
     return _q_cache[key]
 
 
@@ -174,10 +177,7 @@ def q_elem_trace(index, shape: Shape) -> Operator:
     The same element produced by tracing the spin-1/2 auxiliary leg out of a
     product of mixed matrices.
     """
-    name = _norm_index(index)
-    if len(shape) != 3:
-        raise ValueError(f"intermediate Casimirs need a 3-leg shape, got {shape}")
-    return _traced(name, shape)
+    return _traced(_index_name(index, shape), shape)
 
 
 def _aux_blocks(op: Operator) -> dict[tuple[int, int], dict[int, list]]:
@@ -432,7 +432,7 @@ def verify_tl_iso() -> Report:
 
 def spectrum_twice_spins(index, shape: Shape) -> list[int]:
     """Twice-spins in the decomposition of the legs a block index names."""
-    name = _norm_index(index)
+    name = _index_name(index, shape)
     first, *rest = _legs(name)
     if not rest:
         raise ValueError(f"spectrum is only defined for block indices, not {index!r}")
@@ -448,11 +448,15 @@ def spectrum_report(index, shape: Shape) -> Report:
     decomposition range of its legs; an exact annihilating-product check, no
     eigen-decomposition over the polynomial ring.
     """
-    name = _norm_index(index)
+    name = _index_name(index, shape)
     report = Report(f"spectrum Q_{name} {shape}")
     op = q_elem(name, shape)
     spins = spectrum_twice_spins(name, shape)
-    prod = reduce(compose, (op - identity(shape) * chi(Spin(tj)) for tj in spins))
+    sums, prev = {}, identity(shape)
+    for tj in spins:
+        sums[f"up to 2j = {tj}"] = ((1, op, prev), (-chi(Spin(tj)), prev))
+        prev = f"up to 2j = {tj}"
+    (prod,) = combine(shape, shape, sums).values()
     report.add(
         "annihilating product over the decomposition range",
         prod,
@@ -475,7 +479,7 @@ def verify_centrality(shape: Shape) -> Report:
     generators = diagonal_generators(shape)
     for index in AW_INDICES:
         for kind, defect in commutation_defects(q_elem(index, shape), generators):
-            report.add(f"Q_{_norm_index(index)} commutes with diagonal {kind}", defect)
+            report.add(f"Q_{index} commutes with diagonal {kind}", defect)
     return report
 
 

@@ -194,10 +194,8 @@ def _stabilize_front(braid: ColoredBraid, positive: bool) -> ColoredBraid:
     """
     if braid.n_strands == 0:
         raise ValueError("cannot stabilize an empty braid")
-    shifted = tuple((abs(l) + 1) * (1 if l > 0 else -1) for l in braid.word.letters)
-    letters = ((1,) if positive else (-1,)) + shifted
-    colors = (braid.colors[0],) + braid.colors
-    return ColoredBraid(BraidWord(braid.n_strands + 1, letters), colors)
+    union = disjoint_union(ColoredBraid(BraidWord(1, ()), braid.colors[:1]), braid)
+    return ColoredBraid(BraidWord(union.n_strands, (1 if positive else -1,) + union.word.letters), union.colors)
 
 
 def verify_framing(braid: ColoredBraid, strand: int = 0) -> Report:

@@ -35,7 +35,7 @@ Derived operators:
 - the 4x4 projector-like P with middle block [[q^-1, -1], [-1, q]], satisfying
   Rhat = q^(1/2) - q^(-1/2) P on two spin-1/2 legs;
 - M = diag(q, q^-1), the weight q^(2H) on the spin-1/2 leg that every
-  auxiliary-strand trace is taken against.
+  auxiliary-strand trace is taken against, which `delta_rep` writes.
 
 The Yang-Baxter equation, the FRT/RLL exchange relations and the monodromy
 annihilators of these matrices are checked by the test suite; no route of
@@ -53,14 +53,13 @@ nonnegative weight sectors of a braid whose color pairs all pass it.
 
 `_memo` keeps each builder's result in one module-level table under its tag
 and the twice-spins of its arguments: ("R", 2j_1, 2j_2), likewise "Rinv",
-"Rop", "bR", "bRinv" and "intertwines" (a bool); ("Lpi", 2j) and ("P",).
-`l_minus` and `l_plus` read ("R", 1, 2j) and ("Rop", 1, 2j).  The closure
-trace of `invariant` keeps there, under ("frame", 2j of each color), the
-frame of each color tuple: its start columns and offsets, chosen by the
-intertwining verdicts.  Each key is written once, so concurrent readers
-are safe under the GIL.  `clear_cache` exists for tests that inject
-corrupted matrices under these keys; it clears the verdicts and frames
-drawn from them too.
+"Rop", "bR", "bRinv" and "intertwines" (a bool); ("Lpi", 2j), ("P",) and
+("M",).  `l_minus` and `l_plus` read ("R", 1, 2j) and ("Rop", 1, 2j).  The
+closure trace of `invariant` keeps there, under ("frame", 2j of each color),
+the frame of each color tuple: its start columns and offsets, chosen by the
+intertwining verdicts.  Each key is written once, so concurrent readers are
+safe under the GIL.  `clear_cache`, for tests that inject corrupted matrices
+under these keys, clears the verdicts and frames drawn from them too.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from typing import Iterable, Sequence, Union
 
 from .laurent import LaurentPoly, qint
 from .tensorop import HALF, Operator, Shape, ShapeError, Spin, act_adjacent, compose, identity, swap
-from .uqsu2 import commutation_defects
+from .uqsu2 import commutation_defects, delta_rep
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -235,10 +234,10 @@ def l_plus_inv(j: Spin) -> Operator:
     return _exchanged(r_inverse(j, HALF), True, True)
 
 
+@_memo("M")
 def m_matrix() -> Operator:
     """diag(q, q^-1): the weight element q^(2H) on the spin-1/2 space."""
-    shape = Shape((HALF,))
-    return Operator._raw(shape, shape, {(0, 0): Q(1), (1, 1): Q(-1)})
+    return delta_rep("QH", Shape((HALF,)), 2)
 
 
 @_memo("P")

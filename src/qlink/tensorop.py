@@ -21,10 +21,12 @@ so operator equality is exact.  Spins, shapes and operators are `Immutable`
 values: equality compares their fields, and an operator, which holds a dict,
 is not hashable.  Everything is pure.
 
-The structural operations are the ones a route uses: identity, kron, the
-two-factor `swap`, `embed`, named sums of scaled products (`combine`, with
-`compose` its one-term call), a word of two-leg steps (`act_adjacent`), the
-weighted diagonal of such a word (`weighted_trace`) and weighted traces.
+The structural operations are the ones a route uses: identity, the
+two-factor `swap`, `embed`, named sums of scaled products (`combine`), a word
+of two-leg steps (`act_adjacent`), the weighted diagonal of such a word
+(`weighted_trace`) and weighted traces.  `combine` is the one arithmetic
+kernel: `compose`, `+`, `-` (after a check for equal operands) and scalar `*`
+are one-term or one-sum calls, and `kron` composes two `embed`s.
 `combine`, `act_adjacent` and `weighted_trace` are front ends of one packed
 executor, `_packed_sums`: it computes on packed integers (a Kronecker
 substitution: a polynomial becomes a base exponent and one int), each cell
@@ -217,43 +219,18 @@ class Operator(Immutable):
 
     # -- linear structure ----------------------------------------------------
 
-    def _check_same_shapes(self, other: Operator):
-        if self.shape_in != other.shape_in or self.shape_out != other.shape_out:
-            raise ShapeError(
-                f"operator shapes differ: {self.shape_in}->{self.shape_out} "
-                f"vs {other.shape_in}->{other.shape_out}"
-            )
-
     def __add__(self, other: Operator) -> Operator:
-        self._check_same_shapes(other)
-        return Operator._raw(self.shape_in, self.shape_out, summed([*self.entries.items(), *other.entries.items()]))
+        return combine(self.shape_in, self.shape_out, {"sum": ((1, self), (1, other))})["sum"]
 
     def __sub__(self, other: Operator) -> Operator:
-        self._check_same_shapes(other)
-        out = dict(self.entries)
-        for rc, p in other.entries.items():
-            prev = out.get(rc)
-            if prev is None:
-                out[rc] = -p
-            elif prev.terms == p.terms:
-                del out[rc]
-            else:
-                out[rc] = prev - p
-        return Operator._raw(self.shape_in, self.shape_out, out)
+        if self == other:  # the passing residual of a check, with no packing
+            return Operator._raw(self.shape_in, self.shape_out, {})
+        return combine(self.shape_in, self.shape_out, {"difference": ((1, self), (-1, other))})["difference"]
 
     def __mul__(self, scalar: Union[LaurentPoly, int]) -> Operator:
-        if isinstance(scalar, int):
-            scalar = LaurentPoly.const(scalar)
-        if not isinstance(scalar, LaurentPoly):
+        if not isinstance(scalar, (int, LaurentPoly)):
             return NotImplemented
-        if scalar.is_zero():
-            return Operator._raw(self.shape_in, self.shape_out, {})
-        out = {}
-        for rc, p in self.entries.items():
-            prod = p * scalar
-            if prod:
-                out[rc] = prod
-        return Operator._raw(self.shape_in, self.shape_out, out)
+        return combine(self.shape_in, self.shape_out, {"scaled": ((scalar, self),)})["scaled"]
 
     __rmul__ = __mul__
 
@@ -284,18 +261,10 @@ def identity(shape: Shape) -> Operator:
 
 
 def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; output/input shapes are concatenated."""
-    shape_in = a.shape_in + b.shape_in
-    shape_out = a.shape_out + b.shape_out
-    d_in_b = b.shape_in.dim
-    d_out_b = b.shape_out.dim
-    out: dict[tuple[int, int], LaurentPoly] = {}
-    for (ra, ca), pa in a.entries.items():
-        for (rb, cb), pb in b.entries.items():
-            prod = pa * pb
-            if prod:
-                out[(ra * d_out_b + rb, ca * d_in_b + cb)] = prod
-    return Operator._raw(shape_in, shape_out, out)
+    """Tensor product; output/input shapes are concatenated: b embedded on its legs, then a on its legs."""
+    na, nb = len(a.shape_in), len(b.shape_in)
+    right = embed(b, range(na, na + nb), a.shape_in + b.shape_in)
+    return compose(embed(a, range(na), right.shape_out), right)
 
 
 def compose(a: Operator, b: Operator) -> Operator:
@@ -368,8 +337,8 @@ def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
     """
     positions = tuple(positions)
     n = len(ambient)
-    if len(positions) != len(op.shape_in):
-        raise ShapeError(f"{len(positions)} positions for a {len(op.shape_in)}-factor operator")
+    if not len(positions) == len(op.shape_in) == len(op.shape_out):
+        raise ShapeError(f"{len(positions)} positions for an operator from {len(op.shape_in)} to {len(op.shape_out)} factors")
     if len(set(positions)) != len(positions):
         raise ShapeError(f"positions must be distinct, got {positions}")
     for t, pos in enumerate(positions):

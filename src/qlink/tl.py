@@ -158,9 +158,6 @@ class TLElement(Immutable):
     def hook(cls, n: int, i: int) -> TLElement:
         return cls._raw(n, {hook_diagram(n, i): LaurentPoly.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: TLElement) -> TLElement:
         if self.n != other.n:
             raise ValueError("cannot add elements on different strand counts")
@@ -256,27 +253,17 @@ def close_first(elem: TLElement) -> TLElement:
     if elem.n == 0:
         raise ValueError("no strand left to close")
     n = elem.n
-
-    def renumber(i: int) -> int:
-        return i - 1 if i < n else i - 2
-
+    kept = [i for i in range(2 * n) if i not in (0, n)]
+    renumber = {point: k for k, point in enumerate(kept)}
     closed = []
     for pairing, coeff in elem.terms.items():
-        if pairing[0] == n:
-            new_pairs = {
-                renumber(i): renumber(pairing[i]) for i in range(2 * n) if i not in (0, n)
-            }
+        joined = list(pairing)
+        a, b = pairing[0], pairing[n]
+        if a == n:
             coeff = coeff * DELTA
-        else:
-            a, b = pairing[0], pairing[n]
-            new_pairs = {
-                renumber(i): renumber(pairing[i])
-                for i in range(2 * n)
-                if i not in (0, n, a, b)
-            }
-            new_pairs[renumber(a)] = renumber(b)
-            new_pairs[renumber(b)] = renumber(a)
-        closed.append((tuple(new_pairs[i] for i in range(2 * (n - 1))), coeff))
+        else:  # the closing arc joins the partners of top 0 and bottom 0
+            joined[a], joined[b] = b, a
+        closed.append((tuple(renumber[joined[i]] for i in kept), coeff))
     return TLElement._raw(n - 1, summed(closed))
 
 

@@ -21,9 +21,12 @@ by entry, the traced product is formed on the whole auxiliary shape and
 traced there instead of contracted leg by leg, a braiding conjugation is
 every letter embedded and composed on both sides of a folded Casimir
 instead of one packed pass over a two-sided column, the Askey-Wilson residuals
-are summed one operator at a time with +, - and scalar * instead of in one
-packed pass, and an operator product is summed over the shared index row by
-column instead of accumulated as packed integers per output cell.
+are summed one operator at a time instead of in one packed pass, and an
+operator product is summed over the shared index row by column instead of
+accumulated as packed integers per output cell.  Sums, scalings and tensor
+products are formed entry by entry (`entrywise_sum`, `entrywise_kron`)
+wherever an oracle needs them, since +, -, scalar * and kron of operators run
+on `combine` and `embed`, the operations these oracles check.
 
 Moved here from the package, because no route of the package uses them:
 
@@ -76,7 +79,7 @@ from qlink.rmatrix import (
     r_matrix,
     r_opposite,
 )
-from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, kron, partial_trace_first
+from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, partial_trace_first
 from qlink.tl import TLElement, braid_letter, close_first, compose_matchings, hook_diagram, identity_diagram, tl_mul
 
 
@@ -190,7 +193,7 @@ def tl_image(elem: TLElement) -> Operator:
     """The operator of `elem` on (1/2)^n, each hook E_i sent to the P matrix on legs i, i+1."""
     images = _diagram_images(elem.n)
     shape = Shape((HALF,) * elem.n)
-    return reduce(Operator.__add__, (images[d] * c for d, c in elem.terms.items()), Operator(shape, shape, {}))
+    return entrywise_sum([(1, Operator(shape, shape, {})), *((c, images[d]) for d, c in elem.terms.items())])
 
 
 def entrywise_full_trace(op, weights) -> LaurentPoly:
@@ -232,45 +235,71 @@ def entrywise_product(a: Operator, b: Operator) -> Operator:
     return Operator(b.shape_in, a.shape_out, entries)
 
 
+def entrywise_sum(terms) -> Operator:
+    """
+    sum of scalar * op over the pairs (scalar, op) of `terms`, all between the
+    same shapes, with every cell summed as polynomials; the first pair fixes
+    the shapes.
+    """
+    (_, first), *_ = terms
+    entries = {}
+    for scalar, op in terms:
+        assert (op.shape_in, op.shape_out) == (first.shape_in, first.shape_out)
+        for rc, p in op.entries.items():
+            entries[rc] = entries.get(rc, LaurentPoly.zero()) + p * scalar
+    return Operator(first.shape_in, first.shape_out, entries)
+
+
+def entrywise_kron(a: Operator, b: Operator) -> Operator:
+    """The tensor product, entry (ra, ca) of a times entry (rb, cb) of b at (ra d_out_b + rb, ca d_in_b + cb)."""
+    d_in_b, d_out_b = b.shape_in.dim, b.shape_out.dim
+    entries = {}
+    for (ra, ca), pa in a.entries.items():
+        for (rb, cb), pb in b.entries.items():
+            entries[(ra * d_out_b + rb, ca * d_in_b + cb)] = pa * pb
+    return Operator(a.shape_in + b.shape_in, a.shape_out + b.shape_out, entries)
+
+
 def aw_residuals_by_products(q, one) -> dict:
     """
     The four Askey-Wilson residuals for an assignment of generators, built
-    one operator at a time; the q-commutator is [X, Y]_q = q X Y - q^-1 Y X.
+    one operator at a time, with every sum and scaling entry by entry; the
+    q-commutator is [X, Y]_q = q X Y - q^-1 Y X.
     """
     Q = LaurentPoly.q_power
     qq, qi = Q(1), Q(-1)
     q2, qi2 = Q(2), Q(-2)
 
-    def qcomm(x: Operator, y: Operator) -> Operator:
-        return compose(x, y) * qq - compose(y, x) * qi
+    def qcomm(x: Operator, y: Operator) -> list:
+        return [(qq, compose(x, y)), (-qi, compose(y, x))]
 
-    s1 = compose(q["1"], q["3"]) + compose(q["2"], q["123"])
-    s2 = compose(q["1"], q["2"]) + compose(q["3"], q["123"])
-    s3 = compose(q["2"], q["3"]) + compose(q["1"], q["123"])
+    s1 = entrywise_sum([(1, compose(q["1"], q["3"])), (1, compose(q["2"], q["123"]))])
+    s2 = entrywise_sum([(1, compose(q["1"], q["2"])), (1, compose(q["3"], q["123"]))])
+    s3 = entrywise_sum([(1, compose(q["2"], q["3"])), (1, compose(q["1"], q["123"]))])
     coeff = qq - qi
     res = {
-        "AW1": qcomm(q["12"], q["23"]) + q["13"] * (q2 - qi2) - s1 * coeff,
-        "AW2": qcomm(q["23"], q["13"]) + q["12"] * (q2 - qi2) - s2 * coeff,
-        "AW3": qcomm(q["13"], q["12"]) + q["23"] * (q2 - qi2) - s3 * coeff,
+        "AW1": entrywise_sum(qcomm(q["12"], q["23"]) + [(q2 - qi2, q["13"]), (-coeff, s1)]),
+        "AW2": entrywise_sum(qcomm(q["23"], q["13"]) + [(q2 - qi2, q["12"]), (-coeff, s2)]),
+        "AW3": entrywise_sum(qcomm(q["13"], q["12"]) + [(q2 - qi2, q["23"]), (-coeff, s3)]),
     }
-    lhs4 = (
-        compose(compose(q["12"], q["23"]), q["13"]) * qq
-        + compose(q["12"], q["12"]) * q2
-        + compose(q["23"], q["23"]) * qi2
-        + compose(q["13"], q["13"]) * q2
-        - compose(q["12"], s2) * qq
-        - compose(q["23"], s3) * qi
-        - compose(q["13"], s1) * qq
-    )
-    rhs4 = (
-        one * ((qq + qi) * (qq + qi))
-        - compose(q["123"], q["123"])
-        - compose(q["1"], q["1"])
-        - compose(q["2"], q["2"])
-        - compose(q["3"], q["3"])
-        - compose(compose(q["1"], q["2"]), compose(q["3"], q["123"]))
-    )
-    res["AW4"] = lhs4 - rhs4
+    lhs4 = [
+        (qq, compose(compose(q["12"], q["23"]), q["13"])),
+        (q2, compose(q["12"], q["12"])),
+        (qi2, compose(q["23"], q["23"])),
+        (q2, compose(q["13"], q["13"])),
+        (-qq, compose(q["12"], s2)),
+        (-qi, compose(q["23"], s3)),
+        (-qq, compose(q["13"], s1)),
+    ]
+    rhs4 = [
+        ((qq + qi) * (qq + qi), one),
+        (-1, compose(q["123"], q["123"])),
+        (-1, compose(q["1"], q["1"])),
+        (-1, compose(q["2"], q["2"])),
+        (-1, compose(q["3"], q["3"])),
+        (-1, compose(compose(q["1"], q["2"]), compose(q["3"], q["123"]))),
+    ]
+    res["AW4"] = entrywise_sum(lhs4 + [(-scalar, op) for scalar, op in rhs4])
     return res
 
 
@@ -302,7 +331,7 @@ def rep_qh(j: Spin, k: int) -> Operator:
 def casimir(j: Spin) -> Operator:
     """(q - q^-1)^2 F E + q^(2H+1) + q^(-2H-1) on the spin-j space."""
     q = LaurentPoly.q_power
-    return rep_f(j) @ rep_e(j) * (q(1) - q(-1)) ** 2 + rep_qh(j, 2) * q(1) + rep_qh(j, -2) * q(-1)
+    return entrywise_sum([((q(1) - q(-1)) ** 2, rep_f(j) @ rep_e(j)), (q(1), rep_qh(j, 2)), (q(-1), rep_qh(j, -2))])
 
 
 def as_scalar(op: Operator):
@@ -434,14 +463,14 @@ def r_matrix_expansion(j1, j2) -> Operator:
     """
     R on V_j1 (x) V_j2 as the operator sum over k of
     (q - q^-1)^k / [k]! q^(-k(k+1)/2) (F^k (x) E^k) (q^(kH) (x) q^(-kH)) q^(2 H (x) H),
-    built from the represented generators with compose and kron.
+    built from the represented generators with compose and `entrywise_kron`.
     """
     shape = Shape((j1, j2))
     v = LaurentPoly.v_power
     coeff = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
     weights = [tm1 * tm2 for tm1 in j1.twice_weights() for tm2 in j2.twice_weights()]
     weight = Operator(shape, shape, {(i, i): v(w) for i, w in enumerate(weights)})  # q^(2 H (x) H)
-    total = Operator(shape, shape, {})
+    terms = [(1, Operator(shape, shape, {}))]
     f_pow, e_pow = identity(Shape((j1,))), identity(Shape((j2,)))
     for k in range(min(j1.twice_j, j2.twice_j) + 1):
         if k:
@@ -450,9 +479,9 @@ def r_matrix_expansion(j1, j2) -> Operator:
         # Every entry of E^k is [k]! times a q-binomial.
         fk, leg2 = qfact(k), e_pow.shape_in
         e_leg = Operator(leg2, leg2, {rc: div_exact(p, fk) for rc, p in e_pow.entries.items()})
-        term = compose(kron(f_pow, e_leg), kron(rep_qh(j1, k), rep_qh(j2, -k)))
-        total = total + compose(term, weight) * (coeff**k * v(-k * (k + 1)))
-    return total
+        term = compose(entrywise_kron(f_pow, e_leg), entrywise_kron(rep_qh(j1, k), rep_qh(j2, -k)))
+        terms.append((coeff**k * v(-k * (k + 1)), compose(term, weight)))
+    return entrywise_sum(terms)
 
 
 # The product inside each traced Askey-Wilson expression, left to right, as
@@ -488,9 +517,9 @@ def coproduct_fold(kind: str, shape: Shape, power: int = 1) -> Operator:
         return _one_leg(kind, shape[0], power)
     head, last = Shape(shape.factors[:-1]), shape[-1]
     if kind == "QH":
-        return kron(coproduct_fold(kind, head, power), rep_qh(last, power))
-    tail = kron(coproduct_fold("QH", head), _one_leg(kind, last, power))
-    return kron(coproduct_fold(kind, head), rep_qh(last, -1)) + tail
+        return entrywise_kron(coproduct_fold(kind, head, power), rep_qh(last, power))
+    tail = entrywise_kron(coproduct_fold("QH", head), _one_leg(kind, last, power))
+    return entrywise_sum([(1, entrywise_kron(coproduct_fold(kind, head), rep_qh(last, -1))), (1, tail)])
 
 
 def casimir_fold(shape: Shape, span) -> Operator:
@@ -503,8 +532,9 @@ def casimir_fold(shape: Shape, span) -> Operator:
     sub = Shape(shape.factors[span[0] : span[-1] + 1])
     q = LaurentPoly.q_power
     fe = compose(coproduct_fold("F", sub), coproduct_fold("E", sub))
-    weights = coproduct_fold("QH", sub, 2) * q(1) + coproduct_fold("QH", sub, -2) * q(-1)
-    block = fe * (q(1) - q(-1)) ** 2 + weights
+    block = entrywise_sum(
+        [((q(1) - q(-1)) ** 2, fe), (q(1), coproduct_fold("QH", sub, 2)), (q(-1), coproduct_fold("QH", sub, -2))]
+    )
     return embed(block, span, shape)
 
 

@@ -209,6 +209,21 @@ class TestRelations:
         assert not residuals["AW1"].is_zero()
         assert residuals["AW1"].nnz() > 0
 
+    def test_recoupled_elements_read_an_injected_braiding(self):
+        # Q13 and Q~13 are conjugated by braided R, so an R-matrix injected
+        # after rmatrix.clear_cache() must reach them without aw.clear_cache().
+        shape = Shape.of(1, 1, 1)
+        assert aw.verify_aw(shape).passed
+        try:
+            rmatrix.clear_cache()
+            good = rmatrix.r_matrix(HALF, HALF)
+            bad = {**good.entries, (3, 3): good.entries[(3, 3)] * V(4)}
+            rmatrix._cache[("R", 1, 1)] = Operator(good.shape_in, good.shape_out, bad)
+            assert not aw.verify_aw(shape).passed
+        finally:
+            rmatrix.clear_cache()
+        assert aw.verify_aw(shape).passed
+
     @pytest.mark.parametrize("shape", SMALL_SHAPES + [Shape.of(3, 3, 3)], ids=str)
     def test_residuals_match_operator_arithmetic(self, shape):
         # The one-pass sums against the operator-by-operator oracle, on the

@@ -100,6 +100,7 @@ class TestClosedForm:
             (rm.l_plus, (Spin(2),), ("Rop", 1, 2)),
             (rm.l_plus_inv, (Spin(3),), ("Lpi", 3)),
             (rm.p_matrix, (), ("P",)),
+            (rm.m_matrix, (), ("M",)),
         ],
     )
     def test_memo_keys(self, build, spins, key):

@@ -3,7 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import as_scalar, casimir, entrywise_full_trace, entrywise_product, operator_from_json, rep_qh
+from oracles import (
+    as_scalar,
+    casimir,
+    entrywise_full_trace,
+    entrywise_kron,
+    entrywise_product,
+    entrywise_sum,
+    operator_from_json,
+    rep_qh,
+)
 from qlink.laurent import LaurentPoly, qint
 from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
 from qlink.tensorop import (
@@ -103,6 +112,59 @@ class TestBasics:
             compose(a, identity(Shape((HALF,))))
 
 
+class TestArithmetic:
+    # +, -, scalar * and kron against the entrywise oracles, on non-square
+    # operators: a braiding, whose exponents step by 4, and random operators
+    # with two-term entries.
+    SRC, DST = Shape.of(1, 2), Shape.of(2, 1)
+
+    def operands(self, seed):
+        rng = random.Random(seed)
+
+        def two_term(shape_in, shape_out):
+            op = random_operator(rng, shape_in, shape_out, fill=6)
+            return Operator(shape_in, shape_out, {rc: p + V(rng.randint(-5, 5)) for rc, p in op.entries.items()})
+
+        a, b, narrow = two_term(self.SRC, self.DST), two_term(self.SRC, self.DST), two_term(Shape.of(2), Shape.of(1))
+        return braided_r(HALF, Spin(2)), a, b, narrow
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sums_and_scalings(self, seed):
+        braid, a, b, _ = self.operands(seed)
+        copy = Operator(a.shape_in, a.shape_out, dict(a.entries))
+        one_off = Operator(a.shape_in, a.shape_out, {**a.entries, (0, 0): a.entry(0, 0) + V(3)})
+        for x, y in ((a, b), (braid, a), (a, braid), (a, a), (a, copy), (a, one_off), (braid, braid)):
+            assert x + y == entrywise_sum([(1, x), (1, y)])
+            assert x - y == entrywise_sum([(1, x), (-1, y)])
+        assert (a - copy).nnz() == 0 and (a - one_off).entries == {(0, 0): -V(3)}
+        for scalar in (0, 1, -3, 2**70, V(1), Q(1) - Q(-1), LaurentPoly.zero()):
+            for x in (a, braid):
+                assert x * scalar == scalar * x == entrywise_sum([(scalar, x)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kron(self, seed):
+        braid, a, _, narrow = self.operands(seed)
+        unit = identity(EMPTY_SHAPE)
+        for x, y in ((a, braid), (braid, narrow), (narrow, a), (narrow, narrow), (a, unit), (unit, narrow)):
+            assert kron(x, y) == entrywise_kron(x, y)
+
+    def test_shape_mismatch(self):
+        _, a, _, narrow = self.operands(0)
+        # Equal entries between other shapes: the comparison that spares the
+        # packing of a difference of equal operands does not skip the check.
+        transposed_shapes = Operator(self.DST, self.SRC, dict(a.entries))
+        for other in (transposed_shapes, identity(self.SRC), narrow):
+            with pytest.raises(ShapeError):
+                a + other
+            with pytest.raises(ShapeError):
+                a - other
+        # `embed` places factors one to one, so an operator that changes its
+        # number of factors has no tensor product with another.
+        column = Operator(EMPTY_SHAPE, Shape.of(1, 1), {(1, 0): V(1)})
+        with pytest.raises(ShapeError):
+            kron(column, narrow)
+
+
 class TestCombine:
     # A braiding-shaped sum: every term maps (1/2, 1) to (1, 1/2).
     SRC, DST = Shape.of(1, 2), Shape.of(2, 1)
@@ -127,9 +189,7 @@ class TestCombine:
     )
     def test_matches_products_and_sums(self, scalars):
         terms = self.terms(scalars)
-        expected = Operator(self.SRC, self.DST, {})
-        for scalar, a, *b in terms:
-            expected = expected + (entrywise_product(a, b[0]) if b else a) * scalar
+        expected = entrywise_sum([(scalar, entrywise_product(a, b[0]) if b else a) for scalar, a, *b in terms])
         assert self.total(terms) == expected
         by_compose = [compose(a, b[0]) * scalar if b else a * scalar for scalar, a, *b in terms]
         assert expected == sum(by_compose[1:], by_compose[0])
@@ -138,7 +198,7 @@ class TestCombine:
         # The braiding's exponents step by 4, so the cells meet bases 1 apart
         # only in the sum, and the pass reruns at stride 1.
         braid = self.terms((1, 1, 1, 1))[0][1]
-        assert self.total([(1, braid), (V(1), braid)]) == braid * (1 + V(1))
+        assert self.total([(1, braid), (V(1), braid)]) == entrywise_sum([(1 + V(1), braid)])
 
     def test_gap_in_a_later_sum_reruns_the_whole_call(self):
         # "a" alone keeps the braiding's stride 4; the bases first meet 1
@@ -147,7 +207,7 @@ class TestCombine:
         braid = self.terms((1, 1, 1, 1))[0][1]
         got = combine(self.SRC, self.DST, {"a": [(1, braid)], "b": [(V(1), "a"), (1, braid)]})
         assert list(got) == ["b"]
-        assert got["b"] == braid * (1 + V(1))
+        assert got["b"] == entrywise_sum([(1 + V(1), braid)])
 
     def test_sum_as_left_factor_of_a_narrowing_product(self):
         # Input dimension 3, output dimension 2: a sum read as the left
@@ -157,9 +217,9 @@ class TestCombine:
         square = random_operator(random.Random(10), src, src, fill=6)
         sums = {"p": [(V(1), narrow), (2, narrow, square)], "q": [(Q(1), "p", square), (-1, narrow)]}
         got = combine(src, dst, sums)
-        p = narrow * V(1) + entrywise_product(narrow, square) * 2
+        p = entrywise_sum([(V(1), narrow), (2, entrywise_product(narrow, square))])
         assert list(got) == ["q"]
-        assert got["q"] == entrywise_product(p, square) * Q(1) - narrow
+        assert got["q"] == entrywise_sum([(Q(1), entrywise_product(p, square)), (-1, narrow)])
 
     def test_one_product_is_compose(self):
         _, (_, back, mid), _, _ = self.terms((1, 1, 1, 1))
@@ -195,10 +255,10 @@ class TestCombine:
         }
         got = combine(self.DST, self.DST, sums)
         assert list(got) == ["product"]
-        p = entrywise_product(square, other) * V(1) + third * 2
-        left = entrywise_product(p, square) * Q(1) - other
-        right = entrywise_product(third, p) + p * V(-1)
-        assert got["product"] == entrywise_product(left, right) + p * 3
+        p = entrywise_sum([(V(1), entrywise_product(square, other)), (2, third)])
+        left = entrywise_sum([(Q(1), entrywise_product(p, square)), (-1, other)])
+        right = entrywise_sum([(1, entrywise_product(third, p)), (V(-1), p)])
+        assert got["product"] == entrywise_sum([(1, entrywise_product(left, right)), (3, p)])
         with pytest.raises(ValueError, match="'later', which is not an earlier sum"):
             combine(self.DST, self.DST, {"early": [(1, "later")], "later": [(1, square)]})
 
@@ -210,7 +270,7 @@ class TestCombine:
         # would corrupt it.
         dense = Operator(self.DST, self.DST, {(r, c): V(1) for r in range(6) for c in range(6)})
         sums = {"square": [(1, dense, dense)], "sum": [(1, "square", dense)] * 4}
-        expected = entrywise_product(entrywise_product(dense, dense), dense) * 4
+        expected = entrywise_sum([(4, entrywise_product(entrywise_product(dense, dense), dense))])
         assert set(expected.entries.values()) == {V(3) * 144}
         assert combine(self.DST, self.DST, sums)["sum"] == expected
 
@@ -228,9 +288,7 @@ class TestCombine:
             for k, cells in enumerate(entries):
                 yield (k + 1, backs[k % 3], Operator(self.SRC, Shape.of(3), cells))
 
-        expected = Operator(self.SRC, self.DST, {})
-        for scalar, a, b in terms():
-            expected = expected + entrywise_product(a, b) * scalar
+        expected = entrywise_sum([(scalar, entrywise_product(a, b)) for scalar, a, b in terms()])
         assert self.total(terms()) == expected
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -283,7 +341,7 @@ class TestEmbed:
         rng = random.Random(3)
         op = random_operator(rng, Shape((HALF, HALF)), Shape((HALF, HALF)))
         ambient = Shape.of(2, 1, 1)
-        assert embed(op, (1, 2), ambient) == kron(identity(Shape.of(2)), op)
+        assert embed(op, (1, 2), ambient) == entrywise_kron(identity(Shape.of(2)), op)
 
     def test_reversed_positions(self):
         # Embedding with swapped slots conjugates by the exchange operator.

@@ -197,4 +197,4 @@ class TestSymbols:
         for j in (HALF, Spin(3)):
             qh = delta_rep("QH", Shape((j,)))
             assert delta_rep("QH", Shape((j,)), 2) == compose(qh, qh)
-        assert m_matrix() == delta_rep("QH", Shape((HALF,)), 2)
+        assert m_matrix() == diagonal(Shape((HALF,)), [Q(1), Q(-1)])
