@@ -1,37 +1,33 @@
 """
-Intermediate Casimir operators on threefold tensor products, built by two
+Intermediate Casimir operators on tensor products of spins, built by two
 independent routes, and exact verification of the Askey-Wilson relations.
 
-An index names its legs, counted from 1 ("13" and "13~" both name legs 1
-and 3); every construction and every spectrum reads the legs from the name.
+An index names a block of legs, counted from 1, on any number of legs, plus
+an optional "~" ("13" and "13~" both name legs 1 and 3).  Its element is a
+spin-1/2 loop that encloses the block's legs and passes each other leg up to
+the block's top one over, or under for a "~" index.  `_loop` holds that rule,
+and both routes and the diagram tangle of `verify_tl_iso` read it.
 
-Coproduct route (`q_elem`): the one-, two-, and three-leg Casimirs come
-from iterated coproducts; the recoupled elements conjugate the (1,2)-block
-Casimir by a braiding W of the last two legs,
-
-    Q_13  = W^-1 . Q_12' . W   with W = sigma_2,
-    Q~_13 = W^-1 . Q_12' . W   with W = sigma_2^-1,
-
-where Q_12' is built on the *swapped* shape (j1, j3, j2) - the braiding
-genuinely permutes factors, and constructing the middle operator on the
-permuted shape is exactly what the shape-typed operators enforce.  Every
-braiding here is a word of braid letters made into matrices by
-`rmatrix.letter_matrix`, the same rule the quantum-trace invariant uses.
-Each block Casimir is written straight into its cells on the whole shape,
-and each conjugation is one `act_adjacent` pass over Q_12' read as a column
-on the out and in legs: W^-1 acts on the out legs and the transpose of W on
-the in legs, so neither W nor a product is formed.  Only the contiguous
-block Casimirs, which no R-matrix enters, are cached; Q13 and Q~13 are
-conjugated afresh on every call, so they read the R-matrices held now.
+Coproduct route (`q_elem`): a contiguous block's Casimir is written from the
+iterated coproduct straight into its cells.  Any other block is W^-1 . C . W:
+the braid word W moves each leg the loop passes between the block's ends up
+across the block legs above it, on the side the loop passes it, and C is the
+Casimir of the gathered block on the permuted shape W reaches, which the
+shape-typed operators enforce.  Every braiding is a word of braid letters
+made into matrices by `rmatrix.letter_matrix`, as in the quantum-trace
+invariant, and each conjugation is one `act_adjacent` pass over C read as a
+column on the out and in legs: W^-1 acts on the out legs and the transpose
+of W on the in legs, so neither W nor a product is formed.  Only the
+contiguous block Casimirs, which no R-matrix enters, are cached; the others
+are conjugated afresh on every call, so they read the R-matrices held now.
 
 Partial-trace route (`q_elem_trace`, uncached): every element is the weighted
 trace of an auxiliary spin-1/2 leg out of a product of two-leg mixed matrices,
-each acting on that leg and one of j1, j2, j3.  The product is read from the
-index: the auxiliary strand winds up through the legs with L+ and back down
-with L-, passing over each leg outside the block, or under it for a "~" index.
-Each leg meets the strand once each way, so the trace is contracted leg by
-leg on 2x2 auxiliary blocks, each leg's terms summed into one accumulator
-per cell; no operator on (1/2, j1, j2, j3) and no tensor product is formed.
+each acting on that leg and one other: the strand winds up through the legs
+with L+ and back down with L-, as `_loop` says.  Each leg meets the strand
+once each way, so the trace is contracted leg by leg on 2x2 auxiliary
+blocks, each leg's terms summed into one accumulator per cell; no operator
+on the auxiliary shape and no tensor product is formed.
 `verify_routes` compares the two constructions on every index but the
 one-leg "3", whose agreement the tests check.  `_traced` reads only the legs
 up to the block's top one, so on one or two legs it gives the one-leg
@@ -53,6 +49,7 @@ accumulators, where packing would not pay.
 
 from __future__ import annotations
 
+import re
 from typing import Callable
 
 from .laurent import LaurentPoly, accumulate_terms, finalize, subst_x_iv
@@ -77,7 +74,6 @@ from .tensorop import (
     Spin,
     act_adjacent,
     combine,
-    compose,
     embed,
     identity,
     kron,
@@ -91,6 +87,7 @@ V = LaurentPoly.v_power
 AW_INDICES = ("1", "2", "3", "12", "23", "13", "123", "13~")
 _BLOCK_INDICES = ("12", "23", "13", "13~", "123")  # the indices with a spectrum, in report order
 
+_INDEX = re.compile("(?=[1-9])1?2?3?4?5?6?7?8?9?~?")  # increasing leg digits, then an optional "~"
 _q_cache: dict[tuple, Operator] = {}
 
 
@@ -99,12 +96,10 @@ def clear_cache() -> None:
 
 
 def _index_name(index, shape: Shape) -> str:
-    """The name of an intermediate-Casimir index on `shape`, which must have three legs."""
+    """The name of an index on `shape`, whose legs must all be legs of the shape."""
     name = str(index)
-    if name not in AW_INDICES:
-        raise ValueError(f"unknown intermediate-Casimir index {index!r}")
-    if len(shape) != 3:
-        raise ValueError(f"intermediate Casimirs need a 3-leg shape, got {shape}")
+    if not _INDEX.fullmatch(name) or int(name.rstrip("~")[-1]) > len(shape):
+        raise ValueError(f"unknown intermediate-Casimir index {index!r} on {len(shape)} legs")
     return name
 
 
@@ -113,15 +108,32 @@ def _legs(name: str) -> tuple[int, ...]:
     return tuple(int(digit) - 1 for digit in name.rstrip("~"))
 
 
+def _loop(name: str) -> tuple[int, ...]:
+    """The loop rule, per leg up to the block's top: 0 if the loop encloses it, else 1 over it, or -1 under for "~"."""
+    legs, side = _legs(name), -1 if name.endswith("~") else 1
+    return tuple(0 if k in legs else side for k in range(legs[-1] + 1))
+
+
+def _loop_word(name: str) -> tuple[int, ...]:
+    """The loop as a braid word from position 0: 1..top up, top..1 down, but -k up over leg k and down under it."""
+    sides = list(enumerate(_loop(name), 1))
+    return tuple([-k if s > 0 else k for k, s in sides] + [-k if s < 0 else k for k, s in reversed(sides)])
+
+
 def q_elem(index, shape: Shape) -> Operator:
-    """The intermediate Casimir for one index block on a three-leg shape; only contiguous blocks are cached."""
+    """The intermediate Casimir of an index on any shape; only the contiguous blocks are cached."""
     name = _index_name(index, shape)
-    if name in ("13", "13~"):
-        return _conjugated((2,) if name == "13" else (-2,), (0, 1), shape)
-    key = (name, shape.dims)  # the dims fix the spins, and a tuple of ints hashes in C
-    if key not in _q_cache:
-        _q_cache[key] = iterated_casimir(shape, _legs(name))
-    return _q_cache[key]
+    legs = _legs(name)
+    if legs[-1] - legs[0] < len(legs):  # contiguous: the loop passes no leg between the ends
+        key = (legs, shape.dims)  # the dims fix the spins, and a tuple of ints hashes in C
+        if key not in _q_cache:
+            _q_cache[key] = iterated_casimir(shape, legs)
+        return _q_cache[key]
+    sides, word = _loop(name), []
+    for k in range(legs[-1] - 1, legs[0], -1):  # each passed leg between the ends, highest first, on its side
+        if sides[k]:
+            word += [sides[k] * (k + i) for i in range(1, sum(leg > k for leg in legs) + 1)]
+    return _conjugated(tuple(word), tuple(range(legs[0], legs[0] + len(legs))), shape)
 
 
 def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -> Operator:
@@ -131,8 +143,8 @@ def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -
     `act_adjacent` pass: C is read as one column on the legs (out legs + in
     legs), entry (r, k) in row r * D + k; the inverted word acts on the out
     legs, and the transposed letters of W, last letter first, on the in legs
-    (position n + i).  C comes from `q_elem`'s cache, so Q13 and Q~13 on one
-    shape share it.
+    (position n + i).  C comes from `q_elem`'s cache, so a block and its "~"
+    twin on one shape share it.
     """
     word, out = word_steps(letters, shape.factors)
     inverse, _ = word_steps([-letter for letter in reversed(letters)], out)
@@ -157,16 +169,14 @@ def _trace_formula(name: str) -> tuple[tuple[Callable[[Spin], Operator], int], .
     """
     The product inside the traced expression, left to right, as (builder,
     leg) pairs: the mixed-matrix builder applied to the spin of target leg
-    `leg` (1..3), acting on the auxiliary leg and that one.  The auxiliary
-    strand runs up through legs 1..top and back down, top the highest leg of
-    the block, with L+ going up and L- coming down; a leg outside the block is
-    passed over (L+ then L+^-1), or under for a "~" index (L-^-1 then L-).
+    `leg` (1..top), acting on the auxiliary leg and that one.  The auxiliary
+    strand runs up through the legs with L+ and back down with L-, but by
+    `_loop` it passes a leg over with L+ then L+^-1, and under with L-^-1 then
+    L-.
     """
-    block, tilde = [leg + 1 for leg in _legs(name)], name.endswith("~")
-    legs = range(1, block[-1] + 1)
-    up = [(l_minus_inv if tilde and k not in block else l_plus, k) for k in legs]
-    down = [(l_plus_inv if not tilde and k not in block else l_minus, k) for k in reversed(legs)]
-    return tuple(up + down)
+    sides = list(enumerate(_loop(name), 1))
+    up = [(l_minus_inv if s < 0 else l_plus, k) for k, s in sides]
+    return tuple(up + [(l_plus_inv if s > 0 else l_minus, k) for k, s in reversed(sides)])
 
 
 TRACE_ROUTE_INDICES = ("1", "12", "123", "2", "23", "13", "13~")  # verify_routes' checks, in report order
@@ -353,32 +363,33 @@ def verify_p_propositions() -> Report:
     p = p_matrix()
     two = Shape((HALF, HALF))
     id2 = identity(two)
-    report.add("braiding = q^(1/2) - q^(-1/2) P", braided_r(HALF, HALF) - (id2 * V(1) - p * V(-1)))
-    report.add("inverse braiding = q^(-1/2) - q^(1/2) P", braided_r_inv(HALF, HALF) - (id2 * V(-1) - p * V(1)))
-    report.add("P^2 = (q + q^-1) P", compose(p, p) - p * (Q(1) + Q(-1)))
+    sums = {
+        "braiding = q^(1/2) - q^(-1/2) P": ((1, braided_r(HALF, HALF)), (-V(1), id2), (V(-1), p)),
+        "inverse braiding = q^(-1/2) - q^(1/2) P": ((1, braided_r_inv(HALF, HALF)), (-V(-1), id2), (V(1), p)),
+        "P^2 = (q + q^-1) P": ((1, p, p), (-(Q(1) + Q(-1)), p)),
+    }
+    for name, residual in combine(two, two, sums).items():
+        report.add(name, residual)
     report.add("weighted first-leg trace of P is the identity", partial_trace_first(p, m_matrix()) - identity(Shape((HALF,))))
     for tj in (1, 2):
         j = Spin(tj)
         shape = Shape((HALF, HALF, j))
         p12 = embed(p, (0, 1), shape)
         f = r_matrix(HALF, j)
-        f23 = embed(f, (1, 2), shape)
-        sandwich = compose(p12, compose(f23, p12))
-        report.add(
-            f"P12 F23 P12 = P12 (x) tr(F M) with F the mixed braiding, j={j}",
-            sandwich - kron(p, partial_trace_first(f, m_matrix())),
-        )
-        lp13 = embed(l_plus(j), (0, 2), shape)
-        lp23 = embed(l_plus(j), (1, 2), shape)
-        lpi13 = embed(l_plus_inv(j), (0, 2), shape)
-        lpi23 = embed(l_plus_inv(j), (1, 2), shape)
-        lm13 = embed(l_minus(j), (0, 2), shape)
-        lm23 = embed(l_minus(j), (1, 2), shape)
-        lmi13 = embed(l_minus_inv(j), (0, 2), shape)
-        lmi23 = embed(l_minus_inv(j), (1, 2), shape)
-        report.add(f"RE1 j={j}", p12 - lp23 @ lp13 @ p12 @ lpi13 @ lpi23)
-        report.add(f"RE2 j={j}", p12 - lmi23 @ lmi13 @ p12 @ lm13 @ lm23)
-        report.add(f"RE3 j={j}", p12 - lp23 @ lp13 @ p12 @ lm13 @ lm23)
+        traced = kron(p, partial_trace_first(f, m_matrix()))
+        sums = {
+            "P12 F23": ((1, p12, embed(f, (1, 2), shape)),),
+            f"P12 F23 P12 = P12 (x) tr(F M) with F the mixed braiding, j={j}": ((1, "P12 F23", p12), (-1, traced)),
+        }
+        lp, lpi, lm, lmi = ([embed(m(j), (k, 2), shape) for k in (0, 1)] for m in (l_plus, l_plus_inv, l_minus, l_minus_inv))
+        # RE1-RE3: P12 = X23 X13 P12 Y13 Y23 for (X, Y) = (L+, L+^-1), (L-^-1, L-) and (L+, L-).
+        for k, (x, y) in enumerate(((lp, lpi), (lmi, lm), (lp, lm)), 1):
+            sums[f"X23 X13 {k}"] = ((1, x[1], x[0]),)
+            sums[f"X23 X13 P12 {k}"] = ((1, f"X23 X13 {k}", p12),)
+            sums[f"X23 X13 P12 Y13 {k}"] = ((1, f"X23 X13 P12 {k}", y[0]),)
+            sums[f"RE{k} j={j}"] = ((1, p12), (-1, f"X23 X13 P12 Y13 {k}", y[1]))
+        for name, residual in combine(shape, shape, sums).items():
+            report.add(name, residual)
     return report
 
 
@@ -396,14 +407,21 @@ def verify_tl_iso() -> Report:
     p12 = embed(p, (0, 1), shape)
     p23 = embed(p, (1, 2), shape)
     loop = Q(1) + Q(-1)
-    report.add("P12^2 = (q + q^-1) P12", compose(p12, p12) - p12 * loop)
-    report.add("P23^2 = (q + q^-1) P23", compose(p23, p23) - p23 * loop)
-    report.add("P12 P23 P12 = P12", p12 @ p23 @ p12 - p12)
-    report.add("P23 P12 P23 = P23", p23 @ p12 @ p23 - p23)
     coeff = (Q(1) - Q(-1)) ** 2
     shift = Q(3) + Q(-3)
-    report.add("Q12 = (q^3 + q^-3) - (q - q^-1)^2 P12", q_elem("12", shape) - (identity(shape) * shift - p12 * coeff))
-    report.add("Q23 = (q^3 + q^-3) - (q - q^-1)^2 P23", q_elem("23", shape) - (identity(shape) * shift - p23 * coeff))
+    one = identity(shape)
+    sums = {
+        "P12^2 = (q + q^-1) P12": ((1, p12, p12), (-loop, p12)),
+        "P23^2 = (q + q^-1) P23": ((1, p23, p23), (-loop, p23)),
+        "P12 P23": ((1, p12, p23),),
+        "P12 P23 P12 = P12": ((1, "P12 P23", p12), (-1, p12)),
+        "P23 P12": ((1, p23, p12),),
+        "P23 P12 P23 = P23": ((1, "P23 P12", p23), (-1, p23)),
+        "Q12 = (q^3 + q^-3) - (q - q^-1)^2 P12": ((1, q_elem("12", shape)), (-shift, one), (coeff, p12)),
+        "Q23 = (q^3 + q^-3) - (q - q^-1)^2 P23": ((1, q_elem("23", shape)), (-shift, one), (coeff, p23)),
+    }
+    for name, residual in combine(shape, shape, sums).items():
+        report.add(name, residual)
 
     # Diagram-monoid side.
     from .braid import BraidWord
@@ -418,8 +436,8 @@ def verify_tl_iso() -> Report:
     report.add_bool("E2 E1 E2 = E2", tl_mul(e2, e1, e2) == e2)
 
     # The loop-around-two-strands tangle: close the auxiliary strand of the
-    # four-strand word (1 2 2 1).
-    tangle = close_first(word_element(BraidWord(4, (1, 2, 2, 1))))
+    # loop word of "12".
+    tangle = close_first(word_element(BraidWord(4, _loop_word("12"))))
     expected = TLElement.identity(3) * shift - e1 * coeff
     report.add_bool("loop-around-strands tangle matches the hook expansion", tangle == expected)
     return report

@@ -1,4 +1,5 @@
 import itertools
+import re
 from functools import reduce
 
 import pytest
@@ -33,6 +34,13 @@ Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
 
 SMALL_SHAPES = [Shape.of(1, 1, 1), Shape.of(1, 2, 1), Shape.of(2, 1, 2)]
+FOUR_LEG_SHAPES = [Shape.of(1, 1, 1, 1), Shape.of(1, 2, 1, 3)]
+
+
+def every_index(n: int) -> list[str]:
+    """Every block of n legs, each with and without "~"."""
+    blocks = ["".join(c) for r in range(1, n + 1) for c in itertools.combinations("123456789"[:n], r)]
+    return [name + tilde for name in blocks for tilde in ("", "~")]
 
 # (letters, span) of every braiding conjugation aw builds: Q13 and Q~13, and
 # the three readings of the conjugation dictionary.
@@ -96,6 +104,15 @@ class TestElements:
             aw.q_elem("13t", shape)
         with pytest.raises(ValueError):
             aw.q_elem("14", shape)
+        # Leg digits strictly increasing, each at most the leg count, then at
+        # most one "~"; the message names the index.
+        refused = [(index, shape) for index in ("", "~", "0", "31", "11", "1~~", "12x", "14")]
+        for index, legs in refused + [("5", Shape.of(1, 1, 1, 1))]:
+            for build in (aw.q_elem, aw.q_elem_trace, aw.spectrum_twice_spins):
+                with pytest.raises(ValueError, match=re.escape(repr(index))):
+                    build(index, legs)
+        assert aw.q_elem(13, shape) == aw.q_elem("13", shape)
+        assert aw.q_elem_trace(13, shape) == aw.q_elem_trace("13", shape)
 
 
 class TestTraceRoute:
@@ -194,6 +211,16 @@ class TestLoops:
         shape = Shape.of(1, 1, 1)
         assert loop("13", HALF, shape) != aw.q_elem("13~", shape)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rule_reads_the_oracle_word(self, n):
+        for index in every_index(n):
+            assert aw._loop_word(index) == loop_word(index), index
+
+    @pytest.mark.parametrize("shape", FOUR_LEG_SHAPES, ids=str)
+    def test_both_routes_are_the_loop_on_four_legs(self, shape):
+        for index in every_index(4):
+            assert aw.q_elem(index, shape) == aw.q_elem_trace(index, shape) == loop(index, HALF, shape), index
+
 
 class TestRelations:
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
@@ -223,6 +250,20 @@ class TestRelations:
         finally:
             rmatrix.clear_cache()
         assert aw.verify_aw(shape).passed
+
+    @pytest.mark.parametrize("blocks", ["1|2|34", "1|23|4", "12|3|4", "1|3|4"])
+    def test_relations_hold_for_blocks_of_four_legs(self, blocks):
+        # Loops around blocks A < B < C of (1/2)^4 in the roles of legs 1, 2, 3.
+        a, b, c = blocks.split("|")
+        shape = Shape.of(1, 1, 1, 1)
+        names = {"1": a, "2": b, "3": c, "12": a + b, "23": b + c, "13": a + c, "123": a + b + c}
+        q = {role: aw.q_elem("".join(sorted(name)), shape) for role, name in names.items()}
+        residuals = aw.aw_residuals(q, identity(shape))
+        assert all(res.is_zero() for res in residuals.values())
+        if blocks == "12|3|4":
+            # The loop under leg 3 in the role of Q_AC breaks all four.
+            broken = aw.aw_residuals({**q, "13": aw.q_elem("124~", shape)}, identity(shape))
+            assert not any(res.is_zero() for res in broken.values())
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES + [Shape.of(3, 3, 3)], ids=str)
     def test_residuals_match_operator_arithmetic(self, shape):
@@ -300,6 +341,12 @@ class TestSpectra:
     def test_scalar_indices_rejected(self):
         with pytest.raises(ValueError):
             aw.spectrum_twice_spins("1", Shape.of(1, 1, 1))
+
+    def test_spectrum_of_a_gathered_block_on_four_legs(self):
+        shape = Shape.of(1, 2, 1, 1)
+        assert aw.spectrum_twice_spins("134", shape) == [1, 3]
+        assert aw.spectrum_report("134", shape).passed
+        assert aw.spectrum_report("14~", shape).passed
 
 
 class TestStructure:
