@@ -24,13 +24,14 @@ are conjugated afresh on every call, so they read the R-matrices held now.
 Partial-trace route (`q_elem_trace`, uncached): every element is the weighted
 trace of an auxiliary spin-1/2 leg out of a product of two-leg mixed matrices,
 each acting on that leg and one other: the strand winds up through the legs
-with L+ and back down with L-, as `_loop` says.  Each leg meets the strand
-once each way, so the trace is contracted leg by leg on 2x2 auxiliary
-blocks, each leg's terms summed into one accumulator per cell; no operator
-on the auxiliary shape and no tensor product is formed.
+and back down, each leg's pair of L+/- factors read from its `_loop` side.
+Each leg meets the strand once each way, so the trace is contracted leg by
+leg on 2x2 auxiliary blocks, each leg's terms summed into one integer
+accumulator per cell, which stays a plain dict until the closed block; no
+operator on the auxiliary shape and no tensor product is formed.
 `verify_routes` compares the two constructions on every index but the
-one-leg "3", whose agreement the tests check.  `_traced` reads only the legs
-up to the block's top one, so on one or two legs it gives the one-leg
+one-leg "3", whose agreement the tests check.  `q_elem_trace` reads only the
+legs up to the block's top one, so on one or two legs it gives the one-leg
 Casimir or the coproduct Casimir.
 
 The central elements in the quartic relation are instantiated as their full
@@ -50,9 +51,8 @@ accumulators, where packing would not pay.
 from __future__ import annotations
 
 import re
-from typing import Callable
 
-from .laurent import LaurentPoly, accumulate_terms, finalize, subst_x_iv
+from .laurent import LaurentPoly, accumulate_terms, subst_x_iv
 from .report import Report
 from .rmatrix import (
     braided_r,
@@ -165,29 +165,7 @@ def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -
 # ---------------------------------------------------------------------------
 
 
-def _trace_formula(name: str) -> tuple[tuple[Callable[[Spin], Operator], int], ...]:
-    """
-    The product inside the traced expression, left to right, as (builder,
-    leg) pairs: the mixed-matrix builder applied to the spin of target leg
-    `leg` (1..top), acting on the auxiliary leg and that one.  The auxiliary
-    strand runs up through the legs with L+ and back down with L-, but by
-    `_loop` it passes a leg over with L+ then L+^-1, and under with L-^-1 then
-    L-.
-    """
-    sides = list(enumerate(_loop(name), 1))
-    up = [(l_minus_inv if s < 0 else l_plus, k) for k, s in sides]
-    return tuple(up + [(l_plus_inv if s > 0 else l_minus, k) for k, s in reversed(sides)])
-
-
 TRACE_ROUTE_INDICES = ("1", "12", "123", "2", "23", "13", "13~")  # verify_routes' checks, in report order
-
-
-def q_elem_trace(index, shape: Shape) -> Operator:
-    """
-    The same element produced by tracing the spin-1/2 auxiliary leg out of a
-    product of mixed matrices.
-    """
-    return _traced(_index_name(index, shape), shape)
 
 
 def _aux_blocks(op: Operator) -> dict[tuple[int, int], dict[int, list]]:
@@ -203,29 +181,34 @@ def _aux_blocks(op: Operator) -> dict[tuple[int, int], dict[int, list]]:
     return blocks
 
 
-def _traced(name: str, shape: Shape) -> Operator:
+def q_elem_trace(index, shape: Shape) -> Operator:
     """
-    Weighted trace of the auxiliary spin-1/2 leg out of the index's product,
-    contracted leg by leg.  With w[b, c] the cells on legs 1..k-1 between
-    auxiliary indices b (going up) and c (coming down), leg k's pair turns it
-    into w'[b', c'] = sum w[b, c] (x) (up[b, b'] . down[c', c]): the block
-    products feeding one w[b, c] are summed into one {exponent: coefficient}
-    dict per cell of the leg, and their tensor products with w[b, c] into one
-    per cell of w'.  The weight m = diag(q, q^-1) starts the strand as
+    The same element as the weighted trace of the spin-1/2 auxiliary leg out
+    of a product of mixed matrices, contracted leg by leg.  The strand runs up
+    through legs 1..top with L+ and back down with L-, but by `_loop` it
+    passes a leg over with L+ then L+^-1, and under with L-^-1 then L-.  With
+    w[b, c] the cells on legs 1..k-1 between auxiliary indices b (going up)
+    and c (coming down), leg k's pair turns it into w'[b', c'] = sum w[b, c]
+    (x) (up[b, b'] . down[c', c]): the block products feeding one w[b, c] are
+    summed into one {exponent: coefficient} dict per cell of the leg, and
+    their tensor products with w[b, c] into one per cell of w', its zero
+    coefficients dropped.  The weight m = diag(q, q^-1) starts the strand as
     scalars on no legs, b' = c' at the top closes it, and the closed operator
     on legs 1..top is embedded in `shape`.
     """
-    formula = _trace_formula(name)
-    top = len(formula) // 2
-    w = {(c, b): {(0, 0): p} for (b, c), p in m_matrix().entries.items()}
-    for k, ((build_up, leg), (build_down, _)) in enumerate(zip(formula[:top], reversed(formula[top:])), 1):
-        up, down = _aux_blocks(build_up(shape[leg - 1])), _aux_blocks(build_down(shape[leg - 1]))
+    sides = _loop(_index_name(index, shape))
+    top = len(sides)
+    w = {(c, b): {(0, 0): p.terms} for (b, c), p in m_matrix().entries.items()}
+    for k, side in enumerate(sides, 1):
+        spin = shape[k - 1]
+        up = _aux_blocks((l_minus_inv if side < 0 else l_plus)(spin))
+        down = _aux_blocks((l_plus_inv if side > 0 else l_minus)(spin))
         steps: dict = {}  # (b, c, the cell of w' it feeds) -> the products up[b, b'] . down[c', c]
         for (b, b2), u in up.items():
             for (c2, c), dn in down.items():
                 if (b, c) in w and (k < top or b2 == c2):  # at the top, b' = c' closes the strand into one cell
                     steps.setdefault((b, c, (b2, c2) if k < top else "closed"), []).append((u, dn))
-        d = shape[leg - 1].dim
+        d = spin.dim
         acc: dict = {}  # the cell of w' -> {(row, col): {exponent: coefficient}}
         for (b, c, cell), products in steps.items():
             summed: dict = {}  # the leg's cell -> {exponent: coefficient} of the summed products
@@ -240,16 +223,17 @@ def _traced(name: str, shape: Shape) -> Operator:
             x = [(rc, terms) for rc, terms in summed.items() if any(terms.values())]
             out = acc.setdefault(cell, {})
             for (ra, ca), pa in w[(b, c)].items():
-                ra, ca, pa = ra * d, ca * d, pa.terms
+                ra, ca = ra * d, ca * d
                 for (rb, cb), pb in x:
                     rc = (ra + rb, ca + cb)
                     terms = out.get(rc)
                     if terms is None:
                         terms = out[rc] = {}
                     accumulate_terms(terms, pa, pb)
-        w = {cell: {rc: finalize(t) for rc, t in out.items() if any(t.values())} for cell, out in acc.items()}
+        w = {cell: {rc: t for rc, terms in out.items() if (t := {e: n for e, n in terms.items() if n})} for cell, out in acc.items()}
     block = Shape(shape.factors[:top])
-    return embed(Operator._raw(block, block, w["closed"]), range(top), shape)
+    cells = {rc: LaurentPoly._raw(terms) for rc, terms in w["closed"].items()}
+    return embed(Operator._raw(block, block, cells), range(top), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,6 @@ class BraidWord(Immutable):
         object.__setattr__(self, "n_strands", n_strands)
         object.__setattr__(self, "letters", letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def exponent_sum(self) -> int:
         """Total writhe of the closed diagram: the sum of letter signs."""
         return sum(1 if letter > 0 else -1 for letter in self.letters)

@@ -192,8 +192,6 @@ def _stabilize_front(braid: ColoredBraid, positive: bool) -> ColoredBraid:
     Add a kink at the left edge: a fresh strand at the leftmost bottom
     position, colored like the old leftmost strand, crossing it once.
     """
-    if braid.n_strands == 0:
-        raise ValueError("cannot stabilize an empty braid")
     union = disjoint_union(ColoredBraid(BraidWord(1, ()), braid.colors[:1]), braid)
     return ColoredBraid(BraidWord(union.n_strands, (1 if positive else -1,) + union.word.letters), union.colors)
 

@@ -161,9 +161,6 @@ class LaurentPoly(Immutable):
     def __sub__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
         return self + -other
 
-    def __rsub__(self, other: int) -> LaurentPoly:
-        return LaurentPoly.const(other) - self
-
     def __mul__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
         if isinstance(other, int):
             if not other:

@@ -495,6 +495,7 @@ TRACE_PRODUCTS = {
     "23": ((l_plus, 1), (l_plus, 2), (l_plus, 3), (l_minus, 3), (l_minus, 2), (l_plus_inv, 1)),
     "13": ((l_plus, 1), (l_plus, 2), (l_plus, 3), (l_minus, 3), (l_plus_inv, 2), (l_minus, 1)),
     "13~": ((l_plus, 1), (l_minus_inv, 2), (l_plus, 3), (l_minus, 3), (l_minus, 2), (l_minus, 1)),
+    "3": ((l_plus, 1), (l_plus, 2), (l_plus, 3), (l_minus, 3), (l_plus_inv, 2), (l_plus_inv, 1)),
 }
 
 

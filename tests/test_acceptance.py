@@ -126,11 +126,11 @@ def test_c04_weighted_partial_traces():
 def test_c05_trace_route_reproduces_casimirs():
     with criterion(5, 30.0, "trace route reproduces Casimir and coproduct Casimir, 2j <= 4"):
         for tj in range(0, 5):
-            assert aw._traced("1", Shape.of(tj)) == casimir(Spin(tj)), tj
+            assert aw.q_elem_trace("1", Shape.of(tj)) == casimir(Spin(tj)), tj
         for ta in range(0, 5):
             for tb in range(0, 5):
                 shape = Shape.of(ta, tb)
-                assert aw._traced("12", shape) == casimir_rep(shape), (ta, tb)
+                assert aw.q_elem_trace("12", shape) == casimir_rep(shape), (ta, tb)
 
 
 AW_SHAPES = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 3), (2, 2, 2)]

@@ -123,12 +123,12 @@ class TestTraceRoute:
 
     @pytest.mark.parametrize("tj", range(0, 5))
     def test_one_leg_trace(self, tj):
-        assert aw._traced("1", Shape((Spin(tj),))) == casimir(Spin(tj))
+        assert aw.q_elem_trace("1", Shape((Spin(tj),))) == casimir(Spin(tj))
 
     @pytest.mark.parametrize("pair", [(0, 0), (1, 1), (1, 2), (2, 2), (3, 4), (4, 4)])
     def test_two_leg_trace(self, pair):
         shape = Shape.of(*pair)
-        assert aw._traced("12", shape) == casimir_rep(shape)
+        assert aw.q_elem_trace("12", shape) == casimir_rep(shape)
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
     def test_routes_agree(self, shape):
@@ -136,15 +136,11 @@ class TestTraceRoute:
         assert report.passed, report.summary()
         assert len(report.checks) == 7
 
-    @pytest.mark.parametrize("index", sorted(TRACE_PRODUCTS))
-    def test_formula_is_the_written_product(self, index):
-        assert aw._trace_formula(index) == TRACE_PRODUCTS[index]
-
     @pytest.mark.parametrize("index", aw.AW_INDICES)
     def test_contraction_equals_the_aux_shape_product(self, index):
         # Every ordered triple with 2j <= 3 on each leg, and one larger one.
         shapes = [Shape.of(*tjs) for tjs in itertools.product(range(4), repeat=3)] + [Shape.of(4, 3, 2)]
-        formula = aw._trace_formula(index)
+        formula = TRACE_PRODUCTS[index]
         for shape in shapes:
             assert aw.q_elem_trace(index, shape) == aux_shape_trace(formula, shape), shape
 

@@ -55,6 +55,12 @@ class TestParsing:
         with pytest.raises(BraidError):
             parse_colored("n=2; 1 1; colors=1/2,1", colors=(H, ONE))
 
+    def test_each_parser_refuses_the_other_format(self):
+        with pytest.raises(BraidError, match="unexpected colors section; use parse_colored"):
+            parse("n=2; 1 1; colors=1/2,1")
+        with pytest.raises(BraidError, match="no colors given for a colored braid"):
+            parse_colored("n=2; 1 1")
+
     def test_parse_any_json(self):
         braid = parse_any('{"n": 2, "letters": [1, 1], "colors": ["1/2", "1"]}')
         assert braid == colored(2, (1, 1), 1, 2)

@@ -373,6 +373,21 @@ sys.exit(code)
 """
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "aw", "--spins", "1,1"], "--spins: expected 3 comma-separated spins, got 2"),
+            (["rmatrix", "--spins", "1/2"], "--spins: expected 2 comma-separated spins, got 1"),
+            (["verify", "factorization", "--braid", "n=1; colors=1/2"], "factorization needs --braid2"),
+            (["invariant", "--braid", "n=-1", "--method", "cs"], "--braid: strand count must be non-negative, got -1"),
+        ],
+    )
+    def test_refusal_exits_one_with_its_message(self, argv, message):
+        code, out, err = run(argv)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
 class TestIntegerFields:
     """Integers in the text format and in index flags are an optional sign and ASCII digits."""
 

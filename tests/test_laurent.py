@@ -184,6 +184,9 @@ class TestDivision:
         with pytest.raises(ValueError):
             div_exact(qint(2), qint(1) * 2)
 
+    def test_zero_dividend(self):
+        assert div_exact(LaurentPoly.zero(), qint(2)) == LaurentPoly.zero()
+
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             div_exact(qint(2), LaurentPoly.zero())

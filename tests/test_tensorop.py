@@ -164,6 +164,11 @@ class TestArithmetic:
         with pytest.raises(ShapeError):
             kron(column, narrow)
 
+    def test_scalar_must_be_a_polynomial_or_int(self):
+        _, a, _, _ = self.operands(0)
+        with pytest.raises(TypeError):
+            a * "x"
+
 
 class TestCombine:
     # A braiding-shaped sum: every term maps (1/2, 1) to (1, 1/2).
@@ -358,6 +363,10 @@ class TestEmbed:
     def test_spin_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             embed(identity(Shape((HALF,))), (0,), Shape.of(2, 1))
+
+    def test_position_outside_ambient_rejected(self):
+        with pytest.raises(ShapeError, match="position 3 outside ambient of 3 factors"):
+            embed(identity(Shape((HALF,))), (3,), Shape.of(1, 1, 1))
 
     def test_duplicate_positions_rejected(self):
         op = identity(Shape((HALF, HALF)))

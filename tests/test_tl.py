@@ -163,11 +163,20 @@ class TestComposition:
         assert tl_mul(e1, ident) == e1
 
     def test_size_mismatch(self):
-        # Anywhere in a chain, the error names both strand counts.
+        # Anywhere in a chain, the error names both strand counts; a diagram
+        # pair and a sum are checked too.
         three, two = TLElement.identity(3), TLElement.identity(2)
         for chain in ((two, three), (two, three, three), (three, two, three), (three, three, two)):
             with pytest.raises(ValueError, match=r"on (3 and 2|2 and 3) strands"):
                 tl_mul(*chain)
+        with pytest.raises(ValueError, match="cannot stack diagrams on 2 and 3 strands"):
+            compose_matchings(identity_diagram(2), identity_diagram(3))
+        with pytest.raises(ValueError, match="cannot add elements on different strand counts"):
+            two + three
+
+    def test_scalar_must_be_a_polynomial_or_int(self):
+        with pytest.raises(TypeError):
+            TLElement.identity(2) * "x"
 
     def test_identity_diagram_returns_the_other_operand(self):
         for n in range(5):
@@ -233,6 +242,10 @@ class TestBraidLetters:
         assert inverse.terms[identity_diagram(2)] == V(-1)
         assert inverse.terms[hook_diagram(2, 1)] == -V(1)
 
+    def test_letter_out_of_range(self):
+        with pytest.raises(ValueError, match="letter 3 out of range for 3 strands"):
+            braid_letter(3, 3)
+
     def test_inverse_letters_cancel(self):
         elem = tl_mul(braid_letter(2, -1), braid_letter(2, 1))
         assert elem == TLElement.identity(2)
@@ -250,6 +263,10 @@ class TestClosure:
 
     def test_closing_hook(self):
         assert close_all(TLElement.hook(2, 1)) == DELTA
+
+    def test_no_strand_to_close(self):
+        with pytest.raises(ValueError, match="no strand left to close"):
+            close_first(TLElement.identity(0))
 
     def test_close_first_partial(self):
         # Closing one strand of the two-strand identity leaves one strand and a loop.

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,11 @@ class TestCoproduct:
 
 
 class TestIteratedCasimir:
+    @pytest.mark.parametrize("span, message", [((), "span must be non-empty"), ((1, 3), "outside shape of 3")])
+    def test_span_outside_shape_rejected(self, span, message):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            iterated_casimir(Shape.of(1, 1, 1), span)
+
     def test_single_leg_is_embedded_casimir(self):
         shape = Shape.of(1, 2, 3)
         assert iterated_casimir(shape, (0,)) == embed(casimir(HALF), (0,), shape)
