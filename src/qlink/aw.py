@@ -125,15 +125,20 @@ def q_elem(index, shape: Shape) -> Operator:
     name = _index_name(index, shape)
     legs = _legs(name)
     if legs[-1] - legs[0] < len(legs):  # contiguous: the loop passes no leg between the ends
-        key = (legs, shape.dims)  # the dims fix the spins, and a tuple of ints hashes in C
-        if key not in _q_cache:
-            _q_cache[key] = iterated_casimir(shape, legs)
-        return _q_cache[key]
+        return _block_casimir(legs, shape)
     sides, word = _loop(name), []
     for k in range(legs[-1] - 1, legs[0], -1):  # each passed leg between the ends, highest first, on its side
         if sides[k]:
             word += [sides[k] * (k + i) for i in range(1, sum(leg > k for leg in legs) + 1)]
     return _conjugated(tuple(word), tuple(range(legs[0], legs[0] + len(legs))), shape)
+
+
+def _block_casimir(legs: tuple[int, ...], shape: Shape) -> Operator:
+    """The Casimir of contiguous legs, cached under (legs, dims): the dims fix the spins and hash in C."""
+    key = (legs, shape.dims)
+    if key not in _q_cache:
+        _q_cache[key] = iterated_casimir(shape, legs)
+    return _q_cache[key]
 
 
 def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -> Operator:
@@ -143,8 +148,8 @@ def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -
     `act_adjacent` pass: C is read as one column on the legs (out legs + in
     legs), entry (r, k) in row r * D + k; the inverted word acts on the out
     legs, and the transposed letters of W, last letter first, on the in legs
-    (position n + i).  C comes from `q_elem`'s cache, so a block and its "~"
-    twin on one shape share it.
+    (position n + i).  C comes from the contiguous-block cache, so a block and
+    its "~" twin on one shape share it.
     """
     word, out = word_steps(letters, shape.factors)
     inverse, _ = word_steps([-letter for letter in reversed(letters)], out)
@@ -154,7 +159,7 @@ def _conjugated(letters: tuple[int, ...], span: tuple[int, ...], shape: Shape) -
         for i, m in reversed(word)
     ]
     d = middle.dim
-    block = q_elem("".join(str(leg + 1) for leg in span), middle)
+    block = _block_casimir(span, middle)
     column = {(r * d + k, 0): p for (r, k), p in block.entries.items()}
     cells = act_adjacent(transposed + inverse, Operator._raw(EMPTY_SHAPE, middle + middle, column)).entries
     return Operator._raw(shape, shape, {divmod(row, shape.dim): p for (row, _), p in cells.items()})
@@ -409,11 +414,12 @@ def verify_tl_iso() -> Report:
 
     # Diagram-monoid side.
     from .braid import BraidWord
-    from .tl import DELTA, TLElement, close_first, tl_mul, word_element
+    from .tl import DELTA, TLElement, close_first, hook_diagram, identity_diagram, tl_mul, word_element
 
+    h1, h2 = hook_diagram(3, 1), hook_diagram(3, 2)
     e1, e2 = TLElement.hook(3, 1), TLElement.hook(3, 2)
-    report.add_bool("E1 E1 = delta E1", tl_mul(e1, e1) == e1 * DELTA)
-    report.add_bool("E2 E2 = delta E2", tl_mul(e2, e2) == e2 * DELTA)
+    report.add_bool("E1 E1 = delta E1", tl_mul(e1, e1).terms == {h1: DELTA})
+    report.add_bool("E2 E2 = delta E2", tl_mul(e2, e2).terms == {h2: DELTA})
     # The bracket's loop value -x^2 - x^-2, read in x, goes to DELTA.
     report.add_bool("loop value at x = i v is q + q^-1", subst_x_iv(-loop) == DELTA == loop)
     report.add_bool("E1 E2 E1 = E1", tl_mul(e1, e2, e1) == e1)
@@ -422,8 +428,8 @@ def verify_tl_iso() -> Report:
     # The loop-around-two-strands tangle: close the auxiliary strand of the
     # loop word of "12".
     tangle = close_first(word_element(BraidWord(4, _loop_word("12"))))
-    expected = TLElement.identity(3) * shift - e1 * coeff
-    report.add_bool("loop-around-strands tangle matches the hook expansion", tangle == expected)
+    expected = {identity_diagram(3): shift, h1: -coeff}
+    report.add_bool("loop-around-strands tangle matches the hook expansion", tangle.terms == expected)
     return report
 
 

@@ -1,6 +1,6 @@
 """
-Colored braid words: parsing, permutation/component analysis, writhe
-accounting, disjoint union, and cabling (one rewiring that deletes,
+Colored braid words: parsing, permutation/component analysis, self-writhe
+counts, disjoint union, and cabling (one rewiring that deletes,
 recolors or cables each component).
 
 A braid word on n strands is a list of nonzero letters +-i with 1 <= i <= n-1;
@@ -24,7 +24,7 @@ trusted from the construction.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .laurent import Immutable
 from .tensorop import InputError, Spin, parse_int
@@ -126,40 +126,22 @@ def component(braid: ColoredBraid, index: int) -> tuple[int, ...]:
     return comps[index]
 
 
-class WritheBreakdown(NamedTuple):
-    """Signed crossing counts, split into self-writhe and pairwise linking."""
-
-    total: int
-    per_component_self: dict[int, int]
-    linking: dict[tuple[int, int], int]
-
-
-def writhe(braid: ColoredBraid) -> WritheBreakdown:
+def self_writhe(braid: ColoredBraid) -> list[int]:
     """
-    Attribute each letter's sign to the component pair occupying the crossing
-    positions at that moment.  Components are indexed as in `components`.
+    Each component's self-writhe, in `components` order: the sum of the signs
+    of the letters that cross two strands of that component.
     """
     comps = components(braid)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for s in comp:
-            comp_of[s] = ci
-    occ = list(range(braid.n_strands))
-    total = 0
-    per_self = {ci: 0 for ci in range(len(comps))}
-    linking: dict[tuple[int, int], int] = {}
+    comp_of = {s: ci for ci, comp in enumerate(comps) for s in comp}
+    counts = [0] * len(comps)
+    occ = list(range(braid.n_strands))  # occ[p] = strand currently at position p
     for letter in braid.word.letters:
         i = abs(letter) - 1
-        sign = 1 if letter > 0 else -1
-        c1, c2 = comp_of[occ[i]], comp_of[occ[i + 1]]
-        total += sign
-        if c1 == c2:
-            per_self[c1] += sign
-        else:
-            key = (min(c1, c2), max(c1, c2))
-            linking[key] = linking.get(key, 0) + sign
+        c = comp_of[occ[i]]
+        if c == comp_of[occ[i + 1]]:
+            counts[c] += 1 if letter > 0 else -1
         occ[i], occ[i + 1] = occ[i + 1], occ[i]
-    return WritheBreakdown(total, per_self, linking)
+    return counts
 
 
 def disjoint_union(a: ColoredBraid, b: ColoredBraid) -> ColoredBraid:
@@ -314,9 +296,7 @@ def _json_field(data: dict, key: str, valid, expected: str):
     return value
 
 
-def _word_from_json(data) -> BraidWord:
-    if not isinstance(data, dict):
-        raise BraidError(f"braid JSON must be an object, got {type(data).__name__}")
+def _word_from_json(data: dict) -> BraidWord:
     n = _json_field(data, "n", lambda v: type(v) is int, "an integer")
     letters = _json_field(
         data, "letters", lambda v: isinstance(v, list) and all(type(l) is int for l in v), "a list of integers"

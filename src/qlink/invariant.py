@@ -43,7 +43,7 @@ from .braid import (
     component,
     components,
     disjoint_union,
-    writhe,
+    self_writhe,
 )
 from .laurent import LaurentPoly, phase_mul
 from .report import Report
@@ -88,10 +88,7 @@ def clear_cache() -> None:
 
 def braid_operator(braid: ColoredBraid) -> Operator:
     """The represented braid, from the bottom-color shape to itself."""
-    op = _rmatrix().act_letters(braid.word.letters, identity(Shape(braid.colors)))
-    if op.shape_out.factors != braid.colors:  # pragma: no cover - ColoredBraid guarantees this
-        raise AssertionError("colors failed to return to the bottom sequence")
-    return op
+    return _rmatrix().act_letters(braid.word.letters, identity(Shape(braid.colors)))
 
 
 def _closure_trace(braid: ColoredBraid) -> LaurentPoly:
@@ -129,12 +126,8 @@ def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:
     """
     value = _closure_trace(braid)
     if normalize:
-        breakdown = writhe(braid)
-        exponent = 0
-        for ci, comp in enumerate(components(braid)):
-            tj = braid.colors[comp[0]].twice_j
-            exponent -= tj * (tj + 2) * breakdown.per_component_self[ci]
-        value = value * V(exponent)
+        twice = [braid.colors[comp[0]].twice_j for comp in components(braid)]
+        value = value * V(-sum(tj * (tj + 2) * w for tj, w in zip(twice, self_writhe(braid))))
     return value
 
 

@@ -21,9 +21,6 @@ class Check(NamedTuple):
     residual: Optional[int] = None  # nonzero entries of the defect, when it failed
     note: Optional[str] = None
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "residual": self.residual, "note": self.note}
-
 
 class Report(Immutable):
     """A suite's checks; its fields are bound once, and `checks` grows through `add`, `add_bool` and `extend`."""
@@ -60,7 +57,7 @@ class Report(Immutable):
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
     def summary(self) -> str:

@@ -22,8 +22,8 @@ closes every strand, one loop-counting walk per diagram.
 
 `TLElement(...)` is where a caller's diagrams enter, and it checks each one.
 What this module builds itself is valid by construction and skips those
-checks through `TLElement._raw`: the identity and the hooks, products, sums,
-scalings, letters and one-strand closures.
+checks through `TLElement._raw`: the identity and the hooks, products,
+letters and one-strand closures.
 
 Coefficients are Laurent polynomials in v, as on the quantum-trace route
 (the hook E_i is the P matrix on legs i, i+1 of (1/2)^n); `braid_letter`
@@ -32,7 +32,7 @@ absorbs the writhe phase, so a word's closure is the invariant itself.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Mapping
 
 from .laurent import Immutable, LaurentPoly, accumulate_product, accumulate_terms, finalize, qint, summed
 from .braid import BraidWord
@@ -137,10 +137,9 @@ class TLElement(Immutable):
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms):
-        items = terms.items() if hasattr(terms, "items") else terms
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], LaurentPoly]):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", summed((_check_pairing(n, diag), coeff) for diag, coeff in items))
+        object.__setattr__(self, "terms", summed((_check_pairing(n, diag), coeff) for diag, coeff in terms.items()))
 
     @staticmethod
     def _raw(n: int, canon: dict[tuple[int, ...], LaurentPoly]) -> TLElement:
@@ -157,26 +156,6 @@ class TLElement(Immutable):
     @classmethod
     def hook(cls, n: int, i: int) -> TLElement:
         return cls._raw(n, {hook_diagram(n, i): LaurentPoly.one()})
-
-    def __add__(self, other: TLElement) -> TLElement:
-        if self.n != other.n:
-            raise ValueError("cannot add elements on different strand counts")
-        return TLElement._raw(self.n, summed([*self.terms.items(), *other.terms.items()]))
-
-    def __neg__(self) -> TLElement:
-        return TLElement._raw(self.n, {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other: TLElement) -> TLElement:
-        return self + (-other)
-
-    def __mul__(self, scalar: Union[LaurentPoly, int]) -> TLElement:
-        if isinstance(scalar, int):
-            scalar = LaurentPoly.const(scalar)
-        if not isinstance(scalar, LaurentPoly):
-            return NotImplemented
-        return TLElement._raw(self.n, summed((d, c * scalar) for d, c in self.terms.items()))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"<TLElement n={self.n}, {len(self.terms)} diagrams>"

@@ -48,6 +48,13 @@ Moved here from the package, because no route of the package uses them:
 - `poly_from_json` and `operator_from_json` (once `Operator.from_json`),
   which read back what `poly_to_json` and `Operator.to_json` write: no route
   reads that JSON, only the tests' round trips do.
+- `writhe_breakdown` (once `braid.writhe`): the total writhe and the
+  pairwise linking besides each component's self-writhe, which is all the
+  ambient normalization reads (`braid.self_writhe`).
+
+`full_twist_value` is the closed value of a power of the full twist from
+the Clebsch-Gordan multiplicities and the Casimir scalar on each summand,
+with no matrix.
 
 `loop_word` reads the spin-1/2 loop around a block of legs as a braid word
 by the over/under rule, so a generator can be evaluated as a closed strand
@@ -64,7 +71,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import product
 
-from qlink.braid import BraidWord, ColoredBraid
+from qlink.braid import BraidWord, ColoredBraid, components
 from qlink.laurent import LaurentPoly, div_exact, qfact, qint
 from qlink.report import Report
 from qlink.rmatrix import (
@@ -81,6 +88,7 @@ from qlink.rmatrix import (
 )
 from qlink.tensorop import HALF, Operator, Shape, Spin, compose, embed, identity, partial_trace_first
 from qlink.tl import TLElement, braid_letter, close_first, compose_matchings, hook_diagram, identity_diagram, tl_mul
+from qlink.uqsu2 import twice_spin_range
 
 
 class _UnionFind:
@@ -152,6 +160,51 @@ def two_strand_torus_value(a: Spin, b: Spin, crossings: int) -> LaurentPoly:
         sign = -1 if (ta + tb - tc) // 2 * crossings % 2 else 1
         total = total + qint(tc + 1) * LaurentPoly.v_power(exponent * crossings) * sign
     return total
+
+
+def full_twist_value(twice_spins, k: int) -> LaurentPoly:
+    """
+    Closure value of the k-th power of the full twist (sigma_1 ... sigma_(n-1))^n
+    on strands of twice-spins `twice_spins`, which acts on each spin-J summand
+    of the tensor product by the scalar q^(c(J) - sum c(j_i)), c(j) = j(j+1)
+    (Reshetikhin-Turaev, CMP 127, 1990): the sum over J with multiplicity m_J
+    of [2J+1] v^(k (2J(2J+2) - sum 2j_i(2j_i+2))).
+    """
+    mult = {0: 1}
+    for t in twice_spins:
+        grown: dict[int, int] = {}
+        for tc, m in mult.items():
+            for tn in twice_spin_range(tc, t):
+                grown[tn] = grown.get(tn, 0) + m
+        mult = grown
+    base = sum(t * (t + 2) for t in twice_spins)
+    total = LaurentPoly.zero()
+    for tj, m in mult.items():
+        total = total + qint(tj + 1) * LaurentPoly.v_power(k * (tj * (tj + 2) - base)) * m
+    return total
+
+
+def writhe_breakdown(braid: ColoredBraid) -> tuple[int, dict[int, int], dict[tuple[int, int], int]]:
+    """
+    (total, self, linking): each letter's sign attributed to the components
+    (numbered as in `components`) of the two strands it crosses, as a
+    self-writhe when they agree and to the sorted pair's linking otherwise.
+    """
+    comp_of = {s: ci for ci, comp in enumerate(components(braid)) for s in comp}
+    occ = list(range(braid.n_strands))
+    total, own, linking = 0, dict.fromkeys(set(comp_of.values()), 0), {}
+    for letter in braid.word.letters:
+        i = abs(letter) - 1
+        sign = 1 if letter > 0 else -1
+        c1, c2 = comp_of[occ[i]], comp_of[occ[i + 1]]
+        total += sign
+        if c1 == c2:
+            own[c1] += sign
+        else:
+            key = (min(c1, c2), max(c1, c2))
+            linking[key] = linking.get(key, 0) + sign
+        occ[i], occ[i + 1] = occ[i + 1], occ[i]
+    return total, own, linking
 
 
 def close_all_by_strands(elem: TLElement) -> LaurentPoly:

@@ -29,12 +29,6 @@ ALLOWED = {
     "cli: from .braid import BraidWord, ColoredBraid": "read by type checkers only, under TYPE_CHECKING",
     "cli: sys.exit(main())": "the __main__ guard runs only as `python -m qlink.cli`, in a subprocess",
     "invariant._rmatrix: from . import rmatrix": "runs only in a fresh process; the tests import rmatrix first",
-    "invariant.braid_operator: raise AssertionError('colors failed to return to the bottom sequence')": (
-        "ColoredBraid's constructor guarantees the colors return, so the assertion cannot fail"
-    ),
-    "braid._word_from_json: raise BraidError(f'braid JSON must be an object, got {type(data).__name__}')": (
-        "parse_any sends it only text starting with '{', which parses to an object or fails first"
-    ),
 }
 
 

@@ -19,6 +19,7 @@ from qlink.tensorop import (
 )
 from qlink.uqsu2 import casimir_rep, chi
 
+from conftest import corrupted
 from oracles import (
     TRACE_PRODUCTS,
     as_scalar,
@@ -237,14 +238,9 @@ class TestRelations:
         # after rmatrix.clear_cache() must reach them without aw.clear_cache().
         shape = Shape.of(1, 1, 1)
         assert aw.verify_aw(shape).passed
-        try:
-            rmatrix.clear_cache()
-            good = rmatrix.r_matrix(HALF, HALF)
-            bad = {**good.entries, (3, 3): good.entries[(3, 3)] * V(4)}
-            rmatrix._cache[("R", 1, 1)] = Operator(good.shape_in, good.shape_out, bad)
+        good = rmatrix.r_matrix(HALF, HALF)
+        with corrupted(("R", 1, 1), good, (3, 3), good.entries[(3, 3)] * V(4)):
             assert not aw.verify_aw(shape).passed
-        finally:
-            rmatrix.clear_cache()
         assert aw.verify_aw(shape).passed
 
     @pytest.mark.parametrize("blocks", ["1|2|34", "1|23|4", "12|3|4", "1|3|4"])

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import writhe_breakdown
 from qlink.braid import (
     BraidError,
     BraidWord,
@@ -14,8 +15,8 @@ from qlink.braid import (
     parse,
     parse_any,
     parse_colored,
+    self_writhe,
     underlying_permutation,
-    writhe,
 )
 from qlink.tensorop import HALF, InputError, Spin
 
@@ -117,19 +118,17 @@ class TestColoring:
 
 class TestWrithe:
     def test_trefoil_is_self_writhe(self):
-        breakdown = writhe(colored(2, (1, 1, 1), 1, 1))
-        assert breakdown.total == 3
-        assert breakdown.per_component_self == {0: 3}
-        assert breakdown.linking == {}
+        trefoil = colored(2, (1, 1, 1), 1, 1)
+        assert self_writhe(trefoil) == [3]
+        assert writhe_breakdown(trefoil) == (3, {0: 3}, {})
 
     def test_hopf_is_linking(self):
-        breakdown = writhe(colored(2, (1, 1), 1, 1))
-        assert breakdown.total == 2
-        assert breakdown.per_component_self == {0: 0, 1: 0}
-        assert breakdown.linking == {(0, 1): 2}
+        hopf = colored(2, (1, 1), 1, 1)
+        assert self_writhe(hopf) == [0, 0]
+        assert writhe_breakdown(hopf) == (2, {0: 0, 1: 0}, {(0, 1): 2})
 
     def test_cancelling_pair(self):
-        assert writhe(colored(2, (1, -1), 1, 3)).total == 0
+        assert self_writhe(colored(2, (1, -1), 1, 3)) == [0, 0]
 
     def test_total_is_sum_of_parts(self):
         rng = random.Random(11)
@@ -137,10 +136,9 @@ class TestWrithe:
 
         for _ in range(30):
             braid = random_colored_braid(rng, rng.randint(2, 4), rng.randint(0, 8), 3)
-            breakdown = writhe(braid)
-            assert breakdown.total == sum(breakdown.per_component_self.values()) + sum(
-                breakdown.linking.values()
-            )
+            total, own, linking = writhe_breakdown(braid)
+            assert self_writhe(braid) == [own[ci] for ci in range(len(components(braid)))]
+            assert total == braid.word.exponent_sum() == sum(own.values()) + sum(linking.values())
 
 
 class TestUnion:
@@ -206,11 +204,11 @@ class TestCabling:
             if braid.colors[comps[ci][0]].twice_j == 0:
                 continue
             cabled = edit_component(braid, ci, (H, Spin(braid.colors[comps[ci][0]].twice_j - 1)))
-            breakdown = writhe(braid)
-            self_w = breakdown.per_component_self[ci]
-            link_w = sum(v for k, v in breakdown.linking.items() if ci in k)
-            rest = breakdown.total - self_w - link_w
-            assert writhe(cabled).total == 4 * self_w + 2 * link_w + rest
+            total, own, linking = writhe_breakdown(braid)
+            self_w = own[ci]
+            link_w = sum(v for k, v in linking.items() if ci in k)
+            rest = total - self_w - link_w
+            assert cabled.word.exponent_sum() == 4 * self_w + 2 * link_w + rest
 
     def test_cancelling_word_cables_to_cancelling_word(self):
         braid = colored(2, (1, -1), 2, 1)
@@ -258,13 +256,13 @@ class TestDeletion:
                 for c, comp in enumerate(comps)
                 if c != ci
             }
-            before, after = writhe(braid), writhe(reduced)
+            (_, own, linking), (_, own_after, linking_after) = writhe_breakdown(braid), writhe_breakdown(reduced)
             for c, cn in renumber.items():
-                assert after.per_component_self[cn] == before.per_component_self[c]
+                assert self_writhe(reduced)[cn] == own_after[cn] == own[c]
                 for d, dn in renumber.items():
                     if c < d:
                         key = (min(cn, dn), max(cn, dn))
-                        assert after.linking.get(key, 0) == before.linking.get((c, d), 0)
+                        assert linking_after.get(key, 0) == linking.get((c, d), 0)
 
     def test_recolor(self):
         braid = colored(2, (1, 1), 2, 1)

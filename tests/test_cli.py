@@ -8,18 +8,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from conftest import corrupted
 from oracles import operator_from_json
-from qlink import aw, cli, invariant, rmatrix
+from qlink import cli, invariant, rmatrix
 from qlink.laurent import LaurentPoly
-from qlink.tensorop import HALF, Operator
+from qlink.tensorop import HALF
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-def clear_all_caches():
-    rmatrix.clear_cache()
-    invariant.clear_cache()
-    aw.clear_cache()
 
 
 def run(argv):
@@ -332,35 +327,23 @@ class TestVerifyCommand:
         assert code == 1
 
     def test_failed_check_exits_two(self):
-        clear_all_caches()
         good = rmatrix.r_matrix(HALF, HALF)
-        bad = dict(good.entries)
-        bad[(0, 0)] = bad[(0, 0)] * LaurentPoly.v_power(2)
-        rmatrix._cache[("R", 1, 1)] = Operator(good.shape_in, good.shape_out, bad)
-        try:
+        with corrupted(("R", 1, 1), good, (0, 0), good.entries[(0, 0)] * LaurentPoly.v_power(2)):
             code, out, _ = run(
                 ["verify", "skein", "--braid", "n=2; 1", "--colors", "1/2,1/2"]
             )
-            assert code == 2
-            assert "FAIL" in out
-        finally:
-            clear_all_caches()
+        assert code == 2
+        assert "FAIL" in out
 
     def test_internal_error_exits_three(self):
-        clear_all_caches()
         good = rmatrix.r_matrix(HALF, HALF)
-        bad = dict(good.entries)
-        bad[(1, 1)] = bad[(1, 1)] * LaurentPoly.v_power(2)
-        rmatrix._cache[("R", 1, 1)] = Operator(good.shape_in, good.shape_out, bad)
-        try:
+        with corrupted(("R", 1, 1), good, (1, 1), good.entries[(1, 1)] * LaurentPoly.v_power(2)):
             # The inverse cross-check trips, which is an internal failure.
             code, _, err = run(
                 ["verify", "markov", "--braid", "n=2; -1 -1; colors=1/2,1/2"]
             )
-            assert code == 3
-            assert "internal error" in err
-        finally:
-            clear_all_caches()
+        assert code == 3
+        assert "internal error" in err
 
 
 # Runs cli.main in a fresh interpreter and prints the modules it left loaded.

@@ -45,8 +45,6 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             LaurentPoly({0.5: 1})
         with pytest.raises(TypeError):
-            LaurentPoly([(Fraction(1, 2), 1)])
-        with pytest.raises(TypeError):
             LaurentPoly({1.0: 1})
         with pytest.raises(TypeError):
             LaurentPoly.const(1) + LaurentPoly({"1": 1})
@@ -63,7 +61,7 @@ class TestArithmetic:
 
     def test_cancellation(self):
         assert V(2) + (-V(2)) == LaurentPoly.zero()
-        assert (V(2) - V(2)).is_zero()
+        assert not V(2) - V(2)
 
     def test_scalar_doubling(self):
         assert qint(2) + qint(2) == LaurentPoly({2: 2, -2: 2})
@@ -78,14 +76,12 @@ class TestArithmetic:
         assert p * LaurentPoly.one() == p
         assert V(1) * V(-1) == LaurentPoly.one()
 
-    def test_negative_power_of_monomial(self):
-        assert V(3) ** -2 == V(-6)
-        assert (-V(3)) ** -1 == -V(-3)
-        assert (-V(3)) ** -2 == V(-6)
-        with pytest.raises(ValueError):
-            qint(2) ** -1
-        with pytest.raises(ValueError):
-            (2 * V(1)) ** -1
+    def test_negative_power_is_refused(self):
+        # v^-k is v_power(-k); no polynomial is raised to a negative power.
+        assert qint(2) ** 0 == LaurentPoly.one()
+        for base in (V(3), -V(3), qint(2)):
+            with pytest.raises(ValueError, match="negative power -1"):
+                base ** -1
 
 
 class TestQCombinatorics:
@@ -96,10 +92,10 @@ class TestQCombinatorics:
         assert qint(3, -5) == qint(3) * V(-5)
 
     def test_qint_negative_and_zero(self):
-        assert qint(0).is_zero()
+        assert not qint(0)
         assert qint(-3) == -qint(3)
         assert qint(-2, 1) == -qint(2) * V(1)
-        assert qint(0, 4).is_zero()
+        assert not qint(0, 4)
 
     def test_qfact(self):
         assert qfact(0) == LaurentPoly.one()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import corrupted
 from oracles import (
     as_scalar,
     monodromy,
@@ -273,13 +274,10 @@ class TestSuites:
         assert len(report.checks) == 18
 
     def test_frt_flags_corrupted_mixed_matrix(self):
-        rm.clear_cache()
         good = rm.l_plus(Spin(2))
-        bad_entries = dict(good.entries)
-        (key, value), *_ = sorted(bad_entries.items())
-        bad_entries[key] = value * V(2)
-        rm._cache[("Rop", 1, 2)] = rm.Operator(good.shape_in, good.shape_out, bad_entries)
-        report = verify_frt((2,))
+        cell = min(good.entries)
+        with corrupted(("Rop", 1, 2), good, cell, good.entries[cell] * V(2)):
+            report = verify_frt((2,))
         assert not report.passed
         assert any(not c.passed and c.residual for c in report.checks)
 
@@ -313,10 +311,6 @@ class TestSuites:
 
 class TestCorruptionDetection:
     def test_bar_inverse_check_catches_corruption(self):
-        rm.clear_cache()
         good = rm.r_matrix(HALF, HALF)
-        bad = dict(good.entries)
-        bad[(1, 1)] = bad[(1, 1)] * V(2)
-        rm._cache[("R", 1, 1)] = rm.Operator(good.shape_in, good.shape_out, bad)
-        with pytest.raises(RuntimeError):
+        with corrupted(("R", 1, 1), good, (1, 1), good.entries[(1, 1)] * V(2)), pytest.raises(RuntimeError):
             rm.r_inverse(HALF, HALF)

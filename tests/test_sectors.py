@@ -8,12 +8,13 @@ import random
 
 import pytest
 
+from conftest import corrupted
 from oracles import random_colored_braid, rep_qh, two_strand_torus_value
 from qlink import rmatrix
 from qlink.braid import BraidWord, ColoredBraid, parse_colored
 from qlink.invariant import all_half, braid_operator, rt_invariant
 from qlink.laurent import LaurentPoly
-from qlink.tensorop import HALF, Operator, Shape, Spin, full_trace, weighted_trace
+from qlink.tensorop import HALF, Shape, Spin, full_trace, weighted_trace
 from qlink.uqsu2 import delta_rep
 
 V = LaurentPoly.v_power
@@ -60,14 +61,12 @@ def test_clean_braidings_intertwine():
 @pytest.mark.parametrize("cell, mode", CORRUPTIONS, ids=[f"{mode}-{r}-{c}" for (r, c), mode in CORRUPTIONS])
 def test_corrupted_r_fails_the_check_and_keeps_the_full_column_value(cell, mode):
     clean = rmatrix.r_matrix(HALF, HALF)
-    entries = dict(clean.entries)
-    entries[cell] = entries[cell] * V(2) if mode == "scale" else LaurentPoly.one()
-    rmatrix.clear_cache()
-    rmatrix._cache[("R", 1, 1)] = Operator(clean.shape_in, clean.shape_out, entries)
-    assert rmatrix.intertwines(HALF, HALF) is False
-    for word in (BraidWord(1, ()), BraidWord(2, (1, 1, 1)), BraidWord(3, (1, 2, 1, 1))):
-        braid = all_half(word)
-        assert rt_invariant(braid) == full_column_value(braid), word
+    value = clean.entries[cell] * V(2) if mode == "scale" else LaurentPoly.one()
+    with corrupted(("R", 1, 1), clean, cell, value):
+        assert rmatrix.intertwines(HALF, HALF) is False
+        for word in (BraidWord(1, ()), BraidWord(2, (1, 1, 1)), BraidWord(3, (1, 2, 1, 1))):
+            braid = all_half(word)
+            assert rt_invariant(braid) == full_column_value(braid), word
 
 
 def test_corrupted_mixed_color_r_keeps_the_full_column_value():
@@ -75,14 +74,11 @@ def test_corrupted_mixed_color_r_keeps_the_full_column_value():
     braid = parse_colored("n=2; 1 1", colors=(HALF, Spin(2)))
     clean_value = rt_invariant(braid)
     clean = rmatrix.r_matrix(HALF, Spin(2))
-    entries = dict(clean.entries)
-    cell = min(entries)
-    entries[cell] = entries[cell] * V(2)
-    rmatrix.clear_cache()
-    rmatrix._cache[("R", 1, 2)] = Operator(clean.shape_in, clean.shape_out, entries)
-    assert rmatrix.intertwines(HALF, Spin(2)) is False
-    value = rt_invariant(braid)
-    assert value == full_column_value(braid)
+    cell = min(clean.entries)
+    with corrupted(("R", 1, 2), clean, cell, clean.entries[cell] * V(2)):
+        assert rmatrix.intertwines(HALF, Spin(2)) is False
+        value = rt_invariant(braid)
+        assert value == full_column_value(braid)
     assert value != clean_value
 
 
@@ -142,13 +138,10 @@ def test_clear_cache_drops_the_frame_so_a_corrupted_r_is_traced_over_every_colum
     stale = rmatrix._cache[("frame", 1, 1)]
     assert stale[0].nnz() == 3
     clean = rmatrix.r_matrix(HALF, HALF)
-    entries = dict(clean.entries)
-    cell = min(entries)
-    entries[cell] = entries[cell] * V(2)
-    rmatrix.clear_cache()
-    rmatrix._cache[("R", 1, 1)] = Operator(clean.shape_in, clean.shape_out, entries)
-    value = rt_invariant(braid)
-    frame = rmatrix._cache[("frame", 1, 1)]
-    assert frame is not stale and frame[0].nnz() == 4
-    assert value == full_column_value(braid)
-    assert weighted_trace(rmatrix.word_steps(braid.word.letters, braid.colors)[0], *stale) != value
+    cell = min(clean.entries)
+    with corrupted(("R", 1, 1), clean, cell, clean.entries[cell] * V(2)):
+        value = rt_invariant(braid)
+        frame = rmatrix._cache[("frame", 1, 1)]
+        assert frame is not stale and frame[0].nnz() == 4
+        assert value == full_column_value(braid)
+        assert weighted_trace(rmatrix.word_steps(braid.word.letters, braid.colors)[0], *stale) != value

@@ -144,7 +144,7 @@ class TestComposition:
 
     def test_hook_relations(self):
         e1, e2 = TLElement.hook(3, 1), TLElement.hook(3, 2)
-        assert tl_mul(e1, e1) == e1 * DELTA
+        assert tl_mul(e1, e1).terms == {hook_diagram(3, 1): DELTA}
         assert tl_mul(tl_mul(e1, e2), e1) == e1
         assert tl_mul(tl_mul(e2, e1), e2) == e2
 
@@ -152,9 +152,11 @@ class TestComposition:
         # e1 e3 stacked on itself erases two loops; stacked on e2, none.
         e1e3 = tl_mul(TLElement.hook(4, 1), TLElement.hook(4, 3))
         e2 = TLElement.hook(4, 2)
-        assert tl_mul(e1e3, e1e3) == e1e3 * DELTA**2
-        lhs = tl_mul(e1e3 * V(1), e2 + e1e3 * V(-3))
-        assert lhs == tl_mul(e1e3, e2) * V(1) + e1e3 * (V(-2) * DELTA**2)
+        (d13,), (d2,) = e1e3.terms, e2.terms
+        assert tl_mul(e1e3, e1e3).terms == {d13: DELTA**2}
+        (d132,) = tl_mul(e1e3, e2).terms
+        lhs = tl_mul(TLElement(4, {d13: V(1)}), TLElement(4, {d2: LaurentPoly.one(), d13: V(-3)}))
+        assert lhs.terms == {d132: V(1), d13: V(-2) * DELTA**2}
 
     def test_identity_element_is_neutral(self):
         e1 = TLElement.hook(4, 1)
@@ -164,19 +166,13 @@ class TestComposition:
 
     def test_size_mismatch(self):
         # Anywhere in a chain, the error names both strand counts; a diagram
-        # pair and a sum are checked too.
+        # pair is checked too.
         three, two = TLElement.identity(3), TLElement.identity(2)
         for chain in ((two, three), (two, three, three), (three, two, three), (three, three, two)):
             with pytest.raises(ValueError, match=r"on (3 and 2|2 and 3) strands"):
                 tl_mul(*chain)
         with pytest.raises(ValueError, match="cannot stack diagrams on 2 and 3 strands"):
             compose_matchings(identity_diagram(2), identity_diagram(3))
-        with pytest.raises(ValueError, match="cannot add elements on different strand counts"):
-            two + three
-
-    def test_scalar_must_be_a_polynomial_or_int(self):
-        with pytest.raises(TypeError):
-            TLElement.identity(2) * "x"
 
     def test_identity_diagram_returns_the_other_operand(self):
         for n in range(5):
@@ -271,7 +267,7 @@ class TestClosure:
     def test_close_first_partial(self):
         # Closing one strand of the two-strand identity leaves one strand and a loop.
         partial = close_first(TLElement.identity(2))
-        assert partial == TLElement.identity(1) * DELTA
+        assert partial == TLElement(1, {identity_diagram(1): DELTA})
 
     def test_positive_kink_value(self):
         closed = close_all(word_element(BraidWord(2, (1,))))

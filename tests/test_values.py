@@ -11,7 +11,7 @@ from qlink.braid import BraidWord, ColoredBraid
 from qlink.laurent import Immutable, LaurentPoly
 from qlink.report import Check, Report
 from qlink.tensorop import HALF, Operator, Shape, Spin, compose, identity
-from qlink.tl import TLElement
+from qlink.tl import TLElement, hook_diagram
 
 # Each builder returns a fresh value, equal to its last one field by field.
 BUILDERS = {
@@ -22,7 +22,7 @@ BUILDERS = {
     "Operator": lambda: Operator(Shape.of(1), Shape.of(1), {(0, 1): LaurentPoly.v_power(2)}),
     "BraidWord": lambda: BraidWord(3, (1, -2)),
     "ColoredBraid": lambda: ColoredBraid(BraidWord(2, (1, 1)), (HALF, Spin(1))),
-    "TLElement": lambda: TLElement.hook(3, 1) * 2,
+    "TLElement": lambda: TLElement(3, {hook_diagram(3, 1): LaurentPoly.const(2)}),
     "Report": lambda: Report("s", [Check("c", False, 3, "n")]),
 }
 UNHASHABLE = ("Operator", "TLElement", "Report")  # each holds a dict or a list
