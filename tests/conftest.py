@@ -17,16 +17,18 @@ def clear_all_caches():
 
 
 @contextmanager
-def corrupted(key, clean: Operator, cell, value):
+def corrupted(key, clean: Operator, cell, value, *, clear=clear_all_caches):
     """
-    Every cache emptied, then `clean` with its entry `cell` set to `value`
-    put under rmatrix's `key`, so every route reads the corrupted matrix; on
-    exit every cache is emptied again, so nothing built from it outlives the
-    block.
+    The caches emptied by `clear`, then `clean` with its entry `cell` set to
+    `value` put under rmatrix's `key`, so every route reads the corrupted
+    matrix; on exit `clear` runs again, so nothing built from it outlives the
+    block.  The default empties every cache; `clear=rmatrix.clear_cache`
+    leaves the other modules' caches in place, to show they hold nothing
+    built from rmatrix's table.
     """
-    clear_all_caches()
+    clear()
     rmatrix._cache[key] = Operator(clean.shape_in, clean.shape_out, {**clean.entries, cell: value})
     try:
         yield
     finally:
-        clear_all_caches()
+        clear()

@@ -239,7 +239,7 @@ class TestRelations:
         shape = Shape.of(1, 1, 1)
         assert aw.verify_aw(shape).passed
         good = rmatrix.r_matrix(HALF, HALF)
-        with corrupted(("R", 1, 1), good, (3, 3), good.entries[(3, 3)] * V(4)):
+        with corrupted(("R", 1, 1), good, (3, 3), good.entries[(3, 3)] * V(4), clear=rmatrix.clear_cache):
             assert not aw.verify_aw(shape).passed
         assert aw.verify_aw(shape).passed
 
