@@ -14,7 +14,7 @@ the braid word W moves each leg the loop passes between the block's ends up
 across the block legs above it, on the side the loop passes it, and C is the
 Casimir of the gathered block on the permuted shape W reaches, which the
 shape-typed operators enforce.  Every braiding is a word of braid letters
-made into matrices by `rmatrix.letter_matrix`, as in the quantum-trace
+made into matrices by `rmatrix.word_steps`, as in the quantum-trace
 invariant, and each conjugation is one `act_adjacent` pass over C read as a
 column on the out and in legs: W^-1 acts on the out legs and the transpose
 of W on the in legs, so neither W nor a product is formed.  Only the

@@ -21,14 +21,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .laurent import poly_to_json
 from .report import Report
 from .tensorop import InputError, Shape, Spin, parse_int
-
-if TYPE_CHECKING:  # annotations only: the braid-reading helpers import braid
-    from .braid import BraidWord, ColoredBraid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,7 +81,7 @@ def _read_braid(text: str, colors: Optional[str]) -> object:
     return parse_any(text, None if colors is None else tuple(_parse_spins(colors, "colors")))
 
 
-def _require_colored(parsed, colors_flag: str = "--colors") -> ColoredBraid:
+def _require_colored(parsed, colors_flag: str = "--colors"):
     from .braid import ColoredBraid
 
     if isinstance(parsed, ColoredBraid):
@@ -92,7 +89,7 @@ def _require_colored(parsed, colors_flag: str = "--colors") -> ColoredBraid:
     raise InputError(f"this operation needs strand colors (inline or via {colors_flag})")
 
 
-def _as_word(parsed) -> BraidWord:
+def _as_word(parsed):
     from .braid import BraidWord
 
     if isinstance(parsed, BraidWord):
@@ -274,5 +271,5 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

@@ -12,12 +12,8 @@ q^(2H) on every factor, Tr(B . q^(2H) (x) ... (x) q^(2H)) = sum_i B_ii v^(2 t_i)
 with t_i the twice-weight of column i, and one path computes it: the letters
 act on the identity's columns in one `tensorop.weighted_trace` call, whose
 last letter writes only the diagonal, decoded straight into the weighted sum.
-When every braided matrix between the braid's colors intertwines the U_q
-action (`rmatrix.intertwines`), so does the braid, and its trace on sector t
-equals its trace on -t, so only the columns with t >= 0 are acted on.
-Otherwise (a corrupted R) every column is.  The start columns and offsets
-of a color tuple, its frame, are built once and kept in rmatrix's table,
-which `clear_cache` empties.  `braid_operator` with
+The columns acted on and their offsets, the frame of the colors, come from
+`rmatrix.closure_frame`, which states the rule.  `braid_operator` with
 `tensorop.full_trace` is the test oracle for this path.  The value is a
 regular-isotopy invariant: a kink changes it by exactly q^(+-2j(j+1)), which
 is checked by `verify_framing` rather than normalized away.  An
@@ -53,6 +49,7 @@ from .tensorop import (
     Operator,
     Shape,
     Spin,
+    act_adjacent,
     identity,
     weighted_trace,
 )
@@ -88,43 +85,18 @@ def clear_cache() -> None:
 
 def braid_operator(braid: ColoredBraid) -> Operator:
     """The represented braid, from the bottom-color shape to itself."""
-    return _rmatrix().act_letters(braid.word.letters, identity(Shape(braid.colors)))
-
-
-def _closure_trace(braid: ColoredBraid) -> LaurentPoly:
-    """
-    Tr(braid . q^(2H) on every factor) = sum_i B_ii v^(2 t_i), with t_i the
-    twice-weight of column i, in one `weighted_trace` call from the frame of
-    the braid's colors: (start, offsets), built on first use and kept in
-    rmatrix's table under ("frame", 2j of each color), so `clear_cache`
-    drops it with the matrices its verdict was drawn from.  If every letter
-    intertwines (`rmatrix.intertwines` on each color pair), sector t has the
-    trace of -t: the start is the identity's columns with t >= 0, sector 0
-    takes the offset 0 and t > 0 the offsets 2t and -2t.  Otherwise (a
-    corrupted R) the start is the identity and column i takes 2 t_i.  The
-    start keeps its index, so no closure indexes or packs it again.
-    """
-    rmatrix = _rmatrix()
-    key = ("frame", *[c.twice_j for c in braid.colors])
-    frame = rmatrix._cache.get(key)
-    if frame is None:
-        spins = set(braid.colors)
-        symmetric = all(rmatrix.intertwines(a, b) for a in spins for b in spins)
-        shape = Shape(braid.colors)
-        sector, one = shape.twice_weights(), LaurentPoly.one()
-        start = Operator._raw(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
-        weights = {t: (2 * t,) if not symmetric or t == 0 else (2 * t, -2 * t) for t in sector}
-        frame = rmatrix._cache[key] = (start, [weights[t] for t in sector])
-    return weighted_trace(rmatrix.word_steps(braid.word.letters, braid.colors)[0], *frame)
+    return act_adjacent(_rmatrix().word_steps(braid.word.letters, braid.colors)[0], identity(Shape(braid.colors)))
 
 
 def rt_invariant(braid: ColoredBraid, normalize: bool = False) -> LaurentPoly:
     """
-    The weighted closure trace of the braid.  With normalize=True the value is
-    multiplied by q^(-2j(j+1) * self-writhe) per component, trading the framed
-    (regular-isotopy) value for an ambient-isotopy one.
+    The weighted closure trace of the braid, from the frame of its colors.
+    With normalize=True the value is multiplied by q^(-2j(j+1) * self-writhe)
+    per component, trading the framed (regular-isotopy) value for an
+    ambient-isotopy one.
     """
-    value = _closure_trace(braid)
+    rmatrix = _rmatrix()
+    value = weighted_trace(rmatrix.word_steps(braid.word.letters, braid.colors)[0], *rmatrix.closure_frame(braid.colors))
     if normalize:
         twice = [braid.colors[comp[0]].twice_j for comp in components(braid)]
         value = value * V(-sum(tj * (tj + 2) * w for tj, w in zip(twice, self_writhe(braid))))

@@ -239,6 +239,15 @@ def finalize(acc: dict[int, int]) -> LaurentPoly:
     return LaurentPoly._raw({e: c for e, c in acc.items() if c})
 
 
+def as_poly(c: Union[LaurentPoly, int]) -> LaurentPoly:
+    """A checked constructor's coefficient: an int is the constant, as in the ring operations."""
+    if isinstance(c, LaurentPoly):
+        return c
+    if isinstance(c, int):
+        return LaurentPoly.const(c)
+    raise TypeError(f"coefficients are LaurentPoly or int, got {type(c).__name__} {c!r}")
+
+
 def summed(items: Iterable[tuple[Hashable, LaurentPoly]]) -> dict:
     """{key: polynomial} with the polynomials of equal keys summed and zeros dropped."""
     canon = {}

@@ -41,23 +41,21 @@ The Yang-Baxter equation, the FRT/RLL exchange relations and the monodromy
 annihilators of these matrices are checked by the test suite; no route of
 the package runs them.
 
-`letter_matrix` is the one place a braid letter becomes a matrix: letter +i
+`word_steps` is the one place a braid letter becomes a matrix: letter +i
 acts on legs i - 1, i by Rhat at their current spins, letter -i by Rhat^-1,
-and the spins travel with the strands.  `word_steps` reads a word through
-it, and `act_letters` applies those steps; closed braids and the
-Askey-Wilson conjugations both take their braidings from it.
+and the spins travel with the strands.  Closed braids and the Askey-Wilson
+conjugations both take their braidings from it.
 
 `intertwines(j1, j2)` reports whether Rhat carries the coproducts of E, F
-and q^H on (j1, j2) to those on (j2, j1); the closure trace reads only the
-nonnegative weight sectors of a braid whose color pairs all pass it.
+and q^H on (j1, j2) to those on (j2, j1); `closure_frame` reads those
+verdicts to choose the columns and weights of a closure trace.
 
 `_memo` keeps each builder's result in one module-level table under its tag
 and the twice-spins of its arguments: ("R", 2j_1, 2j_2), likewise "Rinv",
 "Rop", "bR", "bRinv" and "intertwines" (a bool); ("Lpi", 2j), ("P",) and
-("M",).  `l_minus` and `l_plus` read ("R", 1, 2j) and ("Rop", 1, 2j).  The
-closure trace of `invariant` keeps there, under ("frame", 2j of each color),
-the frame of each color tuple: its start columns and offsets, chosen by the
-intertwining verdicts.  Each key is written once, so concurrent readers are
+("M",).  `l_minus` and `l_plus` read ("R", 1, 2j) and ("Rop", 1, 2j).
+`closure_frame` keeps there, under ("frame", 2j of each color), the frame
+of each color tuple.  Each key is written once, so concurrent readers are
 safe under the GIL.  `clear_cache`, for tests that inject corrupted matrices
 under these keys, clears the verdicts and frames drawn from them too.
 """
@@ -68,13 +66,13 @@ from functools import wraps
 from typing import Iterable, Sequence, Union
 
 from .laurent import LaurentPoly, qint
-from .tensorop import HALF, Operator, Shape, ShapeError, Spin, act_adjacent, compose, identity, swap
+from .tensorop import HALF, Operator, Shape, ShapeError, Spin, compose, identity, swap
 from .uqsu2 import commutation_defects, delta_rep
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
 
-_cache: dict[tuple, Union[Operator, bool]] = {}
+_cache: dict[tuple, Union[Operator, bool, tuple[Operator, list[tuple[int, ...]]]]] = {}
 
 
 def clear_cache() -> None:
@@ -177,37 +175,50 @@ def intertwines(j1: Spin, j2: Spin) -> bool:
     return all(defect.is_zero() for _, defect in commutation_defects(braided_r(j1, j2)))
 
 
-def letter_matrix(letter: int, factors: Sequence[Spin]) -> tuple[int, Operator]:
+def closure_frame(colors: Sequence[Spin]) -> tuple[Operator, list[tuple[int, ...]]]:
     """
-    (i - 1, the matrix) for the signed braid letter +-i on legs with spins
-    `factors`: braided_r(a, b) for +i and braided_r_inv(b, a) for -i, with
-    (a, b) the spins on legs i - 1, i.
+    (start, offsets), from which `tensorop.weighted_trace` of a word on legs
+    with spins `colors` is Tr(braid . q^(2H) on every factor) = sum_i B_ii
+    v^(2 t_i), with t_i the twice-weight of column i.  If every braided
+    matrix between the colors intertwines (`intertwines` on each pair), so
+    does every braid, and sector t has the trace of -t: the start is the
+    identity's columns with t >= 0, sector 0 takes the offset 0 and t > 0
+    the offsets 2t and -2t.  Otherwise (a corrupted R) the start is the
+    identity and column i takes 2 t_i.  Kept under ("frame", 2j of each
+    color), so `clear_cache` drops it with the matrices its verdicts were
+    drawn from; the start keeps its index, so no closure packs it again.
     """
-    i = abs(letter) - 1
-    if not 0 <= i < len(factors) - 1:
-        raise ShapeError(f"letter {letter} needs legs {i}, {i + 1} of a {len(factors)}-leg shape")
-    a, b = factors[i], factors[i + 1]
-    return i, braided_r(a, b) if letter > 0 else braided_r_inv(b, a)
+    key = ("frame", *[c.twice_j for c in colors])
+    frame = _cache.get(key)
+    if frame is None:
+        spins = set(colors)
+        symmetric = all(intertwines(a, b) for a in spins for b in spins)
+        shape = Shape(colors)
+        sector, one = shape.twice_weights(), LaurentPoly.one()
+        start = Operator._raw(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
+        weights = {t: (2 * t,) if not symmetric or t == 0 else (2 * t, -2 * t) for t in sector}
+        frame = _cache[key] = (start, [weights[t] for t in sector])
+    return frame
 
 
 def word_steps(letters: Iterable[int], factors: Sequence[Spin]) -> tuple[list[tuple[int, Operator]], tuple[Spin, ...]]:
     """
     The `act_adjacent` steps of signed braid letters read bottom-up from legs
-    with spins `factors`, each by `letter_matrix` at the spins its legs carry
-    by then, and the spins the word leaves.
+    with spins `factors`, and the spins the word leaves.  Letter +-i is the
+    step (i - 1, braided_r(a, b)) for +i and (i - 1, braided_r_inv(b, a))
+    for -i, with (a, b) the spins legs i - 1, i carry by then.
     """
     factors = list(factors)
     steps = []
     for letter in letters:
-        i, matrix = letter_matrix(letter, factors)
+        i = abs(letter) - 1
+        if not 0 <= i < len(factors) - 1:
+            raise ShapeError(f"letter {letter} needs legs {i}, {i + 1} of a {len(factors)}-leg shape")
+        a, b = factors[i], factors[i + 1]
+        matrix = braided_r(a, b) if letter > 0 else braided_r_inv(b, a)
         steps.append((i, matrix))
         factors[i : i + 2] = matrix.shape_out.factors
     return steps, tuple(factors)
-
-
-def act_letters(letters: Iterable[int], target: Operator) -> Operator:
-    """Apply signed braid letters bottom-up to the output legs of `target` in one `act_adjacent` pass."""
-    return act_adjacent(word_steps(letters, target.shape_out.factors)[0], target)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .laurent import Immutable, LaurentPoly, poly_to_json, summed
+from .laurent import Immutable, LaurentPoly, as_poly, poly_to_json, summed
 
 
 class ShapeError(ValueError):
@@ -184,9 +184,10 @@ class Operator(Immutable):
 
     __slots__ = ("shape_in", "shape_out", "entries", "_index")
 
-    def __init__(self, shape_in: Shape, shape_out: Shape, entries: Mapping[tuple[int, int], LaurentPoly]):
+    def __init__(self, shape_in: Shape, shape_out: Shape, entries: Mapping[tuple[int, int], Union[LaurentPoly, int]]):
         canon: dict[tuple[int, int], LaurentPoly] = {}
         for (r, c), p in entries.items():
+            p = as_poly(p)
             if p:
                 canon[(r, c)] = p
         object.__setattr__(self, "shape_in", shape_in)

@@ -20,7 +20,8 @@ only for the result, so a braid word is one call.
 diagram, which is how loop-around-strands tangles are evaluated; `close_all`
 closes every strand, one loop-counting walk per diagram.
 
-`TLElement(...)` is where a caller's diagrams enter, and it checks each one.
+`TLElement(...)` is where a caller's diagrams enter, and it checks each one
+(an int coefficient is the constant polynomial, as for `Operator`).
 What this module builds itself is valid by construction and skips those
 checks through `TLElement._raw`: the identity and the hooks, products,
 letters and one-strand closures.
@@ -32,9 +33,9 @@ absorbs the writhe phase, so a word's closure is the invariant itself.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Union
 
-from .laurent import Immutable, LaurentPoly, accumulate_product, accumulate_terms, finalize, qint, summed
+from .laurent import Immutable, LaurentPoly, accumulate_product, accumulate_terms, as_poly, finalize, qint, summed
 from .braid import BraidWord
 
 # Loop value of one erased circle: q + q^-1, the trace of q^(2H) on spin 1/2.
@@ -137,9 +138,9 @@ class TLElement(Immutable):
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], LaurentPoly]):
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Union[LaurentPoly, int]]):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", summed((_check_pairing(n, diag), coeff) for diag, coeff in terms.items()))
+        object.__setattr__(self, "terms", summed((_check_pairing(n, diag), as_poly(coeff)) for diag, coeff in terms.items()))
 
     @staticmethod
     def _raw(n: int, canon: dict[tuple[int, ...], LaurentPoly]) -> TLElement:

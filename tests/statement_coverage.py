@@ -26,8 +26,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qlink"
 
 # "module.qualname: first line of the statement" -> why no tier-1 test runs it.
 ALLOWED = {
-    "cli: from .braid import BraidWord, ColoredBraid": "read by type checkers only, under TYPE_CHECKING",
-    "cli: sys.exit(main())": "the __main__ guard runs only as `python -m qlink.cli`, in a subprocess",
     "invariant._rmatrix: from . import rmatrix": "runs only in a fresh process; the tests import rmatrix first",
 }
 

@@ -12,6 +12,7 @@ from qlink.tensorop import (
     Operator,
     Shape,
     Spin,
+    act_adjacent,
     compose,
     embed,
     identity,
@@ -160,7 +161,8 @@ def loop(index: str, a: Spin, shape: Shape) -> Operator:
     """
     top = max(int(digit) for digit in index.rstrip("~"))
     legs = Shape((a,) + shape.factors[:top])
-    closed = partial_trace_first(rmatrix.act_letters(loop_word(index), identity(legs)), rep_qh(a, 2))
+    word = act_adjacent(rmatrix.word_steps(loop_word(index), legs.factors)[0], identity(legs))
+    closed = partial_trace_first(word, rep_qh(a, 2))
     return embed(closed, range(top), shape)
 
 

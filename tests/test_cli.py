@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -433,6 +434,15 @@ class TestStartupImports:
         loaded = set(proc.stdout.splitlines()[-1].split())
         assert "qlink.cli" in loaded
         assert loaded.isdisjoint(["dataclasses", *absent]), sorted(loaded)
+
+    def test_module_runs_as_main(self, monkeypatch, capsys):
+        # `python -m qlink.cli`, in this process; runpy warns when the module it runs is already imported.
+        monkeypatch.setattr(sys, "argv", ["qlink", "invariant", "--braid", "n=2; 1 1 1", "--method", "cs"])
+        monkeypatch.delitem(sys.modules, "qlink.cli")
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("qlink.cli", run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == "-v^-9 + v^-1 + v^3 + v^7\n"
 
 
 class TestGoldenOutputs:

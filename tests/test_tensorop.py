@@ -104,6 +104,20 @@ class TestBasics:
         with pytest.raises(AttributeError):
             Operator(shape, shape, [((0, 0), one), ((0, 0), V(1))])
 
+    def test_int_entries_are_constant_polynomials(self):
+        # As in LaurentPoly's arithmetic: a later product or the JSON reads the int as a polynomial.
+        shape, one = Shape.of(1), LaurentPoly.one()
+        op = Operator(shape, shape, {(0, 0): 1, (1, 0): -2, (1, 1): 0})
+        same = Operator(shape, shape, {(0, 0): one, (1, 0): LaurentPoly.const(-2)})
+        assert op.entries == same.entries
+        assert compose(op, op) == compose(same, same) == same
+        assert op.to_json() == same.to_json()
+
+    def test_entries_of_another_type_are_rejected(self):
+        shape = Shape.of(1)
+        with pytest.raises(TypeError, match="str"):
+            Operator(shape, shape, {(0, 0): "1"})
+
     def test_compose_identity_and_mismatch(self):
         rng = random.Random(1)
         a = random_operator(rng, Shape((HALF, HALF)), Shape((HALF, HALF)))

@@ -134,6 +134,17 @@ class TestUncheckedConstructors:
         with pytest.raises(ValueError, match="expected 6"):
             TLElement(3, {identity_diagram(2): LaurentPoly.one()})
 
+    def test_int_coefficients_are_constant_polynomials(self):
+        # As in LaurentPoly's arithmetic: a product or a closure reads the int as a polynomial.
+        elem = TLElement(2, {identity_diagram(2): 1, hook_diagram(2, 1): 0})
+        assert elem.terms == {identity_diagram(2): LaurentPoly.one()}
+        assert tl_mul(elem, TLElement.hook(2, 1)) == TLElement.hook(2, 1)
+        assert close_all(elem) == DELTA * DELTA
+
+    def test_coefficients_of_another_type_are_rejected(self):
+        with pytest.raises(TypeError, match="str"):
+            TLElement(2, {identity_diagram(2): "1"})
+
 
 class TestComposition:
     def test_hook_squared_makes_one_loop(self):
