@@ -24,7 +24,6 @@ import sys
 from typing import Optional
 
 from .laurent import poly_to_json
-from .report import Report
 from .tensorop import InputError, Shape, Spin, parse_int
 
 EXIT_OK = 0
@@ -168,7 +167,7 @@ _AW_SUITES = {
 _AW_SHAPELESS = ("verify_p_propositions", "verify_tl_iso")
 
 
-def _aw_report(args) -> Report:
+def _aw_report(args):
     from . import aw
 
     names = _AW_SUITES[args.suite_name]
@@ -183,7 +182,7 @@ def _aw_report(args) -> Report:
     return reports[0]
 
 
-def _braid_report(args) -> Report:
+def _braid_report(args):
     from . import invariant
 
     braid = _require_colored(_read_braid(args.braid, args.colors))

@@ -35,20 +35,16 @@ class Report(Immutable):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, residual: Union[Operator, LaurentPoly], note: Optional[str] = None) -> Check:
+    def add(self, name: str, residual: Union[Operator, LaurentPoly], note: Optional[str] = None) -> None:
         """Record a check that passes iff `residual` is exactly zero."""
         if isinstance(residual, Operator):
             size = residual.nnz()
         else:
             size = len(residual.terms)
-        check = Check(name, size == 0, None if size == 0 else size, note)
-        self.checks.append(check)
-        return check
+        self.checks.append(Check(name, size == 0, None if size == 0 else size, note))
 
-    def add_bool(self, name: str, passed: bool, note: Optional[str] = None) -> Check:
-        check = Check(name, passed, None, note)
-        self.checks.append(check)
-        return check
+    def add_bool(self, name: str, passed: bool) -> None:
+        self.checks.append(Check(name, passed))
 
     def extend(self, other: Report) -> None:
         self.checks.extend(other.checks)

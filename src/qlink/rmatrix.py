@@ -26,8 +26,9 @@ Derived operators:
 
 - braided form  Rhat = swap . R  (shape (a,b) -> (b,a)) and its inverse;
 - opposite form R21 = swap . R(b,a) . swap on (a,b);
-- each of these is R or R^-1 with its indices relabelled as `swap` maps
-  them (`_exchanged`), so no product is formed;
+- each of these is R or R^-1 with the indices of its exchanged sides
+  relabelled by the exchange rule, index i d_b + k on legs (a, b) being
+  k d_a + i on (b, a) (`_exchanged`), so no product is formed;
 - L^- (j) = R on (1/2, j) and L^+(j) = R21 on (1/2, j): the mixed matrices
   with a distinguished spin-1/2 first leg, defined from R rather than
   transcribed, so there is a single source of truth (the written 2x2 block
@@ -66,8 +67,8 @@ from functools import wraps
 from typing import Iterable, Sequence, Union
 
 from .laurent import LaurentPoly, qint
-from .tensorop import HALF, Operator, Shape, ShapeError, Spin, compose, identity, swap
-from .uqsu2 import commutation_defects, delta_rep
+from .tensorop import HALF, Operator, Shape, ShapeError, Spin, compose, identity
+from .uqsu2 import commutation_defects, delta_rep, twice_weights
 
 Q = LaurentPoly.q_power
 V = LaurentPoly.v_power
@@ -140,12 +141,14 @@ def r_inverse(j1: Spin, j2: Spin) -> Operator:
 def _exchanged(op: Operator, out_legs: bool, in_legs: bool) -> Operator:
     """
     swap . op if out_legs, times swap on the right if in_legs, for op between
-    two-leg shapes: each index is relabelled as `swap` maps it, so no product
-    is formed.
+    two-leg shapes, with no product formed: on each exchanged side, index
+    i d_b + k on the legs (a, b) of op is relabelled k d_a + i on (b, a).
     """
-    rows = {c: r for r, c in swap(*op.shape_out).entries} if out_legs else None
-    cols = {r: c for r, c in swap(*reversed(op.shape_in.factors)).entries} if in_legs else None
-    entries = {(rows[r] if out_legs else r, cols[c] if in_legs else c): p for (r, c), p in op.entries.items()}
+    (ra, rb), (ca, cb) = op.shape_out.dims, op.shape_in.dims
+    entries = {
+        (r % rb * ra + r // rb if out_legs else r, c % cb * ca + c // cb if in_legs else c): p
+        for (r, c), p in op.entries.items()
+    }
     shape_in = Shape(reversed(op.shape_in.factors)) if in_legs else op.shape_in
     shape_out = Shape(reversed(op.shape_out.factors)) if out_legs else op.shape_out
     return Operator._raw(shape_in, shape_out, entries)
@@ -179,10 +182,10 @@ def closure_frame(colors: Sequence[Spin]) -> tuple[Operator, list[tuple[int, ...
     """
     (start, offsets), from which `tensorop.weighted_trace` of a word on legs
     with spins `colors` is Tr(braid . q^(2H) on every factor) = sum_i B_ii
-    v^(2 t_i), with t_i the twice-weight of column i.  If every braided
-    matrix between the colors intertwines (`intertwines` on each pair), so
-    does every braid, and sector t has the trace of -t: the start is the
-    identity's columns with t >= 0, sector 0 takes the offset 0 and t > 0
+    v^(2 t_i), with t_i the twice-weight of column i (`twice_weights`).  If
+    every braided matrix between the colors intertwines (`intertwines` on each
+    pair), so does every braid, and sector t has the trace of -t: the start is
+    the identity's columns with t >= 0, sector 0 takes the offset 0 and t > 0
     the offsets 2t and -2t.  Otherwise (a corrupted R) the start is the
     identity and column i takes 2 t_i.  Kept under ("frame", 2j of each
     color), so `clear_cache` drops it with the matrices its verdicts were
@@ -194,7 +197,7 @@ def closure_frame(colors: Sequence[Spin]) -> tuple[Operator, list[tuple[int, ...
         spins = set(colors)
         symmetric = all(intertwines(a, b) for a in spins for b in spins)
         shape = Shape(colors)
-        sector, one = shape.twice_weights(), LaurentPoly.one()
+        sector, one = twice_weights(shape), LaurentPoly.one()
         start = Operator._raw(shape, shape, {(i, i): one for i, t in enumerate(sector) if t >= 0 or not symmetric})
         weights = {t: (2 * t,) if not symmetric or t == 0 else (2 * t, -2 * t) for t in sector}
         frame = _cache[key] = (start, [weights[t] for t in sector])

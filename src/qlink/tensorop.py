@@ -21,12 +21,12 @@ so operator equality is exact.  Spins, shapes and operators are `Immutable`
 values: equality compares their fields, and an operator, which holds a dict,
 is not hashable.  Everything is pure.
 
-The structural operations are the ones a route uses: identity, the
-two-factor `swap`, `embed`, named sums of scaled products (`combine`), a word
-of two-leg steps (`act_adjacent`), the weighted diagonal of such a word
-(`weighted_trace`) and weighted traces.  `combine` is the one arithmetic
-kernel: `compose`, `+`, `-` (after a check for equal operands) and scalar `*`
-are one-term or one-sum calls, and `kron` composes two `embed`s.
+The structural operations are the ones a route uses: identity, `embed`,
+named sums of scaled products (`combine`), a word of two-leg steps
+(`act_adjacent`), the weighted diagonal of such a word (`weighted_trace`)
+and weighted traces.  `combine` is the one arithmetic kernel: `compose`,
+`+`, `-` (after a check for equal operands) and scalar `*` are one-term or
+one-sum calls, and `kron` composes two `embed`s.
 `combine`, `act_adjacent` and `weighted_trace` are front ends of one packed
 executor, `_packed_sums`: it computes on packed integers (a Kronecker
 substitution: a polynomial becomes a base exponent and one int), each cell
@@ -79,10 +79,6 @@ class Spin(Immutable):
     @property
     def dim(self) -> int:
         return self.twice_j + 1
-
-    def twice_weights(self) -> list[int]:
-        """Twice-weights 2m in basis order: 2j, 2j-2, ..., -2j."""
-        return list(range(self.twice_j, -self.twice_j - 1, -2))
 
     @classmethod
     def parse(cls, text: str) -> Spin:
@@ -141,13 +137,6 @@ class Shape(Immutable):
 
     def twice_list(self) -> list[int]:
         return [s.twice_j for s in self.factors]
-
-    def twice_weights(self) -> list[int]:
-        """Twice the total weight of every basis index, in index order: the index's weight sector."""
-        out = [0]
-        for s in self.factors:
-            out = [t + tm for t in out for tm in s.twice_weights()]
-        return out
 
     def strides(self) -> tuple[int, ...]:
         return self._strides
@@ -318,14 +307,6 @@ def combine(shape_in: Shape, shape_out: Shape, sums: Mapping[str, Iterable[tuple
         plan.append(steps)
     entries = _packed_sums(plan, shape_in.dim)
     return {name: Operator._raw(shape_in, shape_out, entries[k]) for name, k in position.items() if name not in read}
-
-
-def swap(a: Spin, b: Spin) -> Operator:
-    """The two-factor exchange (V_a (x) V_b -> V_b (x) V_a): column i d_b + k to row k d_a + i."""
-    one = LaurentPoly.one()
-    da, db = a.dim, b.dim
-    entries = {(k * da + i, i * db + k): one for i in range(da) for k in range(db)}
-    return Operator._raw(Shape((a, b)), Shape((b, a)), entries)
 
 
 def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:

@@ -21,7 +21,9 @@ acts on spin j as the scalar chi_j = q^(2j+1) + q^(-2j-1).  The coproduct is
 so on n legs D(E) = sum_i q^H..q^H E_i q^-H..q^-H.  One walk over the basis
 columns (`_moves`) writes D(E), D(F), D(q^(kH)) and the iterated-coproduct
 Casimir entry by entry; nothing is multiplied out, and a single leg is the
-one-leg case of the same walk.
+one-leg case of the same walk.  The same walk gives each column's total
+twice-weight (`twice_weights`), its weight sector, which a closure trace
+reads; no other module computes it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ def _moves(shape: Shape) -> list[tuple[int, list, list]]:
             below += ti
         walk.append((total, raises, lowers))
     return walk
+
+
+def twice_weights(shape: Shape) -> list[int]:
+    """The total twice-weight T of every basis column of `shape`, in index order, read from `_moves`."""
+    return [total for total, _, _ in _moves(shape)]
 
 
 def delta_rep(kind: str, shape: Shape, power: int = 1) -> Operator:

@@ -50,7 +50,14 @@ Moved here from the package, because no route of the package uses them:
   reads that JSON, only the tests' round trips do.
 - `writhe_breakdown` (once `braid.writhe`): the total writhe and the
   pairwise linking besides each component's self-writhe, which is all the
-  ambient normalization reads (`braid.self_writhe`).
+  ambient normalization reads (`braid.self_writhe`);
+- `spin_twice_weights` and `shape_twice_weights` (once the `twice_weights`
+  methods of `Spin` and `Shape`): the twice-weights 2j, 2j - 2, ..., -2j of
+  one leg, summed factor by factor over a shape, where `uqsu2.twice_weights`
+  reads each column's total from the per-column walk;
+- `swap` (once in `tensorop`): the two-factor exchange, each basis pair
+  looked up among the pairs of the exchanged shape, where `rmatrix` relabels
+  the indices of R by the formula i d_b + k -> k d_a + i.
 
 `full_twist_value` is the closed value of a power of the full twist from
 the Clebsch-Gordan multiplicities and the Casimir scalar on each summand,
@@ -357,8 +364,33 @@ def aw_residuals_by_products(q, one) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The written one-leg generators, and helpers no route of the package uses.
+# The written one-leg weights and generators, the leg exchange, and helpers no
+# route of the package uses.
 # ---------------------------------------------------------------------------
+
+
+def spin_twice_weights(j: Spin) -> list[int]:
+    """Twice-weights 2m of the spin-j basis in order: 2j, 2j - 2, ..., -2j."""
+    return list(range(j.twice_j, -j.twice_j - 1, -2))
+
+
+def shape_twice_weights(shape: Shape) -> list[int]:
+    """Twice the total weight of every basis index of `shape`, in index order, summed factor by factor."""
+    out = [0]
+    for j in shape:
+        out = [t + tm for t in out for tm in spin_twice_weights(j)]
+    return out
+
+
+def swap(a: Spin, b: Spin) -> Operator:
+    """
+    The two-factor exchange V_a (x) V_b -> V_b (x) V_a, |x> (x) |y> to
+    |y> (x) |x>: each row is the place of the exchanged basis pair among the
+    pairs of (b, a) in index order, with no index formula.
+    """
+    rows = {pair: row for row, pair in enumerate(product(range(b.dim), range(a.dim)))}
+    cols = product(range(a.dim), range(b.dim))
+    return Operator(Shape((a, b)), Shape((b, a)), {(rows[(y, x)], col): 1 for col, (x, y) in enumerate(cols)})
 
 
 def rep_e(j: Spin) -> Operator:
@@ -378,7 +410,7 @@ def rep_qh(j: Spin, k: int) -> Operator:
     if not isinstance(k, int):
         raise ValueError(f"power of q^H must be an integer, got {k!r}")
     shape = Shape((j,))
-    return Operator(shape, shape, {(i, i): LaurentPoly.v_power(k * tm) for i, tm in enumerate(j.twice_weights())})
+    return Operator(shape, shape, {(i, i): LaurentPoly.v_power(k * tm) for i, tm in enumerate(spin_twice_weights(j))})
 
 
 def casimir(j: Spin) -> Operator:
@@ -521,7 +553,7 @@ def r_matrix_expansion(j1, j2) -> Operator:
     shape = Shape((j1, j2))
     v = LaurentPoly.v_power
     coeff = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
-    weights = [tm1 * tm2 for tm1 in j1.twice_weights() for tm2 in j2.twice_weights()]
+    weights = [tm1 * tm2 for tm1 in spin_twice_weights(j1) for tm2 in spin_twice_weights(j2)]
     weight = Operator(shape, shape, {(i, i): v(w) for i, w in enumerate(weights)})  # q^(2 H (x) H)
     terms = [(1, Operator(shape, shape, {}))]
     f_pow, e_pow = identity(Shape((j1,))), identity(Shape((j2,)))

@@ -416,7 +416,7 @@ class TestStartupImports:
                 ["invariant", "--braid", "n=2; 1 1 1", "--method", "bracket"],
                 ["qlink.aw", "qlink.rmatrix", "qlink.uqsu2"],
             ),
-            (["rmatrix", "--spins", "1/2,1"], ["qlink.aw", "qlink.tl", "qlink.braid"]),
+            (["rmatrix", "--spins", "1/2,1"], ["qlink.aw", "qlink.tl", "qlink.braid", "qlink.report"]),
             (["verify", "aw", "--spins", "1/2,1/2,1/2", "--suite", "relations"], ["qlink.tl", "qlink.braid"]),
         ],
         ids=["rt", "cs", "bracket", "rmatrix", "aw-relations"],

@@ -11,6 +11,8 @@ from oracles import (
     rep_e,
     rep_f,
     rep_qh,
+    spin_twice_weights,
+    swap,
     verify_frt,
     verify_yang_baxter,
 )
@@ -29,7 +31,6 @@ from qlink.tensorop import (
     kron,
     partial_trace_first,
     partial_trace_last,
-    swap,
 )
 from qlink.uqsu2 import delta_rep
 
@@ -76,7 +77,7 @@ class TestRMatrix:
             assert r >= c  # descending-weight basis makes it lower triangular
         # Row weights are preserved: total twice-weight of row == column.
         weights = [
-            sum(s.twice_weights()[i] for s, i in zip(shape.factors, shape.unravel(idx)))
+            sum(spin_twice_weights(s)[i] for s, i in zip(shape.factors, shape.unravel(idx)))
             for idx in range(shape.dim)
         ]
         for (r, c) in op.entries:
@@ -314,6 +315,16 @@ class TestSuites:
         flip = swap(HALF, Spin(2))
         back = swap(Spin(2), HALF)
         assert rm.r_opposite(HALF, Spin(2)) == compose(back, compose(rm.r_matrix(Spin(2), HALF), flip))
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (0, 4), (3, 1)], ids=["1/2,1", "1,3/2", "0,2", "3/2,1/2"])
+    def test_relabelled_variants_are_products_with_the_exchange(self, pair):
+        # Mixed spins, so a relabelling that mixes up d_a and d_b shows.
+        a, b = Spin(pair[0]), Spin(pair[1])
+        assert rm.braided_r(a, b) == compose(swap(a, b), rm.r_matrix(a, b))
+        assert rm.braided_r_inv(a, b) == compose(rm.r_inverse(a, b), swap(b, a))
+        assert rm.r_opposite(a, b) == compose(swap(b, a), compose(rm.r_matrix(b, a), swap(a, b)))
+        for j in (a, b):
+            assert rm.l_plus_inv(j) == compose(swap(j, HALF), compose(rm.r_inverse(j, HALF), swap(HALF, j)))
 
 
 class TestCorruptionDetection:

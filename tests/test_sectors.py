@@ -9,13 +9,13 @@ import random
 import pytest
 
 from conftest import corrupted
-from oracles import random_colored_braid, rep_qh, two_strand_torus_value
+from oracles import random_colored_braid, rep_qh, shape_twice_weights, two_strand_torus_value
 from qlink import rmatrix
 from qlink.braid import BraidWord, ColoredBraid, parse_colored
 from qlink.invariant import all_half, braid_operator, rt_invariant
 from qlink.laurent import LaurentPoly
 from qlink.tensorop import HALF, Shape, Spin, full_trace, weighted_trace
-from qlink.uqsu2 import delta_rep
+from qlink.uqsu2 import delta_rep, twice_weights
 
 V = LaurentPoly.v_power
 
@@ -36,11 +36,14 @@ def full_column_value(braid):
 
 
 def test_shape_twice_weights_are_the_weight_diagonal():
-    assert Shape.of(1, 2).twice_weights() == [3, 1, -1, 1, -1, -3]
-    assert Shape(()).twice_weights() == [0]
-    shape = Shape.of(1, 2, 3)
-    qh = delta_rep("QH", shape)
-    assert [qh.entry(i, i) for i in range(shape.dim)] == [V(t) for t in shape.twice_weights()]
+    for weights in (twice_weights, shape_twice_weights):
+        assert weights(Shape.of(1, 2)) == [3, 1, -1, 1, -1, -3]
+        assert weights(Shape(())) == [0]
+        shape = Shape.of(1, 2, 3)
+        qh = delta_rep("QH", shape)
+        assert [qh.entry(i, i) for i in range(shape.dim)] == [V(t) for t in weights(shape)]
+    for tjs in ((0,), (4,), (3, 0, 2), (1, 1, 1, 1), (2, 3, 1)):
+        assert twice_weights(Shape.of(*tjs)) == shape_twice_weights(Shape.of(*tjs)), tjs
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -12,6 +12,9 @@ from oracles import (
     entrywise_sum,
     operator_from_json,
     rep_qh,
+    shape_twice_weights,
+    spin_twice_weights,
+    swap,
 )
 from qlink.laurent import LaurentPoly, qint
 from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
@@ -31,7 +34,6 @@ from qlink.tensorop import (
     kron,
     partial_trace_first,
     partial_trace_last,
-    swap,
     weighted_trace,
 )
 from qlink.uqsu2 import chi, commutation_defects
@@ -52,7 +54,7 @@ class TestSpinAndShape:
             Spin(-1)
 
     def test_weights_descend(self):
-        assert Spin(3).twice_weights() == [3, 1, -1, -3]
+        assert spin_twice_weights(Spin(3)) == [3, 1, -1, -3]
 
     def test_ravel_round_trip(self):
         shape = Shape.of(1, 2, 3)
@@ -488,7 +490,7 @@ class TestActAdjacent:
         rng = random.Random(15)
         one = LaurentPoly.one()
         for ambient in self.SHAPES:
-            start = Operator(ambient, ambient, {(i, i): one for i, t in enumerate(ambient.twice_weights()) if t >= 0})
+            start = Operator(ambient, ambient, {(i, i): one for i, t in enumerate(shape_twice_weights(ambient)) if t >= 0})
             factors = list(ambient.factors)
             steps = []
             for _ in range(8):
@@ -613,7 +615,7 @@ class TestWeightedTrace:
                     a, b = factors[i], factors[i + 1]
                     steps.append((i, braided_r(a, b) if rng.random() < 0.5 else braided_r_inv(b, a)))
                     factors[i : i + 2] = b, a
-            offsets = [(2 * t,) for t in ambient.twice_weights()]
+            offsets = [(2 * t,) for t in shape_twice_weights(ambient)]
             want = full_trace(act_adjacent(steps, identity(ambient)), [rep_qh(j, 2) for j in ambient])
             assert weighted_trace(steps, identity(ambient), offsets) == want
 

@@ -19,7 +19,7 @@ from qlink.tensorop import (
 )
 from qlink.uqsu2 import casimir_rep, chi, delta_rep, iterated_casimir
 
-from oracles import as_scalar, casimir, casimir_fold, coproduct_fold, rep_e, rep_f, rep_qh
+from oracles import as_scalar, casimir, casimir_fold, coproduct_fold, rep_e, rep_f, rep_qh, spin_twice_weights
 
 V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
@@ -63,7 +63,7 @@ class TestDefiningRelations:
         assert compose(qh, e) == compose(e, qh) * Q(1)
         assert compose(qh, f) == compose(f, qh) * Q(-1)
         commutator = compose(e, f) - compose(f, e)
-        weight_bracket = diagonal(Shape((j,)), [qint(tm) for tm in j.twice_weights()])
+        weight_bracket = diagonal(Shape((j,)), [qint(tm) for tm in spin_twice_weights(j)])
         assert commutator == weight_bracket
 
     @pytest.mark.parametrize("tj", range(0, 7))
@@ -107,7 +107,7 @@ class TestCoproduct:
         weights = []
         for idx in range(shape.dim):
             total = sum(
-                shape[t].twice_weights()[i] for t, i in enumerate(shape.unravel(idx))
+                spin_twice_weights(shape[t])[i] for t, i in enumerate(shape.unravel(idx))
             )
             weights.append(qint(total))
         assert bracket == diagonal(shape, weights)
