@@ -127,10 +127,14 @@ def r_matrix(j1: Spin, j2: Spin) -> Operator:
 
 @_memo("Rinv")
 def r_inverse(j1: Spin, j2: Spin) -> Operator:
-    """Inverse of `r_matrix`, built by the bar substitution and then verified."""
+    """
+    Inverse of `r_matrix`, built by the bar substitution and then verified
+    with a copy of it as the left factor, so the memoized inverse keeps no
+    packed columns from the check.
+    """
     base = r_matrix(j1, j2)
     inv = Operator._raw(base.shape_in, base.shape_out, {rc: p.bar() for rc, p in base.entries.items()})
-    if compose(inv, base) != identity(base.shape_in):
+    if compose(Operator._raw(inv.shape_in, inv.shape_out, inv.entries), base) != identity(base.shape_in):
         raise RuntimeError(
             f"bar-substituted inverse failed the R^-1 R = id cross-check on {base.shape_in}; "
             "the braiding matrix construction is corrupted"

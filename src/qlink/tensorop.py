@@ -416,13 +416,13 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     The sums of `plan`, in order, each a sequence of steps (scalar, a, b, t,
     d) meaning scalar * a acting on b, all from shape_in of dimension m.  b
     is an Operator or the place in `plan` of an earlier sum; a is one too,
-    or None for the 1x1 one (d = 1); scalar is an {exponent: coefficient}
-    dict, or None for 1.  Inside the call a cell (r, c) is keyed by the one
-    int r m + c, so a row stride t is the key stride t m.  a is indexed by
-    local column: its entry (lr, lc) meets each cell of b whose key k has
-    (k // t m) % d = lc, that is in a row r with (r // t) % d = lc, and
-    moves it to the key k + (lr - lc) t m, row r + (lr - lc) t in the same
-    column.  So t = 1 with d the input dimension of a is the product a @ b,
+    or None for the 1x1 one, and d is its input dimension (1 for None);
+    scalar is an {exponent: coefficient} dict, or None for 1.  Inside the
+    call a cell (r, c) is keyed by the one int r m + c, so a row stride t is
+    the key stride t m.  a is indexed by local column: its entry (lr, lc)
+    meets each cell of b whose key k has (k // t m) % d = lc, that is in a
+    row r with (r // t) % d = lc, and moves it to the key k + (lr - lc) t m,
+    row r + (lr - lc) t in the same column.  So t = 1 is the product a @ b,
     and t the stride of leg i + 1 applies a two-leg a to legs i, i + 1 of b.
     Returns per sum its entries {(row, col): LaurentPoly}, or None for a sum
     that a later one reads: that one stays packed and is freed once its last
@@ -438,22 +438,21 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     and adding into a cell one int sum, shifted into line when the bases
     differ.  Each Operator read as a b is packed once per pass, or never
     when its entries are monomials, whose packed cells its index keeps; one
-    read as an a is packed once per (d, s, w) and call.  From its second
-    call on, an a keeps its `_columns` in its index by (d, s, w), so a
-    memoized braid letter is bounded once and packed once per (d, s, w) per
-    process, not once per word, while an operator read in one call only
-    keeps none.  A scalar is folded into the columns of a once per step, and
-    each returned cell is decoded once, at the end: into a polynomial of its
-    own, or, for a trace, digit by digit into the one sum.  Packed cells are
-    never added to each other, since the width bounds one cell.
+    read as an a keeps its `_columns` in its index by (s, w), since d is
+    always its input dimension, so a memoized braid letter is bounded once
+    and packed once per (s, w) per process, not once per word.  A scalar is
+    folded into the columns of a once per step, and each returned cell is
+    decoded once, at the end: into a polynomial of its own, or, for a trace,
+    digit by digit into the one sum.  Packed cells are never added to each
+    other, since the width bounds one cell.
 
     Stride: s is the gcd of the gaps of every Operator (the gcd of the
     exponent gaps inside its entries, kept in its index) and of every
     scalar: 4 for every braided matrix, as v^4 = q^2, and 1 when all are
     monomials.  It is never taken across polynomials, whose bases can differ
-    by 1 when the colors are mixed.  Two contributions to one cell whose
-    bases differ by a gap that s does not divide rerun the whole plan at the
-    gcd of the two, down to s = 1, keeping no cell from the failed pass.
+    by 1 when the colors are mixed.  If two contributions to one cell have
+    bases whose gap s does not divide, the whole plan runs once more at
+    s = 1, which divides every gap, keeping no cell from the failed pass.
 
     Width: with ent(x) the largest l1 norm of an entry of x and row(x) the
     largest sum of those norms along a row (both 1 for the 1x1 one; a
@@ -462,17 +461,13 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     and the rows by |scalar| row(a) row(b), |scalar| being its l1 norm.  A
     sum adds up the bounds of its steps, and w is (the largest entry bound
     of any sum).bit_length() + 1 rounded up to a whole byte: any larger w is
-    proven too, and the rounding keeps few (d, s, w) per letter.  No
+    proven too, and the rounding keeps few (s, w) per letter.  No
     coefficient of a cell, nor of a partial sum, exceeds its sum's entry
     bound, so a packed cell is 0 exactly when its polynomial is, and zero
     cells are dropped as they arise.
     """
     gaps = set()  # the gap of every Operator and every scalar, for the stride
     rights: dict[int, Operator] = {}  # the Operators read as b, by id: packed whole
-    # id of an Operator -> the dict that stores its `_columns` when it is read
-    # as a: its index's variants, or one that lasts this call if the call
-    # first indexed it
-    stores: dict[int, dict] = {}
     bounds = []  # (ent, row) of each sum
     last = {}  # place of a sum that a later one reads -> place of its last reader
     for k, steps in enumerate(plan):
@@ -483,7 +478,7 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
                 ent_b, row_b = bounds[b]
             else:
                 rights[id(b)] = b
-                ent_b, row_b, gap, _, _ = b._index or _indexed(b, stores)
+                ent_b, row_b, gap, _, _ = b._index or _indexed(b)
                 gaps.add(gap)
             if a.__class__ is int:
                 last[a] = k
@@ -491,8 +486,7 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
             elif a is None:
                 row_a = 1
             else:
-                _, row_a, gap, variants, _ = a._index or _indexed(a, stores)
-                stores.setdefault(id(a), variants)
+                _, row_a, gap, _, _ = a._index or _indexed(a)
                 gaps.add(gap)
             if scalar is not None:
                 gaps.add(_gap([scalar]))
@@ -505,31 +499,28 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
         frees[k] += (x,)
     w = (max([ent for ent, _ in bounds], default=0).bit_length() + 8) // 8 * 8
     s = gcd(*gaps) or 1
-    while True:
-        done, gap = _packed_pass(plan, rights, stores, frees, s, w, m, trace is not None)
-        if gap:
-            s = gcd(s, gap)
-        elif trace is None:
-            return [cells and {divmod(key, m): _unpack(e, n, s, w) for key, (e, n) in cells.items()} for cells in done]
-        else:
-            terms = {}
-            for key, (e, n) in done[-1].items():  # the cell (r, r) has the key r (m + 1)
-                offsets = trace[key // (m + 1)]
-                for x, digit in _digits(e, n, s, w):
-                    for o in offsets:
-                        terms[x + o] = terms.get(x + o, 0) + digit
-            return LaurentPoly._raw({x: c for x, c in terms.items() if c})
+    done = _packed_pass(plan, rights, frees, s, w, m, trace is not None)
+    if done is None:
+        s = 1
+        done = _packed_pass(plan, rights, frees, s, w, m, trace is not None)
+    if trace is None:
+        return [cells and {divmod(key, m): _unpack(e, n, s, w) for key, (e, n) in cells.items()} for cells in done]
+    terms = {}
+    for key, (e, n) in done[-1].items():  # the cell (r, r) has the key r (m + 1)
+        offsets = trace[key // (m + 1)]
+        for x, digit in _digits(e, n, s, w):
+            for o in offsets:
+                terms[x + o] = terms.get(x + o, 0) + digit
+    return LaurentPoly._raw({x: c for x, c in terms.items() if c})
 
 
-def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: list[tuple[int, ...]], s: int, w: int, m: int, diagonal: bool):
+def _packed_pass(plan: list, rights: dict[int, Operator], frees: list[tuple[int, ...]], s: int, w: int, m: int, diagonal: bool) -> Optional[list]:
     """
-    One pass of `_packed_sums` at stride s and width w: (the packed cells
-    {r m + c: (e, N)} of each sum, None for a freed one; 0), or (None, gap)
-    at the first two contributions to one cell whose bases differ by a gap
-    that s does not divide.  The Operators of `plan` are indexed, and
-    `stores` holds, by id, the dict that stores the `_columns` of each one
-    read as an a.  If `diagonal`, the last sum computes only its cells
-    (c, c).
+    One pass of `_packed_sums` at stride s and width w: the packed cells
+    {r m + c: (e, N)} of each sum, None for a freed one, or None at the
+    first two contributions to one cell whose bases differ by a gap that s
+    does not divide.  The Operators of `plan` are indexed.  If `diagonal`,
+    the last sum computes only its cells (c, c).
     """
     done = []
     packed = {  # a right operand's cells, packed now unless its index keeps them
@@ -542,10 +533,10 @@ def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: l
         for scalar, a, b, t, d in steps:
             cells = done[b] if b.__class__ is int else packed[id(b)]
             if a.__class__ is Operator:
-                store = stores[id(a)]
-                cols = store.get((d, s, w))
+                variants = a._index[3]
+                cols = variants.get((s, w))
                 if cols is None:
-                    cols = store[d, s, w] = _columns(a, packed.get(id(a)), d, s, w, m)
+                    cols = variants[s, w] = _columns(a, packed.get(id(a)), d, s, w, m)
             elif a is None:
                 cols = [((0, 0, 1),)]
             else:
@@ -571,7 +562,7 @@ def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: l
                     if e != pe:  # the contribution at the higher base shifts onto the lower one
                         shift, rem = divmod(abs(e - pe), s)
                         if rem:
-                            return None, e - pe
+                            return None
                         if e > pe:
                             e, n = pe, n << shift * w
                         else:
@@ -584,7 +575,7 @@ def _packed_pass(plan: list, rights: dict[int, Operator], stores: dict, frees: l
         done.append(acc)
         for x in freed:
             done[x] = None
-    return done, 0
+    return done
 
 
 def _columns(a: Optional[Operator], cells: Optional[dict], d: int, s: int, w: int, m: int) -> list[list[tuple[int, int, int]]]:
@@ -603,17 +594,16 @@ def _columns(a: Optional[Operator], cells: Optional[dict], d: int, s: int, w: in
     return cols
 
 
-def _indexed(op: Operator, stores: dict[int, dict]) -> tuple[int, int, int, dict, Optional[dict]]:
+def _indexed(op: Operator) -> tuple[int, int, int, dict, Optional[dict]]:
     """
     The index of `op`, filled on first use and kept in its `_index` slot:
     (ent, row, gap, variants, cells) with ent the largest l1 norm of an
     entry, row the largest sum of those norms along a row, gap the `_gap` of
-    its entries, variants {(d, s, w): op's `_columns`} as `_packed_pass`
-    packs them, filled from the second call that reads op as an a (the call
-    that fills the index stores op's columns in a dict of its own, put in
-    `stores`), and cells, when every entry is a monomial (gap 0), its packed
-    cells {r m + c: (e, N)} with m its input dimension, which no stride or
-    width changes; else None.  The index lives and dies with the operator.
+    its entries, variants {(s, w): op's `_columns`} as `_packed_pass` packs
+    them, filled by every call that reads op as an a, and cells, when every
+    entry is a monomial (gap 0), its packed cells {r m + c: (e, N)} with m
+    its input dimension, which no stride or width changes; else None.  The
+    index lives and dies with the operator.
     """
     largest, rows = 0, {}
     for (r, _), p in op.entries.items():
@@ -625,7 +615,6 @@ def _indexed(op: Operator, stores: dict[int, dict]) -> tuple[int, int, int, dict
     cells = None if gap else {r * m + c: item for (r, c), p in op.entries.items() for item in p.terms.items()}
     index = (largest, max(rows.values(), default=0), gap, {}, cells)
     object.__setattr__(op, "_index", index)
-    stores[id(op)] = {}
     return index
 
 

@@ -63,6 +63,11 @@ Moved here from the package, because no route of the package uses them:
 the Clebsch-Gordan multiplicities and the Casimir scalar on each summand,
 with no matrix.
 
+`cyclotomic_coefficients` peels the coefficients of Habiro's cyclotomic
+expansion of a knot off its normalized colored values, one exact division
+per color, so every color past the ones that fix a coefficient is a
+divisibility test that no closed form covers.
+
 `loop_word` reads the spin-1/2 loop around a block of legs as a braid word
 by the over/under rule, so a generator can be evaluated as a closed strand
 through R letters and one partial trace, with no L+- product.
@@ -79,6 +84,7 @@ from functools import lru_cache, reduce
 from itertools import product
 
 from qlink.braid import BraidWord, ColoredBraid, components
+from qlink.invariant import rt_invariant
 from qlink.laurent import LaurentPoly, div_exact, qfact, qint
 from qlink.report import Report
 from qlink.rmatrix import (
@@ -189,6 +195,34 @@ def full_twist_value(twice_spins, k: int) -> LaurentPoly:
     for tj, m in mult.items():
         total = total + qint(tj + 1) * LaurentPoly.v_power(k * (tj * (tj + 2) - base)) * m
     return total
+
+
+def cyclotomic_coefficients(letters, n_strands: int, max_twice_spin: int) -> list[LaurentPoly]:
+    """
+    c_0, ..., c_N (N = max_twice_spin) of Habiro's expansion of the knot
+    closing `letters`: J(n) = sum_k c_k prod_(i=1..k) {n+i}{n-i}, where n =
+    2j + 1, J(n) is the ambient value at color j divided by [n], and {m} =
+    v^(2m) - v^(-2m) (K. Habiro, Invent. Math. 171, 2008).  The color j
+    fixes c_(n-1): the terms with k >= n vanish, so J(n) less the known
+    terms is c_(n-1) times prod_(i=1..n-1) {n+i}{n-i}.  Every division is
+    `div_exact`, which raises ValueError when it is not exact.
+    """
+    coefficients = []
+    for twice_j in range(max_twice_spin + 1):
+        n = twice_j + 1
+        braid = ColoredBraid(BraidWord(n_strands, letters), [Spin(twice_j)] * n_strands)
+        rest = div_exact(rt_invariant(braid, normalize=True), qint(n))
+        product = LaurentPoly.one()
+        for k, c in enumerate(coefficients):
+            rest = rest - c * product
+            product = product * _braces(n + k + 1) * _braces(n - k - 1)
+        coefficients.append(div_exact(rest, product))
+    return coefficients
+
+
+def _braces(m: int) -> LaurentPoly:
+    """{m} = v^(2m) - v^(-2m), for m > 0."""
+    return LaurentPoly({2 * m: 1, -2 * m: -1})
 
 
 def writhe_breakdown(braid: ColoredBraid) -> tuple[int, dict[int, int], dict[tuple[int, int], int]]:

@@ -6,6 +6,7 @@ import pytest
 from conftest import corrupted
 from oracles import (
     bracket_state_sum,
+    cyclotomic_coefficients,
     full_twist_value,
     fusion_identity_residual,
     hopf_link,
@@ -28,7 +29,7 @@ from qlink.invariant import (
     verify_skein,
 )
 from qlink import rmatrix
-from qlink.laurent import LaurentPoly, qint
+from qlink.laurent import LaurentPoly, div_exact, qint
 from qlink.tensorop import HALF, InputError, Spin
 
 V = LaurentPoly.v_power
@@ -307,6 +308,44 @@ class TestFullTwist:
         with corrupted(("R", 1, 1), clean, cell, clean.entries[cell] * V(2)):
             assert rt_invariant(full_twist((1, 1, 1), 1)) != full_twist_value((1, 1, 1), 1)
         assert rt_invariant(full_twist((1, 1, 1), 1)) == full_twist_value((1, 1, 1), 1)
+
+
+class TestCyclotomicExpansion:
+    """
+    Habiro's cyclotomic expansion of knots: each color fixes one coefficient
+    by an exact division, so each color past the closed forms is a
+    divisibility test of values no other test pins.
+    """
+
+    def test_trefoil(self):
+        got = cyclotomic_coefficients((1, 1, 1), 2, 6)
+        assert got == [V(-2 * k * (k + 3)) * (-1) ** k for k in range(7)]
+
+    def test_mirror_trefoil(self):
+        got = cyclotomic_coefficients((-1, -1, -1), 2, 4)
+        assert got == [V(2 * k * (k + 3)) * (-1) ** k for k in range(5)]
+
+    def test_figure_eight(self):
+        assert cyclotomic_coefficients((1, -2, 1, -2), 3, 5) == [LaurentPoly.one()] * 6
+
+    @pytest.mark.parametrize(
+        "letters, n_strands, max_twice_spin",
+        [((1, 1, 1, 2, -1, 2), 3, 5), ((1, 2) * 4, 3, 4), ((1, 1, 2, -1, -3, 2, -3), 4, 2)],
+        ids=("5_2", "T(3,4)", "4-strand"),
+    )
+    def test_coefficients_are_exact_in_q(self, letters, n_strands, max_twice_spin):
+        got = cyclotomic_coefficients(letters, n_strands, max_twice_spin)
+        assert len(got) == max_twice_spin + 1 and got[0] == LaurentPoly.one()
+        assert all(e % 4 == 0 for c in got for e in c.terms)
+
+    def test_corrupted_braiding_breaks_divisibility(self):
+        # T(3,4) is a positive braid, so r_inverse's own check never runs on it.
+        spin = Spin(3)
+        clean = rmatrix.r_matrix(spin, spin)
+        braid = ColoredBraid(BraidWord(3, (1, 2) * 4), [spin] * 3)
+        with corrupted(("R", 3, 3), clean, (0, 0), clean.entries[(0, 0)] * V(4)), pytest.raises(ValueError):
+            div_exact(rt_invariant(braid, normalize=True), qint(4))
+        assert div_exact(rt_invariant(braid, normalize=True), qint(4))
 
 
 class TestFusionRule:

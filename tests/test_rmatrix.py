@@ -328,6 +328,17 @@ class TestSuites:
 
 
 class TestCorruptionDetection:
+    @pytest.mark.parametrize("spins", [(HALF, Spin(2)), (Spin(2), Spin(3))], ids=("1/2,1", "1,3/2"))
+    def test_r_inverse_leaves_no_columns(self, spins):
+        # On empty caches (the fixture's), the R^-1 R check reads a copy of
+        # the inverse as its left factor, so neither memoized matrix keeps
+        # packed columns from it.
+        inv = rm.r_inverse(*spins)
+        base = rm.r_matrix(*spins)
+        assert rm._cache[("Rinv", *(j.twice_j for j in spins))] is inv
+        assert base._index is not None and base._index[3] == {}
+        assert inv._index is None
+
     def test_bar_inverse_check_catches_corruption(self):
         good = rm.r_matrix(HALF, HALF)
         with corrupted(("R", 1, 1), good, (1, 1), good.entries[(1, 1)] * V(2)), pytest.raises(RuntimeError):

@@ -640,7 +640,7 @@ class TestWeightedTrace:
         offsets = [(0,)] * 4
         for _ in range(2):
             assert weighted_trace([(0, m)], target, offsets) == LaurentPoly({-3: -1, 0: 1, 1: 1})
-        assert sorted(s for _, s, _ in m._index[3]) == [1, 4]
+        assert sorted(s for s, _ in m._index[3]) == [1, 4]
         rng = random.Random(22)
         for _ in range(10):
             offsets = random_offsets(rng, legs)
@@ -669,42 +669,44 @@ class TestIndex:
     AMBIENT = Shape.of(2, 2, 1)
 
     def test_warm_and_cold_letters_agree(self):
-        # A short word twice (the second keeps its columns), a long one (a
-        # wider width), then the short one again from the index: every run on
-        # the warm matrix equals a run on a cold copy.
+        # A short word twice (the second reads the columns the first kept), a
+        # long one (a wider width), then the short one again from the index:
+        # every run on the warm matrix equals a run on a cold copy.
         m = cold(braided_r(Spin(2), Spin(2)))
         target = random_operator(random.Random(18), self.AMBIENT, self.AMBIENT, fill=12)
         for n in (2, 2, 12, 2):
             got = act_adjacent([(0, m)] * n, target)
             assert got == act_adjacent([(0, cold(m))] * n, target), n
         assert got == embedded_steps([(0, cold(m))] * 2, target)
-        assert len({w for _, _, w in m._index[3]}) == 2
+        assert len({w for _, w in m._index[3]}) == 2
 
-    def test_a_first_call_keeps_no_columns(self):
-        # An operator read in one call only, like the inverse in r_inverse's
-        # check, keeps its bounds but no packed columns; a second call keeps
-        # them.  Read as both a and b in its first call, it keeps none either.
+    def test_a_keeps_its_columns_from_its_first_call(self):
+        # An operator read as an a keeps its packed columns in its index from
+        # its first call on, and a second word reads the same columns.  Read
+        # as both a and b in one call, it keeps one variant too.
         m = cold(braided_r(HALF, HALF))
         target = identity(Shape.of(1, 1))
-        want = act_adjacent([(0, m)] * 3, target)
-        assert m._index is not None and m._index[3] == {}
+        want = act_adjacent([(0, cold(m))] * 3, target)
         assert act_adjacent([(0, m)] * 3, target) == want
-        assert list(m._index[3]) == [(4, 4, 8)]
+        assert list(m._index[3]) == [(4, 8)]
+        cols = m._index[3][4, 8]
+        assert act_adjacent([(0, m)] * 3, target) == want
+        assert list(m._index[3]) == [(4, 8)] and m._index[3][4, 8] is cols
         square = cold(m)
         assert compose(square, square) == compose(cold(m), cold(m))
-        assert square._index[3] == {}
+        assert len(square._index[3]) == 1
 
     def test_stride_rerun_with_a_warm_index(self):
         # The braiding's exponents step by 4, and the target's cells v^0 and
-        # v^1 of column 0 meet in one row: every run packs the matrix at
-        # stride 4, then reruns at stride 1.
+        # v^1 of column 0 meet in one row: every run tries stride 4, then
+        # runs once more at stride 1, and the index keeps both packings.
         m = cold(braided_r(HALF, HALF))
         legs = Shape.of(1, 1)
         target = Operator(legs, legs, {(1, 0): LaurentPoly.one(), (2, 0): V(1)})
         want = embedded_steps([(0, cold(m))] * 3, target)
         for _ in range(3):
             assert act_adjacent([(0, m)] * 3, target) == want
-        assert sorted(s for _, s, _ in m._index[3]) == [1, 4]
+        assert sorted(s for s, _ in m._index[3]) == [1, 4]
 
     def test_monomial_entries_keep_their_packed_cells(self):
         # An operator whose entries are all monomials keeps its packed cells,
@@ -731,7 +733,7 @@ class TestIndex:
             act_adjacent([(0, m)] * n, identity(self.AMBIENT))
         variants = m._index[3]
         assert len(variants) <= len({-(-w // 8) * 8 for w in exact}) < len(exact)
-        assert all(d == 9 and s == 4 and w % 8 == 0 for d, s, w in variants)
+        assert all(s == 4 and w % 8 == 0 and len(cols) == 9 for (s, w), cols in variants.items())
 
 
 class TestTraces:
