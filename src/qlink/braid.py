@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .laurent import Immutable
-from .tensorop import InputError, Spin, parse_int
+from .tensorop import InputError, Spin, parse_int, parse_spins
 
 
 class BraidError(InputError):
@@ -273,9 +273,8 @@ def _parse_sections(text: str) -> tuple[BraidWord, Optional[tuple[Spin, ...]]]:
         if section.startswith("colors="):
             if colors is not None:
                 raise BraidError(f"more than one colors= section in {text!r}")
-            listed = section[len("colors=") :]
             try:
-                colors = tuple(Spin.parse(c) for c in listed.split(",")) if listed else ()
+                colors = parse_spins(section[len("colors=") :])
             except ValueError as exc:
                 raise BraidError(f"bad colors section: {exc}") from None
         else:

@@ -24,7 +24,7 @@ import sys
 from typing import Optional
 
 from .laurent import poly_to_json
-from .tensorop import InputError, Shape, Spin, parse_int
+from .tensorop import InputError, Shape, Spin, parse_int, parse_spins
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,7 +77,7 @@ def _read_braid(text: str, colors: Optional[str]) -> object:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {text!r}: {exc}", "braid") from None
-    return parse_any(text, None if colors is None else tuple(_parse_spins(colors, "colors")))
+    return parse_any(text, None if colors is None else _parse_spins(colors, "colors"))
 
 
 def _require_colored(parsed, colors_flag: str = "--colors"):
@@ -98,9 +98,9 @@ def _as_word(parsed):
     return fundamental_word(parsed, "the bracket route")
 
 
-def _parse_spins(text: str, field: str, expected: Optional[int] = None) -> list[Spin]:
+def _parse_spins(text: str, field: str, expected: Optional[int] = None) -> tuple[Spin, ...]:
     try:
-        spins = [Spin.parse(p) for p in text.split(",")]
+        spins = parse_spins(text)
     except InputError as exc:
         raise InputError(str(exc), field) from None
     if expected is not None and len(spins) != expected:
@@ -173,7 +173,7 @@ def _aw_report(args):
     names = _AW_SUITES[args.suite_name]
     shape = None
     if args.spins:
-        shape = Shape(tuple(_parse_spins(args.spins, "spins", expected=3)))
+        shape = Shape(_parse_spins(args.spins, "spins", expected=3))
     elif any(name not in _AW_SHAPELESS for name in names):
         raise InputError(f"--spins is required for suite {args.suite_name!r}")
     reports = [getattr(aw, name)() if name in _AW_SHAPELESS else getattr(aw, name)(shape) for name in names]

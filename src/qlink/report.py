@@ -27,9 +27,9 @@ class Report(Immutable):
 
     __slots__ = ("suite", "checks")
 
-    def __init__(self, suite: str, checks: Optional[list[Check]] = None):
+    def __init__(self, suite: str):
         object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "checks", [] if checks is None else checks)
+        object.__setattr__(self, "checks", [])
 
     @property
     def passed(self) -> bool:

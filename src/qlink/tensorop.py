@@ -98,11 +98,16 @@ class Spin(Immutable):
         return str(self.twice_j // 2) if self.twice_j % 2 == 0 else f"{self.twice_j}/2"
 
 
+def parse_spins(text: str) -> tuple[Spin, ...]:
+    """The comma-separated spins written in `text`, each read by `Spin.parse`; blank text lists none."""
+    return tuple(Spin.parse(item) for item in text.split(",")) if text.strip() else ()
+
+
 HALF = Spin(1)
 
 
 class Shape(Immutable):
-    """An ordered list of tensor factors with index (un)raveling helpers."""
+    """An ordered list of tensor factors with their dimensions and index strides (first factor slowest)."""
 
     __slots__ = ("factors", "dims", "dim", "_strides")
 
@@ -140,13 +145,6 @@ class Shape(Immutable):
 
     def strides(self) -> tuple[int, ...]:
         return self._strides
-
-    def unravel(self, index: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(self.dims):
-            out.append(index % d)
-            index //= d
-        return tuple(reversed(out))
 
     def replace(self, positions: Sequence[int], spins: Sequence[Spin]) -> Shape:
         fs = list(self.factors)
@@ -315,7 +313,10 @@ def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
     `op` living at ambient position positions[t].  Positions must be distinct
     but need not be adjacent, sorted, or shape-preserving: the output ambient
     shape replaces each touched factor by the corresponding output factor of
-    `op`.
+    `op`.  The ambient row of each output index of `op` and column of each
+    input index are built once, leg by leg; entry (r, c) lands on
+    (rows[r] + ro, cols[c] + co) for the offsets (ro, co) of every digit of
+    the other legs.
     """
     positions = tuple(positions)
     n = len(ambient)
@@ -327,33 +328,18 @@ def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
         if not 0 <= pos < n:
             raise ShapeError(f"position {pos} outside ambient of {n} factors")
         if ambient[pos] != op.shape_in[t]:
-            raise ShapeError(
-                f"operator factor {t} has spin {op.shape_in[t]} but ambient slot {pos} has {ambient[pos]}"
-            )
+            raise ShapeError(f"operator factor {t} has spin {op.shape_in[t]} but ambient slot {pos} has {ambient[pos]}")
     if positions == tuple(range(n)):  # op already acts on all of `ambient`, in order
         return op
-    ambient_out = ambient.replace(positions, op.shape_out.factors)
-    in_strides = ambient.strides()
-    out_strides = ambient_out.strides()
-    others = [i for i in range(n) if i not in positions]
-    # Offsets contributed by the untouched factors, common to row and column.
-    offsets = [(0, 0)]
-    for u in others:
-        offsets = [
-            (ro + i * out_strides[u], co + i * in_strides[u])
-            for ro, co in offsets
-            for i in range(ambient.dims[u])
-        ]
-    pos_in_strides = [in_strides[p] for p in positions]
-    pos_out_strides = [out_strides[p] for p in positions]
-    entries = {}
-    for (r, c), p in op.entries.items():
-        rm = op.shape_out.unravel(r)
-        cm = op.shape_in.unravel(c)
-        base_r = sum(i * s for i, s in zip(rm, pos_out_strides))
-        base_c = sum(i * s for i, s in zip(cm, pos_in_strides))
-        for ro, co in offsets:
-            entries[(base_r + ro, base_c + co)] = p
+    ambient_out = ambient if op.shape_out.dims == op.shape_in.dims else ambient.replace(positions, op.shape_out.factors)
+    in_strides, out_strides = ambient.strides(), ambient_out.strides()
+    rows, cols, offsets = [0], [0], [(0, 0)]
+    for p, d_out, d_in in zip(positions, op.shape_out.dims, op.shape_in.dims):  # digit by digit, first leg slowest
+        rows = [r + i * out_strides[p] for r in rows for i in range(d_out)]
+        cols = [c + i * in_strides[p] for c in cols for i in range(d_in)]
+    for u in (u for u in range(n) if u not in positions):
+        offsets = [(ro + i * out_strides[u], co + i * in_strides[u]) for ro, co in offsets for i in range(ambient.dims[u])]
+    entries = {(rows[r] + ro, cols[c] + co): p for (r, c), p in op.entries.items() for ro, co in offsets}
     return Operator._raw(ambient, ambient_out, entries)
 
 
@@ -436,12 +422,13 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     sum_k d_k v^(e + s k) is the pair (e, sum_k d_k 2^(w k)) with balanced
     digits |d_k| < 2^(w - 1), so an entry times a cell is one int product
     and adding into a cell one int sum, shifted into line when the bases
-    differ.  Each Operator read as a b is packed once per pass, or never
-    when its entries are monomials, whose packed cells its index keeps; one
-    read as an a keeps its `_columns` in its index by (s, w), since d is
-    always its input dimension, so a memoized braid letter is bounded once
-    and packed once per (s, w) per process, not once per word.  A scalar is
-    folded into the columns of a once per step, and each returned cell is
+    differ.  Every Operator is packed by one rule, `_cells`, once per pass
+    on its first read, or never when its entries are monomials, whose cells
+    its index keeps.  One read as an a keeps its `_columns`, read from its
+    cells, in its index by (s, w), since d is always its input dimension, so
+    a memoized braid letter is bounded once and packed once per (s, w) per
+    process, not once per word.  A scalar is folded into the columns of a
+    once per step, and each returned cell is
     decoded once, at the end: into a polynomial of its own, or, for a trace,
     digit by digit into the one sum.  Packed cells are never added to each
     other, since the width bounds one cell.
@@ -467,7 +454,6 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     cells are dropped as they arise.
     """
     gaps = set()  # the gap of every Operator and every scalar, for the stride
-    rights: dict[int, Operator] = {}  # the Operators read as b, by id: packed whole
     bounds = []  # (ent, row) of each sum
     last = {}  # place of a sum that a later one reads -> place of its last reader
     for k, steps in enumerate(plan):
@@ -477,7 +463,6 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
                 last[b] = k
                 ent_b, row_b = bounds[b]
             else:
-                rights[id(b)] = b
                 ent_b, row_b, gap, _, _ = b._index or _indexed(b)
                 gaps.add(gap)
             if a.__class__ is int:
@@ -499,10 +484,10 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
         frees[k] += (x,)
     w = (max([ent for ent, _ in bounds], default=0).bit_length() + 8) // 8 * 8
     s = gcd(*gaps) or 1
-    done = _packed_pass(plan, rights, frees, s, w, m, trace is not None)
+    done = _packed_pass(plan, frees, s, w, m, trace is not None)
     if done is None:
         s = 1
-        done = _packed_pass(plan, rights, frees, s, w, m, trace is not None)
+        done = _packed_pass(plan, frees, s, w, m, trace is not None)
     if trace is None:
         return [cells and {divmod(key, m): _unpack(e, n, s, w) for key, (e, n) in cells.items()} for cells in done]
     terms = {}
@@ -514,7 +499,7 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     return LaurentPoly._raw({x: c for x, c in terms.items() if c})
 
 
-def _packed_pass(plan: list, rights: dict[int, Operator], frees: list[tuple[int, ...]], s: int, w: int, m: int, diagonal: bool) -> Optional[list]:
+def _packed_pass(plan: list, frees: list[tuple[int, ...]], s: int, w: int, m: int, diagonal: bool) -> Optional[list]:
     """
     One pass of `_packed_sums` at stride s and width w: the packed cells
     {r m + c: (e, N)} of each sum, None for a freed one, or None at the
@@ -523,24 +508,29 @@ def _packed_pass(plan: list, rights: dict[int, Operator], frees: list[tuple[int,
     the last sum computes only its cells (c, c).
     """
     done = []
-    packed = {  # a right operand's cells, packed now unless its index keeps them
-        key: b._index[4] or {r * m + c: _pack(p.terms, s, w) for (r, c), p in b.entries.items()} for key, b in rights.items()
-    }
+    packed = {}  # id of an Operator -> its `_cells`, packed at its first read in the pass
+
+    def cells_of(x: Operator) -> dict[int, tuple[int, int]]:
+        cells = x._index[4] or packed.get(id(x))
+        if cells is None:
+            cells = packed[id(x)] = _cells(x, s, w)
+        return cells
+
     m1 = m + 1
     for k, (steps, freed) in enumerate(zip(plan, frees)):
         diagonal_k = diagonal and k == len(plan) - 1
         acc = {}
         for scalar, a, b, t, d in steps:
-            cells = done[b] if b.__class__ is int else packed[id(b)]
+            cells = done[b] if b.__class__ is int else cells_of(b)
             if a.__class__ is Operator:
                 variants = a._index[3]
                 cols = variants.get((s, w))
                 if cols is None:
-                    cols = variants[s, w] = _columns(a, packed.get(id(a)), d, s, w, m)
+                    cols = variants[s, w] = _columns(cells_of(a), d)
             elif a is None:
                 cols = [((0, 0, 1),)]
             else:
-                cols = _columns(None, done[a], d, s, w, m)
+                cols = _columns(done[a], d)
             if scalar is not None:
                 es, ns = _pack(scalar, s, w)
                 cols = [[(dl, e + es, n * ns) for dl, e, n in col] for col in cols]
@@ -578,19 +568,18 @@ def _packed_pass(plan: list, rights: dict[int, Operator], frees: list[tuple[int,
     return done
 
 
-def _columns(a: Optional[Operator], cells: Optional[dict], d: int, s: int, w: int, m: int) -> list[list[tuple[int, int, int]]]:
-    """
-    An operand by local column lc < d, [(lr - lc, e, N), ...]: from its
-    packed `cells` {lr m + lc: (e, N)}, or else from the entries of `a`.
-    """
+def _cells(op: Operator, s: int, w: int) -> dict[int, tuple[int, int]]:
+    """The entries of `op` packed at stride s and width w, {r d + c: (e, N)} with d its input dimension."""
+    d = op.shape_in.dim
+    return {r * d + c: _pack(p.terms, s, w) for (r, c), p in op.entries.items()}
+
+
+def _columns(cells: dict[int, tuple[int, int]], d: int) -> list[list[tuple[int, int, int]]]:
+    """An operand's packed `cells` {lr d + lc: (e, N)} by local column lc < d: [(lr - lc, e, N), ...]."""
     cols = [[] for _ in range(d)]
-    if cells is None:
-        for (lr, lc), p in a.entries.items():
-            cols[lc].append((lr - lc, *_pack(p.terms, s, w)))
-    else:
-        for key, cell in cells.items():
-            lr, lc = divmod(key, m)
-            cols[lc].append((lr - lc, *cell))
+    for key, cell in cells.items():
+        lr, lc = divmod(key, d)
+        cols[lc].append((lr - lc, *cell))
     return cols
 
 
@@ -599,10 +588,9 @@ def _indexed(op: Operator) -> tuple[int, int, int, dict, Optional[dict]]:
     The index of `op`, filled on first use and kept in its `_index` slot:
     (ent, row, gap, variants, cells) with ent the largest l1 norm of an
     entry, row the largest sum of those norms along a row, gap the `_gap` of
-    its entries, variants {(s, w): op's `_columns`} as `_packed_pass` packs
-    them, filled by every call that reads op as an a, and cells, when every
-    entry is a monomial (gap 0), its packed cells {r m + c: (e, N)} with m
-    its input dimension, which no stride or width changes; else None.  The
+    its entries, variants {(s, w): op's `_columns`}, filled by every call
+    that reads op as an a, and cells, when every entry is a monomial (gap
+    0), its `_cells`, which no stride or width changes; else None.  The
     index lives and dies with the operator.
     """
     largest, rows = 0, {}
@@ -611,9 +599,8 @@ def _indexed(op: Operator) -> tuple[int, int, int, dict, Optional[dict]]:
         if norm > largest:
             largest = norm
         rows[r] = rows.get(r, 0) + norm
-    gap, m = _gap([p.terms for p in op.entries.values()]), op.shape_in.dim
-    cells = None if gap else {r * m + c: item for (r, c), p in op.entries.items() for item in p.terms.items()}
-    index = (largest, max(rows.values(), default=0), gap, {}, cells)
+    gap = _gap([p.terms for p in op.entries.values()])
+    index = (largest, max(rows.values(), default=0), gap, {}, None if gap else _cells(op, 1, 8))
     object.__setattr__(op, "_index", index)
     return index
 

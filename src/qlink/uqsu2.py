@@ -32,7 +32,7 @@ from itertools import product
 from typing import Sequence
 
 from .laurent import LaurentPoly, finalize, qint
-from .tensorop import Operator, Shape, ShapeError, Spin, combine
+from .tensorop import Operator, Shape, ShapeError, Spin, combine, embed
 
 V = LaurentPoly.v_power
 
@@ -134,12 +134,10 @@ def iterated_casimir(shape: Shape, span: Sequence[int]) -> Operator:
     positions (0-based), acting as the identity elsewhere.  Column by column
     of the block: (q - q^-1)^2 D(F) D(E) as each E-move out of the column
     followed by each F-move out of the column it reaches, plus
-    q K^2 + q^-1 K^-2 = v^(2T+2) + v^(-2T-2) on the diagonal; each finished
-    polynomial is written straight into its ambient cells, row and column
-    (hi * d_block + r) * d_lo + l for the digits hi of the legs before the
-    block and l of those after it.  Non-contiguous spans are rejected;
-    recoupled blocks are built by braiding conjugation in the Askey-Wilson
-    layer instead.
+    q K^2 + q^-1 K^-2 = v^(2T+2) + v^(-2T-2) on the diagonal.  The block is
+    built on its own legs and `embed` places it on `shape`.
+    Non-contiguous spans are rejected; recoupled blocks are built by braiding
+    conjugation in the Askey-Wilson layer instead.
     """
     span = tuple(sorted(span))
     if not span:
@@ -149,8 +147,6 @@ def iterated_casimir(shape: Shape, span: Sequence[int]) -> Operator:
     if any(b - a != 1 for a, b in zip(span, span[1:])):
         raise ShapeError(f"span {span} is not contiguous")
     sub = Shape(shape.factors[span[0] : span[-1] + 1])
-    lo = Shape(shape.factors[span[-1] + 1 :]).dim
-    hi_rows = [h * sub.dim for h in range(Shape(shape.factors[: span[0]]).dim)]
     walk = _moves(sub)
     entries = {}
     for col, (total, raises, _) in enumerate(walk):
@@ -167,8 +163,5 @@ def iterated_casimir(shape: Shape, span: Sequence[int]) -> Operator:
         for row, cell in cells.items():
             p = finalize(cell)
             if p:
-                for h in hi_rows:
-                    r, c = (h + row) * lo, (h + col) * lo
-                    for l in range(lo):
-                        entries[(r + l, c + l)] = p
-    return Operator._raw(shape, shape, entries)
+                entries[(row, col)] = p
+    return embed(Operator._raw(sub, sub, entries), span, shape)

@@ -23,10 +23,13 @@ every letter embedded and composed on both sides of a folded Casimir
 instead of one packed pass over a two-sided column, the Askey-Wilson residuals
 are summed one operator at a time instead of in one packed pass, and an
 operator product is summed over the shared index row by column instead of
-accumulated as packed integers per output cell.  Sums, scalings and tensor
-products are formed entry by entry (`entrywise_sum`, `entrywise_kron`)
-wherever an oracle needs them, since +, -, scalar * and kron of operators run
-on `combine` and `embed`, the operations these oracles check.
+accumulated as packed integers per output cell, and an embedded operator is
+written ambient column by ambient column, the digits of the touched legs
+rewritten one at a time (`embed_by_digits`), instead of placed by strides.
+Sums, scalings and tensor products are formed entry by entry
+(`entrywise_sum`, `entrywise_kron`) wherever an oracle needs them, since
++, -, scalar * and kron of operators run on `combine` and `embed`, the
+operations these oracles check.
 
 Moved here from the package, because no route of the package uses them:
 
@@ -55,6 +58,8 @@ Moved here from the package, because no route of the package uses them:
   methods of `Spin` and `Shape`): the twice-weights 2j, 2j - 2, ..., -2j of
   one leg, summed factor by factor over a shape, where `uqsu2.twice_weights`
   reads each column's total from the per-column walk;
+- `unravel` (once `Shape.unravel`): the digits of a basis index, which no
+  route reads since `embed` builds its rows and columns leg by leg;
 - `swap` (once in `tensorop`): the two-factor exchange, each basis pair
   looked up among the pairs of the exchanged shape, where `rmatrix` relabels
   the indices of R by the formula i d_b + k -> k d_a + i.
@@ -299,8 +304,8 @@ def entrywise_full_trace(op, weights) -> LaurentPoly:
     assert op.shape_out == shape and len(weights) == len(shape)
     total = LaurentPoly.zero()
     for (r, c), p in op.entries.items():
-        rm = shape.unravel(r)
-        cm = shape.unravel(c)
+        rm = unravel(shape, r)
+        cm = unravel(shape, c)
         contrib = p
         for t, w in enumerate(weights):
             if w is None:
@@ -352,6 +357,38 @@ def entrywise_kron(a: Operator, b: Operator) -> Operator:
         for (rb, cb), pb in b.entries.items():
             entries[(ra * d_out_b + rb, ca * d_in_b + cb)] = pa * pb
     return Operator(a.shape_in + b.shape_in, a.shape_out + b.shape_out, entries)
+
+
+def embed_by_digits(op: Operator, positions, ambient: Shape) -> Operator:
+    """
+    `embed` read digit by digit: every column of `ambient` is split into its
+    leg digits, op's column is the number the digits at `positions` spell in
+    op's leg order, and each entry of that column of op writes its row's
+    digits over those legs to give the ambient row.
+    """
+    out_factors = list(ambient.factors)
+    for t, leg in enumerate(positions):
+        out_factors[leg] = op.shape_out[t]
+    shape_out = Shape(out_factors)
+
+    def number(digits, dims):  # first digit slowest
+        x = 0
+        for digit, dim in zip(digits, dims):
+            x = x * dim + digit
+        return x
+
+    row_digits = list(product(*(range(dim) for dim in op.shape_out.dims)))  # op's rows in index order
+    entries = {}
+    for col in product(*(range(dim) for dim in ambient.dims)):
+        local_col = number([col[leg] for leg in positions], op.shape_in.dims)
+        for (r, c), p in op.entries.items():
+            if c != local_col:
+                continue
+            row = list(col)
+            for leg, digit in zip(positions, row_digits[r]):
+                row[leg] = digit
+            entries[(number(row, shape_out.dims), number(col, ambient.dims))] = p
+    return Operator(ambient, shape_out, entries)
 
 
 def aw_residuals_by_products(q, one) -> dict:
@@ -406,6 +443,15 @@ def aw_residuals_by_products(q, one) -> dict:
 def spin_twice_weights(j: Spin) -> list[int]:
     """Twice-weights 2m of the spin-j basis in order: 2j, 2j - 2, ..., -2j."""
     return list(range(j.twice_j, -j.twice_j - 1, -2))
+
+
+def unravel(shape: Shape, index: int) -> tuple[int, ...]:
+    """The digits of a basis index of `shape`, one per factor, the first factor slowest."""
+    digits = []
+    for d in reversed(shape.dims):
+        index, digit = divmod(index, d)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 def shape_twice_weights(shape: Shape) -> list[int]:

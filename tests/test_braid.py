@@ -18,7 +18,7 @@ from qlink.braid import (
     self_writhe,
     underlying_permutation,
 )
-from qlink.tensorop import HALF, InputError, Spin
+from qlink.tensorop import HALF, InputError, Spin, parse_spins
 
 H = HALF
 ONE = Spin(2)
@@ -77,6 +77,11 @@ class TestParsing:
         assert parse_any('{"n": 0, "letters": [], "colors": []}') == empty
         assert parse_any("n=0; colors=") == parse_colored("n=0; colors=") == empty
         assert parse_any('{"n": 0, "letters": []}') == parse_any("n=0;") == BraidWord(0, ())
+
+    def test_empty_separate_colors_color_a_zero_strand_word(self):
+        empty = ColoredBraid(BraidWord(0, ()), ())
+        assert parse_any("n=0;", colors=parse_spins("")) == parse_colored("n=0;", parse_spins(" ")) == empty
+        assert parse_any("n=0; colors= ") == empty
 
     def test_empty_text_colors_section_lists_no_colors(self):
         assert parse_any("n=2; 1 1; colors=") == parse_any('{"n": 2, "letters": [1, 1], "colors": []}')

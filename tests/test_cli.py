@@ -48,6 +48,12 @@ class TestInvariantCommand:
         assert code == 0
         assert out == "1\n"
 
+    @pytest.mark.parametrize("colors", ["", " "])
+    def test_empty_colors_flag_colors_a_zero_strand_braid(self, colors):
+        code, out, _ = run(["invariant", "--braid", "n=0;", "--colors", colors, "--method", "rt"])
+        assert code == 0
+        assert out == "1\n"
+
     def test_empty_text_colors_act_like_empty_json_colors(self):
         text, js = "n=2; 1 1; colors=", '{"n": 2, "letters": [1, 1], "colors": []}'
         for flags in (["--method", "rt"], ["--colors", "1/2,1/2", "--method", "rt"]):
@@ -172,11 +178,11 @@ class TestInvariantCommand:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["invariant", "--braid", "n=2; 1 1", "--colors", "", "--method", "rt"], "--colors: not a spin: ''"),
+            (["invariant", "--braid", "n=2; 1 1", "--colors", "", "--method", "rt"], "--colors: 0 colors for 2 strands"),
             (
                 ["verify", "factorization", "--braid", "n=1;", "--colors", "1/2"]
                 + ["--braid2", "n=1;", "--colors2", ""],
-                "--colors2: not a spin: ''",
+                "--colors2: 0 colors for 1 strands",
             ),
             (
                 ["verify", "factorization", "--braid", "n=1;", "--colors", "1/2", "--braid2", "n=1;"],

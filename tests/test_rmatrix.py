@@ -11,7 +11,7 @@ from oracles import (
     rep_e,
     rep_f,
     rep_qh,
-    spin_twice_weights,
+    shape_twice_weights,
     swap,
     verify_frt,
     verify_yang_baxter,
@@ -76,10 +76,7 @@ class TestRMatrix:
         for (r, c) in op.entries:
             assert r >= c  # descending-weight basis makes it lower triangular
         # Row weights are preserved: total twice-weight of row == column.
-        weights = [
-            sum(spin_twice_weights(s)[i] for s, i in zip(shape.factors, shape.unravel(idx)))
-            for idx in range(shape.dim)
-        ]
+        weights = shape_twice_weights(shape)
         for (r, c) in op.entries:
             assert weights[r] == weights[c]
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,17 +11,20 @@ from oracles import (
     entrywise_kron,
     entrywise_product,
     entrywise_sum,
+    embed_by_digits,
     operator_from_json,
     rep_qh,
     shape_twice_weights,
     spin_twice_weights,
     swap,
+    unravel,
 )
 from qlink.laurent import LaurentPoly, qint
 from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
 from qlink.tensorop import (
     EMPTY_SHAPE,
     HALF,
+    InputError,
     Operator,
     Shape,
     ShapeError,
@@ -34,6 +38,7 @@ from qlink.tensorop import (
     kron,
     partial_trace_first,
     partial_trace_last,
+    parse_spins,
     weighted_trace,
 )
 from qlink.uqsu2 import chi, commutation_defects
@@ -53,6 +58,12 @@ class TestSpinAndShape:
         with pytest.raises(ValueError):
             Spin(-1)
 
+    def test_spin_list_parse(self):
+        assert parse_spins("1/2, 1,3/2") == (HALF, Spin(2), Spin(3))
+        assert parse_spins("") == parse_spins("  ") == ()
+        with pytest.raises(InputError, match="not a spin: ''"):
+            parse_spins("1/2,")
+
     def test_weights_descend(self):
         assert spin_twice_weights(Spin(3)) == [3, 1, -1, -3]
 
@@ -60,13 +71,14 @@ class TestSpinAndShape:
         shape = Shape.of(1, 2, 3)
         assert shape.dim == 2 * 3 * 4
         for index in range(shape.dim):
-            assert sum(i * s for i, s in zip(shape.unravel(index), shape.strides())) == index
+            assert sum(i * s for i, s in zip(unravel(shape, index), shape.strides())) == index
 
     def test_first_factor_slowest(self):
         shape = Shape.of(1, 2)
-        assert shape.unravel(0) == (0, 0)
-        assert shape.unravel(1) == (0, 1)
-        assert shape.unravel(3) == (1, 0)
+        assert shape.strides() == (3, 1)
+        assert unravel(shape, 0) == (0, 0)
+        assert unravel(shape, 1) == (0, 1)
+        assert unravel(shape, 3) == (1, 0)
 
 
 def random_operator(rng, shape_in: Shape, shape_out: Shape, fill=4) -> Operator:
@@ -363,6 +375,14 @@ class TestEmbed:
         op = random_operator(rng, Shape((HALF, HALF)), Shape((HALF, HALF)))
         ambient = Shape.of(2, 1, 1)
         assert embed(op, (1, 2), ambient) == entrywise_kron(identity(Shape.of(2)), op)
+
+    def test_every_ordered_pair_matches_the_digit_oracle(self):
+        # A leg-swapping operator on each ordered pair of distinct legs of a
+        # mixed shape, so row and column strides differ on every placement.
+        ambient = Shape.of(1, 2, 3)
+        for i, j in itertools.permutations(range(3), 2):
+            op = braided_r(ambient[i], ambient[j])
+            assert embed(op, (i, j), ambient) == embed_by_digits(op, (i, j), ambient)
 
     def test_reversed_positions(self):
         # Embedding with swapped slots conjugates by the exchange operator.

@@ -19,7 +19,7 @@ from qlink.tensorop import (
 )
 from qlink.uqsu2 import casimir_rep, chi, delta_rep, iterated_casimir
 
-from oracles import as_scalar, casimir, casimir_fold, coproduct_fold, rep_e, rep_f, rep_qh, spin_twice_weights
+from oracles import as_scalar, casimir, casimir_fold, coproduct_fold, rep_e, rep_f, rep_qh, shape_twice_weights, spin_twice_weights
 
 V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
@@ -104,13 +104,7 @@ class TestCoproduct:
         assert compose(qh, e) == compose(e, qh) * Q(1)
         assert compose(qh, f) == compose(f, qh) * Q(-1)
         bracket = compose(e, f) - compose(f, e)
-        weights = []
-        for idx in range(shape.dim):
-            total = sum(
-                spin_twice_weights(shape[t])[i] for t, i in enumerate(shape.unravel(idx))
-            )
-            weights.append(qint(total))
-        assert bracket == diagonal(shape, weights)
+        assert bracket == diagonal(shape, [qint(total) for total in shape_twice_weights(shape)])
 
     @pytest.mark.parametrize("sym", GENERATORS)
     @pytest.mark.parametrize("triple", [(1, 1, 1), (1, 2, 1), (2, 1, 2)])

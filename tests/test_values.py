@@ -9,9 +9,17 @@ import pytest
 
 from qlink.braid import BraidWord, ColoredBraid
 from qlink.laurent import Immutable, LaurentPoly
-from qlink.report import Check, Report
+from qlink.report import Report
 from qlink.tensorop import HALF, Operator, Shape, Spin, compose, identity
 from qlink.tl import TLElement, hook_diagram
+
+def report() -> Report:
+    """Report "s" with a passing check "c" and a failing check "d" of residual 3 and note "n"."""
+    value = Report("s")
+    value.add_bool("c", True)
+    value.add("d", LaurentPoly({0: 1, 1: 1, 2: 1}), "n")
+    return value
+
 
 # Each builder returns a fresh value, equal to its last one field by field.
 BUILDERS = {
@@ -23,7 +31,7 @@ BUILDERS = {
     "BraidWord": lambda: BraidWord(3, (1, -2)),
     "ColoredBraid": lambda: ColoredBraid(BraidWord(2, (1, 1)), (HALF, Spin(1))),
     "TLElement": lambda: TLElement(3, {hook_diagram(3, 1): LaurentPoly.const(2)}),
-    "Report": lambda: Report("s", [Check("c", False, 3, "n")]),
+    "Report": report,
 }
 UNHASHABLE = ("Operator", "TLElement", "Report")  # each holds a dict or a list
 
@@ -78,7 +86,7 @@ def test_a_different_class_is_unequal(a, b):
             "ColoredBraid(word=BraidWord(n_strands=2, letters=(1, 1)), colors=(Spin(twice_j=1), Spin(twice_j=1)))",
         ),
         (
-            Report("s", [Check("c", True), Check("d", False, 3, "n")]),
+            report(),
             "Report(suite='s', checks=[Check(name='c', passed=True, residual=None, note=None), "
             "Check(name='d', passed=False, residual=3, note='n')])",
         ),
