@@ -16,8 +16,10 @@ is integral term by term and reads the bracket off an invariant value.
 A polynomial is a dict {exponent: coefficient} holding no zero coefficients,
 so equality is exact dict equality.  Exponents and coefficients are
 arbitrary-precision ints (q-factorials overflow machine words almost
-immediately).  The canonical ascending-exponent ordering only matters for
-printing and serialization.
+immediately).  The ring operations take polynomials only, and a polynomial
+equals no int: an int enters through `LaurentPoly.const` or `as_poly`.  The
+canonical ascending-exponent ordering only matters for printing and
+serialization.
 
 All values are immutable; every operation returns a fresh polynomial, so
 sharing across threads is safe.  `Immutable`, the base of every value class
@@ -43,7 +45,8 @@ class Immutable:
     read from the fields alone, as a dataclass would write them: a value
     equals one of the same class with equal fields, hashes as its fields
     (TypeError if one is a dict or list) and prints as Class(field=value,
-    ...), whether its caches are filled or not.
+    ...), whether its caches are filled or not.  So a LaurentPoly, Operator
+    or TLElement, each holding a dict, is not hashable.
     """
 
     __slots__ = ()
@@ -72,7 +75,7 @@ class Immutable:
 
 
 class LaurentPoly(Immutable):
-    """Laurent polynomial in v with int coefficients, in canonical form."""
+    """Laurent polynomial in v with int coefficients, in canonical form; equality and hashing are `Immutable`'s."""
 
     __slots__ = ("terms",)
 
@@ -120,23 +123,11 @@ class LaurentPoly(Immutable):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({0: other} if other else {})
-        return NotImplemented
-
-    def __hash__(self):
-        if not self.terms.keys() - {0}:  # a constant equals its int, so hashes like it
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
-
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
+    def __add__(self, other: LaurentPoly) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = dict(self.terms)
         for exp, c in other.terms.items():
             s = out.get(exp, 0) + c
@@ -151,14 +142,10 @@ class LaurentPoly(Immutable):
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
+    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + -other
 
-    def __mul__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
-        if isinstance(other, int):
-            if not other:
-                return _P_ZERO
-            return LaurentPoly._raw({e: c * other for e, c in self.terms.items()})
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         acc: dict[int, int] = {}
@@ -240,7 +227,7 @@ def finalize(acc: dict[int, int]) -> LaurentPoly:
 
 
 def as_poly(c: Union[LaurentPoly, int]) -> LaurentPoly:
-    """A checked constructor's coefficient: an int is the constant, as in the ring operations."""
+    """A checked constructor's coefficient: an int is the constant.  The ring operations take polynomials only."""
     if isinstance(c, LaurentPoly):
         return c
     if isinstance(c, int):

@@ -24,9 +24,9 @@ is not hashable.  Everything is pure.
 The structural operations are the ones a route uses: identity, `embed`,
 named sums of scaled products (`combine`), a word of two-leg steps
 (`act_adjacent`), the weighted diagonal of such a word (`weighted_trace`)
-and weighted traces.  `combine` is the one arithmetic kernel: `compose`,
-`+`, `-` (after a check for equal operands) and scalar `*` are one-term or
-one-sum calls, and `kron` composes two `embed`s.
+and weighted traces.  `combine` is the one arithmetic kernel: `compose` is a
+one-term call, `-`, the one operator on operators, is a one-sum call after a
+check for equal operands, and `kron` composes two `embed`s.
 `combine`, `act_adjacent` and `weighted_trace` are front ends of one packed
 executor, `_packed_sums`: it computes on packed integers (a Kronecker
 substitution: a polynomial becomes a base exponent and one int), each cell
@@ -131,9 +131,6 @@ class Shape(Immutable):
     def __len__(self) -> int:
         return len(self.factors)
 
-    def __iter__(self):
-        return iter(self.factors)
-
     def __getitem__(self, i):
         return self.factors[i]
 
@@ -207,23 +204,10 @@ class Operator(Immutable):
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: Operator) -> Operator:
-        return combine(self.shape_in, self.shape_out, {"sum": ((1, self), (1, other))})["sum"]
-
     def __sub__(self, other: Operator) -> Operator:
         if self == other:  # the passing residual of a check, with no packing
             return Operator._raw(self.shape_in, self.shape_out, {})
         return combine(self.shape_in, self.shape_out, {"difference": ((1, self), (-1, other))})["difference"]
-
-    def __mul__(self, scalar: Union[LaurentPoly, int]) -> Operator:
-        if not isinstance(scalar, (int, LaurentPoly)):
-            return NotImplemented
-        return combine(self.shape_in, self.shape_out, {"scaled": ((scalar, self),)})["scaled"]
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: Operator) -> Operator:
-        return compose(self, other)
 
     def __repr__(self) -> str:
         return f"<Operator {self.shape_in}->{self.shape_out}, nnz={len(self.entries)}>"

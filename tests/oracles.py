@@ -28,8 +28,8 @@ written ambient column by ambient column, the digits of the touched legs
 rewritten one at a time (`embed_by_digits`), instead of placed by strides.
 Sums, scalings and tensor products are formed entry by entry
 (`entrywise_sum`, `entrywise_kron`) wherever an oracle needs them, since
-+, -, scalar * and kron of operators run on `combine` and `embed`, the
-operations these oracles check.
+`combine`, `kron` and the operator `-` run on the packed executor and
+`embed`, the operations these oracles check.
 
 Moved here from the package, because no route of the package uses them:
 
@@ -90,7 +90,7 @@ from itertools import product
 
 from qlink.braid import BraidWord, ColoredBraid, components
 from qlink.invariant import rt_invariant
-from qlink.laurent import LaurentPoly, div_exact, qfact, qint
+from qlink.laurent import LaurentPoly, as_poly, div_exact, qfact, qint
 from qlink.report import Report
 from qlink.rmatrix import (
     braided_r,
@@ -176,7 +176,7 @@ def two_strand_torus_value(a: Spin, b: Spin, crossings: int) -> LaurentPoly:
         # 2(c(J) - c(a) - c(b)) is the exponent of v = q^(1/2); it is an integer.
         exponent = (tc * (tc + 2) - ta * (ta + 2) - tb * (tb + 2)) // 2
         sign = -1 if (ta + tb - tc) // 2 * crossings % 2 else 1
-        total = total + qint(tc + 1) * LaurentPoly.v_power(exponent * crossings) * sign
+        total = total + qint(tc + 1) * LaurentPoly({exponent * crossings: sign})
     return total
 
 
@@ -198,7 +198,7 @@ def full_twist_value(twice_spins, k: int) -> LaurentPoly:
     base = sum(t * (t + 2) for t in twice_spins)
     total = LaurentPoly.zero()
     for tj, m in mult.items():
-        total = total + qint(tj + 1) * LaurentPoly.v_power(k * (tj * (tj + 2) - base)) * m
+        total = total + qint(tj + 1) * LaurentPoly({k * (tj * (tj + 2) - base): m})
     return total
 
 
@@ -345,7 +345,7 @@ def entrywise_sum(terms) -> Operator:
     for scalar, op in terms:
         assert (op.shape_in, op.shape_out) == (first.shape_in, first.shape_out)
         for rc, p in op.entries.items():
-            entries[rc] = entries.get(rc, LaurentPoly.zero()) + p * scalar
+            entries[rc] = entries.get(rc, LaurentPoly.zero()) + p * as_poly(scalar)
     return Operator(first.shape_in, first.shape_out, entries)
 
 
@@ -496,7 +496,9 @@ def rep_qh(j: Spin, k: int) -> Operator:
 def casimir(j: Spin) -> Operator:
     """(q - q^-1)^2 F E + q^(2H+1) + q^(-2H-1) on the spin-j space."""
     q = LaurentPoly.q_power
-    return entrywise_sum([((q(1) - q(-1)) ** 2, rep_f(j) @ rep_e(j)), (q(1), rep_qh(j, 2)), (q(-1), rep_qh(j, -2))])
+    return entrywise_sum(
+        [((q(1) - q(-1)) ** 2, entrywise_product(rep_f(j), rep_e(j))), (q(1), rep_qh(j, 2)), (q(-1), rep_qh(j, -2))]
+    )
 
 
 def as_scalar(op: Operator):
@@ -562,7 +564,7 @@ def verify_yang_baxter(j1: Spin, j2: Spin, j3: Spin) -> Report:
     r12 = embed(r_matrix(j1, j2), (0, 1), shape)
     r13 = embed(r_matrix(j1, j3), (0, 2), shape)
     r23 = embed(r_matrix(j2, j3), (1, 2), shape)
-    report.add("R12 R13 R23 = R23 R13 R12", r12 @ r13 @ r23 - r23 @ r13 @ r12)
+    report.add("R12 R13 R23 = R23 R13 R12", compose(compose(r12, r13), r23) - compose(compose(r23, r13), r12))
     return report
 
 
@@ -583,27 +585,27 @@ def verify_frt(general_twice_spins: tuple[int, ...] = (1, 2, 3)) -> Report:
         lm23 = embed(l_minus(j), (1, 2), shape)
         lp13 = embed(l_plus(j), (0, 2), shape)
         lp23 = embed(l_plus(j), (1, 2), shape)
-        report.add(f"FRT1 j={j}", r12 @ lm13 @ lm23 - lm23 @ lm13 @ r12)
-        report.add(f"FRT2 j={j}", r12 @ lp23 @ lp13 - lp13 @ lp23 @ r12)
-        report.add(f"FRT3 j={j}", lm13 @ r12 @ lp23 - lp23 @ r12 @ lm13)
+        report.add(f"FRT1 j={j}", compose(compose(r12, lm13), lm23) - compose(compose(lm23, lm13), r12))
+        report.add(f"FRT2 j={j}", compose(compose(r12, lp23), lp13) - compose(compose(lp13, lp23), r12))
+        report.add(f"FRT3 j={j}", compose(compose(lm13, r12), lp23) - compose(compose(lp23, r12), lm13))
 
         shape4 = Shape((HALF, j, j))
         r23 = embed(r_matrix(j, j), (1, 2), shape4)
         lm13 = embed(l_minus(j), (0, 2), shape4)
         lm12 = embed(l_minus(j), (0, 1), shape4)
-        report.add(f"RLL4 j={j}", r23 @ lm13 @ lm12 - lm12 @ lm13 @ r23)
+        report.add(f"RLL4 j={j}", compose(compose(r23, lm13), lm12) - compose(compose(lm12, lm13), r23))
 
         shape5 = Shape((j, j, HALF))
         r12g = embed(r_matrix(j, j), (0, 1), shape5)
         lp31 = embed(l_plus(j), (2, 0), shape5)
         lp32 = embed(l_plus(j), (2, 1), shape5)
-        report.add(f"RLL5 j={j}", r12g @ lp31 @ lp32 - lp32 @ lp31 @ r12g)
+        report.add(f"RLL5 j={j}", compose(compose(r12g, lp31), lp32) - compose(compose(lp32, lp31), r12g))
 
         shape6 = Shape((j, HALF, j))
         lp21 = embed(l_plus(j), (1, 0), shape6)
         r13g = embed(r_matrix(j, j), (0, 2), shape6)
         lm23 = embed(l_minus(j), (1, 2), shape6)
-        report.add(f"RLL6 j={j}", lp21 @ r13g @ lm23 - lm23 @ r13g @ lp21)
+        report.add(f"RLL6 j={j}", compose(compose(lp21, r13g), lm23) - compose(compose(lm23, r13g), lp21))
     return report
 
 
@@ -619,7 +621,7 @@ def monodromy_annihilator(j1: Spin, j2: Spin) -> Report:
     ta, tb = j1.twice_j, j2.twice_j
     spins = range(abs(ta - tb), ta + tb + 1, 2)
     exponents = (-ta * (ta + 2) - tb * (tb + 2) + tj * (tj + 2) for tj in spins)  # of v
-    prod = reduce(compose, (b - identity(shape) * LaurentPoly.v_power(e) for e in exponents))
+    prod = reduce(compose, (entrywise_sum([(1, b), (-LaurentPoly.v_power(e), identity(shape))]) for e in exponents))
     report.add("annihilating product", prod, note=f"eigenvalue exponents over 2j in {list(spins)}")
     return report
 

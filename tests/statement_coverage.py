@@ -56,9 +56,8 @@ def statements(tree: ast.Module, module: str):
     yield from walk(tree.body, module, True)
 
 
-def run_tests(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """Pytest's exit status on the tier-1 suite and the (file, line) pairs it ran in src/qlink."""
-    ran: set[tuple[str, int]] = set()
+def recorder(ran: set[tuple[str, int]]):
+    """A `sys.settrace` hook that adds the (file, line) pairs run in src/qlink to `ran`."""
     prefix = f"{SRC}/"
 
     def local(frame, event, arg):
@@ -69,14 +68,25 @@ def run_tests(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     def start(frame, event, arg):
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
-    sys.settrace(start)
+    return start
+
+
+def check_imported() -> None:
+    """Exit unless qlink was imported from src/qlink."""
+    loaded = sys.modules.get("qlink")
+    if loaded is None or not loaded.__file__.startswith(f"{SRC}/"):
+        raise SystemExit(f"qlink was not imported from {SRC}; run with PYTHONPATH=src")
+
+
+def run_tests(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
+    """Pytest's exit status on the tier-1 suite and the (file, line) pairs it ran in src/qlink."""
+    ran: set[tuple[str, int]] = set()
+    sys.settrace(recorder(ran))
     try:
         status = pytest.main(["-q", "-W", "error", "-p", "no:cacheprovider", "--hypothesis-seed=0", *args])
     finally:
         sys.settrace(None)
-    loaded = sys.modules.get("qlink")
-    if loaded is None or not loaded.__file__.startswith(prefix):
-        raise SystemExit(f"qlink was not imported from {SRC}; run with PYTHONPATH=src")
+    check_imported()
     return status, ran
 
 

@@ -28,6 +28,7 @@ from oracles import (
     aw_residuals_by_products,
     casimir,
     conjugation_sandwich,
+    entrywise_sum,
     loop_word,
     rep_qh,
 )
@@ -82,17 +83,15 @@ class TestElements:
 
     def test_adjacent_block_annihilator(self):
         shape = Shape.of(1, 1, 2)
-        q12 = aw.q_elem("12", shape)
-        prod = compose(q12 - identity(shape) * chi(Spin(0)), q12 - identity(shape) * chi(Spin(2)))
-        assert prod.is_zero()
+        q12, one = aw.q_elem("12", shape), identity(shape)
+        factors = [entrywise_sum([(1, q12), (-chi(Spin(tj)), one)]) for tj in (0, 2)]
+        assert compose(*factors).is_zero()
 
     def test_three_leg_annihilator(self):
         shape = Shape.of(1, 1, 1)
-        q123 = aw.q_elem("123", shape)
-        prod = compose(
-            q123 - identity(shape) * chi(Spin(1)), q123 - identity(shape) * chi(Spin(3))
-        )
-        assert prod.is_zero()
+        q123, one = aw.q_elem("123", shape), identity(shape)
+        factors = [entrywise_sum([(1, q123), (-chi(Spin(tj)), one)]) for tj in (1, 3)]
+        assert compose(*factors).is_zero()
 
     def test_recoupled_block_shapes(self):
         shape = Shape.of(1, 2, 3)
@@ -230,7 +229,7 @@ class TestRelations:
     def test_corrupted_recoupling_is_flagged(self):
         shape = Shape.of(1, 1, 1)
         q = {name: aw.q_elem(name, shape) for name in ("1", "2", "3", "12", "23", "13", "123")}
-        q["13"] = q["13"] + identity(shape)
+        q["13"] = entrywise_sum([(1, q["13"]), (1, identity(shape))])
         residuals = aw.aw_residuals(q, identity(shape))
         assert not residuals["AW1"].is_zero()
         assert residuals["AW1"].nnz() > 0
@@ -268,14 +267,14 @@ class TestRelations:
         # 64 bits.
         q = {name: aw.q_elem(name, shape) for name in ("1", "2", "3", "12", "23", "13", "123")}
         (r, c), p = min(q["123"].entries.items())
-        perturbed = Operator(shape, shape, {**q["123"].entries, (r, c): p + 1})
+        perturbed = Operator(shape, shape, {**q["123"].entries, (r, c): p + LaurentPoly.one()})
         assignments = {
             "clean": q,
-            "Q13 scaled by q": {**q, "13": q["13"] * Q(1)},
+            "Q13 scaled by q": {**q, "13": entrywise_sum([(Q(1), q["13"])])},
             "Q12 and Q23 swapped": {**q, "12": q["23"], "23": q["12"]},
             "one entry of Q123 perturbed": {**q, "123": perturbed},
-            "Q13 scaled by v": {**q, "13": q["13"] * V(1)},
-            "Q123 scaled by 2**70": {**q, "123": q["123"] * 2**70},
+            "Q13 scaled by v": {**q, "13": entrywise_sum([(V(1), q["13"])])},
+            "Q123 scaled by 2**70": {**q, "123": entrywise_sum([(2**70, q["123"])])},
         }
         one = identity(shape)
         for label, assignment in assignments.items():
@@ -327,7 +326,7 @@ class TestSpectra:
         for tjs in itertools.product(range(3), repeat=3):
             shape = Shape.of(*tjs)
             op, one = aw.q_elem(index, shape), identity(shape)
-            factors = [op - one * chi(Spin(tj)) for tj in aw.spectrum_twice_spins(index, shape)]
+            factors = [entrywise_sum([(1, op), (-chi(Spin(tj)), one)]) for tj in aw.spectrum_twice_spins(index, shape)]
             assert reduce(compose, factors).is_zero(), shape
             for k in range(len(factors)):
                 assert not reduce(compose, factors[:k] + factors[k + 1 :], one).is_zero(), (shape, k)

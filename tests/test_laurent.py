@@ -14,24 +14,37 @@ from qlink.laurent import (
     qint,
     subst_x_iv,
 )
+from qlink.tensorop import Shape, identity
 
 V = LaurentPoly.v_power
 Q = LaurentPoly.q_power
+C = LaurentPoly.const
 
 
 class TestCoefficients:
-    def test_zero_test_and_int_equality(self):
+    def test_ints_enter_only_through_constructors(self):
+        # `not p` is the zero test, and only a constructor reads an int (as
+        # the constant).  An int operand raises TypeError, a polynomial equals
+        # no int and has no hash, and an operator takes no `+`, `*` or `@`.
         assert not LaurentPoly({3: 0})
-        assert LaurentPoly.const(3) == 3
-        assert LaurentPoly({0: 2, 1: 0}) * 2 == 4
-        assert LaurentPoly.zero() == 0
-
-    def test_hash_agrees_with_int_equality(self):
-        for c in (0, 1, -7, 5, 1 << 70):
-            assert hash(LaurentPoly.const(c)) == hash(c)
-        assert len({LaurentPoly.zero(), 0}) == 1
-        assert len({LaurentPoly.const(5), 5, V(0) * 5}) == 1
-        assert len({V(1), V(-1), V(0), 1}) == 3
+        assert LaurentPoly({0: 2, 1: 0}) * C(2) == C(4) == LaurentPoly({0: 4})
+        one, s = LaurentPoly.one(), Shape.of(1, 2)
+        assert (one == 1) is False and one != 1 and LaurentPoly.zero() != 0
+        refused = [
+            lambda: one + 1,
+            lambda: 1 + one,
+            lambda: one - 1,
+            lambda: one * 2,
+            lambda: 2 * one,
+            lambda: hash(one),
+            lambda: identity(s) + identity(s),
+            lambda: 2 * identity(s),
+            lambda: identity(s) * one,
+            lambda: identity(s) @ identity(s),
+        ]
+        for attempt in refused:
+            with pytest.raises(TypeError):
+                attempt()
 
     def test_non_int_coefficient_rejected(self):
         with pytest.raises(TypeError):
@@ -72,7 +85,7 @@ class TestArithmetic:
         assert qint(2) * qint(2) == qint(3) + qint(1)
 
     def test_multiplicative_identity_and_units(self):
-        p = qint(5) * 3
+        p = qint(5) * C(3)
         assert p * LaurentPoly.one() == p
         assert V(1) * V(-1) == LaurentPoly.one()
 
@@ -127,7 +140,7 @@ class TestSubstitutions:
     def test_x_to_iv(self):
         assert subst_x_iv(V(2)) == -V(2)  # x^2 -> -v^2
         assert subst_x_iv(-V(2) - V(-2)) == qint(2)  # the loop value
-        assert subst_x_iv(V(-4) * 3) == V(-4) * 3  # x^-4 -> v^-4
+        assert subst_x_iv(LaurentPoly({-4: 3})) == LaurentPoly({-4: 3})  # x^-4 -> v^-4
 
     def test_phase(self):
         p = qint(3)
@@ -174,11 +187,11 @@ class TestDivision:
             div_exact(qint(3), qint(2))
 
     def test_integer_remainder_rejected(self):
-        assert div_exact(qint(2) * 6, qint(2) * -3) == LaurentPoly.const(-2)
+        assert div_exact(qint(2) * C(6), qint(2) * C(-3)) == C(-2)
         with pytest.raises(ValueError):
             div_exact(LaurentPoly.const(3), LaurentPoly.const(2))
         with pytest.raises(ValueError):
-            div_exact(qint(2), qint(1) * 2)
+            div_exact(qint(2), C(2))
 
     def test_zero_dividend(self):
         assert div_exact(LaurentPoly.zero(), qint(2)) == LaurentPoly.zero()
@@ -216,7 +229,7 @@ class TestTruncatedSeries:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        p = qint(5) * -7 + V(-9) + V(4) * (1 << 70)
+        p = qint(5) * C(-7) + V(-9) + LaurentPoly({4: 1 << 70})
         data = poly_to_json(p)
         assert data == sorted(data)
         assert [0, -7, 1, 0, 1] in data

@@ -86,7 +86,7 @@ def random_operator(rng, shape_in: Shape, shape_out: Shape, fill=4) -> Operator:
     for _ in range(fill):
         r = rng.randrange(shape_out.dim)
         c = rng.randrange(shape_in.dim)
-        entries[(r, c)] = V(rng.randint(-3, 3)) * rng.randint(-3, 3)
+        entries[(r, c)] = LaurentPoly({rng.randint(-3, 3): rng.randint(-3, 3)})
     return Operator(shape_in, shape_out, entries)
 
 
@@ -141,9 +141,9 @@ class TestBasics:
 
 
 class TestArithmetic:
-    # +, -, scalar * and kron against the entrywise oracles, on non-square
-    # operators: a braiding, whose exponents step by 4, and random operators
-    # with two-term entries.
+    # Sums and scalings through `combine`, `-` and kron against the entrywise
+    # oracles, on non-square operators: a braiding, whose exponents step by 4,
+    # and random operators with two-term entries.
     SRC, DST = Shape.of(1, 2), Shape.of(2, 1)
 
     def operands(self, seed):
@@ -162,12 +162,14 @@ class TestArithmetic:
         copy = Operator(a.shape_in, a.shape_out, dict(a.entries))
         one_off = Operator(a.shape_in, a.shape_out, {**a.entries, (0, 0): a.entry(0, 0) + V(3)})
         for x, y in ((a, b), (braid, a), (a, braid), (a, a), (a, copy), (a, one_off), (braid, braid)):
-            assert x + y == entrywise_sum([(1, x), (1, y)])
+            total = combine(x.shape_in, x.shape_out, {"sum": [(1, x), (1, y)]})["sum"]
+            assert total == entrywise_sum([(1, x), (1, y)])
             assert x - y == entrywise_sum([(1, x), (-1, y)])
         assert (a - copy).nnz() == 0 and (a - one_off).entries == {(0, 0): -V(3)}
         for scalar in (0, 1, -3, 2**70, V(1), Q(1) - Q(-1), LaurentPoly.zero()):
             for x in (a, braid):
-                assert x * scalar == scalar * x == entrywise_sum([(scalar, x)])
+                scaled = combine(x.shape_in, x.shape_out, {"scaled": [(scalar, x)]})["scaled"]
+                assert scaled == entrywise_sum([(scalar, x)])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kron(self, seed):
@@ -183,7 +185,7 @@ class TestArithmetic:
         transposed_shapes = Operator(self.DST, self.SRC, dict(a.entries))
         for other in (transposed_shapes, identity(self.SRC), narrow):
             with pytest.raises(ShapeError):
-                a + other
+                combine(a.shape_in, a.shape_out, {"sum": [(1, a), (1, other)]})
             with pytest.raises(ShapeError):
                 a - other
         # `embed` places factors one to one, so an operator that changes its
@@ -191,11 +193,6 @@ class TestArithmetic:
         column = Operator(EMPTY_SHAPE, Shape.of(1, 1), {(1, 0): V(1)})
         with pytest.raises(ShapeError):
             kron(column, narrow)
-
-    def test_scalar_must_be_a_polynomial_or_int(self):
-        _, a, _, _ = self.operands(0)
-        with pytest.raises(TypeError):
-            a * "x"
 
 
 class TestCombine:
@@ -217,21 +214,25 @@ class TestCombine:
 
     @pytest.mark.parametrize(
         "scalars",
-        [(1, -1, 3, 2), (Q(1), Q(1) + Q(-1), V(-3) * 2, -V(1)), (2, Q(-1), 1, V(5)), (1, 2**70, V(2) * -(2**70), -1)],
+        [
+            (1, -1, 3, 2),
+            (Q(1), Q(1) + Q(-1), LaurentPoly({-3: 2}), -V(1)),
+            (2, Q(-1), 1, V(5)),
+            (1, 2**70, LaurentPoly({2: -(2**70)}), -1),
+        ],
         ids=("int", "poly", "mixed", "beyond 2^64"),
     )
     def test_matches_products_and_sums(self, scalars):
         terms = self.terms(scalars)
         expected = entrywise_sum([(scalar, entrywise_product(a, b[0]) if b else a) for scalar, a, *b in terms])
         assert self.total(terms) == expected
-        by_compose = [compose(a, b[0]) * scalar if b else a * scalar for scalar, a, *b in terms]
-        assert expected == sum(by_compose[1:], by_compose[0])
+        assert expected == entrywise_sum([(scalar, compose(a, b[0]) if b else a) for scalar, a, *b in terms])
 
     def test_bases_one_apart(self):
         # The braiding's exponents step by 4, so the cells meet bases 1 apart
         # only in the sum, and the pass reruns at stride 1.
         braid = self.terms((1, 1, 1, 1))[0][1]
-        assert self.total([(1, braid), (V(1), braid)]) == entrywise_sum([(1 + V(1), braid)])
+        assert self.total([(1, braid), (V(1), braid)]) == entrywise_sum([(LaurentPoly.one() + V(1), braid)])
 
     def test_gap_in_a_later_sum_reruns_the_whole_call(self):
         # "a" alone keeps the braiding's stride 4; the bases first meet 1
@@ -240,13 +241,13 @@ class TestCombine:
         braid = self.terms((1, 1, 1, 1))[0][1]
         got = combine(self.SRC, self.DST, {"a": [(1, braid)], "b": [(V(1), "a"), (1, braid)]})
         assert list(got) == ["b"]
-        assert got["b"] == entrywise_sum([(1 + V(1), braid)])
+        assert got["b"] == entrywise_sum([(LaurentPoly.one() + V(1), braid)])
 
     def test_sum_as_left_factor_of_a_narrowing_product(self):
         # Input dimension 3, output dimension 2: a sum read as the left
         # factor is indexed by its 3 input columns, every one of them filled.
         src, dst = Shape.of(2), Shape.of(1)
-        narrow = Operator(src, dst, {(r, c): V(r - c) * (r + 2 * c + 1) for r in range(2) for c in range(3)})
+        narrow = Operator(src, dst, {(r, c): LaurentPoly({r - c: r + 2 * c + 1}) for r in range(2) for c in range(3)})
         square = random_operator(random.Random(10), src, src, fill=6)
         sums = {"p": [(V(1), narrow), (2, narrow, square)], "q": [(Q(1), "p", square), (-1, narrow)]}
         got = combine(src, dst, sums)
@@ -304,7 +305,7 @@ class TestCombine:
         dense = Operator(self.DST, self.DST, {(r, c): V(1) for r in range(6) for c in range(6)})
         sums = {"square": [(1, dense, dense)], "sum": [(1, "square", dense)] * 4}
         expected = entrywise_sum([(4, entrywise_product(entrywise_product(dense, dense), dense))])
-        assert set(expected.entries.values()) == {V(3) * 144}
+        assert list(expected.entries.values()) == [LaurentPoly({3: 144})] * 36
         assert combine(self.DST, self.DST, sums)["sum"] == expected
 
     def test_shared_and_fresh_right_factors(self):
@@ -539,8 +540,8 @@ class TestActAdjacent:
         # 24 bits, so its width is 32 and a proof one bit short (24) would
         # decode the cell wrongly; 7^9 (26 bits) is byte-rounded to 32 either way.
         legs = Shape.of(0, 0)
-        op = Operator(legs, legs, {(0, 0): V(4) * c})
-        assert act_adjacent([(0, op)] * 9, identity(legs)).entries == {(0, 0): V(36) * c**9}
+        op = Operator(legs, legs, {(0, 0): LaurentPoly({4: c})})
+        assert act_adjacent([(0, op)] * 9, identity(legs)).entries == {(0, 0): LaurentPoly({36: c**9})}
 
     def test_gap_the_stride_does_not_divide_reruns_the_word(self):
         # Both rows of column 0 land in row 0: (1 + v^4) * 1 meets v^2 * 1, a gap
@@ -644,11 +645,12 @@ class TestWeightedTrace:
         # (v - v^-3) * 1 + v^-1 * (v^-2 - v^2) = 0.
         legs = Shape.of(1, 1)
         one = LaurentPoly.one()
-        target = Operator(legs, legs, {(0, 0): one, (1, 1): one, (2, 1): V(-2) - V(2), (3, 3): one * 2})
+        target = Operator(legs, legs, {(0, 0): one, (1, 1): one, (2, 1): V(-2) - V(2), (3, 3): one + one})
         steps = [(0, braided_r(HALF, HALF))]
         assert (1, 1) not in act_adjacent(steps, target).entries
         offsets = [(0,), (5,), (0,), (1,)]
-        assert weighted_trace(steps, target, offsets) == V(1) + V(2) * 2 == diagonal_oracle(steps, target, offsets)
+        want = LaurentPoly({1: 1, 2: 2})
+        assert weighted_trace(steps, target, offsets) == want == diagonal_oracle(steps, target, offsets)
 
     def test_diagonal_cells_whose_bases_differ_by_an_odd_gap_rerun_the_word(self):
         # Both cells of column 1 land on (1, 1): (v - v^-3) * 1 meets v^-1 * v,
@@ -733,7 +735,7 @@ class TestIndex:
         # keyed r m + c with m its input dimension, since no stride or width
         # changes them; one with a polynomial entry keeps none.
         legs = Shape.of(1, 1)
-        target = Operator(legs, legs, {(0, 0): V(3) * 2, (2, 1): -V(-1)})
+        target = Operator(legs, legs, {(0, 0): LaurentPoly({3: 2}), (2, 1): -V(-1)})
         m = cold(braided_r(HALF, HALF))
         want = embedded_steps([(0, m)] * 2, target)
         assert act_adjacent([(0, m)] * 2, target) == want
@@ -759,9 +761,9 @@ class TestIndex:
 class TestTraces:
     def test_unweighted_partial_traces_of_identity(self):
         shape = Shape.of(1, 3)
-        assert partial_trace_first(identity(shape)) == identity(Shape.of(3)) * 2
+        assert partial_trace_first(identity(shape)) == entrywise_sum([(2, identity(Shape.of(3)))])
         shape = Shape.of(3, 1)
-        assert partial_trace_last(identity(shape)) == identity(Shape.of(3)) * 2
+        assert partial_trace_last(identity(shape)) == entrywise_sum([(2, identity(Shape.of(3)))])
 
     def test_factorized_partial_trace(self):
         rng = random.Random(5)
@@ -769,7 +771,7 @@ class TestTraces:
         b = random_operator(rng, Shape((Spin(2),)), Shape((Spin(2),)))
         w = rep_qh(HALF, 2)
         got = partial_trace_first(kron(a, b), w)
-        assert got == b * full_trace(a, [w])
+        assert got == entrywise_sum([(full_trace(a, [w]), b)])
 
     def test_full_trace_weight_values(self):
         assert full_trace(identity(Shape((HALF,))), [rep_qh(HALF, 2)]) == qint(2)
@@ -868,7 +870,7 @@ class TestAlgebraProperties:
     @given(small_square_operator(), small_square_operator(), small_square_operator())
     def test_composition_associative_and_bilinear(self, a, b, c):
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
-        assert compose(a, b + c) == compose(a, b) + compose(a, c)
+        assert compose(a, entrywise_sum([(1, b), (1, c)])) == entrywise_sum([(1, compose(a, b)), (1, compose(a, c))])
 
     @settings(max_examples=60, deadline=None)
     @given(small_square_operator())

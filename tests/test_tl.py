@@ -8,6 +8,7 @@ from oracles import _diagram_images, close_all_by_strands, random_word, tl_image
 from qlink.braid import BraidWord
 from qlink.invariant import all_half, braid_operator
 from qlink.laurent import LaurentPoly
+from qlink.tensorop import compose
 from qlink.tl import (
     DELTA,
     TLElement,
@@ -310,7 +311,7 @@ class TestOperatorImage:
         diagrams = [TLElement(4, {d: LaurentPoly.one()}) for d in all_diagrams(4)]
         for a in diagrams:
             for b in diagrams:
-                assert tl_image(tl_mul(a, b)) == tl_image(a) @ tl_image(b), (a.terms, b.terms)
+                assert tl_image(tl_mul(a, b)) == compose(tl_image(a), tl_image(b)), (a.terms, b.terms)
 
     def test_letters_are_the_braided_r_matrix(self):
         words = [BraidWord(3, letters) for k in range(4) for letters in product((1, -1, 2, -2), repeat=k)]

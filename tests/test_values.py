@@ -33,7 +33,7 @@ BUILDERS = {
     "TLElement": lambda: TLElement(3, {hook_diagram(3, 1): LaurentPoly.const(2)}),
     "Report": report,
 }
-UNHASHABLE = ("Operator", "TLElement", "Report")  # each holds a dict or a list
+UNHASHABLE = ("LaurentPoly", "LaurentPoly.one", "Operator", "TLElement", "Report")  # each holds a dict or a list
 
 
 def subclasses(cls):
@@ -65,11 +65,12 @@ def test_values_holding_a_dict_or_list_are_unhashable(name):
     [
         (Spin(1), 1),
         (Spin(1), LaurentPoly.one()),
+        (LaurentPoly.one(), 1),
         (BraidWord(2, (1,)), ColoredBraid(BraidWord(2, (1,)), (HALF, HALF))),
         (Shape.of(1), (HALF,)),
         (Report("s"), "s"),
     ],
-    ids=["spin-int", "spin-poly", "word-colored", "shape-tuple", "report-str"],
+    ids=["spin-int", "spin-poly", "poly-int", "word-colored", "shape-tuple", "report-str"],
 )
 def test_a_different_class_is_unequal(a, b):
     assert a != b and b != a
@@ -107,7 +108,7 @@ def test_fields_can_be_neither_assigned_nor_deleted(name):
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert value == BUILDERS[name]() and repr(value) == before
-    assert LaurentPoly.one() == 1
+    assert LaurentPoly.one().terms == {0: 1}
 
 
 @pytest.mark.parametrize("name", BUILDERS)
