@@ -257,7 +257,7 @@ def verify_routes(shape: Shape) -> Report:
     return report
 
 
-def aw_residuals(q: dict[str, Operator], dim_identity: Operator) -> dict[str, Operator]:
+def aw_residuals(q: dict[str, Operator]) -> dict[str, Operator]:
     """
     Residual operators of the four defining relations for a given assignment
     of generators (exposed so corrupted assignments can serve as negative
@@ -275,7 +275,7 @@ def aw_residuals(q: dict[str, Operator], dim_identity: Operator) -> dict[str, Op
     s1-s3 are named sums that stay packed.
     """
     qq, qi = Q(1), Q(-1)
-    shape = dim_identity.shape_in
+    shape = q["123"].shape_in
     q1, q2, q3, q12, q23, q13, q123 = (q[name] for name in ("1", "2", "3", "12", "23", "13", "123"))
     two, coeff = Q(2) - Q(-2), qi - qq  # q^2 - q^-2 and -(q - q^-1)
     sums = {
@@ -296,7 +296,7 @@ def aw_residuals(q: dict[str, Operator], dim_identity: Operator) -> dict[str, Op
             (-qq, q12, "s2"),
             (-qi, q23, "s3"),
             (-qq, q13, "s1"),
-            (-((qq + qi) * (qq + qi)), dim_identity),
+            (-((qq + qi) * (qq + qi)), identity(shape)),
             (1, q123, q123),
             (1, q1, q1),
             (1, q2, q2),
@@ -311,7 +311,7 @@ def verify_aw(shape: Shape) -> Report:
     """All four defining relations hold with zero residual on this shape."""
     report = Report(f"aw-relations {shape}")
     q = {name: q_elem(name, shape) for name in ("1", "2", "3", "12", "23", "13", "123")}
-    for name, residual in aw_residuals(q, identity(shape)).items():
+    for name, residual in aw_residuals(q).items():
         report.add(name, residual)
     return report
 

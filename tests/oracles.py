@@ -391,7 +391,7 @@ def embed_by_digits(op: Operator, positions, ambient: Shape) -> Operator:
     return Operator(ambient, shape_out, entries)
 
 
-def aw_residuals_by_products(q, one) -> dict:
+def aw_residuals_by_products(q) -> dict:
     """
     The four Askey-Wilson residuals for an assignment of generators, built
     one operator at a time, with every sum and scaling entry by entry; the
@@ -423,7 +423,7 @@ def aw_residuals_by_products(q, one) -> dict:
         (-qq, compose(q["13"], s1)),
     ]
     rhs4 = [
-        ((qq + qi) * (qq + qi), one),
+        ((qq + qi) * (qq + qi), identity(q["123"].shape_in)),
         (-1, compose(q["123"], q["123"])),
         (-1, compose(q["1"], q["1"])),
         (-1, compose(q["2"], q["2"])),

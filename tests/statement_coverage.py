@@ -90,18 +90,23 @@ def run_tests(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     return status, ran
 
 
-def never_run(ran: set[tuple[str, int]]) -> dict[str, tuple[str, int]]:
-    """{key: (file, line)} of every statement in src/qlink that never ran."""
-    missed = {}
+def module_runs(ran: set[tuple[str, int]]):
+    """(file, tree, its `statements`, the ids of those that ran) of every module in src/qlink."""
     for path in sorted(SRC.glob("*.py")):
         lines = {line for name, line in ran if name == str(path)}
-        done: set[int] = set()  # the ids of the statements that ran
-        for key, node, own, nested in reversed(list(statements(ast.parse(path.read_text()), path.stem))):
-            if own & lines or any(id(child) in done for child in nested):  # nested statements come first
+        tree = ast.parse(path.read_text())
+        found = list(statements(tree, path.stem))
+        done: set[int] = set()
+        for key, node, own, nested in reversed(found):  # nested statements come first
+            if own & lines or any(id(child) in done for child in nested):
                 done.add(id(node))
-            else:
-                missed[key] = (str(path.relative_to(SRC.parents[1])), node.lineno)
-    return missed
+        yield path, tree, found, done
+
+
+def never_run(ran: set[tuple[str, int]]) -> dict[str, tuple[str, int]]:
+    """{key: (file, line)} of every statement in src/qlink that never ran."""
+    runs = ((path, key, node) for path, _, found, done in module_runs(ran) for key, node, _, _ in reversed(found) if id(node) not in done)
+    return {key: (str(path.relative_to(SRC.parents[1])), node.lineno) for path, key, node in runs}
 
 
 def main() -> int:

@@ -230,7 +230,7 @@ class TestRelations:
         shape = Shape.of(1, 1, 1)
         q = {name: aw.q_elem(name, shape) for name in ("1", "2", "3", "12", "23", "13", "123")}
         q["13"] = entrywise_sum([(1, q["13"]), (1, identity(shape))])
-        residuals = aw.aw_residuals(q, identity(shape))
+        residuals = aw.aw_residuals(q)
         assert not residuals["AW1"].is_zero()
         assert residuals["AW1"].nnz() > 0
 
@@ -251,11 +251,11 @@ class TestRelations:
         shape = Shape.of(1, 1, 1, 1)
         names = {"1": a, "2": b, "3": c, "12": a + b, "23": b + c, "13": a + c, "123": a + b + c}
         q = {role: aw.q_elem("".join(sorted(name)), shape) for role, name in names.items()}
-        residuals = aw.aw_residuals(q, identity(shape))
+        residuals = aw.aw_residuals(q)
         assert all(res.is_zero() for res in residuals.values())
         if blocks == "12|3|4":
             # The loop under leg 3 in the role of Q_AC breaks all four.
-            broken = aw.aw_residuals({**q, "13": aw.q_elem("124~", shape)}, identity(shape))
+            broken = aw.aw_residuals({**q, "13": aw.q_elem("124~", shape)})
             assert not any(res.is_zero() for res in broken.values())
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES + [Shape.of(3, 3, 3)], ids=str)
@@ -276,10 +276,9 @@ class TestRelations:
             "Q13 scaled by v": {**q, "13": entrywise_sum([(V(1), q["13"])])},
             "Q123 scaled by 2**70": {**q, "123": entrywise_sum([(2**70, q["123"])])},
         }
-        one = identity(shape)
         for label, assignment in assignments.items():
-            residuals = aw.aw_residuals(assignment, one)
-            assert residuals == aw_residuals_by_products(assignment, one), label
+            residuals = aw.aw_residuals(assignment)
+            assert residuals == aw_residuals_by_products(assignment), label
             assert (label == "clean") == all(res.is_zero() for res in residuals.values()), label
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
