@@ -128,13 +128,13 @@ def r_matrix(j1: Spin, j2: Spin) -> Operator:
 @_memo("Rinv")
 def r_inverse(j1: Spin, j2: Spin) -> Operator:
     """
-    Inverse of `r_matrix`, built by the bar substitution and then verified
-    with a copy of it as the left factor, so the memoized inverse keeps no
-    packed columns from the check.
+    Inverse of `r_matrix`, built by the bar substitution and verified by
+    R^-1 R = id, which reads the inverse itself as the left factor, so it
+    keeps the packed cells and columns of the check, as any operand does.
     """
     base = r_matrix(j1, j2)
     inv = Operator._raw(base.shape_in, base.shape_out, {rc: p.bar() for rc, p in base.entries.items()})
-    if compose(Operator._raw(inv.shape_in, inv.shape_out, inv.entries), base) != identity(base.shape_in):
+    if compose(inv, base) != identity(base.shape_in):
         raise RuntimeError(
             f"bar-substituted inverse failed the R^-1 R = id cross-check on {base.shape_in}; "
             "the braiding matrix construction is corrupted"
@@ -193,7 +193,8 @@ def closure_frame(colors: Sequence[Spin]) -> tuple[Operator, list[tuple[int, ...
     the offsets 2t and -2t.  Otherwise (a corrupted R) the start is the
     identity and column i takes 2 t_i.  Kept under ("frame", 2j of each
     color), so `clear_cache` drops it with the matrices its verdicts were
-    drawn from; the start keeps its index, so no closure packs it again.
+    drawn from; the start, like any operand, keeps its packed cells per
+    stride and width in its index, so no closure packs it again.
     """
     key = ("frame", *[c.twice_j for c in colors])
     frame = _cache.get(key)

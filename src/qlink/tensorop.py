@@ -162,8 +162,10 @@ EMPTY_SHAPE = Shape(())
 class Operator(Immutable):
     """
     A sparse matrix of LaurentPoly entries from shape_in to shape_out.  Its
-    `_index`, None until `_packed_sums` first reads the operator, caches what
-    the packed executor derives from the entries (see `_indexed`).
+    `_index`, None until `_packed_sums` first reads the operator, keeps what
+    the packed executor derives from the entries: their bounds and gap, and
+    per stride and width their packed cells and, once the operator is read
+    as a left operand, its columns (see `_indexed`).
     """
 
     __slots__ = ("shape_in", "shape_out", "entries", "_index")
@@ -232,6 +234,9 @@ def identity(shape: Shape) -> Operator:
     return Operator._raw(shape, shape, {(i, i): one for i in range(shape.dim)})
 
 
+UNIT = identity(EMPTY_SHAPE)  # the 1x1 left operand of a term scalar * a
+
+
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor product; output/input shapes are concatenated: b embedded on its legs, then a on its legs."""
     na, nb = len(a.shape_in), len(b.shape_in)
@@ -253,7 +258,7 @@ def combine(shape_in: Shape, shape_out: Shape, sums: Mapping[str, Iterable[tuple
     name, the sums that no later sum reads; a sum that one reads stays packed
     and is never decoded.  All sums run in one `_packed_sums` call: a term
     scalar * (a @ b) is the step (scalar, a, b, 1, a's input dimension) and a
-    term scalar * a the 1x1 step (scalar, None, a, 1, 1).
+    term scalar * a the step (scalar, UNIT, a, 1, 1).
     """
     plan = []  # the steps of each sum, as `_packed_sums` takes them
     position: dict[str, int] = {}  # sum name -> its place in plan
@@ -284,7 +289,7 @@ def combine(shape_in: Shape, shape_out: Shape, sums: Mapping[str, Iterable[tuple
                 continue
             scalar = {0: scalar} if isinstance(scalar, int) else scalar.terms
             scalar = None if scalar == {0: 1} else scalar
-            steps.append((scalar, *refs, 1, a_in.dim) if right else (scalar, None, *refs, 1, 1))
+            steps.append((scalar, *refs, 1, a_in.dim) if right else (scalar, UNIT, *refs, 1, 1))
         position[name] = len(plan)
         plan.append(steps)
     entries = _packed_sums(plan, shape_in.dim)
@@ -349,12 +354,12 @@ def weighted_trace(steps: Sequence[tuple[int, Operator]], target: Operator, offs
     sum_r sum_(o in offsets[r]) v^o B_rr, with B = act_adjacent(steps, target)
     square, from the same plan, but the last letter writes only diagonal
     cells and no cell is decoded into a polynomial of its own.  An empty word
-    reads the diagonal of `target`, as a 1x1 step.
+    reads the diagonal of `target`, as the step (None, UNIT, target, 1, 1).
     """
     plan, factors = _adjacent_plan(steps, target)
     if tuple(factors) != target.shape_in.factors:
         raise ShapeError(f"weighted_trace requires a square operator, got {target.shape_in}->{Shape(factors)}")
-    return _packed_sums(plan or [((None, None, target, 1, 1),)], target.shape_in.dim, offsets)
+    return _packed_sums(plan or [((None, UNIT, target, 1, 1),)], target.shape_in.dim, offsets)
 
 
 def _adjacent_plan(steps: Sequence[tuple[int, Operator]], target: Operator) -> tuple[list, list[Spin]]:
@@ -386,13 +391,13 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     The sums of `plan`, in order, each a sequence of steps (scalar, a, b, t,
     d) meaning scalar * a acting on b, all from shape_in of dimension m.  b
     is an Operator or the place in `plan` of an earlier sum; a is one too,
-    or None for the 1x1 one, and d is its input dimension (1 for None);
-    scalar is an {exponent: coefficient} dict, or None for 1.  Inside the
-    call a cell (r, c) is keyed by the one int r m + c, so a row stride t is
-    the key stride t m.  a is indexed by local column: its entry (lr, lc)
-    meets each cell of b whose key k has (k // t m) % d = lc, that is in a
-    row r with (r // t) % d = lc, and moves it to the key k + (lr - lc) t m,
-    row r + (lr - lc) t in the same column.  So t = 1 is the product a @ b,
+    and d is its input dimension; scalar is an {exponent: coefficient}
+    dict, or None for 1.  Inside the call a cell (r, c) is keyed by the one
+    int r m + c, so a row stride t is the key stride t m.  a is indexed by
+    local column: its entry (lr, lc) meets each cell of b whose key k has
+    (k // t m) % d = lc, that is in a row r with (r // t) % d = lc, and
+    moves it to the key k + (lr - lc) t m, row r + (lr - lc) t in the same
+    column.  So t = 1 is the product a @ b,
     and t the stride of leg i + 1 applies a two-leg a to legs i, i + 1 of b.
     Returns per sum its entries {(row, col): LaurentPoly}, or None for a sum
     that a later one reads: that one stays packed and is freed once its last
@@ -406,13 +411,12 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     sum_k d_k v^(e + s k) is the pair (e, sum_k d_k 2^(w k)) with balanced
     digits |d_k| < 2^(w - 1), so an entry times a cell is one int product
     and adding into a cell one int sum, shifted into line when the bases
-    differ.  Every Operator is packed by one rule, `_cells`, once per pass
-    on its first read, or never when its entries are monomials, whose cells
-    its index keeps.  One read as an a keeps its `_columns`, read from its
-    cells, in its index by (s, w), since d is always its input dimension, so
-    a memoized braid letter is bounded once and packed once per (s, w) per
-    process, not once per word.  A scalar is folded into the columns of a
-    once per step, and each returned cell is
+    differ.  Every Operator is packed by one rule: its index keeps, per
+    (s, w), its `_cells` from its first read at (s, w) and, from its first
+    read there as an a, the `_columns` read from those cells, since d is
+    always its input dimension.  So a memoized braid letter is bounded once
+    and packed once per (s, w) per process, not once per word.  A scalar is
+    folded into the columns of a once per step, and each returned cell is
     decoded once, at the end: into a polynomial of its own, or, for a trace,
     digit by digit into the one sum.  Packed cells are never added to each
     other, since the width bounds one cell.
@@ -426,13 +430,13 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
     s = 1, which divides every gap, keeping no cell from the failed pass.
 
     Width: with ent(x) the largest l1 norm of an entry of x and row(x) the
-    largest sum of those norms along a row (both 1 for the 1x1 one; a
-    two-leg a at any stride has the bounds of a; both kept in an Operator's
-    index), a step bounds the entries of its sum by |scalar| row(a) ent(b)
-    and the rows by |scalar| row(a) row(b), |scalar| being its l1 norm.  A
-    sum adds up the bounds of its steps, and w is (the largest entry bound
-    of any sum).bit_length() + 1 rounded up to a whole byte: any larger w is
-    proven too, and the rounding keeps few (s, w) per letter.  No
+    largest sum of those norms along a row (a two-leg a at any stride has
+    the bounds of a; both kept in an Operator's index), a step bounds the
+    entries of its sum by |scalar| row(a) ent(b) and the rows by |scalar|
+    row(a) row(b), |scalar| being its l1 norm.  A sum adds up the bounds of
+    its steps, and w is (the largest entry bound of any sum).bit_length() +
+    1 rounded up to a whole byte: any larger w is proven too, and the
+    rounding keeps few (s, w) per letter.  No
     coefficient of a cell, nor of a partial sum, exceeds its sum's entry
     bound, so a packed cell is 0 exactly when its polynomial is, and zero
     cells are dropped as they arise.
@@ -447,15 +451,13 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
                 last[b] = k
                 ent_b, row_b = bounds[b]
             else:
-                ent_b, row_b, gap, _, _ = b._index or _indexed(b)
+                ent_b, row_b, gap, _ = b._index or _indexed(b)
                 gaps.add(gap)
             if a.__class__ is int:
                 last[a] = k
                 row_a = bounds[a][1]
-            elif a is None:
-                row_a = 1
             else:
-                _, row_a, gap, _, _ = a._index or _indexed(a)
+                _, row_a, gap, _ = a._index or _indexed(a)
                 gaps.add(gap)
             if scalar is not None:
                 gaps.add(_gap([scalar]))
@@ -473,7 +475,7 @@ def _packed_sums(plan: list, m: int, trace: Optional[Sequence[Sequence[int]]] = 
         s = 1
         done = _packed_pass(plan, frees, s, w, m, trace is not None)
     if trace is None:
-        return [cells and {divmod(key, m): _unpack(e, n, s, w) for key, (e, n) in cells.items()} for cells in done]
+        return [cells and {divmod(key, m): LaurentPoly._raw(dict(_digits(e, n, s, w))) for key, (e, n) in cells.items()} for cells in done]
     terms = {}
     for key, (e, n) in done[-1].items():  # the cell (r, r) has the key r (m + 1)
         offsets = trace[key // (m + 1)]
@@ -488,33 +490,24 @@ def _packed_pass(plan: list, frees: list[tuple[int, ...]], s: int, w: int, m: in
     One pass of `_packed_sums` at stride s and width w: the packed cells
     {r m + c: (e, N)} of each sum, None for a freed one, or None at the
     first two contributions to one cell whose bases differ by a gap that s
-    does not divide.  The Operators of `plan` are indexed.  If `diagonal`,
-    the last sum computes only its cells (c, c).
+    does not divide.  The Operators of `plan` are indexed, and each reads
+    its cells, and as an a its columns, from its store (`_stored`).  If
+    `diagonal`, the last sum computes only its cells (c, c).
     """
     done = []
-    packed = {}  # id of an Operator -> its `_cells`, packed at its first read in the pass
-
-    def cells_of(x: Operator) -> dict[int, tuple[int, int]]:
-        cells = x._index[4] or packed.get(id(x))
-        if cells is None:
-            cells = packed[id(x)] = _cells(x, s, w)
-        return cells
-
     m1 = m + 1
     for k, (steps, freed) in enumerate(zip(plan, frees)):
         diagonal_k = diagonal and k == len(plan) - 1
         acc = {}
         for scalar, a, b, t, d in steps:
-            cells = done[b] if b.__class__ is int else cells_of(b)
-            if a.__class__ is Operator:
-                variants = a._index[3]
-                cols = variants.get((s, w))
-                if cols is None:
-                    cols = variants[s, w] = _columns(cells_of(a), d)
-            elif a is None:
-                cols = [((0, 0, 1),)]
-            else:
+            cells = done[b] if b.__class__ is int else _stored(b, s, w)[0]
+            if a.__class__ is int:
                 cols = _columns(done[a], d)
+            else:
+                kept = _stored(a, s, w)
+                cols = kept[1]
+                if cols is None:
+                    cols = kept[1] = _columns(kept[0], d)
             if scalar is not None:
                 es, ns = _pack(scalar, s, w)
                 cols = [[(dl, e + es, n * ns) for dl, e, n in col] for col in cols]
@@ -567,15 +560,13 @@ def _columns(cells: dict[int, tuple[int, int]], d: int) -> list[list[tuple[int, 
     return cols
 
 
-def _indexed(op: Operator) -> tuple[int, int, int, dict, Optional[dict]]:
+def _indexed(op: Operator) -> tuple[int, int, int, dict]:
     """
     The index of `op`, filled on first use and kept in its `_index` slot:
-    (ent, row, gap, variants, cells) with ent the largest l1 norm of an
-    entry, row the largest sum of those norms along a row, gap the `_gap` of
-    its entries, variants {(s, w): op's `_columns`}, filled by every call
-    that reads op as an a, and cells, when every entry is a monomial (gap
-    0), its `_cells`, which no stride or width changes; else None.  The
-    index lives and dies with the operator.
+    (ent, row, gap, store) with ent the largest l1 norm of an entry, row
+    the largest sum of those norms along a row, gap the `_gap` of its
+    entries, and store {(s, w): [cells, columns or None]}, which `_stored`
+    fills.  The index lives and dies with the operator.
     """
     largest, rows = 0, {}
     for (r, _), p in op.entries.items():
@@ -583,10 +574,22 @@ def _indexed(op: Operator) -> tuple[int, int, int, dict, Optional[dict]]:
         if norm > largest:
             largest = norm
         rows[r] = rows.get(r, 0) + norm
-    gap = _gap([p.terms for p in op.entries.values()])
-    index = (largest, max(rows.values(), default=0), gap, {}, None if gap else _cells(op, 1, 8))
+    index = (largest, max(rows.values(), default=0), _gap([p.terms for p in op.entries.values()]), {})
     object.__setattr__(op, "_index", index)
     return index
+
+
+def _stored(op: Operator, s: int, w: int) -> list:
+    """
+    The store entry of the indexed `op` at (s, w), [its `_cells`, its
+    `_columns` or None]: the cells are packed on its first read at (s, w),
+    and `_packed_pass` adds the columns on its first read there as an a.
+    """
+    store = op._index[3]
+    kept = store.get((s, w))
+    if kept is None:
+        kept = store[s, w] = [_cells(op, s, w), None]
+    return kept
 
 
 def _gap(polys: list[dict[int, int]]) -> int:
@@ -596,9 +599,6 @@ def _gap(polys: list[dict[int, int]]) -> int:
 
 def _pack(terms: dict[int, int], s: int, w: int) -> tuple[int, int]:
     """(e, sum_k d_k 2^(w k)) for the terms d_k v^(e + s k)."""
-    if len(terms) == 1:
-        for item in terms.items():
-            return item
     low = min(terms)
     n = 0
     for e, c in terms.items():
@@ -606,16 +606,8 @@ def _pack(terms: dict[int, int], s: int, w: int) -> tuple[int, int]:
     return low, n
 
 
-def _unpack(e: int, n: int, s: int, w: int) -> LaurentPoly:
-    """The inverse of `_pack`."""
-    half = 1 << (w - 1)
-    if -half < n < half:
-        return LaurentPoly._raw({e: n})
-    return LaurentPoly._raw(dict(_digits(e, n, s, w)))
-
-
 def _digits(e: int, n: int, s: int, w: int):
-    """The nonzero terms (exponent, digit) of a packed cell: a digit of w bits at or above 2^(w - 1) is negative and carries 1."""
+    """The nonzero terms (exponent, digit) of a cell `_pack` wrote: a digit of w bits at or above 2^(w - 1) is negative and carries 1."""
     half = 1 << (w - 1)
     mask = (1 << w) - 1
     while n:

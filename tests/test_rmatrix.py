@@ -17,7 +17,7 @@ from oracles import (
     verify_frt,
     verify_yang_baxter,
 )
-from qlink import rmatrix as rm
+from qlink import rmatrix as rm, tensorop
 from qlink.laurent import LaurentPoly
 from qlink.tensorop import (
     HALF,
@@ -327,15 +327,17 @@ class TestSuites:
 
 class TestCorruptionDetection:
     @pytest.mark.parametrize("spins", [(HALF, Spin(2)), (Spin(2), Spin(3))], ids=("1/2,1", "1,3/2"))
-    def test_r_inverse_leaves_no_columns(self, spins):
-        # On empty caches (the fixture's), the R^-1 R check reads a copy of
-        # the inverse as its left factor, so neither memoized matrix keeps
-        # packed columns from it.
+    def test_r_inverse_keeps_the_packing_of_its_check(self, spins, monkeypatch):
+        # On empty caches (the fixture's), the R^-1 R check reads the memoized
+        # inverse itself as its left factor, so the same product afterwards
+        # packs no cell: both matrices keep the cells the check packed.
         inv = rm.r_inverse(*spins)
         base = rm.r_matrix(*spins)
         assert rm._cache[("Rinv", *(j.twice_j for j in spins))] is inv
-        assert base._index is not None and base._index[3] == {}
-        assert inv._index is None
+        packed, cells = [], tensorop._cells
+        monkeypatch.setattr(tensorop, "_cells", lambda op, s, w: packed.append(op) or cells(op, s, w))
+        assert compose(inv, base) == identity(base.shape_in)
+        assert packed == []
 
     def test_bar_inverse_check_catches_corruption(self):
         good = rm.r_matrix(HALF, HALF)

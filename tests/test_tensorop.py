@@ -19,6 +19,7 @@ from oracles import (
     swap,
     unravel,
 )
+from qlink import tensorop
 from qlink.laurent import LaurentPoly, qint
 from qlink.rmatrix import braided_r, braided_r_inv, r_matrix
 from qlink.tensorop import (
@@ -702,21 +703,19 @@ class TestIndex:
         assert got == embedded_steps([(0, cold(m))] * 2, target)
         assert len({w for _, w in m._index[3]}) == 2
 
-    def test_a_keeps_its_columns_from_its_first_call(self):
-        # An operator read as an a keeps its packed columns in its index from
-        # its first call on, and a second word reads the same columns.  Read
-        # as both a and b in one call, it keeps one variant too.
+    def test_an_operand_read_as_b_and_a_is_packed_once(self, monkeypatch):
+        # Every operand keeps its cells per (s, w) from its first read there
+        # and, from its first read as an a, the columns read from them: a
+        # square read as both a and b, over two calls, packs each once.
         m = cold(braided_r(HALF, HALF))
-        target = identity(Shape.of(1, 1))
-        want = act_adjacent([(0, cold(m))] * 3, target)
-        assert act_adjacent([(0, m)] * 3, target) == want
-        assert list(m._index[3]) == [(4, 8)]
-        cols = m._index[3][4, 8]
-        assert act_adjacent([(0, m)] * 3, target) == want
-        assert list(m._index[3]) == [(4, 8)] and m._index[3][4, 8] is cols
-        square = cold(m)
-        assert compose(square, square) == compose(cold(m), cold(m))
-        assert len(square._index[3]) == 1
+        want = compose(cold(m), cold(m))
+        calls = []
+        for name in ("_cells", "_columns"):
+            kernel = getattr(tensorop, name)
+            monkeypatch.setattr(tensorop, name, lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args))
+        for _ in range(2):
+            assert compose(m, m) == want
+        assert calls == ["_cells", "_columns"] and list(m._index[3]) == [(4, 8)]
 
     def test_stride_rerun_with_a_warm_index(self):
         # The braiding's exponents step by 4, and the target's cells v^0 and
@@ -730,32 +729,53 @@ class TestIndex:
             assert act_adjacent([(0, m)] * 3, target) == want
         assert sorted(s for s, _ in m._index[3]) == [1, 4]
 
-    def test_monomial_entries_keep_their_packed_cells(self):
-        # An operator whose entries are all monomials keeps its packed cells,
-        # keyed r m + c with m its input dimension, since no stride or width
-        # changes them; one with a polynomial entry keeps none.
-        legs = Shape.of(1, 1)
-        target = Operator(legs, legs, {(0, 0): LaurentPoly({3: 2}), (2, 1): -V(-1)})
-        m = cold(braided_r(HALF, HALF))
-        want = embedded_steps([(0, m)] * 2, target)
-        assert act_adjacent([(0, m)] * 2, target) == want
-        cells = target._index[4]
-        assert cells == {0: (3, 2), 9: (-1, -1)} and m._index[4] is None
-        assert act_adjacent([(0, m)] * 2, target) == want and target._index[4] is cells
-
-    def test_variants_are_at_most_the_byte_widths_used(self):
-        # Words of 1-16 letters on the identity: the proven width grows with
-        # the length, and rounding it up to whole bytes leaves fewer variants.
+    def test_a_second_width_adds_one_store_entry(self):
+        # A longer word proves a wider width, whole bytes only: the letter's
+        # store gains one (s, w) entry for it, and a word at a width it has
+        # already stored adds none.  Over words of 1-16 letters the rounding
+        # leaves fewer entries than exact widths.
         m = cold(braided_r(Spin(2), Spin(2)))
+        target = identity(self.AMBIENT)
+        for n in (2, 2):
+            act_adjacent([(0, m)] * n, target)
+            assert list(m._index[3]) == [(4, 8)]
+        act_adjacent([(0, m)] * 12, target)
+        first, wide = m._index[3]
+        assert first == (4, 8) and wide[0] == 4 and wide[1] > 8
         rows = {}
         for (r, _), p in m.entries.items():
             rows[r] = rows.get(r, 0) + sum(map(abs, p.terms.values()))
         exact = {(max(rows.values()) ** n).bit_length() + 1 for n in range(1, 17)}
         for n in range(1, 17):
-            act_adjacent([(0, m)] * n, identity(self.AMBIENT))
-        variants = m._index[3]
-        assert len(variants) <= len({-(-w // 8) * 8 for w in exact}) < len(exact)
-        assert all(s == 4 and w % 8 == 0 and len(cols) == 9 for (s, w), cols in variants.items())
+            act_adjacent([(0, m)] * n, target)
+        assert len(m._index[3]) <= len({-(-w // 8) * 8 for w in exact}) < len(exact)
+        assert all(s == 4 and w % 8 == 0 for s, w in m._index[3])
+
+    def test_stored_cells_decode_to_their_entries(self):
+        # Monomials, negative single digits and polynomials of stride 4, each
+        # packed at (4, 8), at (4, 16) under a wide scalar and at (1, 8) next
+        # to an operand of gap 1: every stored cell r d + c decodes back to
+        # the entry (r, c).
+        legs = Shape.of(1, 1)
+        op = Operator(
+            legs,
+            legs,
+            {
+                (0, 0): LaurentPoly({3: 2}),
+                (1, 0): -V(-1),
+                (1, 2): LaurentPoly({0: -7}),
+                (2, 1): V(1) - V(-3),
+                (3, 3): LaurentPoly({-5: -3, -1: 2, 7: -100}),
+            },
+        )
+        odd = Operator(legs, legs, {(0, 0): V(0) + V(1)})
+        for terms in ([(1, op)], [(LaurentPoly({0: 300}), op)], [(1, op), (1, odd)]):
+            combine(legs, legs, {"sum": terms})
+        store = op._index[3]
+        assert sorted(store) == [(1, 8), (4, 8), (4, 16)]
+        for (s, w), (cells, _) in store.items():
+            decoded = {divmod(key, 4): LaurentPoly._raw(dict(tensorop._digits(e, n, s, w))) for key, (e, n) in cells.items()}
+            assert decoded == op.entries, (s, w)
 
 
 class TestTraces:
