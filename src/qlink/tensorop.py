@@ -12,9 +12,11 @@ Conventions fixed here and relied on everywhere else:
 - a multi-factor basis index is factor-major with the *first* factor slowest:
   index = ((i_0 * d_1 + i_1) * d_2 + i_2) * ...
 
-Operators carry both an input and an output shape.  They usually coincide,
-but braidings genuinely permute factors (V_a (x) V_b -> V_b (x) V_a), and the
-shape bookkeeping is what keeps mixed-spin conjugations honest.
+Operators carry both an input and an output shape.  They coincide except
+for braidings, which permute factors (V_a (x) V_b -> V_b (x) V_a), and the
+shape bookkeeping is what keeps mixed-spin conjugations honest.  `embed` and
+`kron` place only operators that keep their legs' spins; a braiding acts on
+more legs than its own only through `act_adjacent`.
 
 Entries are stored sparsely as {(row, col): LaurentPoly} with no zero entries,
 so operator equality is exact.  Spins, shapes and operators are `Immutable`
@@ -143,12 +145,6 @@ class Shape(Immutable):
     def strides(self) -> tuple[int, ...]:
         return self._strides
 
-    def replace(self, positions: Sequence[int], spins: Sequence[Spin]) -> Shape:
-        fs = list(self.factors)
-        for pos, s in zip(positions, spins):
-            fs[pos] = s
-        return Shape(fs)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(s) for s in self.factors) + ")"
 
@@ -238,10 +234,9 @@ UNIT = identity(EMPTY_SHAPE)  # the 1x1 left operand of a term scalar * a
 
 
 def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; output/input shapes are concatenated: b embedded on its legs, then a on its legs."""
-    na, nb = len(a.shape_in), len(b.shape_in)
-    right = embed(b, range(na, na + nb), a.shape_in + b.shape_in)
-    return compose(embed(a, range(na), right.shape_out), right)
+    """Tensor product of two operators that keep their legs' spins: a embedded on the first legs, b on the rest."""
+    shape, na = a.shape_in + b.shape_in, len(a.shape_in)
+    return compose(embed(a, range(na), shape), embed(b, range(na, len(shape)), shape))
 
 
 def compose(a: Operator, b: Operator) -> Operator:
@@ -298,19 +293,20 @@ def combine(shape_in: Shape, shape_out: Shape, sums: Mapping[str, Iterable[tuple
 
 def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
     """
-    Extend `op` by the identity to an operator on `ambient`, with factor t of
-    `op` living at ambient position positions[t].  Positions must be distinct
-    but need not be adjacent, sorted, or shape-preserving: the output ambient
-    shape replaces each touched factor by the corresponding output factor of
-    `op`.  The ambient row of each output index of `op` and column of each
-    input index are built once, leg by leg; entry (r, c) lands on
-    (rows[r] + ro, cols[c] + co) for the offsets (ro, co) of every digit of
-    the other legs.
+    Extend `op`, which keeps its legs' spins, by the identity to an operator
+    on `ambient`, with factor t of `op` living at ambient position
+    positions[t].  Positions must be distinct but need not be adjacent or
+    sorted.  The ambient index of each index of `op` is built once, leg by
+    leg; entry (r, c) lands on (index[r] + o, index[c] + o) for the offset o
+    of every digit of the other legs.  An operator that changes its legs'
+    spins, such as a braiding, is refused: it acts through `act_adjacent`.
     """
     positions = tuple(positions)
     n = len(ambient)
-    if not len(positions) == len(op.shape_in) == len(op.shape_out):
-        raise ShapeError(f"{len(positions)} positions for an operator from {len(op.shape_in)} to {len(op.shape_out)} factors")
+    if not op.is_square():
+        raise ShapeError(f"embed places an operator that keeps its legs' spins, not {op.shape_in}->{op.shape_out}; use act_adjacent")
+    if len(positions) != len(op.shape_in):
+        raise ShapeError(f"{len(positions)} positions for an operator on {len(op.shape_in)} factors")
     if len(set(positions)) != len(positions):
         raise ShapeError(f"positions must be distinct, got {positions}")
     for t, pos in enumerate(positions):
@@ -320,23 +316,22 @@ def embed(op: Operator, positions: Sequence[int], ambient: Shape) -> Operator:
             raise ShapeError(f"operator factor {t} has spin {op.shape_in[t]} but ambient slot {pos} has {ambient[pos]}")
     if positions == tuple(range(n)):  # op already acts on all of `ambient`, in order
         return op
-    ambient_out = ambient if op.shape_out.dims == op.shape_in.dims else ambient.replace(positions, op.shape_out.factors)
-    in_strides, out_strides = ambient.strides(), ambient_out.strides()
-    rows, cols, offsets = [0], [0], [(0, 0)]
-    for p, d_out, d_in in zip(positions, op.shape_out.dims, op.shape_in.dims):  # digit by digit, first leg slowest
-        rows = [r + i * out_strides[p] for r in rows for i in range(d_out)]
-        cols = [c + i * in_strides[p] for c in cols for i in range(d_in)]
+    strides = ambient.strides()
+    index, offsets = [0], [0]
+    for p, d in zip(positions, op.shape_in.dims):  # digit by digit, first leg slowest
+        index = [x + i * strides[p] for x in index for i in range(d)]
     for u in (u for u in range(n) if u not in positions):
-        offsets = [(ro + i * out_strides[u], co + i * in_strides[u]) for ro, co in offsets for i in range(ambient.dims[u])]
-    entries = {(rows[r] + ro, cols[c] + co): p for (r, c), p in op.entries.items() for ro, co in offsets}
-    return Operator._raw(ambient, ambient_out, entries)
+        offsets = [o + i * strides[u] for o in offsets for i in range(ambient.dims[u])]
+    entries = {(index[r] + o, index[c] + o): p for (r, c), p in op.entries.items() for o in offsets}
+    return Operator._raw(ambient, ambient, entries)
 
 
 def act_adjacent(steps: Sequence[tuple[int, Operator]], target: Operator) -> Operator:
     """
     Apply the two-leg operators of `steps` = [(i, op), ...] in order to the
-    output legs of `target`: the same as composing embed(op, (i, i + 1), ...)
-    onto it step by step, without building any embedded operator.  Each `op`
+    output legs of `target`, without building any operator on the whole
+    shape; its test oracle, embed_by_digits in tests/oracles.py, places each
+    op on the whole shape and composes it on, step by step.  Each `op`
     acts on legs i, i + 1 of the shape left by the steps before it and must
     keep their total dimension d (a braiding maps (a, b) to (b, a)), so every
     other leg keeps its stride.  The word is one `_packed_sums` call with one

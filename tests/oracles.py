@@ -19,13 +19,17 @@ the one-leg generators instead of read from the per-column walk, the
 coproduct Casimir is multiplied out of those folds instead of written entry
 by entry, the traced product is formed on the whole auxiliary shape and
 traced there instead of contracted leg by leg, a braiding conjugation is
-every letter embedded and composed on both sides of a folded Casimir
-instead of one packed pass over a two-sided column, the Askey-Wilson residuals
-are summed one operator at a time instead of in one packed pass, and an
-operator product is summed over the shared index row by column instead of
-accumulated as packed integers per output cell, and an embedded operator is
-written ambient column by ambient column, the digits of the touched legs
-rewritten one at a time (`embed_by_digits`), instead of placed by strides.
+every letter placed digit by digit and composed on both sides of a folded
+Casimir instead of one packed pass over a two-sided column, the
+Askey-Wilson residuals are summed one operator at a time instead of in one
+packed pass, and an operator product is summed over the shared index row by
+column instead of accumulated as packed integers per output cell, and a
+placed operator is written ambient column by ambient column, the digits of
+the touched legs rewritten one at a time (`embed_by_digits`), instead of
+placed by strides.
+`embed_by_digits` also places a braiding, which `embed` refuses, so the
+oracles of `act_adjacent`, `rmatrix.word_steps` and the conjugated
+Casimirs share no placement code with what they check.
 Sums, scalings and tensor products are formed entry by entry
 (`entrywise_sum`, `entrywise_kron`) wherever an oracle needs them, since
 `combine`, `kron` and the operator `-` run on the packed executor and
@@ -59,7 +63,7 @@ Moved here from the package, because no route of the package uses them:
   one leg, summed factor by factor over a shape, where `uqsu2.twice_weights`
   reads each column's total from the per-column walk;
 - `unravel` (once `Shape.unravel`): the digits of a basis index, which no
-  route reads since `embed` builds its rows and columns leg by leg;
+  route reads since `embed` builds its indices leg by leg;
 - `swap` (once in `tensorop`): the two-factor exchange, each basis pair
   looked up among the pairs of the exchanged shape, where `rmatrix` relabels
   the indices of R by the formula i d_b + k -> k d_a + i.
@@ -361,10 +365,12 @@ def entrywise_kron(a: Operator, b: Operator) -> Operator:
 
 def embed_by_digits(op: Operator, positions, ambient: Shape) -> Operator:
     """
-    `embed` read digit by digit: every column of `ambient` is split into its
-    leg digits, op's column is the number the digits at `positions` spell in
-    op's leg order, and each entry of that column of op writes its row's
-    digits over those legs to give the ambient row.
+    `op` placed on `ambient` digit by digit, as `embed` places an operator
+    that keeps its legs' spins and as `act_adjacent` applies a braiding on
+    adjacent legs: every column of `ambient` is split into its leg digits,
+    op's column is the number the digits at `positions` spell in op's leg
+    order, and each entry of that column of op writes its row's digits over
+    those legs to give the ambient row.
     """
     out_factors = list(ambient.factors)
     for t, leg in enumerate(positions):
@@ -721,14 +727,15 @@ def embedded_word(letters, shape: Shape) -> Operator:
     """
     The braid word `letters` on `shape` as one composed operator: letter +i
     is braided_r(a, b) and -i is braided_r_inv(b, a) with (a, b) the spins
-    on legs i - 1, i by then, each embedded and composed onto the product.
+    on legs i - 1, i by then, each placed by `embed_by_digits` and composed
+    onto the product.
     """
     word = identity(shape)
     for letter in letters:
         i = abs(letter) - 1
         a, b = word.shape_out[i], word.shape_out[i + 1]
         matrix = braided_r(a, b) if letter > 0 else braided_r_inv(b, a)
-        word = compose(embed(matrix, (i, i + 1), word.shape_out), word)
+        word = compose(embed_by_digits(matrix, (i, i + 1), word.shape_out), word)
     return word
 
 

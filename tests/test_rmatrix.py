@@ -5,6 +5,8 @@ import pytest
 from conftest import corrupted
 from oracles import (
     as_scalar,
+    embed_by_digits,
+    embedded_word,
     entrywise_sum,
     monodromy,
     monodromy_annihilator,
@@ -27,7 +29,6 @@ from qlink.tensorop import (
     Spin,
     act_adjacent,
     compose,
-    embed,
     identity,
     kron,
     partial_trace_first,
@@ -130,9 +131,8 @@ class TestBraided:
 
     def test_braid_relation_fundamental(self):
         shape = Shape((HALF, HALF, HALF))
-        b = embed(rm.braided_r(HALF, HALF), (0, 1), shape)
-        b12 = lambda s: embed(rm.braided_r(s[0], s[1]), (0, 1), s)
-        b23 = lambda s: embed(rm.braided_r(s[1], s[2]), (1, 2), s)
+        b12 = lambda s: embed_by_digits(rm.braided_r(s[0], s[1]), (0, 1), s)
+        b23 = lambda s: embed_by_digits(rm.braided_r(s[1], s[2]), (1, 2), s)
         lhs = compose(b12(shape), compose(b23(shape), b12(shape)))
         rhs = compose(b23(shape), compose(b12(shape), b23(shape)))
         assert lhs == rhs
@@ -146,7 +146,7 @@ class TestBraided:
             op = identity(shape)
             for (i, k) in first_positions:
                 a, b = current[i], current[k]
-                step = embed(rm.braided_r(a, b), (i, k), current)
+                step = embed_by_digits(rm.braided_r(a, b), (i, k), current)
                 op = compose(step, op)
                 current = step.shape_out
             return op
@@ -186,12 +186,7 @@ class TestActLetters:
             n = 3 + cases % 2
             shape = Shape.of(*(rng.choice((1, 2)) for _ in range(n)))
             letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 5)))
-            expected = identity(shape)
-            for letter in letters:
-                i, legs = abs(letter) - 1, expected.shape_out
-                a, b = legs[i], legs[i + 1]
-                two_leg = rm.braided_r(a, b) if letter > 0 else rm.braided_r_inv(b, a)
-                expected = compose(embed(two_leg, (i, i + 1), legs), expected)
+            expected = embedded_word(letters, shape)
             if expected.shape_out == shape:
                 continue
             assert act_letters(letters, identity(shape)) == expected, (shape, letters)

@@ -142,20 +142,20 @@ class TestBasics:
 
 
 class TestArithmetic:
-    # Sums and scalings through `combine`, `-` and kron against the entrywise
+    # Sums and scalings through `combine` and `-` against the entrywise
     # oracles, on non-square operators: a braiding, whose exponents step by 4,
-    # and random operators with two-term entries.
+    # and random operators with two-term entries.  kron takes square ones.
     SRC, DST = Shape.of(1, 2), Shape.of(2, 1)
+
+    @staticmethod
+    def two_term(rng, shape_in, shape_out):
+        op = random_operator(rng, shape_in, shape_out, fill=6)
+        return Operator(shape_in, shape_out, {rc: p + V(rng.randint(-5, 5)) for rc, p in op.entries.items()})
 
     def operands(self, seed):
         rng = random.Random(seed)
-
-        def two_term(shape_in, shape_out):
-            op = random_operator(rng, shape_in, shape_out, fill=6)
-            return Operator(shape_in, shape_out, {rc: p + V(rng.randint(-5, 5)) for rc, p in op.entries.items()})
-
-        a, b, narrow = two_term(self.SRC, self.DST), two_term(self.SRC, self.DST), two_term(Shape.of(2), Shape.of(1))
-        return braided_r(HALF, Spin(2)), a, b, narrow
+        a, b = self.two_term(rng, self.SRC, self.DST), self.two_term(rng, self.SRC, self.DST)
+        return braided_r(HALF, Spin(2)), a, b, self.two_term(rng, Shape.of(2), Shape.of(1))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sums_and_scalings(self, seed):
@@ -174,10 +174,18 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kron(self, seed):
+        # Square operands: a mixed-spin plain R and random two-term operators.
+        # The braiding and the rectangular operators, which change their
+        # legs' spins, are refused on either side.
         braid, a, _, narrow = self.operands(seed)
-        unit = identity(EMPTY_SHAPE)
-        for x, y in ((a, braid), (braid, narrow), (narrow, a), (narrow, narrow), (a, unit), (unit, narrow)):
+        rng = random.Random(seed)
+        square, leg = self.two_term(rng, self.SRC, self.SRC), self.two_term(rng, Shape.of(2), Shape.of(2))
+        plain, unit = r_matrix(HALF, Spin(2)), identity(EMPTY_SHAPE)
+        for x, y in ((square, plain), (plain, leg), (leg, square), (leg, leg), (square, unit), (unit, leg)):
             assert kron(x, y) == entrywise_kron(x, y)
+        for x, y in ((square, braid), (braid, leg), (a, unit), (narrow, leg), (leg, narrow)):
+            with pytest.raises(ShapeError, match="act_adjacent"):
+                kron(x, y)
 
     def test_shape_mismatch(self):
         _, a, _, narrow = self.operands(0)
@@ -189,8 +197,8 @@ class TestArithmetic:
                 combine(a.shape_in, a.shape_out, {"sum": [(1, a), (1, other)]})
             with pytest.raises(ShapeError):
                 a - other
-        # `embed` places factors one to one, so an operator that changes its
-        # number of factors has no tensor product with another.
+        # `kron` places only operators that keep their legs' spins, so one
+        # that changes its number of factors has no tensor product.
         column = Operator(EMPTY_SHAPE, Shape.of(1, 1), {(1, 0): V(1)})
         with pytest.raises(ShapeError):
             kron(column, narrow)
@@ -358,7 +366,7 @@ class TestPermute:
         # and both reverse the three legs.
         def exchange(i, op):
             legs = op.shape_out
-            return compose(embed(swap(legs[i], legs[i + 1]), (i, i + 1), legs), op)
+            return compose(embed_by_digits(swap(legs[i], legs[i + 1]), (i, i + 1), legs), op)
 
         for tjs in ((1, 2, 0), (1, 2, 3), (2, 1, 2)):
             shape = Shape.of(*tjs)
@@ -379,12 +387,23 @@ class TestEmbed:
         assert embed(op, (1, 2), ambient) == entrywise_kron(identity(Shape.of(2)), op)
 
     def test_every_ordered_pair_matches_the_digit_oracle(self):
-        # A leg-swapping operator on each ordered pair of distinct legs of a
-        # mixed shape, so row and column strides differ on every placement.
+        # A mixed-spin operator that keeps its legs' spins on each ordered
+        # pair of distinct legs of a mixed shape, so the placed legs and the
+        # other leg have different strides on every placement.
         ambient = Shape.of(1, 2, 3)
         for i, j in itertools.permutations(range(3), 2):
-            op = braided_r(ambient[i], ambient[j])
+            op = r_matrix(ambient[i], ambient[j])
             assert embed(op, (i, j), ambient) == embed_by_digits(op, (i, j), ambient)
+
+    def test_leg_changing_operators_rejected(self):
+        # A braiding and a rectangular operator from (1) to (1/2) act on more
+        # legs than their own only through act_adjacent; `TestArithmetic`
+        # checks that kron refuses them too.
+        braid = braided_r(HALF, Spin(2))
+        narrow = Operator(Shape.of(2), Shape.of(1), {(0, 0): V(1), (1, 2): V(-1)})
+        for op, positions, ambient in ((braid, (0, 1), Shape.of(1, 2, 1)), (narrow, (1,), Shape.of(1, 2))):
+            with pytest.raises(ShapeError, match="act_adjacent"):
+                embed(op, positions, ambient)
 
     def test_reversed_positions(self):
         # Embedding with swapped slots conjugates by the exchange operator.
@@ -406,6 +425,10 @@ class TestEmbed:
         with pytest.raises(ShapeError, match="position 3 outside ambient of 3 factors"):
             embed(identity(Shape((HALF,))), (3,), Shape.of(1, 1, 1))
 
+    def test_position_count_rejected(self):
+        with pytest.raises(ShapeError, match="3 positions for an operator on 2 factors"):
+            embed(identity(Shape.of(1, 2)), (0, 1, 2), Shape.of(1, 2, 1))
+
     def test_duplicate_positions_rejected(self):
         op = identity(Shape((HALF, HALF)))
         with pytest.raises(ShapeError):
@@ -413,9 +436,9 @@ class TestEmbed:
 
 
 def embedded_steps(steps, target: Operator) -> Operator:
-    """The oracle for `act_adjacent`: each step embedded on the whole shape and composed on."""
+    """The oracle for `act_adjacent`: each step placed digit by digit on the whole shape and composed on."""
     for i, op in steps:
-        target = compose(embed(op, (i, i + 1), target.shape_out), target)
+        target = compose(embed_by_digits(op, (i, i + 1), target.shape_out), target)
     return target
 
 
@@ -441,7 +464,7 @@ class TestActAdjacent:
                 for legs_out in (legs, Shape((legs[1], legs[0]))):
                     op = random_operator(rng, legs, legs_out, fill=6)
                     target = random_operator(rng, Shape.of(2, 1), ambient, fill=12)
-                    want = compose(embed(op, (i, i + 1), ambient), target)
+                    want = compose(embed_by_digits(op, (i, i + 1), ambient), target)
                     assert act_adjacent([(i, op)], target) == want
 
     def test_matches_embed_then_compose_on_braidings(self):
@@ -451,7 +474,7 @@ class TestActAdjacent:
                 a, b = ambient[i], ambient[i + 1]
                 target = random_operator(rng, ambient, ambient, fill=12)
                 for op in (braided_r(a, b), braided_r_inv(b, a)):
-                    want = compose(embed(op, (i, i + 1), ambient), target)
+                    want = compose(embed_by_digits(op, (i, i + 1), ambient), target)
                     assert act_adjacent([(i, op)], target) == want
 
     def test_leg_mismatch_rejected(self):

@@ -48,7 +48,6 @@ ALLOWED = {
     "tl._check_pairing": "the checked TLElement constructor's input check; every route builds through _raw",
     "laurent.LaurentPoly.const": "a checked constructor, the input boundary the tests and oracles build through",
     "laurent.LaurentPoly.zero": "a checked constructor, the input boundary the tests and oracles build through",
-    "tensorop.Shape.replace": "embed runs it only for an operator that changes its legs' spins",
     "tensorop.Operator.entry": "only full_trace reads it, and perfbench pins full_trace",
 }
 
